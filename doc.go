@@ -187,9 +187,13 @@
 // (RouterConfig.ReplayBytes), so partitions cost bounded memory and
 // trimmed bytes are counted, never spliced over. Engines ack each
 // decoded session upstream (NetSource.AckSession), which trims the
-// stream's replay buffer; evicting a dead engine fails all its
-// streams over at once, replaying only the unacked tail — what its
-// nodes had finished sending does not die with the process. The
+// stream's replay buffer, and a Pipeline acks on its own when it
+// releases an idle session, through the last chunk that session
+// consumed: a finished stream's route holds no replay bytes
+// (pl_cluster_replay_bytes totals what the router still holds).
+// Evicting a dead engine fails all its streams over at once,
+// replaying only the unacked tail — what its nodes had finished
+// sending does not die with the process. The
 // internal/cluster/chaos package injects connection faults (drop,
 // delay, duplicate, mid-frame sever, scripted kill/restart schedules)
 // for the churn tier that locks all of this down: an auto-assembled

@@ -124,6 +124,10 @@ type route struct {
 	// consumed (StreamAck); acked frames are dropped from replay and a
 	// failover replay starting past ackedThrough+1 is a counted gap.
 	ackedThrough uint32
+	// evicted is set (with the buffer emptied) when the janitor drops
+	// the route from the table; a goroutine that looked the route up
+	// before that must not touch it again.
+	evicted bool
 }
 
 // upstream is the router's connection to one engine, redialed on
@@ -233,6 +237,7 @@ type Router struct {
 	replayed        atomic.Int64
 	replayGaps      atomic.Int64
 	replayEvicted   atomic.Int64
+	replayHeld      atomic.Int64 // bytes across every route's replay buffer
 	redials         atomic.Int64
 	failovers       atomic.Int64
 	undeliv         atomic.Int64
@@ -317,6 +322,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			"Handoffs whose replay buffer no longer held every unconsumed chunk.", r.replayGaps.Load)
 		reg.CounterFunc("pl_cluster_replay_evicted_bytes_total",
 			"Replay-buffer bytes evicted by the per-stream ReplayBytes bound.", r.replayEvicted.Load)
+		reg.GaugeFunc("pl_cluster_replay_bytes",
+			"Chunk bytes retained across all routes' replay buffers (forwarded, not yet acked).",
+			func() float64 { return float64(r.replayHeld.Load()) })
 		reg.CounterFunc("pl_cluster_engine_joins_total",
 			"EngineHello admissions (new members plus address refreshes).", r.joins.Load)
 		reg.CounterFunc("pl_cluster_engines_evicted_total",
@@ -543,7 +551,9 @@ func (r *Router) routeFor(session uint64) (*route, bool) {
 	defer r.mu.Unlock()
 	rt, ok := r.routes[session]
 	if !ok {
-		rt = &route{}
+		// Born active: the janitor must not evict a route before its
+		// first forward stamps it.
+		rt = &route{lastAct: time.Now()}
 		r.routes[session] = rt
 	}
 	return rt, !ok
@@ -591,6 +601,13 @@ func (r *Router) resolve(session uint64, exclude string) (*upstream, bool) {
 func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, ft rxnet.FrameType) {
 	rt, created := r.routeFor(session)
 	rt.fmu.Lock()
+	for rt.evicted {
+		// The janitor evicted the route between lookup and lock; the
+		// stream continues on a fresh one.
+		rt.fmu.Unlock()
+		rt, created = r.routeFor(session)
+		rt.fmu.Lock()
+	}
 	defer rt.fmu.Unlock()
 	rt.lastAct = time.Now()
 	if created && seq != 1 && ft == rxnet.FrameSampleChunk && nc != nil {
@@ -619,20 +636,18 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 		}
 		// A live Seq=1 behind the buffer is a genuine stream restart:
 		// the buffered chunks belong to the previous incarnation.
-		rt.replay = rt.replay[:0]
-		rt.replayBytes = 0
+		r.dropReplay(rt, len(rt.replay))
 		rt.ackedThrough = 0
 	}
 	rt.replay = append(rt.replay, savedChunk{seq: seq, body: body})
 	rt.replayBytes += len(body)
+	r.replayHeld.Add(int64(len(body)))
 	drop := 0
-	for rt.replayBytes > r.cfg.ReplayBytes && drop < len(rt.replay)-1 {
-		rt.replayBytes -= len(rt.replay[drop].body)
-		r.replayEvicted.Add(int64(len(rt.replay[drop].body)))
-		drop++
+	for over := rt.replayBytes - r.cfg.ReplayBytes; over > 0 && drop < len(rt.replay)-1; drop++ {
+		over -= len(rt.replay[drop].body)
 	}
 	if drop > 0 {
-		rt.replay = append(rt.replay[:0], rt.replay[drop:]...)
+		r.replayEvicted.Add(int64(r.dropReplay(rt, drop)))
 	}
 	rt.lastFwd = seq
 	failedOver := false
@@ -700,6 +715,25 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 		return
 	}
 	r.undeliv.Add(1)
+}
+
+// dropReplay releases the oldest n chunks of a stream's replay buffer
+// and returns their bytes. The vacated slots are cleared so the backing
+// array stops pinning the chunk bodies, and an emptied buffer lets go
+// of the array itself. Callers hold rt.fmu.
+func (r *Router) dropReplay(rt *route, n int) int {
+	freed := 0
+	for _, c := range rt.replay[:n] {
+		freed += len(c.body)
+	}
+	clear(rt.replay[:n])
+	rt.replay = rt.replay[n:]
+	if len(rt.replay) == 0 {
+		rt.replay = nil
+	}
+	rt.replayBytes -= freed
+	r.replayHeld.Add(-int64(freed))
+	return freed
 }
 
 // noteOwner records that nc's streams feed engine up, and pauses the
@@ -915,25 +949,29 @@ func (r *Router) handleAck(from *upstream, a rxnet.StreamAck) {
 	}
 	rt.fmu.Lock()
 	defer rt.fmu.Unlock()
-	if rt.owner != from.id {
-		// Stale ack: the stream already moved; the new owner's acks are
-		// the ones that matter now.
+	if rt.evicted || rt.owner != from.id {
+		// Stale ack: the route is gone, or the stream already moved and
+		// the new owner's acks are the ones that matter now.
 		return
 	}
 	// Serial-number comparisons throughout: a long-lived stream's Seq
 	// wraps past MaxUint32, where naked uint32 ordering inverts and an
 	// ack would either be ignored or trim the whole buffer.
+	if rxnet.SeqLess(rt.lastFwd, a.LastSeq) {
+		// Past the newest forwarded chunk: an ack of the stream's
+		// previous incarnation, still in flight across a Seq=1
+		// restart. Acks carry no epoch, so applying it would trim the
+		// new incarnation's unconsumed chunks.
+		return
+	}
 	if rxnet.SeqLess(rt.ackedThrough, a.LastSeq) {
 		rt.ackedThrough = a.LastSeq
 	}
 	drop := 0
 	for drop < len(rt.replay) && rxnet.SeqLEq(rt.replay[drop].seq, a.LastSeq) {
-		rt.replayBytes -= len(rt.replay[drop].body)
 		drop++
 	}
-	if drop > 0 {
-		rt.replay = append(rt.replay[:0], rt.replay[drop:]...)
-	}
+	r.dropReplay(rt, drop)
 }
 
 // handleNack moves a refused stream to a new owner and replays every
@@ -948,9 +986,10 @@ func (r *Router) handleNack(from *upstream, n rxnet.StreamNack) {
 	}
 	rt.fmu.Lock()
 	defer rt.fmu.Unlock()
-	if rt.owner != from.id {
-		// Stale NACK: the stream already moved (e.g. the first chunk
-		// was NACKed and follow-ups crossed it on the wire).
+	if rt.evicted || rt.owner != from.id {
+		// Stale NACK: the route is gone, or the stream already moved
+		// (e.g. the first chunk was NACKed and follow-ups crossed it
+		// on the wire).
 		return
 	}
 	up, ok := r.resolve(n.Session, from.id)
@@ -1226,18 +1265,22 @@ func (r *Router) janitor() {
 			var stale []idle
 			for s, rt := range snapshot {
 				rt.fmu.Lock()
-				quiet := now.Sub(rt.lastAct) > r.cfg.RouteIdleTimeout
-				owner := rt.owner
-				rt.fmu.Unlock()
-				if !quiet {
+				if now.Sub(rt.lastAct) <= r.cfg.RouteIdleTimeout {
+					rt.fmu.Unlock()
 					continue
 				}
 				r.mu.Lock()
-				if r.routes[s] == rt {
+				gone := r.routes[s] == rt
+				if gone {
 					delete(r.routes, s)
-					stale = append(stale, idle{s, owner})
 				}
 				r.mu.Unlock()
+				if gone {
+					rt.evicted = true
+					r.dropReplay(rt, len(rt.replay))
+					stale = append(stale, idle{s, rt.owner})
+				}
+				rt.fmu.Unlock()
 			}
 			for _, st := range stale {
 				r.routesEnded.Add(1)

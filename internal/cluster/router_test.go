@@ -509,3 +509,98 @@ func TestEvictionFailsOverUnackedStreams(t *testing.T) {
 		t.Errorf("replay gaps = %d, want 0 (buffer was complete)", got)
 	}
 }
+
+// Every trim of a replay buffer — the byte bound, a Seq=1 restart and
+// an ack — must let go of the dropped chunk bodies: no slot of the
+// backing array past len may still reference one, an emptied buffer
+// holds no array at all, and the pl_cluster_replay_bytes gauge tracks
+// the bytes still held.
+func TestReplayTrimReleasesBodies(t *testing.T) {
+	a := startEngineSim(t, "engine-a")
+	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, a), ReplayBytes: 600})
+	const key = uint64(5)<<32 | 1
+	check := func(stage string) {
+		t.Helper()
+		rt, _ := r.routeFor(key)
+		rt.fmu.Lock()
+		defer rt.fmu.Unlock()
+		for i, c := range rt.replay[len(rt.replay):cap(rt.replay)] {
+			if c.body != nil {
+				t.Errorf("%s: slot len+%d still pins a %d-byte body", stage, i, len(c.body))
+			}
+		}
+		if got := r.replayHeld.Load(); got != int64(rt.replayBytes) {
+			t.Errorf("%s: replay gauge = %d bytes, buffer holds %d", stage, got, rt.replayBytes)
+		}
+	}
+
+	// Six ~212-byte chunks into a 600-byte bound: the oldest are evicted.
+	for seq := uint32(1); seq <= 6; seq++ {
+		r.forward(nil, key, seq, wrapChunk(t, 5, 1, seq, int(seq-1)), rxnet.FrameSampleChunk)
+	}
+	if r.replayEvicted.Load() == 0 {
+		t.Fatal("byte bound evicted nothing")
+	}
+	check("byte-bound trim")
+
+	// A live Seq=1 restart drops the previous incarnation's buffer.
+	for seq := uint32(1); seq <= 2; seq++ {
+		r.forward(nil, key, seq, wrapChunk(t, 5, 1, seq, int(seq-1)), rxnet.FrameSampleChunk)
+	}
+	check("restart reset")
+
+	// The owner acks everything: the buffer empties completely.
+	r.mu.Lock()
+	upA := r.ups["engine-a"]
+	r.mu.Unlock()
+	r.handleAck(upA, rxnet.StreamAck{Session: key, LastSeq: 2})
+	check("ack")
+	rt, _ := r.routeFor(key)
+	rt.fmu.Lock()
+	n, c := len(rt.replay), cap(rt.replay)
+	rt.fmu.Unlock()
+	if n != 0 || c != 0 {
+		t.Errorf("fully acked buffer has len %d cap %d, want no backing array", n, c)
+	}
+	if got := r.replayHeld.Load(); got != 0 {
+		t.Errorf("replay gauge = %d bytes after the full ack, want 0", got)
+	}
+}
+
+// An ack still in flight from a stream's previous incarnation must not
+// trim the restarted stream: acks carry no epoch, and applying one past
+// the newest forwarded Seq would drop the new incarnation's unconsumed
+// chunks — which a later failover would then skip without counting a
+// gap.
+func TestStaleAckIgnoredAfterRestart(t *testing.T) {
+	a := startEngineSim(t, "engine-a")
+	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, a)})
+	const key = uint64(5)<<32 | 1
+	for seq := uint32(1); seq <= 5; seq++ {
+		r.forward(nil, key, seq, wrapChunk(t, 5, 1, seq, int(seq-1)), rxnet.FrameSampleChunk)
+	}
+	// The node restarts the stream; the old incarnation's ack through
+	// Seq 5 arrives after the restart's first chunk.
+	r.forward(nil, key, 1, wrapChunk(t, 5, 1, 1, 0), rxnet.FrameSampleChunk)
+	r.mu.Lock()
+	upA := r.ups["engine-a"]
+	r.mu.Unlock()
+	r.handleAck(upA, rxnet.StreamAck{Session: key, LastSeq: 5})
+
+	rt, _ := r.routeFor(key)
+	rt.fmu.Lock()
+	kept, acked := len(rt.replay), rt.ackedThrough
+	rt.fmu.Unlock()
+	if kept != 1 || acked != 0 {
+		t.Fatalf("after the stale ack: %d chunks kept, ackedThrough %d; want the restart's 1 chunk and 0", kept, acked)
+	}
+
+	// The new incarnation's own ack still trims.
+	r.handleAck(upA, rxnet.StreamAck{Session: key, LastSeq: 1})
+	rt.fmu.Lock()
+	kept, acked = len(rt.replay), rt.ackedThrough
+	rt.fmu.Unlock()
+	if kept != 0 || acked != 1 {
+		t.Fatalf("after the live ack: %d chunks kept, ackedThrough %d; want 0 and 1", kept, acked)
+	}
+}

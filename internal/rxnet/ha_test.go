@@ -3,6 +3,7 @@ package rxnet
 import (
 	"context"
 	"math"
+	"net"
 	"testing"
 	"time"
 )
@@ -211,5 +212,62 @@ func TestNodeMultiAddressFailoverResendsTail(t *testing.T) {
 	}
 	if got := l2.DuplicateChunks(); got != 0 {
 		t.Fatalf("standby counted %d duplicates, want 0 (it never saw the stream)", got)
+	}
+}
+
+// AckThrough acks a delivered chunk only while its stream is still in
+// the continuity epoch the chunk was admitted under: after a restart
+// the old epoch's Seqs name other chunks, so its ack is dropped instead
+// of trimming the new epoch upstream.
+func TestChunkListenerAckThroughEpoch(t *testing.T) {
+	l, err := ListenChunks("127.0.0.1:0", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send := func(seq uint32, start uint64) {
+		t.Helper()
+		if err := WriteFrame(c, FrameSampleChunk, chunkAt(t, seq, start)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1, 0)
+	send(2, 50)
+	send(3, 100)
+	old := collectChunks(t, l, 3)
+	if old[0].Epoch == 0 || old[2].Epoch != old[0].Epoch || old[2].Seq != 3 {
+		t.Fatalf("contiguous chunks admitted as epochs %d..%d seq %d", old[0].Epoch, old[2].Epoch, old[2].Seq)
+	}
+	// The stream restarts and runs past the old epoch's last Seq.
+	for i := uint32(0); i < 4; i++ {
+		send(1+i, uint64(i)*50)
+	}
+	cur := collectChunks(t, l, 4)
+	if !cur[0].Reset || cur[0].Epoch == old[2].Epoch {
+		t.Fatalf("restart admitted in epoch %d (reset=%v), old epoch %d", cur[0].Epoch, cur[0].Reset, old[2].Epoch)
+	}
+
+	session := cur[0].Session
+	if l.AckThrough(session, old[2].Epoch, old[2].Seq) {
+		t.Fatal("acked Seq 3 of the stream's previous epoch")
+	}
+	if !l.AckThrough(session, cur[1].Epoch, cur[1].Seq) {
+		t.Fatal("ack of the current epoch was not sent")
+	}
+	ft, body := readFrameWithin(t, c, 5*time.Second)
+	if ft != FrameStreamAck {
+		t.Fatalf("got frame type %d, want a StreamAck", ft)
+	}
+	a, err := UnmarshalStreamAck(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Session != session || a.LastSeq != 2 {
+		t.Fatalf("ack %+v, want session %d through Seq 2", a, session)
 	}
 }

@@ -22,6 +22,11 @@ type ChunkEvent struct {
 	Session uint64
 	// NodeID and StreamID identify the sender.
 	NodeID, StreamID uint32
+	// Seq is the chunk's sequence number and Epoch the continuity
+	// epoch it was admitted under: every new stream cursor and every
+	// reset starts a fresh epoch. AckThrough takes both back, so an
+	// ack can never trim chunks of a later incarnation of the stream.
+	Seq, Epoch uint32
 	// Fs is the stream's sample rate (Hz).
 	Fs float64
 	// Samples are the chunk's RSS values.
@@ -94,6 +99,7 @@ type ChunkListener struct {
 
 	mu        sync.Mutex
 	cursors   map[uint64]*streamCursor
+	epoch     uint32 // last continuity epoch handed out
 	refused   map[uint64]bool
 	conns     map[*lconn]struct{}
 	draining  bool
@@ -109,10 +115,21 @@ type ChunkListener struct {
 
 // streamCursor extends the shared chunk-continuity cursor with the
 // connection the stream is arriving on, so a force-redirect can NACK
-// the right peer.
+// the right peer, and with the continuity epoch of its chunks.
 type streamCursor struct {
 	chunkCursor
-	src *lconn
+	src   *lconn
+	epoch uint32
+}
+
+// nextEpoch hands out a continuity epoch. Zero is skipped, so a zero
+// epoch always means "not admitted by a listener". Callers hold l.mu.
+func (l *ChunkListener) nextEpoch() uint32 {
+	l.epoch++
+	if l.epoch == 0 {
+		l.epoch++
+	}
+	return l.epoch
 }
 
 // ChunkListenerConfig tunes a ChunkListener beyond the address.
@@ -404,14 +421,35 @@ func (l *ChunkListener) ForceRedirect(session uint64) bool {
 // plain streaming nodes never read.
 func (l *ChunkListener) AckSession(session uint64) bool {
 	l.mu.Lock()
-	cur, ok := l.cursors[session]
 	var src *lconn
 	var seq uint32
-	if ok {
+	if cur, ok := l.cursors[session]; ok {
 		src, seq = cur.src, cur.seq
 	}
 	l.mu.Unlock()
-	if !ok || src == nil {
+	return l.sendAck(src, session, seq)
+}
+
+// AckThrough acks a session through one delivered chunk (its
+// ChunkEvent Seq and Epoch) rather than through everything admitted:
+// chunks still queued behind it stay unacked. The ack is sent only
+// while the stream is still in that epoch — once the stream restarted
+// or skipped, its Seqs name other chunks and the ack is dropped.
+// Reports whether an ack was sent.
+func (l *ChunkListener) AckThrough(session uint64, epoch, seq uint32) bool {
+	l.mu.Lock()
+	var src *lconn
+	if cur, ok := l.cursors[session]; ok && cur.epoch == epoch {
+		src = cur.src
+	}
+	l.mu.Unlock()
+	return l.sendAck(src, session, seq)
+}
+
+// sendAck writes a StreamAck through seq to the stream's connection
+// (nil: the stream is unknown, nothing to ack).
+func (l *ChunkListener) sendAck(src *lconn, session uint64, seq uint32) bool {
+	if src == nil {
 		return false
 	}
 	l.acksSent.Add(1)
@@ -523,14 +561,15 @@ func (l *ChunkListener) acceptLoop() {
 // (FrameSampleReplay): within the cursor it is always a duplicate —
 // never a stream restart — while a live chunk is only treated as a
 // duplicate when unambiguous (a live Seq=1/Start=0 could be a genuine
-// restart and must reset instead).
-func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, nack, reset, dup bool) {
+// restart and must reset instead). epoch is the continuity epoch of an
+// accepted chunk: fresh for a new cursor or a reset.
+func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, nack, reset, dup bool, epoch uint32) {
 	key := c.SessionKey()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.refused[key] {
 		if l.draining {
-			return false, false, false, false
+			return false, false, false, false, 0
 		}
 		// Not draining anymore: the ring moved the stream back here.
 		// Accept it as a fresh stream (the redirect already released
@@ -543,7 +582,7 @@ func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, n
 			// New streams are refused while draining; in-flight ones
 			// keep flowing so the drain stays lossless.
 			l.refuse(key)
-			return false, true, false, false
+			return false, true, false, false, 0
 		}
 		if len(l.cursors) >= maxStreamCursors {
 			for k := range l.cursors {
@@ -551,11 +590,13 @@ func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, n
 				break
 			}
 		}
+		epoch := l.nextEpoch()
 		l.cursors[key] = &streamCursor{
 			chunkCursor: chunkCursor{seq: c.Seq, next: c.Start + uint64(len(c.Samples))},
 			src:         src,
+			epoch:       epoch,
 		}
-		return true, false, false, false
+		return true, false, false, false, epoch
 	}
 	contiguous := c.Seq == cur.seq+1 && c.Start == cur.next
 	if !contiguous {
@@ -566,12 +607,13 @@ func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, n
 			// after a failover the replaying conn IS the stream's new
 			// source, and control frames must go there.
 			cur.src = src
-			return false, false, false, true
+			return false, false, false, true, 0
 		}
+		cur.epoch = l.nextEpoch()
 	}
 	cur.seq, cur.next = c.Seq, c.Start+uint64(len(c.Samples))
 	cur.src = src
-	return true, false, !contiguous, false
+	return true, false, !contiguous, false, cur.epoch
 }
 
 func (l *ChunkListener) serveConn(conn net.Conn) {
@@ -649,7 +691,7 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 			}
 			l.received.Add(1)
 			l.paceGuard(c)
-			accept, nack, reset, dup := l.admit(c, lc, t == FrameSampleReplay)
+			accept, nack, reset, dup, epoch := l.admit(c, lc, t == FrameSampleReplay)
 			if reset {
 				l.resets.Add(1)
 			}
@@ -677,6 +719,8 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 				Session:  c.SessionKey(),
 				NodeID:   c.NodeID,
 				StreamID: c.StreamID,
+				Seq:      c.Seq,
+				Epoch:    epoch,
 				Fs:       c.Fs,
 				Samples:  c.Samples,
 				Reset:    reset,

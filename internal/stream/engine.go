@@ -57,12 +57,14 @@ type EngineConfig struct {
 	// OnSessionEnd, when non-nil, fires once per session release,
 	// after the session's final flush has published its detections:
 	// reason "end" for an explicit EndSession, "idle" for janitor
-	// eviction, "close" for engine shutdown. It runs on the releasing
-	// goroutine (an EndSession caller, the janitor, or Close) with no
-	// engine locks held, but must not block — the janitor and Close
-	// release sessions serially. Cluster deployments use it to export
-	// per-session decode totals at handoff time.
-	OnSessionEnd func(id uint64, stats SessionStats, reason string)
+	// eviction, "close" for engine shutdown. tag is the one passed
+	// with the last chunk the session consumed (FeedTagged; 0 for
+	// Feed). It runs on the releasing goroutine (an EndSession caller,
+	// the janitor, or Close) with no engine locks held, but must not
+	// block — the janitor and Close release sessions serially. Cluster
+	// deployments use it to export per-session decode totals and to
+	// acknowledge consumption upstream.
+	OnSessionEnd func(id uint64, stats SessionStats, reason string, tag uint64)
 	// Metrics, when non-nil, registers the engine's observability
 	// surface into the registry: counters and gauges mirroring Stats
 	// (read at snapshot time, zero hot-path cost) plus two histograms
@@ -153,6 +155,9 @@ type session struct {
 	// stale pointer sees it and retries against the session table.
 	evicted  bool
 	lastFeed time.Time
+	// tag is the caller's tag for the last chunk fed (FeedTagged),
+	// reported by the release hook.
+	tag uint64
 	// created anchors the session's stream time to the wall clock
 	// (first sample arrived then).
 	created time.Time
@@ -445,6 +450,14 @@ func (e *Engine) shardOf(id uint64) *shard {
 // sample rate on first feed; zero uses the engine default. Feeding an
 // existing session with a different non-zero fs is an error.
 func (e *Engine) Feed(id uint64, fs float64, chunk []float64) error {
+	return e.FeedTagged(id, fs, chunk, 0)
+}
+
+// FeedTagged is Feed that also records tag on the session the chunk
+// lands in. OnSessionEnd reports the tag of the session's last chunk,
+// so a caller can tell exactly what a released session consumed even
+// when a later chunk already started a fresh session under the same id.
+func (e *Engine) FeedTagged(id uint64, fs float64, chunk []float64, tag uint64) error {
 	if len(chunk) == 0 {
 		return nil
 	}
@@ -456,17 +469,17 @@ func (e *Engine) Feed(id uint64, fs float64, chunk []float64) error {
 	// semantics for real-time streams.
 	if max := e.cfg.QueueSamples; len(chunk) > max {
 		for len(chunk) > max {
-			if err := e.feedChunk(id, fs, chunk[:max], true); err != nil {
+			if err := e.feedChunk(id, fs, chunk[:max], tag, true); err != nil {
 				return err
 			}
 			chunk = chunk[max:]
 		}
-		return e.feedChunk(id, fs, chunk, true)
+		return e.feedChunk(id, fs, chunk, tag, true)
 	}
-	return e.feedChunk(id, fs, chunk, false)
+	return e.feedChunk(id, fs, chunk, tag, false)
 }
 
-func (e *Engine) feedChunk(id uint64, fs float64, chunk []float64, wait bool) error {
+func (e *Engine) feedChunk(id uint64, fs float64, chunk []float64, tag uint64, wait bool) error {
 	sh := e.shardOf(id)
 	for {
 		s, err := e.session(sh, id, fs)
@@ -494,6 +507,7 @@ func (e *Engine) feedChunk(id uint64, fs float64, chunk []float64, wait bool) er
 		}
 		dropped := s.rng.push(chunk)
 		s.lastFeed = time.Now()
+		s.tag = tag
 		wake := !s.scheduled
 		if wake {
 			s.scheduled = true
@@ -825,7 +839,7 @@ func (e *Engine) EndSession(id uint64) error {
 // evicted first and back off.
 func (e *Engine) sessionEnded(s *session, reason string) {
 	if e.cfg.OnSessionEnd != nil {
-		e.cfg.OnSessionEnd(s.id, s.dec.Stats(), reason)
+		e.cfg.OnSessionEnd(s.id, s.dec.Stats(), reason, s.tag)
 	}
 	s.sh.recycleRingBuf(s.rng.release())
 	s.dec.release()

@@ -504,7 +504,7 @@ func TestEngineOnSessionEnd(t *testing.T) {
 	e, err := NewEngine(EngineConfig{
 		Session:     Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 12}},
 		IdleTimeout: 50 * time.Millisecond,
-		OnSessionEnd: func(id uint64, stats SessionStats, reason string) {
+		OnSessionEnd: func(id uint64, stats SessionStats, reason string, _ uint64) {
 			mu.Lock()
 			ends = append(ends, ended{id, stats, reason})
 			mu.Unlock()

@@ -11,6 +11,7 @@ import (
 
 	"passivelight/internal/coding"
 	"passivelight/internal/decoder"
+	"passivelight/internal/rxnet"
 	"passivelight/internal/stream"
 	"passivelight/internal/telemetry"
 	"passivelight/internal/trace"
@@ -140,6 +141,9 @@ type Pipeline struct {
 
 	samplesIn atomic.Int64
 	tel       *pipeTel
+	// acks is the NetSource listener the pulled chunks came from (nil
+	// for other sources): idle session releases ack through it.
+	acks atomic.Pointer[rxnet.ChunkListener]
 }
 
 // pipeTel is the pipeline's own telemetry surface, one per-strategy
@@ -253,7 +257,7 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 		IdleTimeout:     p.cfg.idleTimeout,
 		DetectionBuffer: cap(out),
 		MaxSessions:     p.cfg.maxSessions,
-		OnSessionEnd:    p.cfg.onSessionEnd,
+		OnSessionEnd:    p.sessionEnded,
 		Metrics:         p.cfg.metrics,
 	})
 	if err != nil {
@@ -330,8 +334,11 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 				p.fail(fmt.Errorf("passivelight: session %d chunk carries no sample rate and the source declares none; use WithSampleRate", chunk.Session))
 				return
 			}
+			if chunk.acks != nil && p.acks.Load() == nil {
+				p.acks.Store(chunk.acks)
+			}
 			p.samplesIn.Add(int64(len(chunk.Samples)))
-			err = eng.Feed(chunk.Session, chunk.Fs, chunk.Samples)
+			err = eng.FeedTagged(chunk.Session, chunk.Fs, chunk.Samples, chunk.ackTag())
 			// Feed has copied the samples into the session ring (or
 			// dropped them); the pooled wire buffer can go back now.
 			chunk.Release()
@@ -342,6 +349,25 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 		}
 	}()
 	return nil
+}
+
+// sessionEnded is the engine's release hook. An idle release means
+// the session decoded and flushed everything it was fed, so the
+// pipeline acks its stream upstream through the last chunk it fed
+// (the engine's feed tag) — not through the listener's cursor, which
+// may already cover chunks still queued for a fresh session. End and
+// close releases are not acked: an end means the stream moved away or
+// restarted (a new epoch the ack must not alias), and close means the
+// engine is going down.
+func (p *Pipeline) sessionEnded(id uint64, stats SessionStats, reason string, tag uint64) {
+	if reason == "idle" && tag != 0 {
+		if l := p.acks.Load(); l != nil {
+			l.AckThrough(id, uint32(tag>>32), uint32(tag))
+		}
+	}
+	if p.cfg.onSessionEnd != nil {
+		p.cfg.onSessionEnd(id, stats, reason)
+	}
 }
 
 // runWholeStream buffers each session and runs the whole-stream

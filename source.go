@@ -28,21 +28,32 @@ type SourceChunk struct {
 	// pipeline ends any open decode session for Session before feeding
 	// these samples, so old and new epochs cannot splice together.
 	Reset bool
-	// release, when non-nil, returns the chunk's pooled sample buffer
-	// to its source (e.g. the rxnet listener pool). The pipeline calls
-	// Release once the samples have been consumed; sources whose
-	// chunks are plain slices leave it nil.
-	release func()
+	// buf, when non-nil, is the pooled buffer backing Samples (the
+	// rxnet listener pool). The pipeline calls Release once the
+	// samples have been consumed; sources whose chunks are plain
+	// slices leave it nil.
+	buf *rxnet.SampleBuf
+	// acks, epoch and seq name the chunk in its NetSource listener, so
+	// the pipeline can acknowledge consumption through exactly this
+	// chunk. They survive a pass-through Source wrapping the NetSource;
+	// acks is nil for every other source.
+	acks       *rxnet.ChunkListener
+	epoch, seq uint32
 }
 
 // Release hands the chunk's sample buffer back to its source's pool,
 // if the chunk carries one. After Release the Samples slice must not
 // be used. Safe to call on any chunk (no-op without a pooled buffer)
 // but not twice on the same pooled chunk.
-func (c SourceChunk) Release() {
-	if c.release != nil {
-		c.release()
+func (c SourceChunk) Release() { c.buf.Release() }
+
+// ackTag packs the chunk's listener epoch and Seq into the engine's
+// per-session feed tag (0, never a valid tag, for chunks without one).
+func (c SourceChunk) ackTag() uint64 {
+	if c.acks == nil {
+		return 0
 	}
+	return uint64(c.epoch)<<32 | uint64(c.seq)
 }
 
 // SourceInfo describes an opened source.
@@ -749,7 +760,10 @@ func (s *NetSource) ForceRedirect(session uint64) bool { return s.l.ForceRedirec
 // session so far has been decoded, so a cluster router can trim the
 // stream's replay buffer — if this engine later dies, only unacked
 // chunks are replayed to the failover owner. Call it when a session's
-// packet decodes. Reports whether the stream was still known.
+// packet decodes. Reports whether the stream was still known. A
+// Pipeline over this source also acks on its own whenever the engine
+// releases an idle session, through the last chunk that session
+// consumed, so a finished stream's route holds no replay bytes.
 func (s *NetSource) AckSession(session uint64) bool { return s.l.AckSession(session) }
 
 // Throttle flips the source's backpressure signal: paused sends a
@@ -835,15 +849,13 @@ func (s *NetSource) Next(ctx context.Context) (SourceChunk, error) {
 				// release the decode session without feeding samples.
 				return SourceChunk{Session: ev.Session, Reset: true}, nil
 			}
-			chunk := SourceChunk{Session: ev.Session, Fs: ev.Fs, Samples: ev.Samples, Reset: ev.Reset}
-			if ev.Buf != nil {
-				// Zero-copy path: the samples still live in the
-				// listener's pooled buffer; the pipeline releases it
-				// after Engine.Feed has copied them into the session
-				// ring.
-				chunk.release = ev.Buf.Release
-			}
-			return chunk, nil
+			// Zero-copy path: the samples still live in the listener's
+			// pooled buffer; the pipeline releases it after Engine.Feed
+			// has copied them into the session ring.
+			return SourceChunk{
+				Session: ev.Session, Fs: ev.Fs, Samples: ev.Samples, Reset: ev.Reset,
+				buf: ev.Buf, acks: s.l, epoch: ev.Epoch, seq: ev.Seq,
+			}, nil
 		case h, ok := <-s.l.Hellos():
 			if ok && s.onHello != nil {
 				s.onHello(h)
