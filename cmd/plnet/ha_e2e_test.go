@@ -43,7 +43,22 @@ func TestClusterHADualRouterMultiProcess(t *testing.T) {
 	// the other in -peers before either has started.
 	routerAddrA, routerAddrB := freePort(t), freePort(t)
 
+	routerA := startProc(t, bin, "router-a",
+		"-mode", "route", "-listen", routerAddrA, "-peers", routerAddrB,
+		"-metrics-addr", obsAddr["router-a"],
+	)
+	routerB := startProc(t, bin, "router-b",
+		"-mode", "route", "-listen", routerAddrB, "-peers", routerAddrA,
+		"-metrics-addr", obsAddr["router-b"],
+	)
+	waitHealthy(t, "router-a", obsAddr["router-a"])
+	waitHealthy(t, "router-b", obsAddr["router-b"])
+
 	// Engines join BOTH routers; either replica keeps the fleet routed.
+	// They start only once both routers serve, back to back, so their
+	// first hellos reach live routers as one stampede: an engine
+	// started before its routers first connects after its own jittered
+	// redial backoff, and the hellos could straddle two batch windows.
 	var engines []*proc
 	for _, id := range engineIDs {
 		engines = append(engines, startProc(t, bin, id,
@@ -56,17 +71,6 @@ func TestClusterHADualRouterMultiProcess(t *testing.T) {
 	for _, id := range engineIDs {
 		waitHealthy(t, id, obsAddr[id])
 	}
-
-	routerA := startProc(t, bin, "router-a",
-		"-mode", "route", "-listen", routerAddrA, "-peers", routerAddrB,
-		"-metrics-addr", obsAddr["router-a"],
-	)
-	routerB := startProc(t, bin, "router-b",
-		"-mode", "route", "-listen", routerAddrB, "-peers", routerAddrA,
-		"-metrics-addr", obsAddr["router-b"],
-	)
-	waitHealthy(t, "router-a", obsAddr["router-a"])
-	waitHealthy(t, "router-b", obsAddr["router-b"])
 
 	// Both routers must converge on the 3-engine fleet — directly or via
 	// a peer push (a peer-merged engine never counts as a join, so watch

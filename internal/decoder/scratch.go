@@ -39,62 +39,71 @@ var passPool = sync.Pool{New: func() any { return new(passScratch) }}
 // rangeMax is a sparse table over a fixed slice: levels[k-1][i] holds
 // the maximum of the 2^k-wide window starting at i, so the maximum of
 // any [lo, hi) is the max of the two (overlapping) power-of-two
-// windows that cover it. Build is O(n log n); each query O(1) — the
-// refineGrid search issues hundreds of window queries per signal, so
-// the table pays for itself many times over. The level slices are
-// reused across builds.
+// windows that cover it. Each query is O(1); the refineGrid search
+// issues hundreds of window queries per signal. Levels are built
+// lazily, each in O(n) the first time a query needs it, so a search
+// whose windows stay narrow never pays for the deep levels its widest
+// possible candidate would need. The level slices are reused across
+// resets.
 type rangeMax struct {
-	src    []float64
+	src []float64
+	// maxW caps the table: levels are kept for widths below 2*maxW,
+	// and wider queries scan directly.
+	maxW   int
 	levels [][]float64
+	built  int
 }
 
-// build precomputes levels for window widths up to maxW (clamped to
-// len(src)); wider queries fall back to a direct scan in max. The
-// grid search's windows are bounded by the largest candidate step, so
-// capping the table depth saves the deepest (largest) levels.
-func (r *rangeMax) build(src []float64, maxW int) {
+// reset points the table at src with no level built yet. Queries
+// wider than about 2*maxW (clamped to len(src)) are answered by a
+// direct scan instead of growing the table: the grid search's windows
+// are bounded by its largest candidate step.
+func (r *rangeMax) reset(src []float64, maxW int) {
 	r.src = src
-	n := len(src)
-	if maxW > n {
-		maxW = n
-	}
-	prev := src
-	used := 0
-	for width := 2; width <= n && width>>1 < maxW; width <<= 1 {
-		m := n - width + 1
-		if used < len(r.levels) {
-			if cap(r.levels[used]) < m {
-				r.levels[used] = make([]float64, m)
-			}
-			r.levels[used] = r.levels[used][:m]
-		} else {
-			r.levels = append(r.levels, make([]float64, m))
+	r.maxW = min(maxW, len(src))
+	r.built = 0
+}
+
+// level returns levels[k-1], building it and any missing level below
+// it first.
+func (r *rangeMax) level(k int) []float64 {
+	for ; r.built < k; r.built++ {
+		prev := r.src
+		if r.built > 0 {
+			prev = r.levels[r.built-1]
 		}
-		lvl := r.levels[used]
-		half := width / 2
-		for i := 0; i < m; i++ {
-			a, b := prev[i], prev[i+half]
+		half := 1 << r.built
+		m := len(r.src) - 2*half + 1
+		if r.built == len(r.levels) {
+			r.levels = append(r.levels, nil)
+		}
+		if cap(r.levels[r.built]) < m {
+			r.levels[r.built] = make([]float64, m)
+		}
+		lvl := r.levels[r.built][:m]
+		lo, hi := prev[:m], prev[half:half+m]
+		for i := range lvl {
+			a, b := lo[i], hi[i]
 			if b > a {
 				a = b
 			}
 			lvl[i] = a
 		}
-		prev = lvl
-		used++
+		r.levels[r.built] = lvl
 	}
-	r.levels = r.levels[:used]
+	return r.levels[k-1]
 }
 
 // max returns the maximum of src[lo:hi]; hi must be > lo and within
-// the built slice.
+// the source slice.
 func (r *rangeMax) max(lo, hi int) float64 {
 	w := hi - lo
 	if w == 1 {
 		return r.src[lo]
 	}
 	k := bits.Len(uint(w)) - 1 // largest power of two <= w
-	if k-1 >= len(r.levels) {
-		// Wider than the built table: direct scan (same result).
+	if 1<<(k-1) >= r.maxW {
+		// Wider than the table serves: direct scan (same result).
 		m := r.src[lo]
 		for _, v := range r.src[lo+1 : hi] {
 			if v > m {
@@ -103,7 +112,7 @@ func (r *rangeMax) max(lo, hi int) float64 {
 		}
 		return m
 	}
-	lvl := r.levels[k-1]
+	lvl := r.level(k)
 	a, b := lvl[lo], lvl[hi-(1<<k)]
 	if b > a {
 		a = b

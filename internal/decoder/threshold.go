@@ -159,6 +159,10 @@ func decodePass(samples []float64, fs float64, opt Options) (Result, error) {
 		}
 		x = x[opt.SearchFrom:]
 	}
+	// Every smoothing of the pass is served from one set of prefix
+	// sums: bound here, and rebound only if ripple suppression
+	// replaces the signal.
+	sc.sm.Bind(x)
 	x = suppressMainsRipple(x, fs, sc)
 	smoothWin := opt.SmoothWindow
 	if smoothWin == 0 {
@@ -168,7 +172,7 @@ func decodePass(samples []float64, fs float64, opt Options) (Result, error) {
 			smoothWin = 3
 		}
 	}
-	sc.smooth = sc.sm.MovingAverage(sc.smooth, x, smoothWin)
+	sc.smooth = sc.sm.MovingAverage(sc.smooth, smoothWin)
 	smooth := sc.smooth
 	pts, err := findPreamble(smooth, opt)
 	if err != nil {
@@ -182,7 +186,7 @@ func decodePass(samples []float64, fs float64, opt Options) (Result, error) {
 	// centers, which fixes the grid phase/step estimate under
 	// FoV-induced inter-symbol interference.
 	if w := int(th.TauT * fs / 3); w > smoothWin {
-		sc.smooth2 = sc.sm.MovingAverage(sc.smooth2, x, w)
+		sc.smooth2 = sc.sm.MovingAverage(sc.smooth2, w)
 		smooth2 := sc.smooth2
 		if pts2, err2 := findPreamble(smooth2, opt); err2 == nil {
 			th2 := computeThresholds(pts2, dt)
@@ -216,7 +220,7 @@ func decodePass(samples []float64, fs float64, opt Options) (Result, error) {
 	// The lightly smoothed signal is dead at this point, so its
 	// buffer is reused.
 	if resmooth := int(tauSamples / 8); resmooth > smoothWin {
-		sc.smooth = sc.sm.MovingAverage(sc.smooth, x, resmooth)
+		sc.smooth = sc.sm.MovingAverage(sc.smooth, resmooth)
 		smooth = sc.smooth
 	}
 	decision := pts.BValue + th.TauR/2
@@ -265,12 +269,13 @@ func decodePass(samples []float64, fs float64, opt Options) (Result, error) {
 // grids — the "thicker lines" of the paper's Fig. 7) and, when it
 // carries a meaningful share of the AC energy, averages the signal
 // over exactly one ripple period. Symbols are orders of magnitude
-// slower, so the code content is untouched.
+// slower, so the code content is untouched. sc.sm must be bound to x;
+// on return it is bound to the returned signal.
 func suppressMainsRipple(x []float64, fs float64, sc *passScratch) []float64 {
 	if len(x) < 16 || fs < 400 {
 		return x
 	}
-	mean := dsp.Mean(x)
+	mean := sc.sm.Sum() / float64(len(x))
 	if cap(sc.ac) < len(x) {
 		sc.ac = make([]float64, len(x))
 	}
@@ -282,23 +287,33 @@ func suppressMainsRipple(x []float64, fs float64, sc *passScratch) []float64 {
 	if total == 0 {
 		return x
 	}
-	for _, f := range []float64{100, 120} {
-		if f+15 >= fs/2 {
-			continue
+	// Each mains line is tested against its ±15 Hz neighbours; all
+	// bins come from one interleaved pass over the signal.
+	lines := [...]float64{100, 120}
+	var freqs, mags [3 * len(lines)]float64
+	nb := 0
+	for _, f := range lines {
+		if f+15 < fs/2 {
+			freqs[nb], freqs[nb+1], freqs[nb+2] = f, f-15, f+15
+			nb += 3
 		}
-		mag := dsp.Goertzel(ac, fs, f)
+	}
+	dsp.GoertzelBins(ac, fs, freqs[:nb], mags[:nb])
+	for b := 0; b < nb; b += 3 {
+		f, mag := freqs[b], mags[b]
 		// A mains line is a narrow tone: it must dominate its
 		// spectral neighbourhood, otherwise the energy at f is just
 		// broadband symbol content (e.g. a fast packet whose symbol
 		// rate happens to sit near 100 Hz) and must not be filtered.
-		side := dsp.Goertzel(ac, fs, f-15)
-		if s2 := dsp.Goertzel(ac, fs, f+15); s2 > side {
+		side := mags[b+1]
+		if s2 := mags[b+2]; s2 > side {
 			side = s2
 		}
 		if mag/total > 0.02 && mag > 3*side {
 			period := int(fs/f + 0.5)
 			if period >= 2 {
-				sc.ripple = sc.sm.MovingAverage(sc.ripple, x, period)
+				sc.ripple = sc.sm.MovingAverage(sc.ripple, period)
+				sc.sm.Bind(sc.ripple)
 				return sc.ripple
 			}
 		}
@@ -440,9 +455,10 @@ func refineGrid(smooth []float64, aIndex int, tauSamples, decision float64, opt 
 	// over the same signal. Window widths are bounded by the widest
 	// candidate step (the coarse round sweeps up to 1.45x tau, the
 	// re-acquisition rescales around the edge clock), so the table
-	// stops at that depth; anything wider scans directly.
+	// stops at that depth; anything wider scans directly. Levels are
+	// built as the searches first reach them.
 	maxW := int(tauSamples*3*opt.WindowFraction) + 4
-	sc.rmq.build(smooth, maxW)
+	sc.rmq.reset(smooth, maxW)
 	// edgeClock, when non-zero, is the crossing-derived symbol
 	// duration used by the re-acquisition rounds to rank parsing
 	// candidates (set before round 2 runs, so round 1 keeps the

@@ -196,20 +196,49 @@ func (s Spectrum) DominantPeaks(minFreq, minSeparation float64, max int) []Spect
 // Goertzel evaluates the magnitude of a single DFT bin at frequency f
 // for a signal sampled at fs. It is the cheap way to test for one
 // known tone (e.g. the 100 Hz fluorescent ripple) without a full FFT.
+// It is the one-bin case of GoertzelBins.
 func Goertzel(samples []float64, fs, f float64) float64 {
-	n := len(samples)
-	if n == 0 || fs <= 0 {
-		return 0
+	var mag [1]float64
+	GoertzelBins(samples, fs, []float64{f}, mag[:])
+	return mag[0]
+}
+
+// maxGoertzelBins bounds the bins GoertzelBins runs per pass, so the
+// filter states live in fixed arrays on the stack.
+const maxGoertzelBins = 8
+
+// GoertzelBins writes the Goertzel magnitude of each frequency in
+// freqs into mags (len(mags) >= len(freqs)). The bins share one
+// interleaved pass over the samples, groups of up to maxGoertzelBins at
+// a time: each bin's recurrence is a serial dependency chain, so
+// running several side by side overlaps their latencies instead of
+// paying one memory pass and one chain per bin. Every bin runs the same
+// per-sample arithmetic as a lone bin, so each magnitude is
+// bit-identical to Goertzel at that frequency.
+func GoertzelBins(samples []float64, fs float64, freqs, mags []float64) {
+	if len(samples) == 0 || fs <= 0 {
+		clear(mags[:len(freqs)])
+		return
 	}
-	w := 2 * math.Pi * f / fs
-	coeff := 2 * math.Cos(w)
-	var s0, s1, s2 float64
-	for _, x := range samples {
-		s0 = x + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
+	for len(freqs) > 0 {
+		k := min(len(freqs), maxGoertzelBins)
+		var w, coeff, s1, s2 [maxGoertzelBins]float64
+		for b, f := range freqs[:k] {
+			w[b] = 2 * math.Pi * f / fs
+			coeff[b] = 2 * math.Cos(w[b])
+		}
+		for _, x := range samples {
+			for b := 0; b < k; b++ {
+				s0 := x + coeff[b]*s1[b] - s2[b]
+				s2[b] = s1[b]
+				s1[b] = s0
+			}
+		}
+		for b := 0; b < k; b++ {
+			re := s1[b] - s2[b]*math.Cos(w[b])
+			im := s2[b] * math.Sin(w[b])
+			mags[b] = math.Hypot(re, im)
+		}
+		freqs, mags = freqs[k:], mags[k:]
 	}
-	re := s1 - s2*math.Cos(w)
-	im := s2 * math.Sin(w)
-	return math.Hypot(re, im)
 }

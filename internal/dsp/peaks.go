@@ -80,10 +80,12 @@ type promEntry struct {
 
 // promScratch pools the sweep's stack and per-peak buffer; the stack
 // can grow to len(x) on monotone runs, which made per-call allocation
-// the dominant cost.
+// the dominant cost. saddles holds PreambleExtrema's per-polarity
+// stacks of tested candidates.
 type promScratch struct {
-	stack []promEntry
-	left  []float64
+	stack   []promEntry
+	left    []float64
+	saddles [2][]saddleEntry
 }
 
 var promPool = sync.Pool{New: func() any { return new(promScratch) }}
@@ -166,6 +168,20 @@ func prominences(x []float64, peaks []Peak) {
 	sc.stack = stack[:0]
 }
 
+// saddleEntry records one PreambleExtrema candidate's left saddle
+// walk, so later walks can jump across its span instead of re-walking
+// it.
+type saddleEntry struct {
+	mid int     // the candidate's index
+	h   float64 // its height, in the polarity's sign
+	m   float64 // the minimum the walk saw, h included
+	// stop is where the walk ended: the first higher sample, -1 at
+	// the signal's start, or where it met a drop of minProm (the
+	// walk's span is then incomplete, but a walk that reaches it
+	// passes anyway).
+	stop int
+}
+
 // PreambleExtrema finds the paper's A/B/C anchors: the first local
 // maximum of x with prominence >= minProm, the first such minimum
 // after it, and the next such maximum after that. It selects exactly
@@ -176,92 +192,136 @@ func prominences(x []float64, peaks []Peak) {
 //	a, b, c := peaks[0], first valley after a, first peak after b
 //
 // would (same indices and values, locked down by
-// TestPreambleExtremaMatchesLists) but lazily: extrema are enumerated
-// in index order, each is tested with an early-stopping qualification
-// walk, and the scan stops at the anchor — the common decode path
-// never builds or sweeps the full extrema lists. The Prominence field
-// of the returned anchors is not filled in (the qualification stops
-// as soon as the threshold is guaranteed).
+// TestPreambleExtremaMatchesLists and TestPreambleExtremaMatchesWalk)
+// in one forward pass that stops at C. prominence = min(h-leftMin,
+// h-rightMin), so each candidate's threshold test splits into
+// independent per-side tests, and since float subtraction is
+// monotone, a saddle walk can stop as soon as h-min >= minProm.
+//
+//   - Left: a stack per polarity records every tested candidate's
+//     walk. A walk that reaches the previous candidate either stops
+//     there (it is higher) or jumps to where that walk ended, taking
+//     its minimum; if that walk had met the drop, so does this one.
+//     Jumped entries are popped, so each sample is walked once per
+//     polarity, however many tied candidates an ADC-quantized plateau
+//     holds.
+//   - Right: only a candidate that passes the left test walks right.
+//     A candidate inside the span of the last failed right walk, and
+//     no higher than its extremum, fails without walking: its own
+//     walk would end no later and find no lower minimum. Failed right
+//     walks therefore never overlap.
+//
+// The scan is linear in len(x). Valleys run on the negated samples
+// (negation and its subtractions are exact in floats, so this matches
+// the mirrored comparisons bit for bit — the same identity
+// FindValleys relies on). NaN samples are transparent, as in a saddle
+// walk: they neither end a walk nor lower its minimum. The Prominence
+// field of the returned anchors is not filled in.
 func PreambleExtrema(x []float64, minProm float64) (a, b, c Peak, ok bool) {
-	if len(x) < 3 {
+	n := len(x)
+	if n < 3 {
 		return Peak{}, Peak{}, Peak{}, false
 	}
-	lazy := func(after int, valley bool) (Peak, bool) {
-		n := len(x)
-		i := 1
-		for i < n-1 {
-			rising := x[i] > x[i-1]
-			if valley {
-				rising = x[i] < x[i-1]
-			}
-			if rising {
-				j := i
-				for j < n-1 && x[j+1] == x[j] {
-					j++
+	sc := promPool.Get().(*promScratch)
+	defer promPool.Put(sc)
+	stacks := [2][]saddleEntry{sc.saddles[0][:0], sc.saddles[1][:0]}
+	defer func() { sc.saddles = [2][]saddleEntry{stacks[0][:0], stacks[1][:0]} }()
+	// leftOK walks left from the candidate at mid (height h in sign's
+	// polarity) and records the walk on that polarity's stack.
+	leftOK := func(pol int, sign float64, mid int, h float64) bool {
+		st := stacks[pol]
+		e := saddleEntry{mid: mid, h: h, m: h, stop: -1}
+		for k := mid - 1; k >= 0; {
+			if top := len(st) - 1; top >= 0 && st[top].mid == k {
+				prev := st[top]
+				if prev.h > h {
+					e.stop = k
+					break
 				}
-				closes := j < n-1 && x[j+1] < x[j]
-				if valley {
-					closes = j < n-1 && x[j+1] > x[j]
+				st = st[:top]
+				if prev.m < e.m {
+					e.m = prev.m
 				}
-				if closes {
-					mid := (i + j) / 2
-					if mid > after && extremumQualifies(x, mid, minProm, valley) {
-						return Peak{Index: mid, Value: x[mid]}, true
-					}
+				if h-e.m >= minProm {
+					e.stop = k
+					break
 				}
-				i = j + 1
+				k = prev.stop
 				continue
 			}
-			i++
+			v := sign * x[k]
+			if v > h {
+				e.stop = k
+				break
+			}
+			if v < e.m {
+				if e.m = v; h-e.m >= minProm {
+					e.stop = k
+					break
+				}
+			}
+			k--
+		}
+		stacks[pol] = append(st, e)
+		return h-e.m >= minProm
+	}
+	// find returns the first extremum of polarity pol after index
+	// after that passes both tests, resuming the run scan at i.
+	i := 1
+	find := func(pol, after int) (Peak, bool) {
+		sign := 1.0
+		if pol == 1 {
+			sign = -1
+		}
+		failH, failEnd := 0.0, -1 // the last failed right walk
+		for i < n-1 {
+			// Runs of equal samples: [i, j] opens with a strict step
+			// in this polarity's direction and closes with one back.
+			if !(sign*x[i] > sign*x[i-1]) {
+				i++
+				continue
+			}
+			j := i
+			for j < n-1 && x[j+1] == x[j] {
+				j++
+			}
+			mid := (i + j) / 2
+			i = j + 1
+			h := sign * x[mid]
+			if j == n-1 || !(sign*x[j+1] < h) || mid <= after {
+				continue
+			}
+			if minProm <= 0 {
+				return Peak{Index: mid, Value: x[mid]}, true
+			}
+			if (mid < failEnd && h <= failH) || !leftOK(pol, sign, mid, h) {
+				continue
+			}
+			m, r := h, mid+1
+			for ; r < n; r++ {
+				v := sign * x[r]
+				if v > h {
+					break
+				}
+				if v < m {
+					if m = v; h-m >= minProm {
+						break
+					}
+				}
+			}
+			if h-m >= minProm {
+				return Peak{Index: mid, Value: x[mid]}, true
+			}
+			failH, failEnd = h, r
 		}
 		return Peak{}, false
 	}
-	a, ok = lazy(-1, false)
-	if ok {
-		b, ok = lazy(a.Index, true)
-	}
-	if ok {
-		c, ok = lazy(b.Index, false)
+	if a, ok = find(0, -1); ok {
+		if b, ok = find(1, a.Index); ok {
+			c, ok = find(0, b.Index)
+		}
 	}
 	return a, b, c, ok
-}
-
-// extremumQualifies reports whether the peak (or valley) at idx has
-// prominence >= minProm, stopping each saddle walk as soon as the
-// answer is determined. The decision is identical to computing the
-// full prominence first: prominence = min(h-leftMin, h-rightMin), so
-// the threshold test splits into independent per-side tests, and
-// float subtraction's monotonicity makes "stop once h-min >= minProm"
-// exact — extending the walk can only grow that margin. Valleys run
-// the same walk on the negated samples (negation and its subtractions
-// are exact in floats, so this matches the mirrored comparisons bit
-// for bit — the same identity FindValleys relies on).
-func extremumQualifies(x []float64, idx int, minProm float64, valley bool) bool {
-	if minProm <= 0 {
-		return true
-	}
-	sign := 1.0
-	if valley {
-		sign = -1
-	}
-	h := sign * x[idx]
-	side := func(from, to, step int) bool {
-		m := h
-		for i := from; i != to; i += step {
-			v := sign * x[i]
-			if v > h {
-				break
-			}
-			if v < m {
-				m = v
-				if h-m >= minProm {
-					return true
-				}
-			}
-		}
-		return h-m >= minProm
-	}
-	return side(idx-1, -1, -1) && side(idx+1, len(x), 1)
 }
 
 var negPool = sync.Pool{New: func() any { return new([]float64) }}

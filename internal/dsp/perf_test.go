@@ -98,6 +98,239 @@ func TestPreambleExtremaMatchesLists(t *testing.T) {
 	}
 }
 
+// preambleExtremaWalk is the reference model for PreambleExtrema: a
+// lazy scan that enumerates extrema in index order and runs a full
+// early-stopping saddle walk on both sides of each candidate. It is
+// quadratic on tied plateaus, which is why it lives only here.
+func preambleExtremaWalk(x []float64, minProm float64) (a, b, c Peak, ok bool) {
+	if len(x) < 3 {
+		return Peak{}, Peak{}, Peak{}, false
+	}
+	qualifies := func(idx int, valley bool) bool {
+		if minProm <= 0 {
+			return true
+		}
+		sign := 1.0
+		if valley {
+			sign = -1
+		}
+		h := sign * x[idx]
+		side := func(from, to, step int) bool {
+			m := h
+			for i := from; i != to; i += step {
+				v := sign * x[i]
+				if v > h {
+					break
+				}
+				if v < m {
+					m = v
+					if h-m >= minProm {
+						return true
+					}
+				}
+			}
+			return h-m >= minProm
+		}
+		return side(idx-1, -1, -1) && side(idx+1, len(x), 1)
+	}
+	lazy := func(after int, valley bool) (Peak, bool) {
+		n := len(x)
+		i := 1
+		for i < n-1 {
+			rising := x[i] > x[i-1]
+			if valley {
+				rising = x[i] < x[i-1]
+			}
+			if rising {
+				j := i
+				for j < n-1 && x[j+1] == x[j] {
+					j++
+				}
+				closes := j < n-1 && x[j+1] < x[j]
+				if valley {
+					closes = j < n-1 && x[j+1] > x[j]
+				}
+				if closes {
+					mid := (i + j) / 2
+					if mid > after && qualifies(mid, valley) {
+						return Peak{Index: mid, Value: x[mid]}, true
+					}
+				}
+				i = j + 1
+				continue
+			}
+			i++
+		}
+		return Peak{}, false
+	}
+	a, ok = lazy(-1, false)
+	if ok {
+		b, ok = lazy(a.Index, true)
+	}
+	if ok {
+		c, ok = lazy(b.Index, false)
+	}
+	return a, b, c, ok
+}
+
+// TestPreambleExtremaMatchesWalk locks the one-pass anchor scan to the
+// reference walk on long inputs of the shapes that stress it:
+// ADC-quantized baselines (tied candidates), slow ramps, sawtooths
+// (long walks), integer random walks (walls and dips at every scale)
+// and signals carrying NaN and ±Inf samples.
+func TestPreambleExtremaMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 144; trial++ {
+		n := 4096 + rng.Intn(4096)
+		x := make([]float64, n)
+		walk := 0.0
+		for i := range x {
+			switch trial % 6 {
+			case 0:
+				// Quantized baseline with a packet-like burst.
+				x[i] = 10 + float64(rng.Intn(2))
+				if i > n/3 && i < n/2 && (i/97)%2 == 0 {
+					x[i] += 80
+				}
+			case 1:
+				x[i] = float64(i)/float64(n)*50 + float64(rng.Intn(3)) // slow ramp
+			case 2:
+				x[i] = float64(i%301) + float64(rng.Intn(2)) // sawtooth
+			case 3:
+				x[i] = math.Round(20*math.Sin(float64(i)/150)) + float64(rng.Intn(2))
+			case 4:
+				walk += float64(rng.Intn(3) - 1)
+				x[i] = walk
+			default:
+				x[i] = 10*math.Sin(float64(i)/200) + rng.NormFloat64()
+			}
+		}
+		if trial%2 == 1 {
+			for k := 0; k < 1+rng.Intn(8); k++ {
+				x[rng.Intn(n)] = special[rng.Intn(len(special))]
+			}
+		}
+		for _, minProm := range []float64{0, 0.5, 2, 8, 30, math.NaN()} {
+			gotA, gotB, gotC, gotOK := PreambleExtrema(x, minProm)
+			wantA, wantB, wantC, wantOK := preambleExtremaWalk(x, minProm)
+			if gotOK != wantOK {
+				t.Fatalf("trial %d minProm %v: ok=%v want %v", trial, minProm, gotOK, wantOK)
+			}
+			same := func(g, w Peak) bool {
+				return g.Index == w.Index && math.Float64bits(g.Value) == math.Float64bits(w.Value)
+			}
+			if gotOK && (!same(gotA, wantA) || !same(gotB, wantB) || !same(gotC, wantC)) {
+				t.Fatalf("trial %d minProm %v: anchors (%+v,%+v,%+v) want (%+v,%+v,%+v)",
+					trial, minProm, gotA, gotB, gotC, wantA, wantB, wantC)
+			}
+		}
+	}
+}
+
+// goertzelRef is the single-bin recurrence as a lone serial loop.
+func goertzelRef(samples []float64, fs, f float64) float64 {
+	if len(samples) == 0 || fs <= 0 {
+		return 0
+	}
+	w := 2 * math.Pi * f / fs
+	coeff := 2 * math.Cos(w)
+	var s0, s1, s2 float64
+	for _, x := range samples {
+		s0 = x + coeff*s1 - s2
+		s2 = s1
+		s1 = s0
+	}
+	re := s1 - s2*math.Cos(w)
+	im := s2 * math.Sin(w)
+	return math.Hypot(re, im)
+}
+
+// TestGoertzelBinsMatchPerBin locks the interleaved multi-bin kernel
+// to one Goertzel call per bin and to the lone serial recurrence, bit
+// for bit, across bin counts that fill, split and overflow one
+// interleaved group.
+func TestGoertzelBinsMatchPerBin(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 40; trial++ {
+		x := make([]float64, rng.Intn(3000))
+		for i := range x {
+			x[i] = 50*math.Sin(float64(i)/3) + rng.NormFloat64()
+		}
+		fs := 400 + 1600*rng.Float64()
+		freqs := make([]float64, 1+trial%(2*maxGoertzelBins+3))
+		for k := range freqs {
+			freqs[k] = rng.Float64() * fs / 2
+		}
+		mags := make([]float64, len(freqs))
+		GoertzelBins(x, fs, freqs, mags)
+		for k, f := range freqs {
+			one, want := Goertzel(x, fs, f), goertzelRef(x, fs, f)
+			if math.Float64bits(mags[k]) != math.Float64bits(want) || math.Float64bits(one) != math.Float64bits(want) {
+				t.Fatalf("trial %d bin %d (%.3f Hz): interleaved %v, per-bin %v, serial %v", trial, k, f, mags[k], one, want)
+			}
+		}
+	}
+}
+
+// movingAverageRef is the direct clamped-window formula the bound
+// Smoother must reproduce: prefix sums rebuilt per call, one divisor
+// per sample.
+func movingAverageRef(x []float64, window int) []float64 {
+	out := make([]float64, len(x))
+	if window <= 1 {
+		copy(out, x)
+		return out
+	}
+	half := window / 2
+	prefix := make([]float64, len(x)+1)
+	for i, v := range x {
+		prefix[i+1] = prefix[i] + v
+	}
+	for i := range x {
+		lo := max(0, i-half)
+		hi := min(len(x)-1, i+half)
+		out[i] = (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
+	}
+	return out
+}
+
+// TestSmootherBoundMatchesMovingAverage serves every window size from
+// one Bind and compares each against the reference and the
+// package-level MovingAverage bit for bit. The same buffer is then
+// refilled with new contents and bound again: nothing may be served
+// from the old contents' sums.
+func TestSmootherBoundMatchesMovingAverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var s Smoother
+	var dst []float64
+	buf := make([]float64, 0, 600)
+	for trial := 0; trial < 12; trial++ {
+		buf = buf[:1+rng.Intn(cap(buf))]
+		for i := range buf {
+			buf[i] = 100*rng.Float64() + 1e6*float64(trial%3)
+		}
+		s.Bind(buf)
+		var wantSum float64
+		for _, v := range buf {
+			wantSum += v
+		}
+		if s.Sum() != wantSum {
+			t.Fatalf("trial %d: Sum %v, loop sum %v", trial, s.Sum(), wantSum)
+		}
+		for w := 0; w <= len(buf)+3; w++ {
+			dst = s.MovingAverage(dst, w)
+			want := movingAverageRef(buf, w)
+			pkg := MovingAverage(buf, w)
+			for i := range want {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) || math.Float64bits(pkg[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d window %d sample %d: bound %v, package %v, reference %v", trial, w, i, dst[i], pkg[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestDTWBandedMatchesExactWithinBand: when the optimal unconstrained
 // path stays inside the Sakoe-Chiba band, the banded computation must
 // return the exact distance.

@@ -149,6 +149,9 @@ type session struct {
 	// queue or being drained by a worker/drainNow; at most one
 	// run-queue entry exists per session.
 	scheduled bool
+	// released, when non-nil, is closed by unschedule to wake the
+	// goroutines waiting (in waitRelease) to claim the session.
+	released chan struct{}
 	// evicted is the terminal claim: set (under mu, only when
 	// !scheduled) by the janitor, EndSession or Close. Once set, no
 	// other goroutine touches the session again — a Feed holding a
@@ -164,6 +167,33 @@ type session struct {
 	// buffered mirrors dec.Buffered() for Stats, updated by the claim
 	// owner after each decode step.
 	buffered atomic.Int64
+}
+
+// unschedule releases the scheduled claim and wakes every goroutine
+// waiting to take it. The caller holds s.mu.
+func (s *session) unschedule() {
+	s.scheduled = false
+	if s.released != nil {
+		close(s.released)
+		s.released = nil
+	}
+}
+
+// waitRelease unlocks s.mu, which the caller holds after seeing
+// s.scheduled set, and blocks until that claim is released or stop
+// closes. The caller relocks to re-check. The wake-up channel is made
+// only when someone waits, so the feed and worker paths allocate
+// nothing for it.
+func (s *session) waitRelease(stop <-chan struct{}) {
+	if s.released == nil {
+		s.released = make(chan struct{})
+	}
+	released := s.released
+	s.mu.Unlock()
+	select {
+	case <-released:
+	case <-stop:
+	}
 }
 
 // shardStats is one shard's slice of the engine-wide counters. Every
@@ -580,7 +610,7 @@ func (e *Engine) worker(sh *shard) {
 			scratch = s.rng.drain(scratch[:0])
 			arrival := s.lastFeed
 			if len(scratch) == 0 {
-				s.scheduled = false
+				s.unschedule()
 				s.mu.Unlock()
 				break
 			}
@@ -751,8 +781,7 @@ func (e *Engine) drainNow(s *session) {
 			return
 		}
 		if s.scheduled {
-			s.mu.Unlock()
-			time.Sleep(time.Millisecond)
+			s.waitRelease(e.closed)
 			continue
 		}
 		s.scheduled = true
@@ -768,7 +797,7 @@ func (e *Engine) drainNow(s *session) {
 		e.publish(s, dets, arrival)
 		s.mu.Lock()
 		done := s.rng.len() == 0
-		s.scheduled = false
+		s.unschedule()
 		s.mu.Unlock()
 		if done {
 			return
@@ -814,8 +843,7 @@ func (e *Engine) EndSession(id uint64) error {
 			s.mu.Unlock()
 			break
 		}
-		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
+		s.waitRelease(e.closed)
 	}
 	s.mu.Lock()
 	pending := s.rng.drain(getSegBuf())
@@ -984,7 +1012,7 @@ func (e *Engine) Close() {
 			// decoders.
 			for _, s := range sh.runq[sh.runqHead:] {
 				s.mu.Lock()
-				s.scheduled = false
+				s.unschedule()
 				s.mu.Unlock()
 			}
 			sh.runq, sh.runqHead = nil, 0

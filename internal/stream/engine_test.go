@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -281,6 +282,160 @@ func TestEngineEndSession(t *testing.T) {
 	det = <-e.Detections()
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("restarted session produced %q (err %v)", det.BitString(), det.Err)
+	}
+}
+
+// holdDrainClaim waits for the workers to let go of session id, then
+// takes its scheduled claim the way a worker does when it starts a
+// drain, and returns the session so the test can release it again.
+func holdDrainClaim(t *testing.T, e *Engine, id uint64) *session {
+	t.Helper()
+	sh := e.shardOf(id)
+	sh.mu.Lock()
+	s := sh.sessions[id]
+	sh.mu.Unlock()
+	if s == nil {
+		t.Fatalf("session %d not tracked", id)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		if !s.scheduled && s.rng.len() == 0 {
+			s.scheduled = true
+			s.mu.Unlock()
+			return s
+		}
+		s.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("worker never released the session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitClaimWaiter blocks until some goroutine waits on s's claim.
+func awaitClaimWaiter(t *testing.T, s *session) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		waiting := s.released != nil
+		s.mu.Unlock()
+		if waiting {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("nobody started waiting for the drain claim")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineEndSessionMidDrain ends a session while a worker holds its
+// drain claim (run with -race in CI). EndSession must wait for the
+// claim rather than tear the decoder down under the worker, return
+// once the worker releases it, and publish the flushed pass exactly
+// once.
+func TestEngineEndSessionMidDrain(t *testing.T) {
+	var ends sync.Map
+	e, err := NewEngine(EngineConfig{
+		Session:     Config{Fs: 1000},
+		Workers:     1,
+		IdleTimeout: -1,
+		OnSessionEnd: func(id uint64, _ SessionStats, reason string, _ uint64) {
+			if _, dup := ends.LoadOrStore(id, reason); dup {
+				t.Errorf("session %d released twice", id)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
+	if err := e.Feed(9, 0, s[:len(s)-1900]); err != nil {
+		t.Fatal(err)
+	}
+	held := holdDrainClaim(t, e, 9)
+	done := make(chan error, 1)
+	go func() { done <- e.EndSession(9) }()
+	awaitClaimWaiter(t, held)
+	select {
+	case err := <-done:
+		t.Fatalf("EndSession returned %v while a worker held the drain claim", err)
+	default:
+	}
+	// The worker's drain finds the ring empty and lets go.
+	held.mu.Lock()
+	held.unschedule()
+	held.mu.Unlock()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("EndSession still blocked after the claim was released")
+	}
+	det := <-e.Detections()
+	if det.Err != nil || det.BitString() != "10" {
+		t.Fatalf("end-session flush produced %q (err %v)", det.BitString(), det.Err)
+	}
+	if reason, _ := ends.Load(uint64(9)); reason != "end" {
+		t.Fatalf("release reason %v, want end", reason)
+	}
+	select {
+	case extra := <-e.Detections():
+		t.Fatalf("pass published twice: extra %+v", extra)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestEngineCloseWhileEndSessionWaits closes the engine while an
+// EndSession waits on a held drain claim: the waiter must give up with
+// ErrEngineClosed and hand the session back, so Close's sweep flushes
+// it and releases it once, as "close".
+func TestEngineCloseWhileEndSessionWaits(t *testing.T) {
+	var ends sync.Map
+	e, err := NewEngine(EngineConfig{
+		Session:     Config{Fs: 1000},
+		Workers:     1,
+		IdleTimeout: -1,
+		OnSessionEnd: func(id uint64, _ SessionStats, reason string, _ uint64) {
+			if _, dup := ends.LoadOrStore(id, reason); dup {
+				t.Errorf("session %d released twice", id)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
+	if err := e.Feed(4, 0, s[:len(s)-1900]); err != nil {
+		t.Fatal(err)
+	}
+	held := holdDrainClaim(t, e, 4)
+	done := make(chan error, 1)
+	go func() { done <- e.EndSession(4) }()
+	awaitClaimWaiter(t, held)
+	e.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrEngineClosed) {
+			t.Fatalf("EndSession during Close returned %v, want ErrEngineClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("EndSession did not return after Close")
+	}
+	if reason, _ := ends.Load(uint64(4)); reason != "close" {
+		t.Fatalf("release reason %v, want close", reason)
+	}
+	var bits []string
+	for det := range e.Detections() {
+		bits = append(bits, det.BitString())
+	}
+	if len(bits) != 1 || bits[0] != "10" {
+		t.Fatalf("close flush published %q, want one \"10\"", bits)
 	}
 }
 
