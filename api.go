@@ -323,7 +323,8 @@ type TelemetryHistogram = telemetry.HistogramSnapshot
 
 // TelemetryHandler serves a registry over HTTP: /metrics (Prometheus
 // text), /metrics.json (TelemetrySnapshot), /healthz (200 "ok" or
-// 503 "degraded" per the health checks). health may be nil.
+// 503 "degraded" per the health checks) and the net/http/pprof
+// profiles under /debug/pprof/. health may be nil.
 func TelemetryHandler(t *Telemetry, health *TelemetryHealth) http.Handler {
 	return telemetry.Handler(t, health)
 }

@@ -200,10 +200,12 @@ func BenchmarkOutdoorSimulate(b *testing.B) {
 // staggered tagged cars at distinct lateral shares) end to end
 // through the channel. The render plan keeps its specialized fast
 // path on N-object scenes — car bodies and roof tags are
-// piecewise-constant profiles walked with monotone cursors, the lane
-// offset only shifts the trajectory clock — so no generic-evaluator
-// fallback occurs; the bench asserts that with channel.PlanSpecialized
-// and would fail loudly on a regression.
+// piecewise-constant profiles, so the footprint splits into runs on
+// which every car's coverage, layer and segment hold still and the
+// two lanes are blended once per run; the lane offset only shifts the
+// trajectory clock — so no generic-evaluator fallback occurs; the
+// bench asserts that with channel.PlanSpecialized and would fail
+// loudly on a regression.
 func BenchmarkScenarioMultiLane(b *testing.B) {
 	spec, err := ScenarioPreset("multi-lane")
 	benchErr(b, err)
@@ -479,7 +481,9 @@ func engineBenchRun(b *testing.B, sessions, shards int) {
 		b.ReportMetric(lat.P50, "lat-p50-ns")
 		b.ReportMetric(lat.P90, "lat-p90-ns")
 		b.ReportMetric(lat.P99, "lat-p99-ns")
+		b.ReportMetric(float64(lat.Min), "lat-min-ns")
 		b.ReportMetric(float64(lat.Max), "lat-max-ns")
+		b.ReportMetric(float64(lat.Sum), "lat-sum-ns")
 		b.ReportMetric(float64(lat.Count), "lat-count")
 	}
 }

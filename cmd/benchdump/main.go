@@ -350,21 +350,33 @@ func parseBenchLine(line string) (Result, bool) {
 	return r, true
 }
 
+// latencyKeys are the lat-* custom metrics a complete
+// HistogramSnapshot is folded from.
+var latencyKeys = []string{"lat-count", "lat-sum-ns", "lat-min-ns", "lat-max-ns", "lat-p50-ns", "lat-p90-ns", "lat-p99-ns"}
+
 // foldLatency lifts the engine benchmarks' lat-* custom metrics out of
-// Extra into a HistogramSnapshot.
+// Extra into a HistogramSnapshot. It folds only a complete set with a
+// positive count: a partial set stays in Extra as reported, so no
+// snapshot field is ever a zero the benchmark did not measure.
 func (r *Result) foldLatency() {
-	count, ok := r.Extra["lat-count"]
-	if !ok || count <= 0 {
+	for _, k := range latencyKeys {
+		if _, ok := r.Extra[k]; !ok {
+			return
+		}
+	}
+	if r.Extra["lat-count"] <= 0 {
 		return
 	}
 	r.Latency = &telemetry.HistogramSnapshot{
-		Count: int64(count),
+		Count: int64(r.Extra["lat-count"]),
+		Sum:   int64(r.Extra["lat-sum-ns"]),
+		Min:   int64(r.Extra["lat-min-ns"]),
 		Max:   int64(r.Extra["lat-max-ns"]),
 		P50:   r.Extra["lat-p50-ns"],
 		P90:   r.Extra["lat-p90-ns"],
 		P99:   r.Extra["lat-p99-ns"],
 	}
-	for _, k := range []string{"lat-count", "lat-max-ns", "lat-p50-ns", "lat-p90-ns", "lat-p99-ns"} {
+	for _, k := range latencyKeys {
 		delete(r.Extra, k)
 	}
 	if len(r.Extra) == 0 {

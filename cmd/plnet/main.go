@@ -76,7 +76,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "engine shard count (stream and load modes; 0 = min(workers, GOMAXPROCS))")
 		loadName = flag.String("load", "fleet-load", "load-registry preset to replay (load mode)")
 		sessions = flag.Int("sessions", 16, "session count to expand the load to (load mode; 0 keeps the preset's)")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /healthz on this address (stream, load, engine and route modes)")
+		metrics  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz and /debug/pprof/ on this address (stream, load, engine and route modes)")
 		linger   = flag.Duration("linger", 0, "keep the metrics endpoint alive this long after a stream/load run completes")
 
 		pace      = flag.Bool("pace", false, "pace load replay to the stream clocks (wall time) instead of as fast as possible")

@@ -21,13 +21,22 @@ import (
 //   - a position-invariant source (CeilingLight, Sun) is evaluated
 //     once per time step instead of once per footprint point;
 //   - piecewise-constant object profiles (tags, car bodies) are
-//     flattened to edge/reflectance arrays walked with a monotone
-//     cursor, and the object's trajectory is advanced once per time
-//     step instead of once per footprint point.
+//     flattened to edge/reflectance arrays, and each object's
+//     trajectory is advanced once per time step instead of once per
+//     footprint point;
+//   - the footprint is walked in runs: maximal index ranges on which
+//     every object's lookup (coverage, base or overlay layer,
+//     segment) stays the same. A run ends where one of the per-point
+//     predicates flips; they are all comparisons of the local
+//     coordinate u = lead - xs[k], which only descends as k ascends,
+//     so a binary search finds the exact index the per-point check
+//     would. The scene reflectance is blended once per run, and the
+//     kernel sum over the run is a branch-free multiply-add.
 //
-// Float operation order matches the generic path exactly, so the two
-// paths produce identical bits; equivalence is locked down by
-// TestRenderPlanMatchesGeneric.
+// Every kernel term is added in kernel order with the generic path's
+// float operations, so the two paths produce identical bits;
+// equivalence is locked down by TestRenderPlanMatchesGeneric and
+// TestRenderPlanRandomScenes.
 type renderPlan struct {
 	rx      Receiver
 	xs      []float64 // footprint sample positions (r.X + offset)
@@ -49,20 +58,18 @@ type renderPlan struct {
 	quietOut float64
 	// groundPrefix[k] is the running sum of wE[j]*ground for j < k,
 	// accumulated in kernel order — exactly the value the reflected
-	// accumulator holds after the ground prefix loop, so render can
-	// start the active span from a table lookup instead of re-summing
-	// the quiet prefix every time step.
+	// accumulator holds after the ground prefix, so render can start
+	// the active span from a table lookup instead of re-summing the
+	// quiet prefix every time step.
 	groundPrefix []float64
-	// accShare/accRho are per-footprint-point blend accumulators
-	// reused across time steps (zeroed over the active span only).
-	accShare, accRho []float64
 }
 
 // PlanSpecialized reports whether Render will take the specialized
 // fast path for this scene + receiver (no dynamic tags, every profile
-// piecewise-constant). Benchmarks of multi-object scenario scenes
-// assert it so a fast-path regression fails loudly instead of
-// silently multiplying render cost.
+// piecewise-constant), where the footprint is walked in runs of
+// constant reflectance instead of point by point. Benchmarks of
+// multi-object scenario scenes assert it so a fast-path regression
+// fails loudly instead of silently multiplying render cost.
 func PlanSpecialized(s *scene.Scene, r Receiver) bool {
 	r = r.withDefaults()
 	offsets, weights := r.Kernel()
@@ -96,10 +103,15 @@ type planObject struct {
 	// kLo/kHi the footprint index range the object covers there.
 	lead     float64
 	kLo, kHi int
-	// seg/ovSeg are monotone segment cursors: footprint positions
-	// ascend within a time step, so the local coordinate u = lead - x
-	// only descends and the cursors amortize to O(1) per lookup.
+	// seg/ovSeg are segment cursors, walked from wherever the last
+	// lookup left them: a run's successor starts in the adjacent
+	// segment, so the walk is one step per run.
 	seg, ovSeg int
+	// Run state, valid on footprint indices [.., next): whether the
+	// object covers them and, if so, its reflectance there.
+	covered bool
+	cur     float64
+	next    int
 }
 
 // newRenderPlan builds the fast path for the scene, or ok=false when
@@ -149,8 +161,6 @@ func newRenderPlan(s *scene.Scene, r Receiver, offsets, weights []float64) (*ren
 	for k, dx := range offsets {
 		p.xs[k] = r.X + dx
 	}
-	p.accShare = make([]float64, len(p.xs))
-	p.accRho = make([]float64, len(p.xs))
 	if ss, ok := s.Source.(optics.SteadySource); ok && ss.SteadyIlluminance() {
 		p.srcKind = srcSteady
 		p.wE = make([]float64, len(p.xs))
@@ -172,229 +182,178 @@ func newRenderPlan(s *scene.Scene, r Receiver, offsets, weights []float64) (*ren
 	return p, true
 }
 
-// kernelRange returns the footprint index range [kLo, kHi) the object
-// covers at its current lead, using binary search over the exact
-// coverage predicates (u = lead - x, u >= 0 and u < length) so the
-// split agrees bit for bit with the per-point checks: u descends as k
-// ascends, making both predicates monotone in k.
-func (o *planObject) kernelRange(xs []float64) (int, int) {
-	kLo := sort.Search(len(xs), func(k int) bool { return o.lead-xs[k] < o.length })
-	kHi := sort.Search(len(xs), func(k int) bool { return o.lead-xs[k] < 0 })
-	return kLo, kHi
+// below returns the first k in [lo, hi) whose local coordinate
+// lead - xs[k] - off is below edge, or hi. The coordinate only
+// descends as k ascends, so the predicate is monotone in k and the
+// search agrees bit for bit with the per-point comparison.
+func (o *planObject) below(xs []float64, lo, hi int, off, edge float64) int {
+	return lo + sort.Search(hi-lo, func(d int) bool { return o.lead-xs[lo+d]-off < edge })
 }
 
-// blendSpan composes the blended scene reflectance into
-// p.accRho[kStart:kEnd], mirroring scene.SampleAt exactly: for every
-// footprint point the objects contribute in scene order with the same
-// share-clamp logic and float operation order, followed by the ground
-// fill. Iterating object-major (instead of point-major) keeps each
-// object's flat arrays and segment cursor in registers; the per-point
-// result is unchanged because points are independent and the
-// per-point object order is preserved.
-func (p *renderPlan) blendSpan(kStart, kEnd int) {
-	accShare, accRho := p.accShare, p.accRho
-	clear(accShare[kStart:kEnd])
-	clear(accRho[kStart:kEnd])
-	xs := p.xs
+// step sets the object's run state at footprint index k < kEnd:
+// coverage (u >= 0 and u < length, i.e. k in [kLo, kHi)), then the
+// overlay layer if v = u - ovOffset lies in [0, ovLen), else the base
+// layer — the order and comparisons of the reference lookup — and
+// next, the first index past k where any of these outcomes changes.
+func (o *planObject) step(xs []float64, k, kEnd int) {
+	switch {
+	case k < o.kLo:
+		o.covered, o.next = false, o.kLo
+		return
+	case k >= o.kHi:
+		o.covered, o.next = false, kEnd
+		return
+	}
+	o.covered = true
+	u := o.lead - xs[k]
+	hi := o.kHi
+	if o.ovRho != nil {
+		v := u - o.ovOffset
+		if v >= 0 && v < o.ovLen {
+			e := o.ovEdges
+			for v < e[o.ovSeg] {
+				o.ovSeg--
+			}
+			for v >= e[o.ovSeg+1] {
+				o.ovSeg++
+			}
+			o.cur = o.ovRho[o.ovSeg]
+			o.next = o.below(xs, k+1, hi, o.ovOffset, e[o.ovSeg])
+			return
+		}
+		if v >= o.ovLen {
+			// The overlay starts further along the footprint.
+			hi = o.below(xs, k+1, hi, o.ovOffset, o.ovLen)
+		}
+	}
+	e := o.edges
+	for u < e[o.seg] {
+		o.seg--
+	}
+	for u >= e[o.seg+1] {
+		o.seg++
+	}
+	o.cur = o.rho[o.seg]
+	o.next = o.below(xs, k+1, hi, 0, e[o.seg])
+}
+
+// advance moves every object to time t and returns the footprint span
+// [kStart, kEnd) any of them covers: outside it every object fails
+// its coverage predicate, so the reflectance is the bare ground's. A
+// step no object touches returns the empty span (n, n).
+func (p *renderPlan) advance(t float64) (kStart, kEnd int) {
+	n := len(p.xs)
+	kStart, kEnd = n, 0
 	for j := range p.objs {
 		o := &p.objs[j]
-		lo, hi := o.kLo, o.kHi
-		if lo >= hi {
+		o.lead = o.traj.PositionAt(t)
+		o.kLo = o.below(p.xs, 0, n, 0, o.length)
+		o.kHi = o.below(p.xs, o.kLo, n, 0, 0)
+		o.next = 0
+		if o.kLo < o.kHi {
+			kStart, kEnd = min(kStart, o.kLo), max(kEnd, o.kHi)
+		}
+	}
+	if kStart >= kEnd {
+		return n, n
+	}
+	return kStart, kEnd
+}
+
+// run blends the scene reflectance of the run that starts at
+// footprint index k inside the active span and returns the run's end
+// with it. The blend mirrors scene.SampleAt: objects contribute in
+// scene order with the same share clamp, then the ground fills the
+// remaining share.
+func (p *renderPlan) run(k, kEnd int) (int, float64) {
+	end := kEnd
+	var accShare, accRho float64
+	for j := range p.objs {
+		o := &p.objs[j]
+		if o.next <= k {
+			o.step(p.xs, k, kEnd)
+		}
+		end = min(end, o.next)
+		if !o.covered {
 			continue
 		}
-		lead, share := o.lead, o.share
-		edges, rho := o.edges, o.rho
-		seg := o.seg
-		if o.ovRho == nil {
-			// Cache the current segment's bounds and reflectance in
-			// locals: the monotone cursor stays put for nearly every
-			// point, so the common case touches no slice element of
-			// the profile at all (the original loop re-read edges[seg]
-			// and edges[seg+1] — bounds checks included — per point).
-			// Re-walking only when u leaves [e0, e1) takes the exact
-			// steps the unconditional walk would, so seg and the
-			// blended output are bit-identical.
-			e0, e1, rv := edges[seg], edges[seg+1], rho[seg]
-			for k := lo; k < hi; k++ {
-				u := lead - xs[k]
-				if u < e0 || u >= e1 {
-					for u < edges[seg] {
-						seg--
-					}
-					for u >= edges[seg+1] {
-						seg++
-					}
-					e0, e1, rv = edges[seg], edges[seg+1], rho[seg]
-				}
-				s := share
-				if as := accShare[k]; as+s > 1 {
-					s = 1 - as
-				}
-				if s <= 0 {
-					continue
-				}
-				accShare[k] += s
-				accRho[k] += s * rv
-			}
-		} else {
-			ovEdges, ovRho := o.ovEdges, o.ovRho
-			ovOffset, ovLen := o.ovOffset, o.ovLen
-			ovSeg := o.ovSeg
-			// Both layers get the cached-segment treatment; which
-			// layer a point samples is decided per point exactly as
-			// before.
-			be0, be1, brv := edges[seg], edges[seg+1], rho[seg]
-			oe0, oe1, orv := ovEdges[ovSeg], ovEdges[ovSeg+1], ovRho[ovSeg]
-			for k := lo; k < hi; k++ {
-				u := lead - xs[k]
-				var r float64
-				if v := u - ovOffset; v >= 0 && v < ovLen {
-					if v < oe0 || v >= oe1 {
-						for v < ovEdges[ovSeg] {
-							ovSeg--
-						}
-						for v >= ovEdges[ovSeg+1] {
-							ovSeg++
-						}
-						oe0, oe1, orv = ovEdges[ovSeg], ovEdges[ovSeg+1], ovRho[ovSeg]
-					}
-					r = orv
-				} else {
-					if u < be0 || u >= be1 {
-						for u < edges[seg] {
-							seg--
-						}
-						for u >= edges[seg+1] {
-							seg++
-						}
-						be0, be1, brv = edges[seg], edges[seg+1], rho[seg]
-					}
-					r = brv
-				}
-				s := share
-				if as := accShare[k]; as+s > 1 {
-					s = 1 - as
-				}
-				if s <= 0 {
-					continue
-				}
-				accShare[k] += s
-				accRho[k] += s * r
-			}
-			o.ovSeg = ovSeg
+		s := o.share
+		if accShare+s > 1 {
+			s = 1 - accShare
 		}
-		o.seg = seg
+		if s <= 0 {
+			continue
+		}
+		accShare += s
+		accRho += s * o.cur
 	}
-	ground := p.ground
-	share := accShare[kStart:kEnd]
-	blend := accRho[kStart:kEnd]
-	blend = blend[:len(share)]
-	for k := range share {
-		if as := share[k]; as < 1 {
-			blend[k] += (1 - as) * ground
+	if accShare < 1 {
+		accRho += (1 - accShare) * p.ground
+	}
+	return end, accRho
+}
+
+// accumulate adds the kernel terms of footprint indices [lo, hi), all
+// with blended reflectance c, to reflected in kernel order. e is the
+// time step's illuminance for a uniform source.
+func (p *renderPlan) accumulate(reflected float64, lo, hi int, c, e, t float64) float64 {
+	switch p.srcKind {
+	case srcSteady:
+		for _, w := range p.wE[lo:hi] {
+			reflected += w * c
+		}
+	case srcUniform:
+		for _, w := range p.weights[lo:hi] {
+			reflected += w * e * c
+		}
+	default:
+		for k := lo; k < hi; k++ {
+			reflected += p.weights[k] * p.src.IlluminanceAt(p.xs[k], t) * c
 		}
 	}
+	return reflected
 }
 
 // render fills out[i] for t = t0 + i/fs.
 func (p *renderPlan) render(t0, fs float64, out []float64) {
 	r := p.rx
+	n := len(p.xs)
 	for i := range out {
 		t := t0 + float64(i)/fs
-		// Advance every object and bound the footprint span any of
-		// them touches: outside [kStart, kEnd) every object fails its
-		// coverage predicate, so the reflectance is the bare ground's
-		// and (for a steady source) entire quiet time steps collapse
-		// to one precomputed value.
-		kStart, kEnd := len(p.xs), 0
-		for j := range p.objs {
-			o := &p.objs[j]
-			o.lead = o.traj.PositionAt(t)
-			o.kLo, o.kHi = o.kernelRange(p.xs)
-			if o.kLo < o.kHi {
-				if o.kLo < kStart {
-					kStart = o.kLo
-				}
-				if o.kHi > kEnd {
-					kEnd = o.kHi
-				}
-			}
-		}
-		quiet := kStart >= kEnd
-		if quiet {
-			// No object touches the footprint: the whole kernel is
-			// the ground prefix.
-			kStart, kEnd = len(p.xs), len(p.xs)
-		} else {
-			p.blendSpan(kStart, kEnd)
-		}
-		var reflected float64
+		kStart, kEnd := p.advance(t)
+		var reflected, e float64
+		k := 0
 		switch p.srcKind {
 		case srcSteady:
-			if quiet {
+			if kStart == n {
 				out[i] = p.quietOut
 				continue
 			}
 			// The quiet prefix collapses to its precomputed running
 			// sum — the same additions in the same order, done once at
 			// plan build instead of every time step.
-			reflected = p.groundPrefix[kStart]
-			// Active span: subslices of equal length eliminate the
-			// bounds checks, and the 4-wide unroll (single
-			// accumulator, so the addition order is untouched) keeps
-			// the loop busy on the multiplies.
-			wE := p.wE[kStart:kEnd]
-			acc := p.accRho[kStart:kEnd]
-			wE = wE[:len(acc)]
-			k := 0
-			for ; k+4 <= len(acc); k += 4 {
-				reflected += wE[k] * acc[k]
-				reflected += wE[k+1] * acc[k+1]
-				reflected += wE[k+2] * acc[k+2]
-				reflected += wE[k+3] * acc[k+3]
+			reflected, k = p.groundPrefix[kStart], kStart
+		case srcUniform:
+			e = p.src.IlluminanceAt(r.X, t)
+		}
+		for k < n {
+			// Outside the active span the reflectance is the bare
+			// ground's: one run before it and one after.
+			end, c := n, p.ground
+			if k < kStart {
+				end = kStart
+			} else if k < kEnd {
+				end, c = p.run(k, kEnd)
 			}
-			for ; k < len(acc); k++ {
-				reflected += wE[k] * acc[k]
-			}
-			// Quiet suffix: its start value depends on the span sum,
-			// so it cannot be a table lookup, but the same unroll
-			// applies.
-			wTail := p.wE[kEnd:]
-			g := p.ground
-			k = 0
-			for ; k+4 <= len(wTail); k += 4 {
-				reflected += wTail[k] * g
-				reflected += wTail[k+1] * g
-				reflected += wTail[k+2] * g
-				reflected += wTail[k+3] * g
-			}
-			for ; k < len(wTail); k++ {
-				reflected += wTail[k] * g
-			}
+			reflected = p.accumulate(reflected, k, end, c, e, t)
+			k = end
+		}
+		switch p.srcKind {
+		case srcSteady:
 			out[i] = r.CollectionEfficiency*reflected + p.strayE
 		case srcUniform:
-			e := p.src.IlluminanceAt(r.X, t)
-			for k := 0; k < kStart; k++ {
-				reflected += p.weights[k] * e * p.ground
-			}
-			for k := kStart; k < kEnd; k++ {
-				reflected += p.weights[k] * e * p.accRho[k]
-			}
-			for k := kEnd; k < len(p.xs); k++ {
-				reflected += p.weights[k] * e * p.ground
-			}
 			out[i] = r.CollectionEfficiency*reflected + r.StrayCoupling*e
 		default:
-			for k, x := range p.xs {
-				e := p.src.IlluminanceAt(x, t)
-				var rho float64
-				if k >= kStart && k < kEnd {
-					rho = p.accRho[k]
-				} else {
-					rho = p.ground
-				}
-				reflected += p.weights[k] * e * rho
-			}
 			out[i] = r.CollectionEfficiency*reflected + r.StrayCoupling*p.src.IlluminanceAt(r.X, t)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 )
 
@@ -60,6 +61,8 @@ func (h *Health) Run() []CheckResult {
 //	/metrics.json Snapshot as JSON
 //	/healthz      200 "ok" when every check passes, 503 "degraded"
 //	              with one line per failing check otherwise
+//	/debug/pprof/ the runtime profiles of net/http/pprof (index,
+//	              cmdline, profile, symbol, trace)
 //
 // health may be nil (always healthy).
 func Handler(reg *Registry, health *Health) http.Handler {
@@ -98,6 +101,11 @@ func Handler(reg *Registry, health *Health) http.Handler {
 			}
 		}
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

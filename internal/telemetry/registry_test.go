@@ -167,6 +167,18 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code, body := get("/healthz"); code != 503 || !strings.Contains(body, "degraded drops: drop counters growing") {
 		t.Fatalf("degraded /healthz: code %d body %q", code, body)
 	}
+	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/: code %d body %q", code, body)
+	}
+	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
+		t.Fatalf("/debug/pprof/cmdline: code %d body %q", code, body)
+	}
+	if code, body := get("/debug/pprof/goroutine?debug=1"); code != 200 || !strings.Contains(body, "goroutine profile") {
+		t.Fatalf("/debug/pprof/goroutine: code %d body %.80q", code, body)
+	}
+	if code, _ := get("/debug/pprof/symbol"); code != 200 {
+		t.Fatalf("/debug/pprof/symbol: code %d", code)
+	}
 }
 
 func TestStartServer(t *testing.T) {
