@@ -194,69 +194,14 @@ func SelectReceiver(noiseFloorLux float64, candidates ...ReceiverDevice) (Receiv
 	return frontend.SelectReceiver(noiseFloorLux, candidates...)
 }
 
-// RunEndToEnd simulates a link and decodes the result, comparing the
-// decoded payload against the packet physically present on the tag.
-//
-// Deprecated: build a Pipeline over NewLinkSource (or
-// NewBenchSource/NewCarPassSource) and compare events against the
-// source's Packet; the pipeline adds context cancellation, sinks and
-// the codebook/receiver-policy stages.
-func RunEndToEnd(l *Link, sent Packet, opt DecodeOptions) (RunResult, error) {
-	return core.EndToEnd(l, sent, opt)
-}
-
-// Decode runs the paper's Sec. 4.1 adaptive threshold decoder on a
-// trace.
-//
-// Deprecated: use NewPipeline(NewTraceSource(tr, 0), Threshold(),
-// WithDecodeOptions(opt), WithPreRoll(-1)) — bit-identical output,
-// one composable surface. Decode remains as a thin wrapper over the
-// same state machine.
-func Decode(tr *Trace, opt DecodeOptions) (DecodeResult, error) {
-	return decoder.Decode(tr, opt)
-}
-
-// DecodeCarPass runs the Sec. 5 two-phase decode: detect the car's
-// optical signature (long-duration preamble), then threshold-decode
-// the roof tag.
-//
-// Deprecated: use NewPipeline with the TwoPhase strategy.
-func DecodeCarPass(tr *Trace, opt DecodeOptions) (TwoPhaseResult, error) {
-	return decoder.DecodeCarPass(tr, opt)
-}
-
 // NewClassifier builds a DTW waveform classifier; length <= 0 selects
 // 256 resampled points. Bind it to a stream with the DTWClassify
 // pipeline strategy, or call Classify directly.
 func NewClassifier(length int) *Classifier { return decoder.NewClassifier(length) }
 
-// AnalyzeCollision runs the Sec. 4.3 FFT analysis on a trace.
-//
-// Deprecated: use NewPipeline with the Collision strategy.
-func AnalyzeCollision(tr *Trace, opt CollisionOptions) (CollisionReport, error) {
-	return decoder.AnalyzeCollision(tr, opt)
-}
-
-// StreamConfig tunes one streaming decode session (sample rate,
-// decoder options, pre-roll / quiet-hold windows).
-type StreamConfig = stream.Config
-
 // StreamDetection is one decoded packet event from a streaming
 // session.
 type StreamDetection = stream.Detection
-
-// StreamDecoder is a single online decode session: feed RSS samples
-// in chunks, get detections as packets complete, in bounded memory.
-type StreamDecoder = stream.Decoder
-
-// StreamEngineConfig tunes the concurrent session manager (worker
-// pool, shard count, per-session queues, idle eviction).
-type StreamEngineConfig = stream.EngineConfig
-
-// StreamEngine multiplexes thousands of concurrent streaming decode
-// sessions over a sharded worker pool (per-shard session table, lock
-// and run queue; batched detection delivery).
-type StreamEngine = stream.Engine
 
 // StreamStats is the engine's operational snapshot (sessions,
 // samples/s, detections, drops).
@@ -265,34 +210,6 @@ type StreamStats = stream.Stats
 // SessionStats summarizes one streaming decode session (samples fed,
 // detections, errors, buffered) — the payload of WithSessionEnd.
 type SessionStats = stream.SessionStats
-
-// NewStreamDecoder builds a streaming decode session. With
-// PreRollSec < 0 (batch-equivalent mode, unbounded memory) a chunked
-// stream decode of a trace is bit-identical to the batch Decode of
-// the same trace; the default online mode bounds memory by
-// segmenting around detected activity, so it decodes the same
-// packets but is not guaranteed sample-for-sample batch parity.
-//
-// Deprecated: use NewPipeline over a NewChunkSource (or any other
-// source); the same session machinery runs behind Pipeline.Stream
-// with context cancellation and sinks.
-func NewStreamDecoder(cfg StreamConfig) (*StreamDecoder, error) { return stream.NewDecoder(cfg) }
-
-// NewStreamEngine starts a concurrent streaming decode engine.
-//
-// Deprecated: the engine is the execution substrate behind
-// Pipeline.Run/Pipeline.Stream; build a Pipeline over a multi-session
-// source (ListenSource, NewChunkSource) instead of driving the engine
-// directly.
-func NewStreamEngine(cfg StreamEngineConfig) (*StreamEngine, error) { return stream.NewEngine(cfg) }
-
-// RecycleDetections returns a batch received from StreamEngine.Batches
-// (or Pipeline internals) to the engine's slice pool once the caller
-// is done with every element. Optional — unreturned batches are simply
-// garbage-collected — but consumers that process batches promptly and
-// do not retain Detection values can call it to keep the steady-state
-// feed path allocation-free.
-func RecycleDetections(batch []StreamDetection) { stream.RecycleBatch(batch) }
 
 // Telemetry is a metrics registry: named counters, gauges and
 // latency histograms that render as Prometheus text or JSON. Pass one

@@ -1,30 +1,34 @@
 package passivelight
 
 import (
+	"context"
 	"testing"
 )
 
 func TestQuickstartEndToEnd(t *testing.T) {
-	bench := IndoorBench{
+	src := NewBenchSource(IndoorBench{
 		Height:      0.20,
 		SymbolWidth: 0.03,
 		Speed:       0.08,
 		Payload:     "10",
 		Seed:        42,
-	}
-	link, packet, err := bench.Build()
+	})
+	pipe, err := NewPipeline(src, Threshold(), WithPreRoll(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunEndToEnd(link, packet, DecodeOptions{})
+	events, err := pipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Success {
-		t.Fatalf("decoded %s", res.Decode.SymbolString())
+	if len(events) != 1 || events[0].Err != nil {
+		t.Fatalf("events %+v", events)
 	}
-	if res.Decode.Packet.BitString() != "10" {
-		t.Fatalf("payload %q", res.Decode.Packet.BitString())
+	if events[0].BitString() != src.Packet().BitString() {
+		t.Fatalf("decoded %s, sent %s", events[0].Symbols, src.Packet().SymbolString())
+	}
+	if events[0].BitString() != "10" {
+		t.Fatalf("payload %q", events[0].BitString())
 	}
 }
 
@@ -81,102 +85,88 @@ func TestFacadeReceiverSelection(t *testing.T) {
 }
 
 func TestFacadeOutdoorCarPass(t *testing.T) {
-	pass := OutdoorCarPass{
+	src := NewCarPassSource(OutdoorCarPass{
 		Payload:        "00",
 		NoiseFloorLux:  6200,
 		ReceiverHeight: 0.75,
 		Seed:           5,
-	}
-	link, packet, err := pass.Build()
+	})
+	pipe, err := NewPipeline(src, TwoPhase(), WithExpectedSymbols(8), WithPreRoll(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := link.Simulate()
+	events, err := pipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := DecodeCarPass(tr, DecodeOptions{ExpectedSymbols: 8})
-	if err != nil {
-		t.Fatal(err)
+	if len(events) != 1 || events[0].Err != nil {
+		t.Fatalf("events %+v", events)
 	}
-	if two.Decode.Packet.BitString() != packet.BitString() {
-		t.Fatalf("decoded %q, want %q", two.Decode.Packet.BitString(), packet.BitString())
+	if got, want := events[0].BitString(), src.Packet().BitString(); got != want {
+		t.Fatalf("decoded %q, want %q", got, want)
 	}
 }
 
+// TestFacadeStreaming feeds a rendered trace chunk by chunk through a
+// ChunkSource, the live-feed path, in the default bounded-memory mode.
 func TestFacadeStreaming(t *testing.T) {
-	bench := IndoorBench{
+	src := NewBenchSource(IndoorBench{
 		Height:      0.20,
 		SymbolWidth: 0.03,
 		Speed:       0.08,
 		Payload:     "10",
 		Seed:        42,
+	})
+	if _, err := src.Open(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	link, packet, err := bench.Build()
+	tr := src.Trace()
+	ch := make(chan SourceChunk)
+	go func() {
+		defer close(ch)
+		for chunk := range tr.Chunks(500) {
+			ch <- SourceChunk{Session: 1, Samples: chunk}
+		}
+	}()
+	pipe, err := NewPipeline(NewChunkSource(tr.Fs, ch), Threshold(), WithExpectedSymbols(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := link.Simulate()
+	events, err := pipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewStreamDecoder(StreamConfig{Fs: tr.Fs, Decode: DecodeOptions{ExpectedSymbols: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dets []StreamDetection
-	for chunk := range tr.Chunks(500) {
-		dets = append(dets, dec.Feed(chunk)...)
-	}
-	dets = append(dets, dec.Flush()...)
 	var got []string
-	for _, d := range dets {
-		if d.Err == nil {
-			got = append(got, d.BitString())
+	for _, ev := range events {
+		if ev.Err == nil && ev.Session == 1 {
+			got = append(got, ev.BitString())
 		}
 	}
-	if len(got) != 1 || got[0] != packet.BitString() {
-		t.Fatalf("streamed decode %v, want [%s]", got, packet.BitString())
+	if len(got) != 1 || got[0] != src.Packet().BitString() {
+		t.Fatalf("streamed decode %v, want [%s]", got, src.Packet().BitString())
 	}
-
-	eng, err := NewStreamEngine(StreamEngineConfig{Session: StreamConfig{Fs: tr.Fs, Decode: DecodeOptions{ExpectedSymbols: 8}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.Feed(1, 0, tr.Samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.FlushSession(1); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Sessions != 1 || st.SamplesIn != int64(tr.Len()) || st.Detections != 1 {
+	st := pipe.Stats()
+	if st.SamplesIn != int64(tr.Len()) || st.Detections != 1 {
 		t.Fatalf("engine stats %+v", st)
-	}
-	det := <-eng.Detections()
-	if det.Err != nil || det.BitString() != packet.BitString() {
-		t.Fatalf("engine detection %q (err %v)", det.BitString(), det.Err)
 	}
 }
 
 func TestFacadeCollisionAnalysis(t *testing.T) {
-	// Re-decode a trace through the facade collision API.
-	pass := OutdoorCarPass{Payload: "00", NoiseFloorLux: 6200, ReceiverHeight: 0.75, Seed: 5}
-	link, _, err := pass.Build()
+	// Re-analyze a car pass through the Collision strategy.
+	src := NewCarPassSource(OutdoorCarPass{Payload: "00", NoiseFloorLux: 6200, ReceiverHeight: 0.75, Seed: 5})
+	pipe, err := NewPipeline(src, Collision(CollisionOptions{MaxFreq: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := link.Simulate()
+	events, err := pipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeCollision(tr, CollisionOptions{MaxFreq: 100})
-	if err != nil {
-		t.Fatal(err)
+	if len(events) != 1 || events[0].Err != nil || events[0].Collision == nil {
+		t.Fatalf("events %+v", events)
 	}
 	// A single packet: one dominant symbol-rate region.
-	if rep.DominantFreq <= 0 {
+	if events[0].Collision.DominantFreq <= 0 {
 		t.Fatal("no dominant frequency found")
 	}
 }

@@ -18,8 +18,10 @@ import (
 
 	"passivelight/internal/capacity"
 	"passivelight/internal/channel"
+	"passivelight/internal/decoder"
 	"passivelight/internal/experiments"
 	"passivelight/internal/frontend"
+	"passivelight/internal/stream"
 	"passivelight/internal/telemetry"
 )
 
@@ -258,7 +260,7 @@ func BenchmarkTwoPhaseDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeCarPass(tr, DecodeOptions{ExpectedSymbols: 8}); err != nil {
+		if _, err := decoder.DecodeCarPass(tr, DecodeOptions{ExpectedSymbols: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +312,7 @@ func BenchmarkBatchDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Decode(tr, DecodeOptions{ExpectedSymbols: 8})
+		res, err := decoder.Decode(tr, DecodeOptions{ExpectedSymbols: 8})
 		benchErr(b, err)
 		if res.ParseErr != nil {
 			b.Fatal(res.ParseErr)
@@ -327,7 +329,7 @@ func BenchmarkStreamDecodeChunked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec, err := NewStreamDecoder(StreamConfig{Fs: tr.Fs, Decode: DecodeOptions{ExpectedSymbols: 8}})
+		dec, err := stream.NewDecoder(stream.Config{Fs: tr.Fs, Decode: DecodeOptions{ExpectedSymbols: 8}})
 		benchErr(b, err)
 		got := 0
 		for chunk := range tr.Chunks(512) {
@@ -426,8 +428,8 @@ func engineBenchRun(b *testing.B, sessions, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := NewStreamEngine(StreamEngineConfig{
-			Session:     StreamConfig{Fs: fleet.fs, Decode: DecodeOptions{ExpectedSymbols: fleet.symbols}},
+		eng, err := stream.NewEngine(stream.EngineConfig{
+			Session:     stream.Config{Fs: fleet.fs, Decode: DecodeOptions{ExpectedSymbols: fleet.symbols}},
 			Workers:     workers,
 			Shards:      shards,
 			IdleTimeout: -1,
@@ -443,7 +445,7 @@ func engineBenchRun(b *testing.B, sessions, shards int) {
 						got++
 					}
 				}
-				RecycleDetections(batch)
+				stream.RecycleBatch(batch)
 			}
 			done <- got
 		}()
@@ -521,8 +523,8 @@ func BenchmarkEngineShards(b *testing.B) {
 // fan-in — shard lookup, ring copy, wake — that a single global
 // mutex/queue would serialize.
 func BenchmarkEngineFeedParallel(b *testing.B) {
-	eng, err := NewStreamEngine(StreamEngineConfig{
-		Session:     StreamConfig{Fs: 1000, Decode: DecodeOptions{ExpectedSymbols: 12}},
+	eng, err := stream.NewEngine(stream.EngineConfig{
+		Session:     stream.Config{Fs: 1000, Decode: DecodeOptions{ExpectedSymbols: 12}},
 		IdleTimeout: -1,
 	})
 	benchErr(b, err)

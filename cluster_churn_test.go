@@ -273,8 +273,10 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	defer faultNode.Close()
 	// Stream until the dice land at least one fault. The roll count
 	// depends on how the proxy's relay loop slices the byte stream, so
-	// a fixed chunk budget is not deterministic — the loop is.
-	for i := 0; i < 400 && inj.Injected() == 0; i++ {
+	// a fixed chunk budget is not deterministic — the loop is. The
+	// fault can land on the Hello itself, so stream at least one chunk:
+	// the resend buffer must hold a tail when the partition hits.
+	for i := 0; i < 400 && (i == 0 || inj.Injected() == 0); i++ {
 		if err := streamZeros(faultNode, 1, 1); err != nil {
 			t.Fatalf("fault probe (chunk %d): %v", i, err)
 		}
@@ -282,8 +284,12 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	if inj.Injected() == 0 {
 		t.Error("chaos proxy injected no faults")
 	}
+	// An injected fault can already have forced a redial, even one on
+	// the first chunk, before anything was buffered to resend: wait for
+	// a redial past the partition itself.
+	redials := faultNode.Redials()
 	proxy.Sever() // full partition; the probe must redial through it
-	for i := 0; i < 400 && faultNode.Redials() == 0; i++ {
+	for i := 0; i < 400 && faultNode.Redials() == redials; i++ {
 		// A severed socket can swallow writes into the kernel buffer
 		// before the reset surfaces; keep pushing until it does.
 		if err := streamZeros(faultNode, 1, 1); err != nil {

@@ -139,7 +139,7 @@
 // serves a single recorded trace and a whole receiver deployment with
 // the same code path. In batch-equivalent mode (WithPreRoll(-1)) a
 // pipeline over a recorded trace produces detections bit-identical to
-// the batch Decode of the same samples. Whole-stream strategies
+// the batch decoder on the same samples. Whole-stream strategies
 // (Collision, DTWClassify) buffer per session and analyze at end of
 // stream.
 //
@@ -242,8 +242,8 @@
 // Per-session memory is bounded and recycled: session rings allocate
 // lazily and grow geometrically only to the WithQueue bound, retired
 // ring buffers return to a per-shard free-list for the next session,
-// and decoder segment buffers and detection batches are pooled
-// (consumers may hand batches back with RecycleDetections). Steady-
+// and decoder segment buffers and detection batches are pooled (the
+// pipeline hands consumed batches back). Steady-
 // state feed+decode of an established fleet does not touch the
 // allocator; a tier-1 test pins that with testing.AllocsPerRun. On
 // the network path, rxnet frames decode into reference-counted
@@ -291,12 +291,6 @@
 // entirely. cmd/plnet serves a live endpoint via -metrics-addr, and
 // cmd/benchdump embeds the same TelemetryHistogram schema in
 // committed BENCH baselines.
-//
-// # Deprecated free functions
-//
-// The pre-Pipeline entry points (Decode, DecodeCarPass,
-// AnalyzeCollision, NewStreamDecoder, NewStreamEngine) remain as thin
-// wrappers over the same internals; see the README's migration table.
 //
 // The runnable programs under cmd/ and the examples/ directory cover
 // the paper's indoor bench, the outdoor car application and the

@@ -6,11 +6,10 @@ import (
 	"passivelight/internal/stream"
 )
 
-// Typed sentinel errors surfaced by the Pipeline API (and by the
-// deprecated free functions, which share the same underlying
-// implementations). Match with errors.Is; every layer wraps rather
-// than rewrites, so a Pipeline event error, a stream Detection error
-// and a batch Decode error all unwrap to the same sentinels.
+// Typed sentinel errors surfaced by the Pipeline API. Match with
+// errors.Is; every layer wraps rather than rewrites, so a Pipeline
+// event error, a stream Detection error and a batch decode error all
+// unwrap to the same sentinels.
 var (
 	// ErrNoPreamble means the decoder could not locate the A/B/C
 	// preamble anchors (first two peaks and first valley) in a trace

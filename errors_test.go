@@ -1,11 +1,29 @@
 package passivelight
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"passivelight/internal/stream"
 	"passivelight/internal/trace"
 )
+
+// flatEvents runs a Threshold pipeline in batch-equivalent mode over
+// a flat trace (no peaks to anchor A/B/C) fed in chunkSize chunks.
+func flatEvents(t *testing.T, chunkSize int) []Event {
+	t.Helper()
+	flat := trace.New(1000, 0, make([]float64, 1000))
+	pipe, err := NewPipeline(NewTraceSource(flat, chunkSize), Threshold(), WithPreRoll(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := pipe.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
 
 // TestSentinelErrorsEndToEnd: the typed sentinels must unwrap with
 // errors.Is through every layer — facade functions, the streaming
@@ -16,15 +34,15 @@ func TestSentinelErrorsEndToEnd(t *testing.T) {
 		t.Fatalf("SelectReceiver(1e6): %v, want ErrSaturated", err)
 	}
 
-	// ErrNoPreamble out of a flat trace (no peaks to anchor A/B/C).
-	flat := trace.New(1000, 0, make([]float64, 1000))
-	if _, err := Decode(flat, DecodeOptions{}); !errors.Is(err, ErrNoPreamble) {
-		t.Fatalf("Decode(flat): %v, want ErrNoPreamble", err)
+	// ErrNoPreamble out of a flat trace decoded whole.
+	if events := flatEvents(t, 0); len(events) != 1 || !errors.Is(events[0].Err, ErrNoPreamble) {
+		t.Fatalf("flat trace events %+v, want one ErrNoPreamble", events)
 	}
 
 	// ErrSessionEvicted for an unknown engine session; ErrEngineClosed
-	// after shutdown.
-	eng, err := NewStreamEngine(StreamEngineConfig{Session: StreamConfig{Fs: 1000}})
+	// after shutdown. The pipeline hides the engine, so drive the
+	// engine behind it directly.
+	eng, err := stream.NewEngine(stream.EngineConfig{Session: stream.Config{Fs: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +59,14 @@ func TestSentinelErrorsEndToEnd(t *testing.T) {
 }
 
 // TestSentinelErrorsThroughStreamDetections: a decode failure inside
-// a streaming session surfaces the same sentinel on the detection.
+// a chunk-fed streaming session surfaces the same sentinel on the
+// pipeline event.
 func TestSentinelErrorsThroughStreamDetections(t *testing.T) {
-	dec, err := NewStreamDecoder(StreamConfig{Fs: 1000, PreRollSec: -1})
-	if err != nil {
-		t.Fatal(err)
+	events := flatEvents(t, 100)
+	if len(events) != 1 {
+		t.Fatalf("flush produced %d events", len(events))
 	}
-	dec.Feed(make([]float64, 1000)) // flat: no preamble anywhere
-	dets := dec.Flush()
-	if len(dets) != 1 {
-		t.Fatalf("flush produced %d detections", len(dets))
-	}
-	if !errors.Is(dets[0].Err, ErrNoPreamble) {
-		t.Fatalf("stream detection error %v, want ErrNoPreamble", dets[0].Err)
+	if !errors.Is(events[0].Err, ErrNoPreamble) {
+		t.Fatalf("stream event error %v, want ErrNoPreamble", events[0].Err)
 	}
 }

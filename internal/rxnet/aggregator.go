@@ -10,14 +10,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"passivelight/internal/stream"
 )
 
 // Aggregator is the fusion server: it accepts receiver-node
-// connections, collects detections and maintains object tracks.
-// With streaming enabled it also accepts raw SampleChunk frames and
-// decodes them server-side through a stream.Engine before fusion.
+// connections, collects detections and maintains object tracks. It
+// does no decoding: nodes that ship raw samples stream them to a
+// ChunkListener (a NetSource), and the decode pipeline behind it
+// feeds its detections in through RegisterNode and Ingest.
 type Aggregator struct {
 	mu        sync.Mutex
 	nodes     map[uint32]Hello
@@ -30,13 +29,6 @@ type Aggregator struct {
 	trackGap  time.Duration
 	closeOnce sync.Once
 	closed    chan struct{}
-
-	engine   *stream.Engine
-	engineWG sync.WaitGroup
-	// cursors tracks each stream's expected chunk continuation
-	// across connections, keyed by SessionKey, so reconnects and
-	// gaps are detected rather than spliced into the decode.
-	cursors map[uint64]*chunkCursor
 }
 
 // AggregatorOptions configures the server.
@@ -46,11 +38,6 @@ type AggregatorOptions struct {
 	TrackGap time.Duration
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// Streaming, when non-nil, enables server-side decoding of
-	// SampleChunk frames through a stream.Engine with this
-	// configuration. Session.Fs may be zero — each stream's chunks
-	// carry their own sample rate.
-	Streaming *stream.EngineConfig
 }
 
 // NewAggregator builds an idle aggregator.
@@ -63,91 +50,12 @@ func NewAggregator(opt AggregatorOptions) *Aggregator {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	a := &Aggregator{
+	return &Aggregator{
 		nodes:    make(map[uint32]Hello),
 		pending:  make(map[string][]Detection),
 		logf:     logf,
 		trackGap: gap,
 		closed:   make(chan struct{}),
-		cursors:  make(map[uint64]*chunkCursor),
-	}
-	if opt.Streaming != nil {
-		cfg := *opt.Streaming
-		if cfg.Session.Fs == 0 {
-			// Placeholder default; every session adopts the rate its
-			// chunks declare.
-			cfg.Session.Fs = 1000
-		}
-		eng, err := stream.NewEngine(cfg)
-		if err != nil {
-			// Config errors are programming mistakes; surface loudly
-			// but keep the detection-only aggregator usable.
-			a.logf("rxnet: streaming disabled: %v", err)
-		} else {
-			a.engine = eng
-			a.engineWG.Add(1)
-			go a.consumeEngine()
-		}
-	}
-	return a
-}
-
-// consumeEngine turns server-side stream decodes into detections and
-// feeds them to track fusion. It consumes the engine's batched output
-// (one channel receive per decode step) rather than the flattened
-// per-detection view.
-func (a *Aggregator) consumeEngine() {
-	defer a.engineWG.Done()
-	seqs := make(map[uint64]uint32)
-	for batch := range a.engine.Batches() {
-		for _, det := range batch {
-			if det.Err != nil {
-				a.logf("rxnet: stream session %d segment [%d,%d): %v", det.Session, det.Start, det.End, det.Err)
-				continue
-			}
-			if len(seqs) >= maxStreamCursors {
-				// Same bound as the cursor table; restarting the
-				// per-node detection numbering is harmless (fusion
-				// keys on bits and time, not Seq).
-				seqs = make(map[uint64]uint32)
-			}
-			seqs[det.Session]++
-			// Use the stream-anchored wall time, not consumption
-			// time: segments of different sessions flushed in one
-			// batch must keep the spacing of the actual passes, or
-			// track fusion computes speeds from microsecond dt.
-			when := det.Wall
-			if when.IsZero() {
-				when = time.Now()
-			}
-			a.ingest(Detection{
-				NodeID:     SessionNodeID(det.Session),
-				Seq:        seqs[det.Session],
-				Time:       when,
-				Bits:       det.Bits,
-				RSSPeak:    det.RSSPeak,
-				NoiseFloor: det.NoiseFloor,
-				SymbolRate: det.SymbolRate,
-			})
-		}
-	}
-}
-
-// StreamStats reports the streaming engine's Stats. It returns false
-// when streaming is disabled.
-func (a *Aggregator) StreamStats() (stream.Stats, bool) {
-	if a.engine == nil {
-		return stream.Stats{}, false
-	}
-	return a.engine.Stats(), true
-}
-
-// FlushStreams forces end-of-stream on all streaming sessions, so
-// segments still waiting for their quiet hold decode now. No-op when
-// streaming is disabled.
-func (a *Aggregator) FlushStreams() {
-	if a.engine != nil {
-		a.engine.FlushAll()
 	}
 }
 
@@ -185,65 +93,6 @@ func (a *Aggregator) acceptLoop(ln net.Listener) {
 		}
 		a.wg.Add(1)
 		go a.serveConn(conn)
-	}
-}
-
-// maxStreamCursors bounds the per-stream bookkeeping tables on the
-// long-running aggregator.
-const maxStreamCursors = 1 << 16
-
-// chunkCursor is one stream's expected chunk continuation.
-type chunkCursor struct {
-	seq  uint32
-	next uint64
-}
-
-// advanceCursor checks a chunk against the stream's cursor (shared
-// across connections, so a reconnect that resumes exactly where the
-// old connection left off continues seamlessly) and reports whether
-// the server-side decode session must be reset first, or whether the
-// chunk is a duplicate of something already consumed (a replayed
-// retransmission to discard, not a restart). shedKey, when non-zero-ok,
-// is a stream whose cursor was evicted to bound the table — the
-// caller must end its engine session too, since without a cursor its
-// continuity can no longer be checked.
-func (a *Aggregator) advanceCursor(c SampleChunk, replay bool) (reset bool, reason string, dup bool, shedKey uint64, shed bool) {
-	key := c.SessionKey()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur, ok := a.cursors[key]
-	if !ok {
-		// Bound the table: the aggregator runs indefinitely, so churn
-		// of (node, stream) pairs must not grow it forever.
-		if len(a.cursors) >= maxStreamCursors {
-			for k := range a.cursors {
-				delete(a.cursors, k)
-				shedKey, shed = k, true
-				break
-			}
-		}
-		a.cursors[key] = &chunkCursor{seq: c.Seq, next: c.Start + uint64(len(c.Samples))}
-		return false, "", false, shedKey, shed
-	}
-	contiguous := c.Seq == cur.seq+1 && c.Start == cur.next
-	if !contiguous {
-		// A chunk wholly within the cursor is a duplicate when it is
-		// provably a retransmission: either explicitly marked (replay),
-		// or mid-stream (a live Seq=1/Start=0 could be a genuine
-		// restart, which must reset — never silently discard).
-		within := SeqLEq(c.Seq, cur.seq) && c.Start+uint64(len(c.Samples)) <= cur.next
-		if within && (replay || (c.Seq != 1 && c.Start != 0)) {
-			return false, "", true, 0, false
-		}
-	}
-	cur.seq, cur.next = c.Seq, c.Start+uint64(len(c.Samples))
-	switch {
-	case contiguous:
-		return false, "", false, 0, false
-	case c.Seq == 1 || c.Start == 0:
-		return true, "stream restarted", false, 0, false
-	default:
-		return true, "discontinuity", false, 0, false
 	}
 }
 
@@ -291,39 +140,6 @@ func (a *Aggregator) serveConn(conn net.Conn) {
 				a.logf("rxnet: ack to node %d: %v", d.NodeID, err)
 				return
 			}
-		case FrameSampleChunk, FrameSampleReplay:
-			if a.engine == nil {
-				a.logf("rxnet: node %d streamed samples but streaming is disabled", nodeID)
-				return
-			}
-			// Pooled decode: Feed copies the samples into the session
-			// ring before returning, so the buffer can be released
-			// right after.
-			c, sb, err := unmarshalSampleChunkPooled(body)
-			if err != nil {
-				a.logf("rxnet: bad sample chunk: %v", err)
-				return
-			}
-			reset, reason, dup, shedKey, shed := a.advanceCursor(c, t == FrameSampleReplay)
-			if dup {
-				sb.Release()
-				continue
-			}
-			if shed {
-				// The shed stream's engine session must not outlive
-				// its cursor, or its next chunk would splice in with
-				// continuity unchecked.
-				a.engine.EndSession(shedKey)
-			}
-			if reset {
-				a.logf("rxnet: node %d stream %d %s at seq %d start %d; previous session flushed",
-					c.NodeID, c.StreamID, reason, c.Seq, c.Start)
-				a.engine.EndSession(c.SessionKey())
-			}
-			if err := a.engine.Feed(c.SessionKey(), c.Fs, c.Samples); err != nil {
-				a.logf("rxnet: stream feed node %d stream %d: %v", c.NodeID, c.StreamID, err)
-			}
-			sb.Release()
 		default:
 			a.logf("rxnet: unexpected frame type %d from node", t)
 			return
@@ -332,9 +148,8 @@ func (a *Aggregator) serveConn(conn net.Conn) {
 }
 
 // RegisterNode records a node's position/identity for track fusion
-// without a network connection — for deployments where registration
-// arrives out of band (e.g. a ChunkListener's Hello channel feeding a
-// decode pipeline while this aggregator only fuses).
+// without a network connection — for nodes that stream raw samples,
+// whose registration arrives on a ChunkListener's Hello channel.
 func (a *Aggregator) RegisterNode(h Hello) {
 	a.mu.Lock()
 	a.nodes[h.NodeID] = h
@@ -343,8 +158,8 @@ func (a *Aggregator) RegisterNode(h Hello) {
 
 // Ingest feeds one detection straight into track fusion, bypassing
 // the network path. A zero Time is stamped with the current time.
-// Use together with RegisterNode when decoding happens outside the
-// aggregator (e.g. in a Pipeline over a ChunkListener source).
+// Use together with RegisterNode to fuse the detections of a decode
+// pipeline over a ChunkListener source.
 func (a *Aggregator) Ingest(d Detection) {
 	if d.Time.IsZero() {
 		d.Time = time.Now()
@@ -441,8 +256,7 @@ func (a *Aggregator) Nodes() []Hello {
 	return out
 }
 
-// Close stops the listener, flushes the streaming engine (its last
-// detections still fuse into tracks) and waits for all handlers.
+// Close stops the listener and waits for all handlers.
 func (a *Aggregator) Close() error {
 	var err error
 	a.closeOnce.Do(func() {
@@ -454,10 +268,6 @@ func (a *Aggregator) Close() error {
 			err = ln.Close()
 		}
 		a.wg.Wait()
-		if a.engine != nil {
-			a.engine.Close()
-			a.engineWG.Wait()
-		}
 		a.mu.Lock()
 		subs := a.subs
 		a.subs = nil
@@ -469,8 +279,8 @@ func (a *Aggregator) Close() error {
 	return err
 }
 
-// Node is a receiver-side client publishing detections or streaming
-// raw samples. Dial builds a plain node whose writes fail when the
+// Node is a receiver-side client publishing detections to an
+// Aggregator or streaming raw samples to a ChunkListener. Dial builds a plain node whose writes fail when the
 // connection dies; DialReliable builds one that redials with backoff
 // and honors server backpressure.
 type Node struct {
@@ -579,10 +389,11 @@ func (n *Node) Publish(d Detection) error {
 	return nil
 }
 
-// StreamChunk ships raw RSS samples for server-side decoding. Unlike
-// Publish it does not wait for an acknowledgement: chunk streams are
-// high-rate, TCP orders them, and the aggregator's engine absorbs
-// bursts in per-session ring buffers. The node's ID is stamped on the
+// StreamChunk ships raw RSS samples for server-side decoding to a
+// ChunkListener (or a cluster router in front of one). Unlike Publish
+// it does not wait for an acknowledgement: chunk streams are
+// high-rate, TCP orders them, and the decode engine behind the
+// listener absorbs bursts in per-session ring buffers. The node's ID is stamped on the
 // chunk; Seq and Start are maintained per stream automatically.
 func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error {
 	if err := n.pauseGate(); err != nil {
@@ -636,33 +447,6 @@ func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error
 		samples = samples[len(part):]
 	}
 	return nil
-}
-
-// StreamState reports a stream's chunk accounting: the Seq of the
-// last chunk sent and the Start index the next chunk will carry.
-// Saved before a connection loss and restored with ResumeStream, it
-// lets a redialed node continue the stream seamlessly.
-func (n *Node) StreamState(streamID uint32) (seq uint32, start uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if st := n.streams[streamID]; st != nil {
-		return st.seq, st.start
-	}
-	return 0, 0
-}
-
-// ResumeStream primes a stream's chunk counters on a fresh Node so
-// its numbering continues exactly where a previous connection
-// stopped. The server-side continuity cursor then splices the
-// reconnected stream into the same decode session with no reset —
-// no duplicate and no gap.
-func (n *Node) ResumeStream(streamID uint32, seq uint32, start uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.streams == nil {
-		n.streams = make(map[uint32]*streamState)
-	}
-	n.streams[streamID] = &streamState{seq: seq, start: start}
 }
 
 // Close closes the node connection (and stops a reliable node's

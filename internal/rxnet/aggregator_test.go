@@ -179,3 +179,29 @@ func TestDialFailsWithoutServer(t *testing.T) {
 		t.Fatal("expected connection failure")
 	}
 }
+
+// TestAggregatorClosesConnOnSampleFrames checks the aggregator, which
+// only fuses detections, closes a connection that streams raw samples
+// instead of silently eating them.
+func TestAggregatorClosesConnOnSampleFrames(t *testing.T) {
+	_, addr := startAggregator(t, AggregatorOptions{})
+	node := dialNode(t, addr, Hello{NodeID: 1, Name: "pole"})
+	if err := node.StreamChunk(0, 1000, []float64{1, 2, 3}); err != nil {
+		// The write itself may or may not fail depending on timing;
+		// the server closing the connection is the contract.
+		t.Logf("stream chunk write: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		// The server must eventually drop the connection: publishing
+		// a detection then fails.
+		err := node.Publish(Detection{Time: time.Now(), Bits: []byte{1, 0}})
+		if err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("aggregator kept a connection that sent sample frames")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}

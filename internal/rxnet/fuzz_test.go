@@ -80,3 +80,36 @@ func FuzzParseFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChunkCursor drives the stream-continuity rule with arbitrary
+// cursor state and chunks, including Seq wraparound and Start values
+// near the top of the uint64 range.
+func FuzzChunkCursor(f *testing.F) {
+	f.Add(uint32(3), uint64(300), uint32(4), uint64(300), uint16(100), false)
+	f.Add(uint32(5), uint64(500), uint32(1), uint64(0), uint16(100), true)
+	f.Add(uint32(5), uint64(500), uint32(1), uint64(0), uint16(100), false)
+	f.Add(uint32(5), uint64(500), uint32(3), uint64(200), uint16(100), false)
+	f.Add(uint32(5), uint64(500), uint32(7), uint64(700), uint16(100), true)
+	f.Add(uint32(0xFFFFFFFF), uint64(1000), uint32(0), uint64(1000), uint16(100), false)
+
+	f.Fuzz(func(t *testing.T, seq uint32, next uint64, cSeq uint32, cStart uint64, n uint16, replay bool) {
+		c := SampleChunk{Seq: cSeq, Start: cStart, Fs: 1000, Samples: make([]float64, int(n)%(MaxChunkSamples+1))}
+		end := c.Start + uint64(len(c.Samples))
+		within := SeqLEq(c.Seq, seq) && end <= next
+		contiguous := c.Seq == seq+1 && c.Start == next
+		cur := chunkCursor{seq: seq, next: next}
+		dup, reset := cur.advance(c, replay)
+		if replay && within && (reset || !dup) {
+			t.Fatalf("replay within the cursor: dup %v reset %v, want a duplicate", dup, reset)
+		}
+		if dup && (reset || cur != (chunkCursor{seq: seq, next: next})) {
+			t.Fatalf("duplicate reset %v or moved the cursor to (%d, %d)", reset, cur.seq, cur.next)
+		}
+		if !dup && (cur.seq != c.Seq || cur.next != end) {
+			t.Fatalf("accepted chunk left the cursor at (%d, %d), want (%d, %d)", cur.seq, cur.next, c.Seq, end)
+		}
+		if contiguous && (dup || reset) {
+			t.Fatalf("contiguous chunk: dup %v reset %v", dup, reset)
+		}
+	})
+}

@@ -72,11 +72,10 @@ func (lc *lconn) writeFrame(t FrameType, body []byte) error {
 
 // ChunkListener accepts receiver-node connections speaking the rxnet
 // frame protocol and surfaces their raw SampleChunk frames as a
-// channel of ChunkEvents — the transport half of the aggregator's
-// streaming path, split out so a decode pipeline (not the aggregator)
-// can own the DSP. Hello frames are surfaced on a side channel for
-// node registration; Detection frames are rejected (nodes that decode
-// locally should talk to an Aggregator instead).
+// channel of ChunkEvents — the one ingest path for raw samples, which
+// a decode pipeline consumes. Hello frames are surfaced on a side
+// channel for node registration; Detection frames are rejected (nodes
+// that decode locally should talk to an Aggregator instead).
 type ChunkListener struct {
 	ln         net.Listener
 	out        chan ChunkEvent
@@ -113,7 +112,38 @@ type ChunkListener struct {
 	closeOnce sync.Once
 }
 
-// streamCursor extends the shared chunk-continuity cursor with the
+// maxStreamCursors bounds the per-stream bookkeeping tables (cursors,
+// refusals) of a long-running listener.
+const maxStreamCursors = 1 << 16
+
+// chunkCursor is one stream's expected chunk continuation: the Seq of
+// the last chunk consumed and the Start index the next one must carry.
+type chunkCursor struct {
+	seq  uint32
+	next uint64
+}
+
+// advance checks chunk c against the cursor and moves the cursor to
+// c's end unless c is a duplicate. It is the one stream-continuity
+// rule. A contiguous chunk continues the stream, whichever connection
+// it arrives on. A chunk wholly within the cursor is a duplicate when
+// it is provably a retransmission: explicitly replayed, or live
+// mid-stream. A live Seq 1 or Start 0 within the cursor is a genuine
+// restart, which must reset and never be silently discarded. Any
+// other chunk is a restart or a gap: reset reports that the open
+// decode session must end before c is fed.
+func (cur *chunkCursor) advance(c SampleChunk, replay bool) (dup, reset bool) {
+	end := c.Start + uint64(len(c.Samples))
+	contiguous := c.Seq == cur.seq+1 && c.Start == cur.next
+	if !contiguous && SeqLEq(c.Seq, cur.seq) && end <= cur.next &&
+		(replay || (c.Seq != 1 && c.Start != 0)) {
+		return true, false
+	}
+	cur.seq, cur.next = c.Seq, end
+	return false, !contiguous
+}
+
+// streamCursor extends the chunk-continuity cursor with the
 // connection the stream is arriving on, so a force-redirect can NACK
 // the right peer, and with the continuity epoch of its chunks.
 type streamCursor struct {
@@ -548,28 +578,26 @@ func (l *ChunkListener) acceptLoop() {
 	}
 }
 
-// admit applies cluster admission control and continuity checking to
-// one chunk. accept=false means the chunk must be discarded: counted
-// in RefusedChunks (nack=true additionally means this is the stream's
-// first refusal and the peer must be sent a StreamNack), or in
-// DuplicateChunks when dup=true — a retransmission the cursor already
-// consumed (router failover replay), discarded without disturbing the
-// decode session. reset has the cursor-table semantics shared with
-// the aggregator's streaming path: a reconnect that resumes exactly
-// where the old connection left off continues seamlessly, anything
-// else flags a reset. replay marks an explicitly-retransmitted chunk
-// (FrameSampleReplay): within the cursor it is always a duplicate —
-// never a stream restart — while a live chunk is only treated as a
-// duplicate when unambiguous (a live Seq=1/Start=0 could be a genuine
-// restart and must reset instead). epoch is the continuity epoch of an
-// accepted chunk: fresh for a new cursor or a reset.
-func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, nack, reset, dup bool, epoch uint32) {
+// admit applies cluster admission control and the stream-continuity
+// rule (chunkCursor.advance) to one chunk. accept=false means the
+// chunk must be discarded: counted in RefusedChunks (nack=true
+// additionally means this is the stream's first refusal and the peer
+// must be sent a StreamNack), or in DuplicateChunks when dup=true — a
+// retransmission the cursor already consumed (router failover
+// replay), discarded without disturbing the decode session. reset
+// means the consumer must end the stream's open decode session first.
+// replay marks an explicitly retransmitted chunk (FrameSampleReplay).
+// epoch is the continuity epoch of an accepted chunk: fresh for a new
+// cursor or a reset. shed=true means the cursor of session shedKey was
+// evicted to bound the table; the caller must end that session once
+// l.mu is released, since its continuity can no longer be checked.
+func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, nack, reset, dup bool, epoch uint32, shedKey uint64, shed bool) {
 	key := c.SessionKey()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.refused[key] {
 		if l.draining {
-			return false, false, false, false, 0
+			return false, false, false, false, 0, 0, false
 		}
 		// Not draining anymore: the ring moved the stream back here.
 		// Accept it as a fresh stream (the redirect already released
@@ -582,11 +610,12 @@ func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, n
 			// New streams are refused while draining; in-flight ones
 			// keep flowing so the drain stays lossless.
 			l.refuse(key)
-			return false, true, false, false, 0
+			return false, true, false, false, 0, 0, false
 		}
 		if len(l.cursors) >= maxStreamCursors {
 			for k := range l.cursors {
 				delete(l.cursors, k)
+				shedKey, shed = k, true
 				break
 			}
 		}
@@ -596,24 +625,18 @@ func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, n
 			src:         src,
 			epoch:       epoch,
 		}
-		return true, false, false, false, epoch
+		return true, false, false, false, epoch, shedKey, shed
 	}
-	contiguous := c.Seq == cur.seq+1 && c.Start == cur.next
-	if !contiguous {
-		within := SeqLEq(c.Seq, cur.seq) && c.Start+uint64(len(c.Samples)) <= cur.next
-		if within && (replay || (c.Seq != 1 && c.Start != 0)) {
-			// Already consumed: keep the cursor where it is (the live
-			// stream continues past it) but remember the connection —
-			// after a failover the replaying conn IS the stream's new
-			// source, and control frames must go there.
-			cur.src = src
-			return false, false, false, true, 0
-		}
+	// After a failover the replaying conn IS the stream's new source,
+	// even for chunks already consumed: control frames must go there.
+	cur.src = src
+	if dup, reset = cur.advance(c, replay); dup {
+		return false, false, false, true, 0, 0, false
+	}
+	if reset {
 		cur.epoch = l.nextEpoch()
 	}
-	cur.seq, cur.next = c.Seq, c.Start+uint64(len(c.Samples))
-	cur.src = src
-	return true, false, !contiguous, false, cur.epoch
+	return true, false, reset, false, cur.epoch, 0, false
 }
 
 func (l *ChunkListener) serveConn(conn net.Conn) {
@@ -691,7 +714,10 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 			}
 			l.received.Add(1)
 			l.paceGuard(c)
-			accept, nack, reset, dup, epoch := l.admit(c, lc, t == FrameSampleReplay)
+			accept, nack, reset, dup, epoch, shedKey, shed := l.admit(c, lc, t == FrameSampleReplay)
+			if shed {
+				l.emitEnd(shedKey)
+			}
 			if reset {
 				l.resets.Add(1)
 			}

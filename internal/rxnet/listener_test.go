@@ -230,50 +230,93 @@ func TestChunkListenerCloseDrainsQueued(t *testing.T) {
 	}
 }
 
-// TestNodeResumeStreamReconnect proves the lossless reconnect path: a
-// node that saves its stream state, redials, and resumes continues
-// the same session with no Reset — no duplicate, no gap.
-func TestNodeResumeStreamReconnect(t *testing.T) {
+// TestChunkCursorAdvance is the stream-continuity rule, case by case.
+func TestChunkCursorAdvance(t *testing.T) {
+	chunk := func(seq uint32, start uint64, n int) SampleChunk {
+		return SampleChunk{Seq: seq, Start: start, Fs: 1000, Samples: make([]float64, n)}
+	}
+	cases := []struct {
+		name       string
+		cur        chunkCursor
+		c          SampleChunk
+		replay     bool
+		dup, reset bool
+		wantSeq    uint32
+		wantNext   uint64
+	}{
+		{"contiguous", chunkCursor{3, 300}, chunk(4, 300, 100), false, false, false, 4, 400},
+		// A node that redials and resumes exactly where its old
+		// connection stopped continues the same decode session.
+		{"new conn at cursor", chunkCursor{1, 200}, chunk(2, 200, 100), false, false, false, 2, 300},
+		{"live within mid-stream", chunkCursor{5, 500}, chunk(3, 200, 100), false, true, false, 5, 500},
+		{"replay within at seq 1 start 0", chunkCursor{5, 500}, chunk(1, 0, 100), true, true, false, 5, 500},
+		{"live seq 1 start 0 within", chunkCursor{5, 500}, chunk(1, 0, 100), false, false, true, 1, 100},
+		{"gap", chunkCursor{5, 500}, chunk(7, 700, 100), false, false, true, 7, 800},
+		{"seq wraps", chunkCursor{0xFFFFFFFF, 1000}, chunk(0, 1000, 100), false, false, false, 0, 1100},
+		{"replay within across wrap", chunkCursor{1, 1100}, chunk(0xFFFFFFFF, 900, 100), true, true, false, 1, 1100},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := tc.cur
+			dup, reset := cur.advance(tc.c, tc.replay)
+			if dup != tc.dup || reset != tc.reset {
+				t.Fatalf("advance = (dup %v, reset %v), want (%v, %v)", dup, reset, tc.dup, tc.reset)
+			}
+			if cur.seq != tc.wantSeq || cur.next != tc.wantNext {
+				t.Fatalf("cursor (%d, %d), want (%d, %d)", cur.seq, cur.next, tc.wantSeq, tc.wantNext)
+			}
+		})
+	}
+
+	// Through admit, the new connection also keeps the epoch (acks
+	// still trim the same incarnation) and becomes the stream's source.
+	l := &ChunkListener{cursors: make(map[uint64]*streamCursor), refused: make(map[uint64]bool)}
+	a, b := &lconn{}, &lconn{}
+	_, _, _, _, e1, _, _ := l.admit(chunk(1, 0, 200), a, false)
+	accept, _, reset, dup, e2, _, _ := l.admit(chunk(2, 200, 100), b, false)
+	if !accept || reset || dup || e2 != e1 || l.cursors[0].src != b {
+		t.Fatalf("resume on a new conn: accept %v reset %v dup %v epoch %d->%d", accept, reset, dup, e1, e2)
+	}
+}
+
+// TestChunkListenerShedCursorEndsSession fills the cursor table to its
+// bound: the stream whose cursor is evicted for a new one must get an
+// End event, or its open decode session would later splice in chunks
+// with continuity unchecked.
+func TestChunkListenerShedCursorEndsSession(t *testing.T) {
 	l, err := ListenChunks("127.0.0.1:0", t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	filled := make(map[uint64]bool, maxStreamCursors)
+	for i := 0; i < maxStreamCursors; i++ {
+		c := SampleChunk{NodeID: 1 << 20, StreamID: uint32(i), Seq: 1, Fs: 1000, Samples: []float64{0}}
+		if _, _, _, _, _, _, shed := l.admit(c, nil, false); shed {
+			t.Fatalf("shed a cursor at %d of %d", i, maxStreamCursors)
+		}
+		filled[c.SessionKey()] = true
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	hello := Hello{NodeID: 3, Name: "pole-3"}
-	node, err := Dial(ctx, l.Addr(), hello)
+	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 2, Name: "pole-2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := make([]float64, 300)
-	if err := node.StreamChunk(5, 1000, samples[:200]); err != nil {
+	defer node.Close()
+	if err := node.StreamChunk(0, 1000, make([]float64, 10)); err != nil {
 		t.Fatal(err)
 	}
-	first := collectChunks(t, l, 1) // cursor established before the reconnect
-	seq, start := node.StreamState(5)
-	if seq != 1 || start != 200 {
-		t.Fatalf("stream state (%d, %d), want (1, 200)", seq, start)
+	evs := collectChunks(t, l, 2)
+	if !evs[0].End || !filled[evs[0].Session] {
+		t.Fatalf("first event %+v, want an End for a shed session", evs[0])
 	}
-	node.Close()
-
-	node2, err := Dial(ctx, l.Addr(), hello)
-	if err != nil {
-		t.Fatal(err)
+	if evs[1].End || evs[1].NodeID != 2 || len(evs[1].Samples) != 10 {
+		t.Fatalf("second event %+v, want node 2's chunk", evs[1])
 	}
-	defer node2.Close()
-	node2.ResumeStream(5, seq, start)
-	if err := node2.StreamChunk(5, 1000, samples[200:]); err != nil {
-		t.Fatal(err)
-	}
-
-	evs := collectChunks(t, l, 1)
-	if first[0].Reset || evs[0].Reset {
-		t.Fatalf("resumed stream flagged reset: %v %v", first[0].Reset, evs[0].Reset)
-	}
-	if got := len(first[0].Samples) + len(evs[0].Samples); got != len(samples) {
-		t.Fatalf("delivered %d samples across reconnect, want %d", got, len(samples))
+	if got := len(l.Sessions()); got != maxStreamCursors {
+		t.Fatalf("%d cursors after shed, want %d", got, maxStreamCursors)
 	}
 }
 

@@ -3,7 +3,10 @@
 // about tracked objects. Receiver nodes decode passive packets
 // locally and publish compact detection records to an aggregator
 // over TCP; the aggregator fuses detections from receivers at known
-// positions into object tracks (direction, speed, identity).
+// positions into object tracks (direction, speed, identity). Nodes
+// that leave decoding to the server instead stream raw sample chunks
+// to a ChunkListener, whose consumer decodes them and feeds the
+// aggregator.
 //
 // The wire protocol is a length-prefixed binary framing (big endian)
 // designed for microcontroller-class senders: no allocations beyond
@@ -50,7 +53,7 @@ const (
 	// FrameTrack carries a fused track (aggregator -> subscribers).
 	FrameTrack
 	// FrameSampleChunk carries raw RSS samples from a node that
-	// delegates decoding to the aggregator's streaming engine.
+	// delegates decoding to the engine behind a ChunkListener.
 	// Unacknowledged: chunk streams are high-rate and TCP already
 	// orders them.
 	FrameSampleChunk

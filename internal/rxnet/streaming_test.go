@@ -2,15 +2,8 @@ package rxnet
 
 import (
 	"bytes"
-	"context"
 	"math"
-	"math/rand"
 	"testing"
-	"time"
-
-	"passivelight/internal/coding"
-	"passivelight/internal/decoder"
-	"passivelight/internal/stream"
 )
 
 func TestSampleChunkRoundTrip(t *testing.T) {
@@ -76,300 +69,5 @@ func TestSampleChunkLimits(t *testing.T) {
 	}
 	if _, err := UnmarshalSampleChunk(bad); err == nil {
 		t.Fatal("NaN fs should fail to unmarshal")
-	}
-}
-
-// packetStream renders a synthetic node observation: quiet, packet,
-// quiet.
-func packetStream(payload string, fs, symbolDur, gapSec float64, seed int64) []float64 {
-	const high, low, baseline = 90.0, 12.0, 10.0
-	rng := rand.New(rand.NewSource(seed))
-	var out []float64
-	quiet := func(n int) {
-		for i := 0; i < n; i++ {
-			out = append(out, baseline+0.3*rng.NormFloat64())
-		}
-	}
-	quiet(int(gapSec * fs))
-	for _, s := range coding.MustPacket(payload).Symbols() {
-		level := low
-		if s == coding.High {
-			level = high
-		}
-		for i := 0; i < int(symbolDur*fs); i++ {
-			out = append(out, level+0.3*rng.NormFloat64())
-		}
-	}
-	quiet(int(gapSec * fs))
-	return out
-}
-
-// TestStreamingNodesToTrack is the full loop: nodes stream raw
-// samples, the aggregator decodes them server-side and fuses the
-// detections into an object track.
-func TestStreamingNodesToTrack(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{
-		TrackGap: time.Minute,
-		Streaming: &stream.EngineConfig{
-			Session: stream.Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 12}},
-		},
-	})
-	addr, err := agg.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-
-	const payload = "1001"
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var sent int64
-	for i, x := range []float64{0, 25, 50} {
-		node, err := Dial(ctx, addr, Hello{
-			NodeID: uint32(i + 1),
-			PosX:   x,
-			Height: 0.75,
-			Name:   "pole",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples := packetStream(payload, 1000, 0.2, 2.0, int64(i+1))
-		for lo := 0; lo < len(samples); lo += 700 {
-			hi := min(lo+700, len(samples))
-			if err := node.StreamChunk(0, 1000, samples[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		node.Close()
-		// Wait for the server to ingest this node's samples (the TCP
-		// stream is asynchronous), then flush its open segment. The
-		// dial-order spacing keeps detection timestamps ordered.
-		sent += int64(len(samples))
-		ingested := time.Now().Add(10 * time.Second)
-		for {
-			st, ok := agg.StreamStats()
-			if ok && st.SamplesIn >= sent {
-				break
-			}
-			if time.Now().After(ingested) {
-				t.Fatalf("server ingested %v of %d samples", st, sent)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		agg.FlushStreams()
-		time.Sleep(30 * time.Millisecond)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		tracks := agg.Tracks()
-		if len(tracks) > 0 {
-			last := tracks[len(tracks)-1]
-			if BitsString(last.ObjectBits) != payload {
-				t.Fatalf("track object %s, want %s", BitsString(last.ObjectBits), payload)
-			}
-			if last.Confirmations < 2 {
-				t.Fatalf("confirmations %d", last.Confirmations)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			st, _ := agg.StreamStats()
-			t.Fatalf("no track fused; stream stats %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	st, ok := agg.StreamStats()
-	if !ok {
-		t.Fatal("streaming should be enabled")
-	}
-	if st.Detections < 3 {
-		t.Fatalf("engine decoded %d detections, want >= 3", st.Detections)
-	}
-	if st.SamplesIn == 0 {
-		t.Fatal("engine saw no samples")
-	}
-}
-
-// TestStreamingReconnectResetsSession checks the Seq/Start fields do
-// their job: a node that reconnects and restarts its stream from
-// zero must not splice into the stale server-side session.
-func TestStreamingReconnectResetsSession(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{
-		Streaming: &stream.EngineConfig{
-			Session: stream.Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 8}},
-		},
-	})
-	addr, err := agg.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	samples := packetStream("10", 1000, 0.2, 1.5, 4)
-	half := len(samples) * 2 / 3 // cuts inside the packet
-	connect := func() *Node {
-		n, err := Dial(ctx, addr, Hello{NodeID: 9, Name: "pole"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	// First connection dies mid-packet.
-	n1 := connect()
-	if err := n1.StreamChunk(0, 1000, samples[:half]); err != nil {
-		t.Fatal(err)
-	}
-	n1.Close()
-	waitIngest := func(want int64) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st, _ := agg.StreamStats()
-			if st.SamplesIn >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("ingested %d, want %d", st.SamplesIn, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitIngest(int64(half))
-	// Reconnect and replay the whole stream from the start. Without
-	// the restart reset, the engine session would see a splice
-	// (two-thirds of a packet followed by a full one).
-	n2 := connect()
-	if err := n2.StreamChunk(0, 1000, samples); err != nil {
-		t.Fatal(err)
-	}
-	n2.Close()
-	waitIngest(int64(half + len(samples)))
-	agg.FlushStreams()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := agg.StreamStats()
-		if st.Detections >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no detection after reconnect: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStreamingDisabledRejectsChunks checks a chunk sent to a
-// detection-only aggregator closes the connection instead of silently
-// eating samples.
-func TestStreamingDisabledRejectsChunks(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{})
-	addr, err := agg.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, addr, Hello{NodeID: 1, Name: "pole"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	if err := node.StreamChunk(0, 1000, []float64{1, 2, 3}); err != nil {
-		// The write itself may or may not fail depending on timing;
-		// the server closing the connection is the contract.
-		t.Logf("stream chunk write: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		// The server must eventually drop the connection: publishing
-		// a detection then fails.
-		err := node.Publish(Detection{Time: time.Now(), Bits: []byte{1, 0}})
-		if err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server kept the connection despite streaming being disabled")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestStreamingReconnectResumesSession is the lossless counterpart of
-// the reset test: a node that saves its stream state and resumes
-// after redialing continues the SAME engine session — the packet cut
-// by the connection loss still decodes, no sample is duplicated and
-// none is lost.
-func TestStreamingReconnectResumesSession(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{
-		Streaming: &stream.EngineConfig{
-			Session: stream.Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 8}},
-		},
-	})
-	addr, err := agg.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	samples := packetStream("10", 1000, 0.2, 1.5, 4)
-	half := len(samples) * 2 / 3 // cuts inside the packet
-	waitIngest := func(want int64) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st, _ := agg.StreamStats()
-			if st.SamplesIn >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("ingested %d, want %d", st.SamplesIn, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
-	n1, err := Dial(ctx, addr, Hello{NodeID: 9, Name: "pole"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n1.StreamChunk(0, 1000, samples[:half]); err != nil {
-		t.Fatal(err)
-	}
-	seq, start := n1.StreamState(0)
-	n1.Close()
-	waitIngest(int64(half))
-
-	n2, err := Dial(ctx, addr, Hello{NodeID: 9, Name: "pole"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2.ResumeStream(0, seq, start)
-	if err := n2.StreamChunk(0, 1000, samples[half:]); err != nil {
-		t.Fatal(err)
-	}
-	n2.Close()
-	waitIngest(int64(len(samples)))
-	agg.FlushStreams()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := agg.StreamStats()
-		if st.Detections >= 1 {
-			// Exactly the stream's samples were fed: a duplicate (full
-			// replay) would show half+len, a gap fewer.
-			if st.SamplesIn != int64(len(samples)) {
-				t.Fatalf("engine saw %d samples, want exactly %d", st.SamplesIn, len(samples))
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("packet spanning the reconnect did not decode: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"passivelight/internal/decoder"
 	"passivelight/internal/rxnet"
 )
 
@@ -57,13 +58,13 @@ func testTrace(t *testing.T) (*Trace, Packet) {
 	return tr, packet
 }
 
-// TestPipelineBatchEquivalence is the pipeline-vs-legacy contract: a
+// TestPipelineBatchEquivalence is the pipeline-vs-batch contract: a
 // Pipeline over a recorded Trace source in batch-equivalent mode must
-// produce detections bit-identical to the batch Decode of the same
-// trace — same payload bits, same symbol string.
+// produce detections bit-identical to the batch decoder.Decode of the
+// same trace — same payload bits, same symbol string.
 func TestPipelineBatchEquivalence(t *testing.T) {
 	tr, _ := testTrace(t)
-	legacy, err := Decode(tr, DecodeOptions{ExpectedSymbols: 8})
+	legacy, err := decoder.Decode(tr, DecodeOptions{ExpectedSymbols: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +381,187 @@ func TestPipelineNetSource(t *testing.T) {
 	}
 	if !errors.Is(pipe.Err(), context.Canceled) {
 		t.Fatalf("pipeline error %v after cancel", pipe.Err())
+	}
+}
+
+// startNetFusion wires the production receiver-network path: nodes
+// stream raw samples to a ListenSource, a Pipeline decodes them, and
+// its sink feeds every clean event into an Aggregator's track fusion.
+// Canceling ctx stops the pipeline and closes the source.
+func startNetFusion(ctx context.Context, t *testing.T, symbols int, opts ...Option) (*NetSource, *Pipeline, *rxnet.Aggregator, <-chan Event) {
+	t.Helper()
+	agg := rxnet.NewAggregator(rxnet.AggregatorOptions{TrackGap: time.Minute})
+	t.Cleanup(func() { agg.Close() })
+	src, err := ListenSource("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.OnHello(agg.RegisterNode)
+	opts = append(opts, WithExpectedSymbols(symbols),
+		WithSink(func(ev Event) {
+			if ev.Err != nil {
+				return
+			}
+			agg.Ingest(rxnet.Detection{
+				NodeID:     rxnet.SessionNodeID(ev.Session),
+				Time:       ev.Wall,
+				Bits:       ev.Bits,
+				RSSPeak:    ev.RSSPeak,
+				NoiseFloor: ev.NoiseFloor,
+				SymbolRate: ev.SymbolRate,
+			})
+		}))
+	pipe, err := NewPipeline(src, Threshold(), opts...)
+	if err != nil {
+		src.Close()
+		t.Fatal(err)
+	}
+	events, err := pipe.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src, pipe, agg, events
+}
+
+// streamFromNode dials the source as the given node, ships samples in
+// 700-sample chunks on stream 0 and hangs up. A fresh node restarts
+// the stream at Seq 1, Start 0.
+func streamFromNode(ctx context.Context, t *testing.T, addr string, hello rxnet.Hello, samples []float64) {
+	t.Helper()
+	node, err := rxnet.Dial(ctx, addr, hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	for lo := 0; lo < len(samples); lo += 700 {
+		if err := node.StreamChunk(0, 1000, samples[lo:min(lo+700, len(samples))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// waitIngested blocks until the pipeline has fed want samples (TCP is
+// asynchronous).
+func waitIngested(t *testing.T, pipe *Pipeline, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for pipe.Stats().SamplesIn < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingested %d of %d samples", pipe.Stats().SamplesIn, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPipelineNetSourceFusesTrack is the full receiver-network loop:
+// three nodes along a road stream raw samples in the order a car
+// passes them, the pipeline decodes server-side, and the aggregator
+// fuses the detections into one track moving toward +x.
+func TestPipelineNetSourceFusesTrack(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src, pipe, agg, events := startNetFusion(ctx, t, 12)
+	go func() {
+		for range events { // the sink does the work
+		}
+	}()
+
+	const payload = "1001"
+	var sent int64
+	for i, x := range []float64{0, 25, 50} {
+		samples := synthPacketStream(payload, 1000, int64(i+1))
+		streamFromNode(ctx, t, src.Addr(), rxnet.Hello{NodeID: uint32(i + 1), PosX: x, Height: 0.75, Name: "pole"}, samples)
+		// Flushing each node's decode before the next node streams
+		// keeps detection times in pass order.
+		sent += int64(len(samples))
+		waitIngested(t, pipe, sent)
+		pipe.Flush()
+		time.Sleep(30 * time.Millisecond)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if tracks := agg.Tracks(); len(tracks) > 0 {
+			last := tracks[len(tracks)-1]
+			if got := rxnet.BitsString(last.ObjectBits); got != payload {
+				t.Fatalf("track object %s, want %s", got, payload)
+			}
+			if last.SpeedMS <= 0 {
+				t.Fatalf("track speed %v m/s, want > 0 (nodes passed in +x order)", last.SpeedMS)
+			}
+			if last.Confirmations < 2 {
+				t.Fatalf("confirmations %d", last.Confirmations)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no track fused; pipeline stats %+v", pipe.Stats())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if st := pipe.Stats(); st.Detections < 3 {
+		t.Fatalf("pipeline decoded %d detections, want >= 3", st.Detections)
+	}
+}
+
+// TestPipelineNetSourceRestartMidPacket: a node whose connection dies
+// mid-packet and that restarts its stream from zero on a new
+// connection must not splice into the stale decode session. The
+// listener flags the restart, the pipeline ends the session holding
+// exactly the cut-off samples, and the packet decodes once. (The cut
+// falls right after the preamble, so the stale epoch flushes as a
+// preamble with no payload bits.)
+func TestPipelineNetSourceRestartMidPacket(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ended := make(chan SessionStats, 4)
+	src, pipe, _, events := startNetFusion(ctx, t, 8,
+		WithSessionEnd(func(_ uint64, st SessionStats, reason string) {
+			if reason == "end" {
+				ended <- st
+			}
+		}))
+
+	samples := synthPacketStream("10", 1000, 4)
+	cut := len(samples) / 2 // mid-packet
+	hello := rxnet.Hello{NodeID: 9, Name: "pole"}
+	streamFromNode(ctx, t, src.Addr(), hello, samples[:cut])
+	waitIngested(t, pipe, int64(cut))
+	streamFromNode(ctx, t, src.Addr(), hello, samples)
+	waitIngested(t, pipe, int64(cut+len(samples)))
+	pipe.Flush()
+
+	var decoded []string
+	timeout := time.After(10 * time.Second)
+	for len(decoded) == 0 {
+		select {
+		case ev := <-events:
+			if ev.Err == nil && len(ev.Bits) > 0 {
+				decoded = append(decoded, ev.BitString())
+			}
+		case <-timeout:
+			t.Fatalf("no detection after the restart: %+v", pipe.Stats())
+		}
+	}
+	cancel()
+	for ev := range events {
+		if ev.Err == nil && len(ev.Bits) > 0 {
+			decoded = append(decoded, ev.BitString())
+		}
+	}
+	if len(decoded) != 1 || decoded[0] != "10" {
+		t.Fatalf("decoded payloads %v, want exactly [10]", decoded)
+	}
+	if got := src.StreamResets(); got != 1 {
+		t.Fatalf("stream resets %d, want 1", got)
+	}
+	select {
+	case st := <-ended:
+		if st.Samples != int64(cut) {
+			t.Fatalf("restart ended a session of %d samples, want the %d cut off", st.Samples, cut)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the restart did not end the stale decode session")
 	}
 }
 
