@@ -239,11 +239,13 @@
 // (the engine clamps it). One shard reproduces the unsharded engine
 // exactly.
 //
-// Per-session memory is bounded and recycled: session rings allocate
-// lazily and grow geometrically only to the WithQueue bound, retired
-// ring buffers return to a per-shard free-list for the next session,
-// and decoder segment buffers and detection batches are pooled (the
-// pipeline hands consumed batches back). Steady-
+// Per-session memory is bounded and follows the session's state: a
+// session ring holds an array (grown geometrically only to the
+// WithQueue bound) only while it has undecoded samples, and hands it
+// back to a pool on every drain; an idle decoder keeps one pre-roll
+// buffer and borrows a pooled segment buffer only while a segment is
+// open; detection batches are pooled too (the pipeline hands consumed
+// batches back). Steady-
 // state feed+decode of an established fleet does not touch the
 // allocator; a tier-1 test pins that with testing.AllocsPerRun. On
 // the network path, rxnet frames decode into reference-counted

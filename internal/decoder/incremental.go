@@ -2,6 +2,7 @@ package decoder
 
 import (
 	"math"
+	"sync"
 
 	"passivelight/internal/trace"
 )
@@ -102,8 +103,11 @@ type SegmentResult struct {
 // resumable state: RSS samples are fed in arbitrary chunks, an online
 // noise-floor tracker segments the stream into quiet/active spans,
 // and each completed active span is decoded with the same pass as
-// batch Decode. Memory is bounded by PreRollSamples while idle and
-// MaxSegmentSamples while active.
+// batch Decode. Memory follows the state: while idle the machine holds
+// one pre-roll buffer of exactly 2×PreRollSamples capacity; an open
+// segment borrows a pooled segment buffer (bounded by
+// MaxSegmentSamples) that goes back to the pool when the segment
+// completes.
 //
 // An Incremental is not safe for concurrent use; wrap it in a
 // stream.Decoder session for that.
@@ -112,9 +116,14 @@ type Incremental struct {
 	opt Options
 	cfg IncrementalConfig
 
-	buf    []float64 // retained tail of the stream (pre-roll or open segment)
-	pos    int64     // total samples consumed
-	active bool
+	// buf is the retained tail of the stream: the pre-roll while idle,
+	// the open segment (in a pooled buffer) while active.
+	buf []float64
+	// preRoll parks the idle pre-roll array while a segment is open;
+	// complete reseeds it with the segment's quiet tail.
+	preRoll []float64
+	pos     int64 // total samples consumed
+	active  bool
 	// batchRef aliases a single batch-mode chunk so the Decode
 	// wrapper adds no copy; it is materialized into buf only if a
 	// second chunk arrives.
@@ -136,30 +145,31 @@ func NewIncremental(fs float64, opt Options, cfg IncrementalConfig) *Incremental
 // Position returns the number of samples consumed so far.
 func (inc *Incremental) Position() int64 { return inc.pos }
 
-// AdoptBuf seeds the retained-sample buffer with recycled capacity
-// from a previous session. It is a no-op unless the machine is fresh
-// (nothing retained yet) and the donated capacity beats the current
-// one. The buffer is owned by the Incremental from here on.
-func (inc *Incremental) AdoptBuf(buf []float64) {
-	if len(inc.buf) == 0 && inc.batchRef == nil && cap(buf) > cap(inc.buf) {
-		inc.buf = buf[:0]
+// segBufPool recycles open-segment buffers across sessions. Only
+// segment buffers enter it, never pre-roll buffers, so a segment never
+// starts from a small buffer it must regrow.
+var segBufPool = sync.Pool{}
+
+func getSegBuf() []float64 {
+	if v := segBufPool.Get(); v != nil {
+		return (*(v.(*[]float64)))[:0]
 	}
+	return nil
 }
 
-// ReleaseBuf surrenders the retained-sample buffer for reuse by a
-// later session and leaves the machine without retained samples. Only
-// call it when the stream is over (after Flush); the returned slice
-// never aliases caller memory (batch-mode aliases are not released).
-func (inc *Incremental) ReleaseBuf() []float64 {
-	buf := inc.buf
-	inc.buf = nil
-	inc.batchRef = nil
-	return buf[:0:cap(buf)]
+func putSegBuf(buf []float64) {
+	buf = buf[:0]
+	segBufPool.Put(&buf)
 }
 
 // Buffered returns the number of samples currently retained (the
 // memory footprint of the state machine, up to slice overallocation).
 func (inc *Incremental) Buffered() int { return len(inc.buf) + len(inc.batchRef) }
+
+// Retained returns the capacity, in samples, of the buffers the
+// machine holds: the pre-roll buffer, plus the segment buffer while a
+// segment is open. Batch-mode aliases of caller memory do not count.
+func (inc *Incremental) Retained() int { return cap(inc.buf) + cap(inc.preRoll) }
 
 // Floor returns the tracked noise-floor mean and deviation.
 func (inc *Incremental) Floor() (mean, dev float64) { return inc.floorMean, inc.floorDev }
@@ -182,6 +192,9 @@ func (inc *Incremental) Feed(chunk []float64) []SegmentResult {
 		}
 		inc.buf = append(inc.buf, chunk...)
 		return nil
+	}
+	if inc.buf == nil {
+		inc.buf = make([]float64, 0, 2*inc.cfg.PreRollSamples)
 	}
 	var out []SegmentResult
 	for _, x := range chunk {
@@ -209,10 +222,7 @@ func (inc *Incremental) step(x float64, out []SegmentResult) []SegmentResult {
 		} else {
 			inc.activeRun++
 			if inc.activeRun >= inc.cfg.MinActivityRun {
-				inc.active = true
-				inc.activeRun = 0
-				inc.quietRun = 0
-				inc.floorAtOpen = inc.floorMean
+				inc.open()
 			}
 		}
 		if !inc.active {
@@ -235,9 +245,20 @@ func (inc *Incremental) step(x float64, out []SegmentResult) []SegmentResult {
 	return out
 }
 
+// open starts a segment: the pre-roll moves into a pooled segment
+// buffer and its own array is parked until complete.
+func (inc *Incremental) open() {
+	inc.active = true
+	inc.activeRun = 0
+	inc.quietRun = 0
+	inc.floorAtOpen = inc.floorMean
+	inc.preRoll = inc.buf[:0]
+	inc.buf = append(getSegBuf(), inc.buf...)
+}
+
 // complete decodes the open segment and resets to idle, reseeding the
 // pre-roll with the trailing quietTail samples (known-quiet context
-// for the next segment).
+// for the next segment) and returning the segment buffer to the pool.
 func (inc *Incremental) complete(quietTail int) SegmentResult {
 	// Exclude most of the known-quiet hold from the decoded span: in
 	// auto symbol-count mode a long noise tail adds spurious windows
@@ -270,8 +291,10 @@ func (inc *Incremental) complete(quietTail int) SegmentResult {
 	if tail > len(inc.buf) {
 		tail = len(inc.buf)
 	}
-	kept := inc.buf[len(inc.buf)-tail:]
-	inc.buf = append(inc.buf[:0], kept...)
+	segBuf := inc.buf
+	inc.buf = append(inc.preRoll, segBuf[len(segBuf)-tail:]...)
+	inc.preRoll = nil
+	putSegBuf(segBuf)
 	inc.active = false
 	inc.activeRun = 0
 	inc.quietRun = 0

@@ -64,6 +64,30 @@ func TestIncrementalSegmentsMultiPassStream(t *testing.T) {
 	}
 }
 
+// TestIncrementalRetainedFollowsState pins the state-dependent memory
+// contract: an idle machine holds exactly one 2×PreRollSamples buffer,
+// an open segment adds a pooled segment buffer, and completing the
+// segment hands that buffer back.
+func TestIncrementalRetainedFollowsState(t *testing.T) {
+	const preRoll = 1000
+	samples := multiPassStream([]string{"10", "0110"}, 1000, 0.2, 90, 12, 10, 3.0, 0.3, 5)
+	inc := NewIncremental(1000, Options{}, IncrementalConfig{PreRollSamples: preRoll})
+	sawSegment, completed := false, 0
+	for lo := 0; lo < len(samples); lo += 64 {
+		completed += len(inc.Feed(samples[lo:min(lo+64, len(samples))]))
+		if inc.Active() {
+			sawSegment = sawSegment || inc.Retained() > 2*preRoll
+			continue
+		}
+		if got := inc.Retained(); got != 2*preRoll {
+			t.Fatalf("idle at sample %d with %d segments done: retains %d samples, want %d", lo, completed, got, 2*preRoll)
+		}
+	}
+	if completed != 2 || !sawSegment {
+		t.Fatalf("completed %d segments (want 2), segment buffer seen: %v", completed, sawSegment)
+	}
+}
+
 // Chunk boundaries must not matter: sample-by-sample, odd chunks and
 // one-shot feeding yield the same segments and payloads.
 func TestIncrementalChunkInvariance(t *testing.T) {

@@ -364,25 +364,18 @@ func MarshalSampleChunk(c SampleChunk) ([]byte, error) {
 	if c.Fs <= 0 {
 		return nil, fmt.Errorf("rxnet: chunk needs a positive sample rate, got %g", c.Fs)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, 4+4+4+8+8+2+8*len(c.Samples)))
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], c.NodeID)
-	buf.Write(u32[:])
-	binary.BigEndian.PutUint32(u32[:], c.StreamID)
-	buf.Write(u32[:])
-	binary.BigEndian.PutUint32(u32[:], c.Seq)
-	buf.Write(u32[:])
-	putF64(buf, c.Fs)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], c.Start)
-	buf.Write(u64[:])
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(len(c.Samples)))
-	buf.Write(u16[:])
-	for _, s := range c.Samples {
-		putF64(buf, s)
+	const fixed = 4 + 4 + 4 + 8 + 8 + 2
+	b := make([]byte, fixed+8*len(c.Samples))
+	binary.BigEndian.PutUint32(b[0:4], c.NodeID)
+	binary.BigEndian.PutUint32(b[4:8], c.StreamID)
+	binary.BigEndian.PutUint32(b[8:12], c.Seq)
+	binary.BigEndian.PutUint64(b[12:20], math.Float64bits(c.Fs))
+	binary.BigEndian.PutUint64(b[20:28], c.Start)
+	binary.BigEndian.PutUint16(b[28:30], uint16(len(c.Samples)))
+	for i, s := range c.Samples {
+		binary.BigEndian.PutUint64(b[fixed+8*i:], math.Float64bits(s))
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // UnmarshalSampleChunk decodes a SampleChunk body.

@@ -2,7 +2,9 @@ package rxnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -311,5 +313,69 @@ func TestMembershipFrameRoundTrips(t *testing.T) {
 	}
 	if _, err := UnmarshalThrottle(nil); err == nil {
 		t.Fatal("empty throttle accepted")
+	}
+}
+
+// referenceSampleChunk is the field-by-field bytes.Buffer encoding of a
+// SampleChunk body, kept as the oracle MarshalSampleChunk's direct
+// encoding must match byte for byte.
+func referenceSampleChunk(c SampleChunk) []byte {
+	var buf bytes.Buffer
+	var u32 [4]byte
+	for _, v := range []uint32{c.NodeID, c.StreamID, c.Seq} {
+		binary.BigEndian.PutUint32(u32[:], v)
+		buf.Write(u32[:])
+	}
+	putF64(&buf, c.Fs)
+	var u64 [8]byte
+	binary.BigEndian.PutUint64(u64[:], c.Start)
+	buf.Write(u64[:])
+	var u16 [2]byte
+	binary.BigEndian.PutUint16(u16[:], uint16(len(c.Samples)))
+	buf.Write(u16[:])
+	for _, s := range c.Samples {
+		putF64(&buf, s)
+	}
+	return buf.Bytes()
+}
+
+func TestMarshalSampleChunkMatchesReference(t *testing.T) {
+	ramp := make([]float64, MaxChunkSamples)
+	for i := range ramp {
+		ramp[i] = float64(i%1024) - 0.5
+	}
+	cases := []struct {
+		name  string
+		chunk SampleChunk
+	}{
+		{"empty", SampleChunk{NodeID: 1, StreamID: 2, Seq: 3, Fs: 1000, Start: 4}},
+		{"one sample", SampleChunk{NodeID: 7, StreamID: 1 << 31, Seq: 1, Fs: 250.5, Start: 1 << 40, Samples: []float64{42}}},
+		{"signed zero and extremes", SampleChunk{NodeID: math.MaxUint32, StreamID: math.MaxUint32, Seq: math.MaxUint32, Fs: math.SmallestNonzeroFloat64, Start: math.MaxUint64,
+			Samples: []float64{math.Copysign(0, -1), -1e300, math.MaxFloat64, math.SmallestNonzeroFloat64, 1023}}},
+		{"full chunk", SampleChunk{NodeID: 3, StreamID: 9, Seq: 77, Fs: 1000, Start: 512, Samples: ramp}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := MarshalSampleChunk(tc.chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceSampleChunk(tc.chunk); !bytes.Equal(got, want) {
+				t.Fatalf("encoding differs from the reference:\n got %x\nwant %x", got, want)
+			}
+			back, err := UnmarshalSampleChunk(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.NodeID != tc.chunk.NodeID || back.StreamID != tc.chunk.StreamID || back.Seq != tc.chunk.Seq ||
+				back.Fs != tc.chunk.Fs || back.Start != tc.chunk.Start || len(back.Samples) != len(tc.chunk.Samples) {
+				t.Fatalf("round trip header %+v, want %+v", back, tc.chunk)
+			}
+			for i, s := range tc.chunk.Samples {
+				if math.Float64bits(back.Samples[i]) != math.Float64bits(s) {
+					t.Fatalf("sample %d round-tripped to %v, want %v", i, back.Samples[i], s)
+				}
+			}
+		})
 	}
 }

@@ -117,25 +117,14 @@ type Decoder struct {
 	errors     int64
 }
 
-// NewDecoder builds a streaming session. The session's retained-sample
-// buffer starts from the recycled-capacity pool, so session churn
-// under a steady load stops hitting the allocator; release() returns
-// it when the engine retires the session.
+// NewDecoder builds a streaming session. Its memory follows its state
+// (see decoder.Incremental): a pre-roll buffer while idle, plus a
+// pooled segment buffer while a segment is open.
 func NewDecoder(cfg Config) (*Decoder, error) {
 	if cfg.Fs <= 0 {
 		return nil, errors.New("stream: config needs a positive sample rate Fs")
 	}
-	d := &Decoder{cfg: cfg, inc: decoder.NewIncremental(cfg.Fs, cfg.Decode, cfg.incremental())}
-	if buf := getSegBuf(); buf != nil {
-		d.inc.AdoptBuf(buf)
-	}
-	return d, nil
-}
-
-// release returns the session's pooled state after its final flush.
-// The decoder must not be fed again afterwards.
-func (d *Decoder) release() {
-	putSegBuf(d.inc.ReleaseBuf())
+	return &Decoder{cfg: cfg, inc: decoder.NewIncremental(cfg.Fs, cfg.Decode, cfg.incremental())}, nil
 }
 
 // Feed consumes one chunk of RSS samples and returns the detections
@@ -199,6 +188,10 @@ func (d *Decoder) convert(segs []decoder.SegmentResult) []Detection {
 // Buffered returns the number of samples currently retained by the
 // session (its memory footprint).
 func (d *Decoder) Buffered() int { return d.inc.Buffered() }
+
+// Retained returns the capacity, in samples, of the buffers the
+// session holds — what Buffered costs in memory.
+func (d *Decoder) Retained() int { return d.inc.Retained() }
 
 // Position returns the number of samples consumed so far.
 func (d *Decoder) Position() int64 { return d.inc.Position() }

@@ -131,13 +131,16 @@ type Stats struct {
 	// BufferedSamples is the current memory footprint across all
 	// session rings and open decode segments, in samples.
 	BufferedSamples int64
+	// RetainedBytes is what holding them costs: the capacity of every
+	// live session's ring array and decoder buffers, in bytes. An idle
+	// session retains its decoder's pre-roll buffer and no ring array.
+	RetainedBytes int64
 }
 
 type session struct {
 	id uint64
 	// sh is the owning shard — the home of the session's share of the
-	// engine counters and of the ring-buffer free-list its buffer
-	// retires to.
+	// engine counters.
 	sh  *shard
 	mu  sync.Mutex
 	rng *ring
@@ -164,9 +167,44 @@ type session struct {
 	// created anchors the session's stream time to the wall clock
 	// (first sample arrived then).
 	created time.Time
-	// buffered mirrors dec.Buffered() for Stats, updated by the claim
-	// owner after each decode step.
-	buffered atomic.Int64
+	// buffered and decRetained mirror dec.Buffered() and dec.Retained()
+	// for Stats and the retained-memory gauge, updated by the claim owner
+	// after each decode step.
+	buffered, decRetained atomic.Int64
+}
+
+// noteDecoder refreshes the decoder mirrors. Only the claim owner calls
+// it.
+func (s *session) noteDecoder() {
+	s.buffered.Store(int64(s.dec.Buffered()))
+	s.decRetained.Store(int64(s.dec.Retained()))
+}
+
+// feedPending hands the session's ring contents to its decoder,
+// returns the ring's array to the pool and publishes the detections.
+// The caller holds a drain claim (scheduled or evicted) and s.mu, which
+// feedPending releases. timed records the decode in the decode-step
+// histogram (worker steps only).
+func (e *Engine) feedPending(s *session, timed bool) {
+	pending, box := s.rng.take()
+	arrival := s.lastFeed
+	s.mu.Unlock()
+	if len(pending) == 0 {
+		putRingBuf(box)
+		return
+	}
+	timed = timed && e.tel != nil
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	dets := s.dec.Feed(pending)
+	if timed {
+		e.tel.decodeStep.Observe(int64(time.Since(t0)))
+	}
+	putRingBuf(box)
+	s.noteDecoder()
+	e.publish(s, dets, arrival)
 }
 
 // unschedule releases the scheduled claim and wakes every goroutine
@@ -208,19 +246,14 @@ type shardStats struct {
 	_                                   [16]byte // pad to 64 bytes
 }
 
-// maxShardFreeBufs bounds each shard's ring-buffer free-list; overflow
-// spills to the global ringBufPool.
-const maxShardFreeBufs = 32
-
 // shard is one independent slice of the engine: its own session
-// table, lock, run queue, counters and ring-buffer free-list, drained
-// by its own workers. Feeders and workers of different shards share
-// nothing but the detection output. The run queue is a slice FIFO
-// under the shard mutex (not a channel pre-sized at MaxSessions — that
-// would multiply idle memory by the shard count); cond wakes the
-// shard's workers on enqueue and on Close. At most one entry exists
-// per session (the scheduled flag), so the FIFO is bounded by the
-// shard's session count.
+// table, lock, run queue and counters, drained by its own workers.
+// Feeders and workers of different shards share nothing but the
+// detection output. The run queue is a slice FIFO under the shard
+// mutex (not a channel pre-sized at MaxSessions — that would multiply
+// idle memory by the shard count); cond wakes the shard's workers on
+// enqueue and on Close. At most one entry exists per session (the
+// scheduled flag), so the FIFO is bounded by the shard's session count.
 type shard struct {
 	mu       sync.Mutex
 	sessions map[uint64]*session
@@ -235,49 +268,6 @@ type shard struct {
 	cond     *sync.Cond // signaled on enqueue; broadcast on Close
 
 	stats shardStats
-
-	// freeMu guards the shard-local ring-buffer free-list, the fast
-	// front of the sync.Pool hybrid: session churn inside one shard
-	// recycles buffers without even the pool's CAS traffic, and the
-	// global pool catches cross-shard and cross-engine reuse. Lock
-	// order: sh.mu may be held when freeMu is taken, never the
-	// reverse.
-	freeMu   sync.Mutex
-	freeBufs [][]float64
-}
-
-// getRingBuf pops a recycled ring backing array: shard free-list
-// first, then the global pool. nil means allocate lazily.
-func (sh *shard) getRingBuf() []float64 {
-	sh.freeMu.Lock()
-	if n := len(sh.freeBufs); n > 0 {
-		b := sh.freeBufs[n-1]
-		sh.freeBufs[n-1] = nil
-		sh.freeBufs = sh.freeBufs[:n-1]
-		sh.freeMu.Unlock()
-		return b
-	}
-	sh.freeMu.Unlock()
-	if v := ringBufPool.Get(); v != nil {
-		return *(v.(*[]float64))
-	}
-	return nil
-}
-
-// recycleRingBuf returns a retired session's ring backing array to the
-// free-list (or the global pool when the list is full).
-func (sh *shard) recycleRingBuf(buf []float64) {
-	if cap(buf) == 0 {
-		return
-	}
-	sh.freeMu.Lock()
-	if len(sh.freeBufs) < maxShardFreeBufs {
-		sh.freeBufs = append(sh.freeBufs, buf)
-		sh.freeMu.Unlock()
-		return
-	}
-	sh.freeMu.Unlock()
-	ringBufPool.Put(&buf)
 }
 
 // enqueue appends a scheduled session and wakes one worker.
@@ -454,8 +444,12 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) *engineTelemetry {
 		return float64(len(e.shards))
 	})
 	reg.GaugeFunc("pl_engine_buffered_samples", "ring-buffer plus open-segment occupancy in samples", func() float64 {
-		_, samples := e.bufferedSamples()
+		_, samples, _ := e.footprint()
 		return float64(samples)
+	})
+	reg.GaugeFunc("pl_engine_retained_bytes", "ring plus decoder buffer capacity held by live sessions, in bytes", func() float64 {
+		_, _, retained := e.footprint()
+		return float64(retained)
 	})
 	reg.GaugeFunc("pl_engine_occupancy", "queue fill fraction (0 idle .. 1 saturated), the backpressure signal", e.Occupancy)
 	return &engineTelemetry{
@@ -526,13 +520,12 @@ func (e *Engine) feedChunk(id uint64, fs float64, chunk []float64, tag uint64, w
 			continue
 		}
 		if wait && s.rng.len()+len(chunk) > s.rng.capacity() {
-			// Backpressure: the ring holds earlier sub-chunks a
-			// worker has not copied out yet. The content's wake is
-			// already queued (scheduled), so a worker will free the
-			// space; closing the engine surfaces via the session
-			// lookup on the next retry.
-			s.mu.Unlock()
-			time.Sleep(time.Millisecond)
+			// Backpressure: the ring holds earlier sub-chunks that
+			// the claim holder (a worker or a drainNow) has not taken
+			// yet. Wait for it to let go of the session, which it
+			// does only once the ring is empty; closing the engine
+			// surfaces via the session lookup on the next retry.
+			s.waitRelease(e.closed)
 			continue
 		}
 		dropped := s.rng.push(chunk)
@@ -585,7 +578,7 @@ func (e *Engine) session(sh *shard, id uint64, fs float64) (*session, error) {
 	s := &session{
 		id:       id,
 		sh:       sh,
-		rng:      newRingWith(e.cfg.QueueSamples, sh.getRingBuf()),
+		rng:      newRing(e.cfg.QueueSamples),
 		dec:      dec,
 		lastFeed: now,
 		created:  now,
@@ -594,12 +587,11 @@ func (e *Engine) session(sh *shard, id uint64, fs float64) (*session, error) {
 	return s, nil
 }
 
-// worker drains scheduled sessions of one shard: pull everything from
+// worker drains scheduled sessions of one shard: take everything from
 // the ring, run the decode state machine, publish detections, repeat
 // until the ring is empty.
 func (e *Engine) worker(sh *shard) {
 	defer e.wg.Done()
-	var scratch []float64
 	for {
 		s, ok := sh.dequeue()
 		if !ok {
@@ -607,24 +599,12 @@ func (e *Engine) worker(sh *shard) {
 		}
 		for {
 			s.mu.Lock()
-			scratch = s.rng.drain(scratch[:0])
-			arrival := s.lastFeed
-			if len(scratch) == 0 {
+			if s.rng.len() == 0 {
 				s.unschedule()
 				s.mu.Unlock()
 				break
 			}
-			s.mu.Unlock()
-			var t0 time.Time
-			if e.tel != nil {
-				t0 = time.Now()
-			}
-			dets := s.dec.Feed(scratch)
-			if e.tel != nil {
-				e.tel.decodeStep.Observe(int64(time.Since(t0)))
-			}
-			s.buffered.Store(int64(s.dec.Buffered()))
-			e.publish(s, dets, arrival)
+			e.feedPending(s, true)
 		}
 	}
 }
@@ -785,15 +765,10 @@ func (e *Engine) drainNow(s *session) {
 			continue
 		}
 		s.scheduled = true
-		pending := s.rng.drain(getSegBuf())
 		arrival := s.lastFeed
-		s.mu.Unlock()
-		if len(pending) > 0 {
-			e.publish(s, s.dec.Feed(pending), arrival)
-		}
-		putSegBuf(pending)
+		e.feedPending(s, false)
 		dets := s.dec.Flush()
-		s.buffered.Store(int64(s.dec.Buffered()))
+		s.noteDecoder()
 		e.publish(s, dets, arrival)
 		s.mu.Lock()
 		done := s.rng.len() == 0
@@ -846,31 +821,24 @@ func (e *Engine) EndSession(id uint64) error {
 		s.waitRelease(e.closed)
 	}
 	s.mu.Lock()
-	pending := s.rng.drain(getSegBuf())
 	arrival := s.lastFeed
-	s.mu.Unlock()
-	if len(pending) > 0 {
-		e.publish(s, s.dec.Feed(pending), arrival)
-	}
-	putSegBuf(pending)
+	e.feedPending(s, false)
 	e.publish(s, s.dec.Flush(), arrival)
 	e.sessionEnded(s, "end")
 	return nil
 }
 
 // sessionEnded fires the release hook for a terminally-claimed
-// session whose final flush has published, then recycles the session's
-// pooled state (ring backing array to the shard free-list, decoder
-// segment buffer to the global pool). Safe without s.mu: the terminal
-// claim was taken under s.mu, so every other goroutine that could
-// touch the ring or decoder has either finished or will observe
-// evicted first and back off.
+// session whose final flush has published. The session holds no pooled
+// state by then: the final drain returned its ring array and the flush
+// its decoder segment buffer. Safe without s.mu: the terminal claim was
+// taken under s.mu, so every other goroutine that could touch the
+// decoder has either finished or will observe evicted first and back
+// off.
 func (e *Engine) sessionEnded(s *session, reason string) {
 	if e.cfg.OnSessionEnd != nil {
 		e.cfg.OnSessionEnd(s.id, s.dec.Stats(), reason, s.tag)
 	}
-	s.sh.recycleRingBuf(s.rng.release())
-	s.dec.release()
 }
 
 // Batches is the engine's native output: every channel receive
@@ -917,7 +885,7 @@ func (e *Engine) Detections() <-chan Detection {
 // samples or detection batches. This is the signal cluster
 // backpressure keys off (NetSource.AutoThrottle).
 func (e *Engine) Occupancy() float64 {
-	sessions, samples := e.bufferedSamples()
+	sessions, samples, _ := e.footprint()
 	var ring float64
 	if capacity := int64(sessions) * int64(e.cfg.QueueSamples); capacity > 0 {
 		ring = float64(samples) / float64(capacity)
@@ -932,25 +900,27 @@ func (e *Engine) Occupancy() float64 {
 	return ring
 }
 
-// bufferedSamples walks the session tables and sums ring occupancy
-// plus open decode segments — shared by Stats and the
-// pl_engine_buffered_samples gauge. Sessions are visited in place
-// under their shard lock (the same sh.mu → s.mu nesting the janitor
-// uses), so polling it — AutoThrottle does, several times a second —
-// allocates nothing.
-func (e *Engine) bufferedSamples() (sessions int, samples int64) {
+// footprint walks the session tables and sums ring occupancy plus
+// open decode segments (samples), and the ring and decoder buffer
+// capacity that holds them (retained, in bytes) — shared by Stats and
+// the pl_engine_buffered_samples and pl_engine_retained_bytes gauges.
+// Sessions are visited in place under their shard lock (the same
+// sh.mu → s.mu nesting the janitor uses), so polling it — AutoThrottle
+// does, several times a second — allocates nothing.
+func (e *Engine) footprint() (sessions int, samples, retained int64) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		sessions += len(sh.sessions)
 		for _, s := range sh.sessions {
 			s.mu.Lock()
-			pending := s.rng.len()
+			pending, ringCap := s.rng.len(), s.rng.retained()
 			s.mu.Unlock()
 			samples += int64(pending) + s.buffered.Load()
+			retained += 8 * (int64(ringCap) + s.decRetained.Load())
 		}
 		sh.mu.Unlock()
 	}
-	return sessions, samples
+	return sessions, samples, retained
 }
 
 // Stats returns an operational snapshot, folding the shard-local
@@ -969,7 +939,7 @@ func (e *Engine) Stats() Stats {
 		st.DroppedDetections += ss.droppedDets.Load()
 		st.Evicted += ss.evicts.Load()
 	}
-	st.Sessions, st.BufferedSamples = e.bufferedSamples()
+	st.Sessions, st.BufferedSamples, st.RetainedBytes = e.footprint()
 	e.rateMu.Lock()
 	now := time.Now()
 	if dt := now.Sub(e.rateTime).Seconds(); dt > 0 {
@@ -1029,13 +999,8 @@ func (e *Engine) Close() {
 			// error instead of feeding a dead ring), then drain.
 			s.mu.Lock()
 			s.evicted = true
-			pending := s.rng.drain(getSegBuf())
 			arrival := s.lastFeed
-			s.mu.Unlock()
-			if len(pending) > 0 {
-				e.publish(s, s.dec.Feed(pending), arrival)
-			}
-			putSegBuf(pending)
+			e.feedPending(s, false)
 			e.publish(s, s.dec.Flush(), arrival)
 			e.sessionEnded(s, "close")
 		}

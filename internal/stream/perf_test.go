@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"passivelight/internal/decoder"
 )
 
 // engineSteadyStateAllocCeiling is the committed allocs-per-run bound
@@ -203,50 +205,191 @@ func TestEngineShardHammer(t *testing.T) {
 	t.Logf("hammer: %d samples, %d evictions", st.SamplesIn, st.Evicted)
 }
 
-// TestEngineSessionStateRecycled pins the pooling behavior: a session
-// ended and recreated on the same shard reuses the retired ring
-// buffer via the shard free-list instead of allocating a fresh one.
+// TestEngineSessionStateRecycled pins the pooled-state contract: a
+// drained or ended session holds no ring array, and the arrays drained
+// sessions hand back serve the sessions that follow instead of fresh
+// allocations.
 func TestEngineSessionStateRecycled(t *testing.T) {
+	// One P, so the worker's pool puts and this goroutine's gets share
+	// one per-P pool cache.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const queue = 1 << 15
 	e, err := NewEngine(EngineConfig{
 		Session:      Config{Fs: 1000},
 		Workers:      1,
 		Shards:       1,
-		QueueSamples: 2048,
+		QueueSamples: queue,
 		IdleTimeout:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	chunk := make([]float64, 1024)
+	chunk := make([]float64, queue)
 	for i := range chunk {
 		chunk[i] = 10
 	}
-	if err := e.Feed(1, 0, chunk); err != nil {
+	holdsRing := func(s *session) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.rng.buf != nil || s.rng.box != nil
+	}
+	cycle := func(id uint64) {
+		if err := e.Feed(id, 0, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.FlushSession(id); err != nil {
+			t.Fatal(err)
+		}
+		e.shards[0].mu.Lock()
+		s := e.shards[0].sessions[id]
+		e.shards[0].mu.Unlock()
+		if holdsRing(s) {
+			t.Fatalf("session %d still holds a ring array after FlushSession drained it", id)
+		}
+		if err := e.EndSession(id); err != nil {
+			t.Fatal(err)
+		}
+		if holdsRing(s) {
+			t.Fatalf("ended session %d holds a ring array", id)
+		}
+	}
+	for id := uint64(1); id <= 3; id++ {
+		cycle(id) // warm the pools
+	}
+	const cycles = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := uint64(100); id < 100+cycles; id++ {
+		cycle(id)
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	// Each new session still allocates its decoder's pre-roll buffer
+	// (2×1000 samples, 16 KB); a fresh ring array would add 256 KB.
+	// Half the array leaves room for the race detector, whose sync.Pool
+	// drops a quarter of all puts on purpose.
+	if arrayBytes := uint64(8 * queue); perCycle >= arrayBytes/2 {
+		t.Fatalf("each session cycle allocates %d B; the %d B ring array is not reused from the pool", perCycle, arrayBytes)
+	}
+}
+
+// TestEngineIdleSessionsHoldPreRollOnly is the per-session memory
+// bound: once every session has decoded its pass and sits in its
+// ambient tail, it holds no ring array and at most 2×PreRollSamples of
+// decoder buffer capacity, whatever its segment grew to.
+func TestEngineIdleSessionsHoldPreRollOnly(t *testing.T) {
+	const (
+		sessions = 16
+		preRoll  = 1000 // PreRollSec 1 at 1 kHz
+		chunk    = 512
+	)
+	e, err := NewEngine(EngineConfig{
+		Session:     Config{Fs: 1000, PreRollSec: 1, Decode: decoder.Options{ExpectedSymbols: 12}},
+		Workers:     2,
+		IdleTimeout: -1,
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer e.Close()
+	decoded := make(chan struct{}, sessions)
+	go func() {
+		for det := range e.Detections() {
+			if det.Err == nil {
+				decoded <- struct{}{}
+			}
+		}
+	}()
+	// A quiet lead-in, one pass and a 2.5 s ambient tail: the tail
+	// outlasts the 1.5 s quiet hold, so every segment completes on the
+	// worker while the session stays live.
+	for id := uint64(1); id <= sessions; id++ {
+		trace := sessionStream([]string{"1001"}, 1000, 0.2, 2.5, 0.3, int64(id))
+		for lo := 0; lo < len(trace); lo += chunk {
+			if err := e.Feed(id, 0, trace[lo:min(lo+chunk, len(trace))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < sessions; i++ {
+		select {
+		case <-decoded:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d sessions decoded", i, sessions)
+		}
+	}
+	// Wait for the workers to finish the tails, then inspect each
+	// session under its lock with no claim outstanding.
+	deadline := time.Now().Add(5 * time.Second)
+	for id := uint64(1); id <= sessions; id++ {
+		sh := e.shardOf(id)
+		sh.mu.Lock()
+		s := sh.sessions[id]
+		sh.mu.Unlock()
+		for {
+			s.mu.Lock()
+			if !s.scheduled && s.rng.len() == 0 {
+				break
+			}
+			s.mu.Unlock()
+			if time.Now().After(deadline) {
+				t.Fatalf("session %d never went idle", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		ringCap, decCap := s.rng.retained(), s.dec.Retained()
+		s.mu.Unlock()
+		if ringCap != 0 {
+			t.Errorf("idle session %d holds a %d-sample ring array", id, ringCap)
+		}
+		if decCap > 2*preRoll {
+			t.Errorf("idle session %d holds %d samples of decoder buffers, bound %d", id, decCap, 2*preRoll)
+		}
+	}
+	if st, bound := e.Stats(), int64(sessions*2*preRoll*8); st.RetainedBytes > bound {
+		t.Errorf("engine retains %d B across idle sessions, bound %d B", st.RetainedBytes, bound)
+	}
+}
+
+// TestEngineOversizedFeedWakesOnRelease pins Feed's backpressure: a
+// feed many times QueueSamples long waits for the worker to release
+// the session at each refill instead of sleep-polling, so it finishes
+// well inside the old 1 ms-per-refill floor.
+func TestEngineOversizedFeedWakesOnRelease(t *testing.T) {
+	const (
+		queue   = 256
+		refills = 1000
+	)
+	e, err := NewEngine(EngineConfig{
+		Session:      Config{Fs: 1000},
+		Workers:      1,
+		QueueSamples: queue,
+		IdleTimeout:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	quiet := make([]float64, queue*refills)
+	for i := range quiet {
+		quiet[i] = 10
+	}
+	start := time.Now()
+	if err := e.Feed(1, 0, quiet); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if floor := refills * time.Millisecond; elapsed >= floor/2 {
+		t.Fatalf("feeding %d ring refills took %v, at the sleep-poll floor of %v", refills, elapsed, floor)
 	}
 	if err := e.FlushSession(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EndSession(1); err != nil {
-		t.Fatal(err)
+	if st := e.Stats(); st.SamplesIn != int64(len(quiet)) || st.DroppedSamples != 0 {
+		t.Fatalf("accepted %d of %d samples, dropped %d", st.SamplesIn, len(quiet), st.DroppedSamples)
 	}
-	sh := e.shards[0]
-	sh.freeMu.Lock()
-	free := len(sh.freeBufs)
-	sh.freeMu.Unlock()
-	if free != 1 {
-		t.Fatalf("ended session left %d buffers on the shard free-list, want 1", free)
-	}
-	if err := e.Feed(2, 0, chunk); err != nil {
-		t.Fatal(err)
-	}
-	sh.freeMu.Lock()
-	free = len(sh.freeBufs)
-	sh.freeMu.Unlock()
-	if free != 0 {
-		t.Fatalf("recreated session did not take the free-list buffer (%d left)", free)
-	}
+	t.Logf("%d refills in %v", refills, elapsed)
 }
 
 // TestRingLazyGrowth pins the lazy-allocation contract: a fresh ring
@@ -270,7 +413,7 @@ func TestRingLazyGrowth(t *testing.T) {
 	if len(r.buf) > 1<<15 {
 		t.Fatalf("backing store %d exceeds bound %d", len(r.buf), 1<<15)
 	}
-	out := r.drain(nil)
+	out := ringContents(r)
 	if len(out) != 5100 {
 		t.Fatalf("drained %d", len(out))
 	}
@@ -280,7 +423,7 @@ func TestRingLazyGrowth(t *testing.T) {
 	if d := small.push([]float64{7, 8, 9, 10}); d != 2 {
 		t.Fatalf("dropped %d at bound, want 2", d)
 	}
-	got := small.drain(nil)
+	got := ringContents(small)
 	want := []float64{3, 4, 5, 6, 7, 8, 9, 10}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %v, want %v", got, want)

@@ -2,33 +2,13 @@ package stream
 
 import "sync"
 
-// Pools for the per-session state that session churn would otherwise
-// re-allocate on every create/evict cycle: decoder segment buffers,
-// ring backing arrays (ring.go) and detection batches. All are global
-// sync.Pools so the capacity survives engine restarts too (a pipeline
-// that tears one engine down and builds the next starts warm); the
-// ring path additionally fronts the pool with a per-shard free-list.
-
-// segBufPool recycles decoder retained-sample buffers (the pre-roll /
-// open-segment tail each session's Incremental grows). These reach the
-// open segment's full size under load, so reusing them removes the
-// second-largest allocation source of a busy engine.
-var segBufPool = sync.Pool{}
-
-func getSegBuf() []float64 {
-	if v := segBufPool.Get(); v != nil {
-		return (*(v.(*[]float64)))[:0]
-	}
-	return nil
-}
-
-func putSegBuf(buf []float64) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:0]
-	segBufPool.Put(&buf)
-}
+// The engine pools what a session holds only while it is busy, so an
+// idle session keeps none of it: ring backing arrays (ringBufPool,
+// ring.go) while samples wait to be decoded, decoder segment buffers
+// (decoder.Incremental) while a segment is open, and detection batches
+// here. All are global sync.Pools, so the capacity survives engine
+// restarts too (a pipeline that tears one engine down and builds the
+// next starts warm).
 
 // batchPool recycles detection batch slices. One batch is allocated
 // per decode step that produced detections, handed to the consumer

@@ -1,45 +1,63 @@
 package stream
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // ring is a bounded FIFO of RSS samples with drop-oldest overflow: a
 // session that falls behind loses its oldest samples (a stale pass)
 // rather than growing without bound or stalling the network reader.
 //
-// The backing buffer is allocated lazily and grown geometrically up to
-// the configured bound, so an idle or well-drained session costs a few
-// KB instead of the full QueueSamples capacity (32768 samples would be
-// 256 KB per session). Drop-oldest semantics only engage once the
-// buffer has reached the bound, so the observable push/drain behavior
-// is identical to a fully pre-allocated ring.
+// A ring holds a backing array only while it has undrained samples:
+// the first push takes one from ringBufPool (or allocates it) and take
+// hands it to the draining goroutine, which returns it to the pool once
+// decoded. Idle sessions — the long quiet tail after each pass — thus
+// hold no ring memory at all. The array is sized lazily and grown
+// geometrically up to the configured bound, so a lightly fed session
+// costs a few KB rather than the full QueueSamples capacity (32768
+// samples would be 256 KB). Drop-oldest semantics only engage once the
+// array has reached the bound, so the observable push/take behavior is
+// identical to a fully pre-allocated ring.
 type ring struct {
-	buf  []float64
+	buf []float64
+	// box is ringBufPool's handle on buf's array. It travels with the
+	// array, so returning the array to the pool allocates nothing.
+	box  *[]float64
 	head int // index of the oldest sample
 	size int
 	max  int // capacity bound (drop-oldest engages here)
 }
 
 // ringBufPool recycles ring backing arrays across sessions and across
-// engines; shards additionally keep a small free-list in front of it
-// (see shard.getRingBuf) so same-shard session churn never touches the
-// pool's CAS either.
+// engines. Entries are *[]float64 boxes holding the full array.
 var ringBufPool = sync.Pool{}
+
+// getRingBuf returns a pooled array of at least n samples, or a fresh
+// one. A pooled array too small for n goes back for a smaller ring
+// rather than being dropped.
+func getRingBuf(n int) *[]float64 {
+	if v := ringBufPool.Get(); v != nil {
+		box := v.(*[]float64)
+		if cap(*box) >= n {
+			return box
+		}
+		ringBufPool.Put(box)
+	}
+	buf := make([]float64, n)
+	return &buf
+}
+
+// putRingBuf returns an array obtained from take to the pool; a nil box
+// (an empty ring had nothing to hand over) is ignored.
+func putRingBuf(box *[]float64) {
+	if box != nil {
+		ringBufPool.Put(box)
+	}
+}
 
 func newRing(capacity int) *ring {
 	return &ring{max: capacity}
-}
-
-// newRingWith seeds the ring with a recycled backing array (clamped to
-// the capacity bound); recycled == nil is a plain lazy ring.
-func newRingWith(capacity int, recycled []float64) *ring {
-	r := &ring{max: capacity}
-	if n := cap(recycled); n > 0 {
-		if n > capacity {
-			n = capacity
-		}
-		r.buf = recycled[:n]
-	}
-	return r
 }
 
 func (r *ring) len() int { return r.size }
@@ -48,15 +66,9 @@ func (r *ring) len() int { return r.size }
 // store has been materialized so far.
 func (r *ring) capacity() int { return r.max }
 
-// release surrenders the backing array for reuse by another session.
-// Only the terminal claim holder may call it.
-func (r *ring) release() []float64 {
-	buf := r.buf
-	r.buf = nil
-	r.head = 0
-	r.size = 0
-	return buf
-}
+// retained is the capacity of the backing array the ring holds now, in
+// samples (zero once drained).
+func (r *ring) retained() int { return cap(r.buf) }
 
 // grow materializes backing store for at least need samples (clamped
 // to the bound), linearizing the contents so head restarts at 0.
@@ -71,20 +83,19 @@ func (r *ring) grow(need int) {
 	if newCap > r.max {
 		newCap = r.max
 	}
-	var buf []float64
-	if v := ringBufPool.Get(); v != nil {
-		if b := *(v.(*[]float64)); cap(b) >= newCap {
-			buf = b[:newCap]
-		}
+	if newCap <= cap(r.buf) && r.head+r.size <= len(r.buf) {
+		// The array has room and the contents do not wrap: extend it.
+		r.buf = r.buf[:newCap]
+		return
 	}
-	if buf == nil {
-		buf = make([]float64, newCap)
-	}
+	box := getRingBuf(newCap)
+	buf := (*box)[:newCap]
 	n := copy(buf, r.buf[r.head:r.head+min(r.size, len(r.buf)-r.head)])
 	if n < r.size {
 		copy(buf[n:], r.buf[:r.size-n])
 	}
-	r.buf = buf
+	putRingBuf(r.box)
+	r.buf, r.box = buf, box
 	r.head = 0
 }
 
@@ -115,18 +126,21 @@ func (r *ring) push(chunk []float64) (dropped int) {
 	return dropped
 }
 
-// drain appends the ring's entire contents to dst and empties it.
-func (r *ring) drain(dst []float64) []float64 {
-	c := len(r.buf)
-	first := r.head + r.size
-	if first > c {
-		first = c
+// take empties the ring and hands its contents, in stream order, to the
+// caller together with the backing array's pool box; the ring holds no
+// array afterwards. The caller reads samples outside the session lock
+// and then returns the array with putRingBuf. An empty ring returns
+// nil, nil.
+func (r *ring) take() (samples []float64, box *[]float64) {
+	if r.head+r.size > len(r.buf) {
+		// Drop-oldest wrapped the contents: rotate them to the front.
+		slices.Reverse(r.buf[:r.head])
+		slices.Reverse(r.buf[r.head:])
+		slices.Reverse(r.buf)
+		r.head = 0
 	}
-	dst = append(dst, r.buf[r.head:first]...)
-	if wrapped := r.head + r.size - c; wrapped > 0 {
-		dst = append(dst, r.buf[:wrapped]...)
-	}
-	r.head = 0
-	r.size = 0
-	return dst
+	samples, box = r.buf[r.head:r.head+r.size], r.box
+	r.buf, r.box = nil, nil
+	r.head, r.size = 0, 0
+	return samples, box
 }

@@ -4,7 +4,14 @@ import (
 	"testing"
 )
 
-func ringContents(r *ring) []float64 { return append([]float64(nil), r.drain(nil)...) }
+// ringContents takes the ring's samples, copies them out and returns
+// the backing array to the pool, as the engine's drain sites do.
+func ringContents(r *ring) []float64 {
+	samples, box := r.take()
+	out := append([]float64(nil), samples...)
+	putRingBuf(box)
+	return out
+}
 
 func TestRingPushDrain(t *testing.T) {
 	r := newRing(8)
@@ -16,16 +23,16 @@ func TestRingPushDrain(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("drain %v", got)
 	}
-	if r.len() != 0 {
-		t.Fatal("drain should empty the ring")
+	if r.len() != 0 || r.buf != nil {
+		t.Fatal("take should empty the ring and hand over its array")
 	}
 }
 
 func TestRingWraparound(t *testing.T) {
 	r := newRing(8)
 	r.push([]float64{1, 2, 3, 4, 5, 6})
-	r.drain(nil)
-	// head is reset by drain; force wrap with two pushes
+	ringContents(r)
+	// head is reset by take; force wrap with two pushes
 	r.push([]float64{1, 2, 3, 4, 5})
 	if d := r.push([]float64{6, 7, 8, 9, 10}); d != 2 {
 		t.Fatalf("dropped %d, want 2", d)
