@@ -457,7 +457,7 @@ func engineBenchRun(b *testing.B, sessions, shards int) {
 				if hi > len(s) {
 					hi = len(s)
 				}
-				if err := eng.Feed(sid, 0, s[lo:hi]); err != nil {
+				if err := eng.FeedTagged(sid, 0, s[lo:hi], 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -544,7 +544,7 @@ func BenchmarkEngineFeedParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		id := nextID.Add(1)
 		for pb.Next() {
-			if err := eng.Feed(id, 0, chunk); err != nil {
+			if err := eng.FeedTagged(id, 0, chunk, 0); err != nil {
 				b.Error(err)
 				return
 			}

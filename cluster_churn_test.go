@@ -121,7 +121,7 @@ func streamZeros(node *rxnet.Node, stream uint32, n int) error {
 // fleet purely from EngineHello auto-joins, survives three
 // kill/rejoin cycles (one graceful drain, two hard crashes with
 // dead-engine eviction) under a 128-session paced load with zero
-// packet loss and no operator Rebalance, propagates engine
+// packet loss and no operator action, propagates engine
 // backpressure out to a shedding edge node, rides out injected
 // connection faults, and keeps every loss counted and every
 // membership change visible in pl_cluster_* telemetry.

@@ -162,8 +162,9 @@ func waitDecoded(t *testing.T, what string, want int64, engines ...*clusterEngin
 // cluster tier: the 128-session fleet load replayed over real sockets
 // against a 2-engine cluster loses no packets through a full rolling
 // restart — drain engine A mid-phase, hand a pinned straggler off
-// explicitly, take A down, run against B alone, rejoin a restarted A
-// — with the handoffs visible in the router's pl_cluster_* metrics.
+// explicitly, take A down, run against B alone, and let A restart on a
+// fresh address and rejoin under its ID through cluster.Join — with
+// the handoffs visible in the router's pl_cluster_* metrics.
 func TestClusterRollingRestartZeroLoss(t *testing.T) {
 	load, err := scenario.GetLoad("fleet-load")
 	if err != nil {
@@ -185,7 +186,7 @@ func TestClusterRollingRestartZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := cluster.NewRouter(cluster.RouterConfig{Ring: ring, Metrics: reg, Logf: t.Logf})
+	router, err := cluster.NewRouter(cluster.RouterConfig{Ring: ring, AutoAdmit: true, Metrics: reg, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,18 +250,23 @@ func TestClusterRollingRestartZeroLoss(t *testing.T) {
 	// phase 2's packets without caring how phase 1 split across a/b.
 	waitDecoded(t, "phase 2 (A down)", int64(64+len(phase2)), a, b)
 
-	// Phase 3: a restarted A rejoins on a fresh address via Rebalance;
-	// new sessions spread across both engines again.
-	a2 := startClusterEngine(t, "engine-a2")
-	ring2, err := cluster.NewRing(0,
-		cluster.Member{ID: "engine-a2", Addr: a2.src.Addr()},
-		cluster.Member{ID: "engine-b", Addr: b.src.Addr()},
-	)
+	// Phase 3: A restarts under the same ID on a fresh address and
+	// rejoins as the runbook does it: its join hello refreshes the
+	// ring address in place, and new sessions spread across both
+	// engines again.
+	a2 := startClusterEngine(t, "engine-a")
+	epoch := router.Stats().Epoch
+	stopJoin, err := cluster.Join(context.Background(), addr, "engine-a", a2.src.Addr(), cluster.JoinConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := router.Rebalance(ring2, false); err != nil {
-		t.Fatal(err)
+	defer stopJoin()
+	rejoin := time.Now().Add(10 * time.Second)
+	for router.Stats().Epoch == epoch {
+		if time.Now().After(rejoin) {
+			t.Fatal("router never admitted the restarted engine's new address")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	phase3 := specs[96:]
 	replayClusterPhase(t, addr, phase3, 96)

@@ -129,7 +129,7 @@ func TestClusterChurnMultiProcess(t *testing.T) {
 	}
 
 	// The same identity comes back on a fresh port and re-admits itself
-	// mid-replay — no operator Rebalance anywhere in this test.
+	// mid-replay — no operator action anywhere in this test.
 	engAddr["engine-a2"] = freePort(t)
 	obsAddr["engine-a2"] = freePort(t)
 	engA2 := startProc(t, bin, "engine-a2", engineArgs("engine-a", engAddr["engine-a2"], obsAddr["engine-a2"])...)

@@ -586,7 +586,7 @@ func (o *obs) registry() *passivelight.Telemetry {
 
 // serve starts the metrics endpoint once the pipeline and source
 // exist, wiring two /healthz checks: "drops" degrades when any drop
-// counter (engine samples/detections/flattened, listener chunks) grew
+// counter (engine samples/detections, listener chunks) grew
 // since the previous probe, and "sessions" degrades when the session
 // table is full. hooks add mode-specific checks (e.g. the engine
 // mode's "draining" state).
@@ -601,7 +601,7 @@ func (o *obs) serve(pipe *passivelight.Pipeline, src *passivelight.NetSource, ho
 	var lastDrops atomic.Int64
 	health.AddCheck("drops", func() (bool, string) {
 		st := pipe.Stats()
-		total := st.DroppedSamples + st.DroppedDetections + st.DroppedFlattened + src.DroppedChunks()
+		total := st.DroppedSamples + st.DroppedDetections + src.DroppedChunks()
 		prev := lastDrops.Swap(total)
 		if total > prev {
 			return false, fmt.Sprintf("%d dropped (+%d since last probe)", total, total-prev)

@@ -198,7 +198,7 @@
 // delay, duplicate, mid-frame sever, scripted kill/restart schedules)
 // for the churn tier that locks all of this down: an auto-assembled
 // fleet through three kill/rejoin cycles under paced load, zero loss,
-// no operator Rebalance.
+// no operator action.
 //
 // The routing tier itself is replicated — a router is not a single
 // point of failure. Routers name each other as peers

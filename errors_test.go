@@ -46,15 +46,12 @@ func TestSentinelErrorsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FlushSession(42); !errors.Is(err, ErrSessionEvicted) {
-		t.Fatalf("FlushSession(42): %v, want ErrSessionEvicted", err)
-	}
 	if err := eng.EndSession(42); !errors.Is(err, ErrSessionEvicted) {
 		t.Fatalf("EndSession(42): %v, want ErrSessionEvicted", err)
 	}
 	eng.Close()
-	if err := eng.Feed(1, 0, []float64{1, 2, 3}); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Feed after Close: %v, want ErrEngineClosed", err)
+	if err := eng.FeedTagged(1, 0, []float64{1, 2, 3}, 0); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("FeedTagged after Close: %v, want ErrEngineClosed", err)
 	}
 }
 

@@ -213,7 +213,8 @@ func TestPassWindow(t *testing.T) {
 }
 
 func TestStrayCouplingSetsPedestal(t *testing.T) {
-	sc := scene.New(optics.Sun{Lux: 1000}).WithGround(material.DarkCloth)
+	sc := scene.New(optics.Sun{Lux: 1000})
+	sc.Ground = material.DarkCloth
 	withStray := Receiver{Height: 0.5, FoVHalfAngleDeg: 10, StrayCoupling: 0.3, CollectionEfficiency: 0.5}
 	noStray := Receiver{Height: 0.5, FoVHalfAngleDeg: 10, StrayCoupling: -1, CollectionEfficiency: 0.5}
 	// StrayCoupling < 0 is invalid; emulate "no stray" with a tiny

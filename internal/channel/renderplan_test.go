@@ -23,7 +23,7 @@ func planScenes(t *testing.T) map[string]*scene.Scene {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tag.MustNew(pkt, tag.Config{SymbolWidth: w})
+		return mustTagOf(t, pkt, tag.Config{SymbolWidth: w})
 	}
 	tagObj := func(tg *tag.Tag, start, speed, share float64) *scene.Object {
 		obj, err := scene.NewTagObject("tag", tg, scene.ConstantSpeed{Start: start, Speed: speed}, share)
@@ -34,7 +34,7 @@ func planScenes(t *testing.T) map[string]*scene.Scene {
 	}
 	out := map[string]*scene.Scene{}
 
-	lamp := optics.LampForLux(0, 0.2, 900, 30)
+	lamp := lampForLux(0, 0.2, 900, 30)
 	out["lamp+tag"] = scene.New(lamp, tagObj(mustTag("10", 0.03), -0.2, 0.08, 1.0))
 
 	ceiling := optics.CeilingLight{Lux: 300, RippleDepth: 0.12, MainsHz: 50, Harmonics: []float64{0.25}}
@@ -72,7 +72,7 @@ func outdoorScene(tb testing.TB, payload string) (*scene.Scene, float64) {
 	model := scene.VolvoV40()
 	const speed = 5.0
 	start := -(1 + outdoorReceiver.FootprintRadius())
-	car, err := scene.NewTaggedCarObject(model, tag.MustNew(pkt, tag.Config{SymbolWidth: 0.10}), scene.ConstantSpeed{Start: start, Speed: speed})
+	car, err := scene.NewTaggedCarObject(model, mustTagOf(tb, pkt, tag.Config{SymbolWidth: 0.10}), scene.ConstantSpeed{Start: start, Speed: speed})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 		symbols := float64(coding.PreambleLen + 2*len(bits))
 		w := min(d.in(0.005, 0.125, 1000), math.Floor(0.99*maxLen/symbols*1000)/1000)
 		hi, lo := mats[d.Intn(len(mats))], mats[d.Intn(len(mats))]
-		return tag.MustNew(pkt, tag.Config{SymbolWidth: w, HighMat: &hi, LowMat: &lo})
+		return mustTagOf(t, pkt, tag.Config{SymbolWidth: w, HighMat: &hi, LowMat: &lo})
 	}
 	rad := r.FootprintRadius()
 	offsets, _ := r.withDefaults().Kernel()
@@ -241,7 +241,7 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 	var src optics.Source
 	switch d.Intn(3) {
 	case 0: // steady
-		src = optics.LampForLux(r.X+d.Float64()*0.4-0.2, 0.3+d.Float64(), 200+d.Float64()*800, 1+d.Float64()*30)
+		src = lampForLux(r.X+d.Float64()*0.4-0.2, 0.3+d.Float64(), 200+d.Float64()*800, 1+d.Float64()*30)
 	case 1: // uniform: a rippling ceiling or a drifting sun
 		if d.Intn(2) == 0 {
 			src = optics.CeilingLight{Lux: 300, RippleDepth: 0.05 + d.Float64()*0.2, MainsHz: 50, Harmonics: []float64{0.25}}
@@ -250,7 +250,7 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 		}
 	default: // generic: position- and time-varying
 		src = optics.Composite{Sources: []optics.Source{
-			optics.LampForLux(r.X, 0.5, 500, 10),
+			lampForLux(r.X, 0.5, 500, 10),
 			optics.CeilingLight{Lux: 100, RippleDepth: 0.1, MainsHz: 60},
 		}}
 	}
@@ -308,7 +308,7 @@ func TestRenderFallsBackOnDynamicTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(p coding.Packet) *tag.Tag { return tag.MustNew(p, tag.Config{SymbolWidth: 0.03}) }
+	mk := func(p coding.Packet) *tag.Tag { return mustTagOf(t, p, tag.Config{SymbolWidth: 0.03}) }
 	dyn, err := tag.NewDynamic([]*tag.Tag{mk(pktA), mk(pktB)}, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestRenderFallsBackOnDynamicTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := scene.New(optics.LampForLux(0, 0.2, 900, 30), obj)
+	s := scene.New(lampForLux(0, 0.2, 900, 30), obj)
 	r := Receiver{Height: 0.2, FoVHalfAngleDeg: 5}.withDefaults()
 	offsets, weights := r.Kernel()
 	if _, ok := newRenderPlan(s, r, offsets, weights); ok {
@@ -335,7 +335,7 @@ func TestCarProfileFlatMatchesLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roofTag := tag.MustNew(pkt, tag.Config{
+	roofTag := mustTagOf(t, pkt, tag.Config{
 		SymbolWidth: 0.10,
 		HighMat:     &material.AluminumTape,
 		LowMat:      &material.BlackNapkin,
@@ -414,4 +414,20 @@ func BenchmarkRenderOutdoorPass(b *testing.B) {
 		n = len(out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sample")
+}
+
+// mustTagOf builds a fixed test tag, failing the test on error.
+func mustTagOf(t testing.TB, p coding.Packet, cfg tag.Config) *tag.Tag {
+	t.Helper()
+	tg, err := tag.New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tg
+}
+
+// lampForLux builds a point lamp at (x, height) whose illuminance
+// directly underneath equals lux.
+func lampForLux(x, height, lux, lambertOrder float64) optics.PointLamp {
+	return optics.PointLamp{X: x, Height: height, Intensity: lux * height * height, LambertOrder: lambertOrder}
 }

@@ -1,6 +1,6 @@
-// Package chaos is the cluster's fault-injection harness: net.Conn
-// and net.Listener wrappers that drop, delay, duplicate, or sever
-// traffic with configured probabilities, a TCP proxy for injecting
+// Package chaos is the cluster's fault-injection harness: a net.Conn
+// wrapper that drops, delays, duplicates, or severs traffic with
+// configured probabilities, a TCP proxy for injecting
 // faults between real processes, and a scripted schedule runner for
 // kill/restart churn. It exists for tests — the churn tier drives the
 // router/engine stack through the failures the self-healing paths
@@ -118,28 +118,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// Listener wraps every accepted connection with the injector.
-type Listener struct {
-	net.Listener
-	in *Injector
-}
-
-// WrapListener wraps a listener so accepted connections inject this
-// injector's faults on their writes (i.e. on server-to-client
-// traffic).
-func (in *Injector) WrapListener(l net.Listener) *Listener {
-	return &Listener{Listener: l, in: in}
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.WrapConn(c), nil
-}
-
 // Proxy is a faulty TCP hop between real processes: clients dial
 // Addr, the proxy dials the target and pipes bytes both ways,
 // injecting faults on the client-to-target direction. Sever cuts
@@ -173,9 +151,6 @@ func NewProxy(target string, in *Injector) (*Proxy, error) {
 
 // Addr is the proxy's listen address, for clients to dial.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// Injector returns the proxy's fault injector (for counters).
-func (p *Proxy) Injector() *Injector { return p.in }
 
 func (p *Proxy) acceptLoop() {
 	defer p.wg.Done()

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +24,7 @@ func joinEngine(t *testing.T, routerAddr string, e *engineSim) {
 
 // An empty-ring router fills its fleet purely from EngineHello
 // announcements: engines join, streams route, and a restart on a new
-// address follows the engine with no operator Rebalance.
+// address follows the engine with no operator action.
 func TestEngineAutoJoinLifecycle(t *testing.T) {
 	a := startEngineSim(t, "engine-a")
 	b := startEngineSim(t, "engine-b")
@@ -160,56 +159,6 @@ func TestDuplicateEngineHelloIdempotent(t *testing.T) {
 	r.AdmitEngine(m)
 	if !up.draining.Load() {
 		t.Fatal("keepalive hello cleared the draining flag")
-	}
-}
-
-// An operator Rebalance racing engine-initiated joins must stay
-// consistent: no lost upstreams, no deadlock, and the last writer's
-// membership wins until the next keepalive re-admits.
-func TestRebalanceRacingAutoJoin(t *testing.T) {
-	a := startEngineSim(t, "engine-a")
-	b := startEngineSim(t, "engine-b")
-	c := startEngineSim(t, "engine-c")
-	ring := clusterRing(t, a)
-	r, _ := startRouter(t, RouterConfig{Ring: ring, AutoAdmit: true})
-
-	opRing := clusterRing(t, a, b)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			if err := r.Rebalance(opRing.Clone(), false); err != nil {
-				t.Errorf("rebalance: %v", err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			r.AdmitEngine(Member{ID: "engine-c", Addr: c.l.Addr()})
-		}
-	}()
-	wg.Wait()
-
-	// Whatever interleaving happened, a final keepalive re-admission
-	// converges on all three members, with upstreams to match.
-	r.AdmitEngine(Member{ID: "engine-c", Addr: c.l.Addr()})
-	r.mu.Lock()
-	members := r.ring.Members()
-	upsOK := true
-	for _, m := range members {
-		if r.ups[m.ID] == nil {
-			upsOK = false
-		}
-	}
-	r.mu.Unlock()
-	if len(members) != 3 {
-		t.Fatalf("converged ring has %d members, want 3 (%v)", len(members), members)
-	}
-	if !upsOK {
-		t.Fatal("ring member without an upstream after the race")
 	}
 }
 

@@ -41,7 +41,7 @@ type ringPoint struct {
 // the key's hash (wrapping). The layout is a pure function of the
 // member IDs and VNodes — independent of member order, process, or
 // platform — so every process that loads the same ring JSON agrees on
-// ownership. Epoch versions the membership: Add/Remove bump it, and
+// ownership. Epoch versions the membership: Absorb/Remove bump it, and
 // routers re-resolve ownership when they observe a bump.
 //
 // Ring is not safe for concurrent mutation; guard it externally (the
@@ -79,8 +79,9 @@ func NewRing(vnodes int, members ...Member) (*Ring, error) {
 // VNodes returns the per-member virtual-node count.
 func (r *Ring) VNodes() int { return r.vnodes }
 
-// Epoch returns the membership version. It bumps on every Add/Remove,
-// so a router can cheaply detect that ownership must be re-resolved.
+// Epoch returns the membership version. It bumps on every Absorb or
+// Remove that changes the ring, so a router can cheaply detect that
+// ownership must be re-resolved.
 func (r *Ring) Epoch() uint64 { return r.epoch }
 
 // Members returns the member set in insertion order (copy).
@@ -105,16 +106,6 @@ func (r *Ring) add(m Member) error {
 	return nil
 }
 
-// Add inserts a member and bumps the epoch.
-func (r *Ring) Add(m Member) error {
-	if err := r.add(m); err != nil {
-		return err
-	}
-	r.epoch++
-	r.rebuild()
-	return nil
-}
-
 // Clone returns an independent copy: same members, epoch and layout,
 // sharing no state with the receiver. The Router mutates clones so a
 // caller-held ring is never written behind its back.
@@ -122,24 +113,6 @@ func (r *Ring) Clone() *Ring {
 	c := &Ring{vnodes: r.vnodes, epoch: r.epoch, members: append([]Member(nil), r.members...)}
 	c.rebuild()
 	return c
-}
-
-// SetAddr updates a member's address, bumping the epoch. Ownership
-// hashes IDs only, so no streams move — this is how a restarted
-// engine that kept its ID but landed on a new port rejoins without a
-// rebalance. It reports whether the member was present; an unchanged
-// address is a no-op (no epoch bump).
-func (r *Ring) SetAddr(id, addr string) bool {
-	for i := range r.members {
-		if r.members[i].ID == id {
-			if r.members[i].Addr != addr {
-				r.members[i].Addr = addr
-				r.epoch++
-			}
-			return true
-		}
-	}
-	return false
 }
 
 // Absorb applies a batch of admissions as one membership change: each
@@ -213,12 +186,6 @@ func (r *Ring) rebuild() {
 		}
 		return r.members[pi.member].ID < r.members[pj.member].ID
 	})
-}
-
-// Owner returns the member owning a stream key. ok is false on an
-// empty ring.
-func (r *Ring) Owner(key uint64) (Member, bool) {
-	return r.OwnerAvoiding(key, nil)
 }
 
 // OwnerAvoiding returns the first owner of key, walking the ring past

@@ -39,14 +39,14 @@ func TestRingDeterminism(t *testing.T) {
 	}
 
 	for key := uint64(0); key < 10000; key++ {
-		oa, ok := a.Owner(key)
+		oa, ok := a.OwnerAvoiding(key, nil)
 		if !ok {
 			t.Fatalf("key %d: no owner on a populated ring", key)
 		}
-		if ob, _ := b.Owner(key); ob.ID != oa.ID {
+		if ob, _ := b.OwnerAvoiding(key, nil); ob.ID != oa.ID {
 			t.Fatalf("key %d: member order changed ownership: %q vs %q", key, oa.ID, ob.ID)
 		}
-		if oc, _ := c.Owner(key); oc.ID != oa.ID {
+		if oc, _ := c.OwnerAvoiding(key, nil); oc.ID != oa.ID {
 			t.Fatalf("key %d: JSON round-trip changed ownership: %q vs %q", key, oa.ID, oc.ID)
 		}
 	}
@@ -59,7 +59,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 40000
 	for key := uint64(0); key < keys; key++ {
-		m, _ := r.Owner(key)
+		m, _ := r.OwnerAvoiding(key, nil)
 		counts[m.ID]++
 	}
 	fair := keys / 4
@@ -83,17 +83,17 @@ func TestRingRebalanceMovesBoundedFraction(t *testing.T) {
 			}
 			before := mustRing(t, 0, ids...)
 			after := mustRing(t, 0, ids...)
-			if err := after.Add(Member{ID: "engine-new", Addr: "127.0.0.1:0"}); err != nil {
-				t.Fatalf("Add: %v", err)
+			if !after.Absorb([]Member{{ID: "engine-new", Addr: "127.0.0.1:0"}}) {
+				t.Fatal("Absorb of a new member reported no change")
 			}
 			if after.Epoch() != before.Epoch()+1 {
-				t.Fatalf("Add did not bump epoch: %d -> %d", before.Epoch(), after.Epoch())
+				t.Fatalf("Absorb did not bump epoch: %d -> %d", before.Epoch(), after.Epoch())
 			}
 			const keys = 20000
 			moved := 0
 			for key := uint64(0); key < keys; key++ {
-				ob, _ := before.Owner(key)
-				oa, _ := after.Owner(key)
+				ob, _ := before.OwnerAvoiding(key, nil)
+				oa, _ := after.OwnerAvoiding(key, nil)
 				if ob.ID == oa.ID {
 					continue
 				}
@@ -121,7 +121,7 @@ func TestRingRemoveRejoinRestoresOwnership(t *testing.T) {
 	r := mustRing(t, 0, "a", "b", "c")
 	want := map[uint64]string{}
 	for key := uint64(0); key < 5000; key++ {
-		m, _ := r.Owner(key)
+		m, _ := r.OwnerAvoiding(key, nil)
 		want[key] = m.ID
 	}
 	if !r.Remove("b") {
@@ -132,7 +132,7 @@ func TestRingRemoveRejoinRestoresOwnership(t *testing.T) {
 	}
 	movedToOthers := 0
 	for key := uint64(0); key < 5000; key++ {
-		m, ok := r.Owner(key)
+		m, ok := r.OwnerAvoiding(key, nil)
 		if !ok {
 			t.Fatalf("key %d: no owner after remove", key)
 		}
@@ -145,11 +145,11 @@ func TestRingRemoveRejoinRestoresOwnership(t *testing.T) {
 	if movedToOthers == 0 {
 		t.Fatal("b owned nothing before removal")
 	}
-	if err := r.Add(Member{ID: "b", Addr: "127.0.0.1:b"}); err != nil {
-		t.Fatalf("re-Add: %v", err)
+	if !r.Absorb([]Member{{ID: "b", Addr: "127.0.0.1:b"}}) {
+		t.Fatal("re-Absorb of b reported no change")
 	}
 	for key := uint64(0); key < 5000; key++ {
-		if m, _ := r.Owner(key); m.ID != want[key] {
+		if m, _ := r.OwnerAvoiding(key, nil); m.ID != want[key] {
 			t.Fatalf("key %d: rejoin did not restore ownership (%q, want %q)", key, m.ID, want[key])
 		}
 	}
@@ -169,7 +169,7 @@ func TestRingOwnerAvoiding(t *testing.T) {
 		t.Fatal("avoiding everyone still returned an owner")
 	}
 	empty := mustRing(t, 0)
-	if _, ok := empty.Owner(1); ok {
+	if _, ok := empty.OwnerAvoiding(1, nil); ok {
 		t.Fatal("empty ring returned an owner")
 	}
 }
@@ -182,7 +182,7 @@ func TestRingRejectsDuplicateAndEmptyIDs(t *testing.T) {
 		t.Fatal("empty member ID accepted")
 	}
 	r := mustRing(t, 8, "x")
-	if err := r.Add(Member{ID: "x"}); err == nil {
-		t.Fatal("Add duplicate accepted")
+	if r.Absorb([]Member{{ID: "x", Addr: "127.0.0.1:x"}, {ID: "", Addr: "127.0.0.1:y"}}) || r.Len() != 1 {
+		t.Fatalf("Absorb took a duplicate or empty ID: %v", r.Members())
 	}
 }

@@ -48,7 +48,7 @@ type RouterConfig struct {
 	DeadEngineTimeout time.Duration
 	// AutoAdmit accepts EngineHello frames: an engine announcing
 	// itself is added to the ring (or has its address refreshed after
-	// a restart) with no operator Rebalance. With AutoAdmit the router
+	// a restart) with no operator action. With AutoAdmit the router
 	// may start on an empty ring and wait for its fleet.
 	AutoAdmit bool
 	// Peers lists the addresses of this router's replicas. Each peer is
@@ -204,9 +204,8 @@ func (nc *nodeConn) writeFrame(t rxnet.FrameType, body []byte) error {
 // from receiver nodes and forwards each stream to the engine that
 // owns it on the consistent-hash ring, over the same wire protocol.
 // Streams are sticky — once routed, a stream stays with its engine
-// until it ends, the engine refuses it (drain NACK), or a forced
-// Rebalance moves it — so membership changes never cut packets
-// mid-window unless explicitly forced.
+// until it ends or the engine refuses it (drain NACK) — so membership
+// changes never cut packets mid-window.
 type Router struct {
 	cfg  RouterConfig
 	logf func(format string, args ...any)
@@ -311,7 +310,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		reg.CounterFunc("pl_cluster_streams_routed_total",
 			"Streams assigned an owning engine.", r.streams.Load)
 		reg.CounterFunc("pl_cluster_handoffs_total",
-			"Streams moved between engines (drain NACKs, forced rebalances, failovers).", r.handoffs.Load)
+			"Streams moved between engines (drain NACKs, failovers).", r.handoffs.Load)
 		reg.CounterFunc("pl_cluster_nacks_received_total",
 			"Stream NACKs received from draining engines.", r.nacksRecv.Load)
 		reg.CounterFunc("pl_cluster_stream_acks_total",
@@ -1026,7 +1025,7 @@ func (r *Router) handleNack(from *upstream, n rxnet.StreamNack) {
 }
 
 // AdmitEngine adds (or refreshes) an engine on the active ring — the
-// engine-initiated path behind EngineHello, no operator Rebalance
+// engine-initiated path behind EngineHello, no operator action
 // required. Three cases:
 //
 //   - Unknown ID: the member joins the ring (epoch bump). Existing
@@ -1130,95 +1129,6 @@ func (r *Router) flushAdmits() {
 		up.wmu.Unlock()
 	}
 	r.kickPeers()
-}
-
-// Rebalance installs a new ring. In-flight streams are sticky: by
-// default only future streams see the new layout, which is what keeps
-// membership changes lossless. With force, every routed stream whose
-// owner changed is handed off now — the old owner gets a StreamEnd
-// (finish the packet window, emit, release) and the stream continues
-// on its new owner from its next chunk.
-func (r *Router) Rebalance(ring *Ring, force bool) error {
-	if ring == nil || ring.Len() == 0 {
-		return errors.New("cluster: rebalance needs a non-empty ring")
-	}
-	r.mu.Lock()
-	r.ring = ring
-	keep := make(map[string]bool, ring.Len())
-	for _, m := range ring.Members() {
-		keep[m.ID] = true
-		if _, ok := r.ups[m.ID]; !ok {
-			r.ups[m.ID] = &upstream{id: m.ID, addr: m.Addr}
-		}
-	}
-	// Members that left the ring take their upstreams with them —
-	// routes they still own re-resolve on their next chunk, and hello
-	// fan-out stops courting the departed engine. The connections stay
-	// open until after the forced handoffs below so a departing owner
-	// still receives its StreamEnd flush.
-	departed := make(map[string]*upstream)
-	for id, up := range r.ups {
-		if !keep[id] {
-			departed[id] = up
-			delete(r.ups, id)
-		}
-	}
-	type pending struct {
-		session uint64
-		rt      *route
-	}
-	var all []pending
-	if force {
-		all = make([]pending, 0, len(r.routes))
-		for s, rt := range r.routes {
-			all = append(all, pending{s, rt})
-		}
-	}
-	r.mu.Unlock()
-	r.logf("cluster: ring epoch %d installed (%d members, force=%v)", ring.Epoch(), ring.Len(), force)
-	for _, p := range all {
-		p.rt.fmu.Lock()
-		if p.rt.owner == "" {
-			p.rt.fmu.Unlock()
-			continue
-		}
-		up, ok := r.resolve(p.session, "")
-		if !ok || up.id == p.rt.owner {
-			p.rt.fmu.Unlock()
-			continue
-		}
-		r.mu.Lock()
-		old := r.ups[p.rt.owner]
-		r.mu.Unlock()
-		if old == nil {
-			old = departed[p.rt.owner]
-		}
-		if old != nil {
-			// TCP ordering makes this lossless: the StreamEnd lands
-			// after every chunk already forwarded, so the old owner
-			// decodes everything it was given before flushing.
-			body := rxnet.MarshalStreamEnd(rxnet.StreamEnd{Session: p.session})
-			if err := r.send(old, rxnet.FrameStreamEnd, body); err != nil {
-				r.logf("cluster: stream end to %s: %v", old.id, err)
-			}
-		}
-		p.rt.owner = up.id
-		r.handoffs.Add(1)
-		r.streams.Add(1)
-		p.rt.fmu.Unlock()
-	}
-	for _, up := range departed {
-		up.wmu.Lock()
-		if up.conn != nil {
-			up.conn.Close()
-			up.conn = nil
-		}
-		up.connected.Store(false)
-		up.wmu.Unlock()
-		r.logf("cluster: engine %s left the ring", up.id)
-	}
-	r.kickPeers()
-	return nil
 }
 
 // janitor evicts idle routes (releasing the engine session with a

@@ -22,7 +22,7 @@ type engineSim struct {
 
 func startEngineSim(t *testing.T, id string) *engineSim {
 	t.Helper()
-	l, err := rxnet.ListenChunks("127.0.0.1:0", t.Logf)
+	l, err := rxnet.ListenChunksConfig("127.0.0.1:0", rxnet.ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("engine %s listen: %v", id, err)
 	}
@@ -123,7 +123,7 @@ func streamOwnedBy(t *testing.T, ring *Ring, node uint32, owner string, used map
 			continue
 		}
 		key := uint64(node)<<32 | uint64(sid)
-		if m, ok := ring.Owner(key); ok && m.ID == owner {
+		if m, ok := ring.OwnerAvoiding(key, nil); ok && m.ID == owner {
 			used[sid] = true
 			return sid
 		}
@@ -180,7 +180,7 @@ func TestRouterRoutesByRing(t *testing.T) {
 	byID := map[string]*engineSim{"engine-a": a, "engine-b": b}
 	for sid := uint32(1); sid <= streams; sid++ {
 		session := uint64(7)<<32 | uint64(sid)
-		m, ok := ring.Owner(session)
+		m, ok := ring.OwnerAvoiding(session, nil)
 		if !ok {
 			t.Fatalf("no owner for session %d", session)
 		}
@@ -342,51 +342,6 @@ func TestRouterNackReplay(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if got := b.samplesFor(key); got != 50 {
 		t.Errorf("stale NACK re-replayed: engine-b now has %d samples", got)
-	}
-}
-
-// A forced Rebalance moves a routed stream immediately: the old owner
-// gets a StreamEnd (flush + release) and subsequent chunks flow to
-// the new ring's owner.
-func TestRouterForcedRebalance(t *testing.T) {
-	a := startEngineSim(t, "engine-a")
-	b := startEngineSim(t, "engine-b")
-	ring := clusterRing(t, a, b)
-	r, addr := startRouter(t, RouterConfig{Ring: ring})
-
-	node := dialNode(t, addr, 5)
-	used := map[uint32]bool{}
-	sid := streamOwnedBy(t, ring, 5, "engine-a", used)
-	key := uint64(5)<<32 | uint64(sid)
-	samples := make([]float64, 80)
-
-	for i := 0; i < 2; i++ {
-		if err := node.StreamChunk(sid, 1000, samples); err != nil {
-			t.Fatalf("stream chunk: %v", err)
-		}
-	}
-	waitFor(t, "stream on engine-a", func() bool { return a.samplesFor(key) == 160 })
-
-	ring2, err := NewRing(0, Member{ID: "engine-b", Addr: b.l.Addr()})
-	if err != nil {
-		t.Fatalf("NewRing: %v", err)
-	}
-	if err := r.Rebalance(ring2, true); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	waitFor(t, "old owner flushed", func() bool { return a.endedFor(key) })
-
-	for i := 0; i < 2; i++ {
-		if err := node.StreamChunk(sid, 1000, samples); err != nil {
-			t.Fatalf("stream chunk: %v", err)
-		}
-	}
-	waitFor(t, "stream on engine-b", func() bool { return b.samplesFor(key) == 160 })
-	if got := a.samplesFor(key); got != 160 {
-		t.Errorf("old owner delivered %d samples after rebalance, want 160", got)
-	}
-	if st := r.Stats(); st.Epoch != ring2.Epoch() || st.Engines != 1 || st.Handoffs < 1 {
-		t.Errorf("stats after rebalance: %+v", st)
 	}
 }
 

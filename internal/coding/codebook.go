@@ -66,9 +66,6 @@ func wordFromUint(v uint, n int) []Bit {
 // Len returns the number of codewords.
 func (cb *Codebook) Len() int { return len(cb.words) }
 
-// BitsPerWord returns the codeword length in bits.
-func (cb *Codebook) BitsPerWord() int { return cb.n }
-
 // MinDistance returns the guaranteed minimum pairwise Hamming distance.
 func (cb *Codebook) MinDistance() int { return cb.minDist }
 
@@ -77,15 +74,6 @@ func (cb *Codebook) Word(i int) []Bit {
 	w := make([]Bit, cb.n)
 	copy(w, cb.words[i])
 	return w
-}
-
-// Words returns copies of all codewords.
-func (cb *Codebook) Words() [][]Bit {
-	out := make([][]Bit, len(cb.words))
-	for i := range cb.words {
-		out[i] = cb.Word(i)
-	}
-	return out
 }
 
 // Encode returns the codeword for message index idx.

@@ -202,25 +202,6 @@ func ParsePacket(symbols []Symbol) (Packet, error) {
 	return Packet{Data: bits}, nil
 }
 
-// SymbolsFromString parses a string like "HLHL.LHHL" (dots and spaces
-// ignored) into a symbol sequence.
-func SymbolsFromString(s string) ([]Symbol, error) {
-	var out []Symbol
-	for i, c := range s {
-		switch c {
-		case 'H', 'h':
-			out = append(out, High)
-		case 'L', 'l':
-			out = append(out, Low)
-		case '.', ' ', '-':
-			// separators allowed
-		default:
-			return nil, fmt.Errorf("coding: invalid symbol %q at position %d", c, i)
-		}
-	}
-	return out, nil
-}
-
 // NRZEncode maps bits directly to symbols (0 -> L, 1 -> H) with no
 // mid-bit transition. It exists as the ablation baseline against
 // Manchester coding: long runs of identical bits produce long
@@ -251,23 +232,6 @@ func NRZDecode(symbols []Symbol) []Bit {
 // if lengths differ, the excess positions of the longer string all
 // count as differences.
 func HammingDistance(a, b []Bit) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	d := 0
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	d += len(a) - n + len(b) - n
-	return d
-}
-
-// SymbolHammingDistance counts positions where two symbol sequences
-// differ, with length mismatch counted as above.
-func SymbolHammingDistance(a, b []Symbol) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)

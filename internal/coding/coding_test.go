@@ -103,25 +103,6 @@ func TestParsePacketRejectsBadPreamble(t *testing.T) {
 	}
 }
 
-func TestSymbolsFromString(t *testing.T) {
-	got, err := SymbolsFromString("HLHL.LH hl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Symbol{High, Low, High, Low, Low, High, High, Low}
-	if len(got) != len(want) {
-		t.Fatalf("length %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("symbol %d = %v", i, got[i])
-		}
-	}
-	if _, err := SymbolsFromString("HLX"); err == nil {
-		t.Fatal("expected error for invalid symbol")
-	}
-}
-
 func TestNRZRoundTrip(t *testing.T) {
 	bits := []Bit{1, 0, 0, 1, 1, 1, 0}
 	symbols := NRZEncode(bits)
@@ -144,17 +125,6 @@ func TestHammingDistance(t *testing.T) {
 	// Length mismatch counts excess positions.
 	if d := HammingDistance([]Bit{0, 0}, []Bit{0, 0, 1, 1}); d != 2 {
 		t.Fatalf("mismatched length distance %d", d)
-	}
-}
-
-func TestSymbolHammingDistance(t *testing.T) {
-	a := []Symbol{High, Low, High}
-	b := []Symbol{High, High, High}
-	if d := SymbolHammingDistance(a, b); d != 1 {
-		t.Fatalf("distance %d", d)
-	}
-	if d := SymbolHammingDistance(a, a[:2]); d != 1 {
-		t.Fatalf("length mismatch distance %d", d)
 	}
 }
 
@@ -199,8 +169,8 @@ func TestCodebookInvariants(t *testing.T) {
 		if got := cb.VerifyDistances(); got < tc.d {
 			t.Fatalf("n=%d d=%d: actual min distance %d", tc.n, tc.d, got)
 		}
-		if cb.BitsPerWord() != tc.n {
-			t.Fatalf("bits per word %d", cb.BitsPerWord())
+		if got := len(cb.Word(0)); got != tc.n {
+			t.Fatalf("bits per word %d", got)
 		}
 		// Clean codewords decode to themselves.
 		for i := 0; i < cb.Len(); i++ {

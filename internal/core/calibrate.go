@@ -22,12 +22,6 @@ const (
 	// ~5.4 m height per meter of symbol width.
 	IndoorFoVDeg = 5.0
 
-	// OutdoorPoleFoVDeg is the RX-LED half-angle on the outdoor pole
-	// (Sec. 5): a clear 5 mm LED used as a receiver accepts light in
-	// a very narrow cone, which is what lets it resolve 10 cm symbols
-	// from 75-100 cm up (2*h*tan(4 deg) = 0.14 m at h = 1 m).
-	OutdoorPoleFoVDeg = 4.0
-
 	// CarSpeedKmh is the outdoor evaluation speed.
 	CarSpeedKmh = 18.0
 

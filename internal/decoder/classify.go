@@ -3,7 +3,6 @@ package decoder
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"passivelight/internal/dsp"
@@ -24,7 +23,6 @@ type Baseline struct {
 // resampling cannot (e.g. the speed doubling of Fig. 8).
 type Classifier struct {
 	length    int
-	window    int // Sakoe-Chiba band, samples (0 = unconstrained)
 	baselines []Baseline
 	// UseEuclidean switches the distance to point-wise L2; ablation
 	// baseline showing why DTW is needed.
@@ -38,13 +36,6 @@ func NewClassifier(length int) *Classifier {
 		length = 256
 	}
 	return &Classifier{length: length}
-}
-
-// WithWindow constrains DTW to a Sakoe-Chiba band of the given
-// half-width (in resampled samples).
-func (c *Classifier) WithWindow(w int) *Classifier {
-	c.window = w
-	return c
 }
 
 // AddBaseline registers a clean waveform under a label.
@@ -86,7 +77,7 @@ func (c *Classifier) Classify(tr *trace.Trace) ([]Match, error) {
 			d = dsp.EuclideanDistance(probe, b.Samples)
 		} else {
 			var err error
-			d, err = dsp.DTWWith(probe, b.Samples, dsp.DTWOptions{Window: c.window})
+			d, err = dsp.DTWWith(probe, b.Samples, dsp.DTWOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("decoder: DTW against %q: %w", b.Label, err)
 			}
@@ -95,46 +86,6 @@ func (c *Classifier) Classify(tr *trace.Trace) ([]Match, error) {
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i].Distance < matches[j].Distance })
 	return matches, nil
-}
-
-// Nearest returns only the best-matching baseline, using early
-// abandonment: once a baseline's partial DTW cost exceeds the best
-// complete distance so far, its dynamic program stops. The winning
-// label and distance match Classify's first entry (up to exact-tie
-// ordering); only the losers' exact distances go uncomputed, which is
-// what makes this the cheap path for large baseline databases.
-func (c *Classifier) Nearest(tr *trace.Trace) (Match, error) {
-	if len(c.baselines) == 0 {
-		return Match{}, errors.New("decoder: classifier has no baselines")
-	}
-	if tr == nil || tr.Len() < 4 {
-		return Match{}, errors.New("decoder: trace too short")
-	}
-	probe := c.prepare(tr.Samples)
-	best := Match{Distance: math.Inf(1)}
-	for _, b := range c.baselines {
-		var d float64
-		var err error
-		if c.UseEuclidean {
-			d = dsp.EuclideanDistance(probe, b.Samples)
-		} else {
-			cutoff := 0.0
-			if !math.IsInf(best.Distance, 1) {
-				cutoff = best.Distance
-			}
-			d, err = dsp.DTWWith(probe, b.Samples, dsp.DTWOptions{Window: c.window, AbandonAbove: cutoff})
-			if errors.Is(err, dsp.ErrDTWAbandoned) {
-				continue // provably worse than the current best
-			}
-			if err != nil {
-				return Match{}, fmt.Errorf("decoder: DTW against %q: %w", b.Label, err)
-			}
-		}
-		if d < best.Distance {
-			best = Match{Label: b.Label, Distance: d}
-		}
-	}
-	return best, nil
 }
 
 // SelfDistance computes the DTW distance of a trace against itself
@@ -149,5 +100,5 @@ func (c *Classifier) SelfDistance(tr *trace.Trace) (float64, error) {
 	}
 	probe := c.prepare(tr.Samples)
 	smooth := c.prepare(dsp.MovingAverage(tr.Samples, int(tr.Fs*0.01)+1))
-	return dsp.DTWWith(probe, smooth, dsp.DTWOptions{Window: c.window})
+	return dsp.DTWWith(probe, smooth, dsp.DTWOptions{})
 }

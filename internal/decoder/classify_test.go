@@ -1,9 +1,6 @@
 package decoder
 
 import (
-	"fmt"
-	"math"
-	"math/rand"
 	"testing"
 
 	"passivelight/internal/trace"
@@ -63,25 +60,6 @@ func TestClassifierSelfDistanceSmall(t *testing.T) {
 	// distance (as 131 < 172 in the paper).
 	if self >= m[0].Distance {
 		t.Fatalf("self %v >= cross %v", self, m[0].Distance)
-	}
-}
-
-func TestClassifierWindowed(t *testing.T) {
-	a := syntheticPacketTrace("00", 1000, 0.2, 90, 12, 10, 0)
-	b := syntheticPacketTrace("10", 1000, 0.2, 90, 12, 10, 0)
-	cls := NewClassifier(128).WithWindow(32)
-	if err := cls.AddBaseline("00", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := cls.AddBaseline("10", b); err != nil {
-		t.Fatal(err)
-	}
-	m, err := cls.Classify(trace.New(1000, 0, warpedCopy(b.Samples)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0].Label != "10" {
-		t.Fatalf("banded classification %q", m[0].Label)
 	}
 }
 
@@ -145,45 +123,6 @@ func TestEuclideanClassifierWeakerUnderWarp(t *testing.T) {
 		if eucGap/em[0].Distance > dtwGap/dm[0].Distance {
 			t.Fatalf("Euclidean margin (%.3f) should be weaker than DTW (%.3f)",
 				eucGap/em[0].Distance, dtwGap/dm[0].Distance)
-		}
-	}
-}
-
-// TestNearestMatchesClassifyWinner pins the early-abandoning Nearest
-// to Classify's full-sort winner across random baseline databases.
-func TestNearestMatchesClassifyWinner(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		cls := NewClassifier(128)
-		if trial%2 == 1 {
-			cls.WithWindow(16)
-		}
-		for b := 0; b < 12; b++ {
-			samples := make([]float64, 300+rng.Intn(200))
-			phase := rng.Float64() * 10
-			for i := range samples {
-				samples[i] = 50 + 30*math.Sin(float64(i)/20+phase) + rng.NormFloat64()
-			}
-			if err := cls.AddBaseline(fmt.Sprintf("b%d", b), trace.New(1000, 0, samples)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		probe := make([]float64, 400)
-		phase := rng.Float64() * 10
-		for i := range probe {
-			probe[i] = 50 + 30*math.Sin(float64(i)/18+phase) + rng.NormFloat64()
-		}
-		tr := trace.New(1000, 0, probe)
-		matches, err := cls.Classify(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best, err := cls.Nearest(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best.Label != matches[0].Label || best.Distance != matches[0].Distance {
-			t.Fatalf("trial %d: Nearest %+v != Classify winner %+v", trial, best, matches[0])
 		}
 	}
 }

@@ -142,9 +142,6 @@ func NewIncremental(fs float64, opt Options, cfg IncrementalConfig) *Incremental
 	return &Incremental{fs: fs, opt: opt, cfg: cfg.withDefaults(fs, opt)}
 }
 
-// Position returns the number of samples consumed so far.
-func (inc *Incremental) Position() int64 { return inc.pos }
-
 // segBufPool recycles open-segment buffers across sessions. Only
 // segment buffers enter it, never pre-roll buffers, so a segment never
 // starts from a small buffer it must regrow.
@@ -170,12 +167,6 @@ func (inc *Incremental) Buffered() int { return len(inc.buf) + len(inc.batchRef)
 // machine holds: the pre-roll buffer, plus the segment buffer while a
 // segment is open. Batch-mode aliases of caller memory do not count.
 func (inc *Incremental) Retained() int { return cap(inc.buf) + cap(inc.preRoll) }
-
-// Floor returns the tracked noise-floor mean and deviation.
-func (inc *Incremental) Floor() (mean, dev float64) { return inc.floorMean, inc.floorDev }
-
-// Active reports whether a segment is currently open.
-func (inc *Incremental) Active() bool { return inc.active }
 
 // Feed consumes one chunk of samples and returns the segments that
 // completed inside it, in stream order. Chunk boundaries are

@@ -75,7 +75,7 @@ func TestIncrementalRetainedFollowsState(t *testing.T) {
 	sawSegment, completed := false, 0
 	for lo := 0; lo < len(samples); lo += 64 {
 		completed += len(inc.Feed(samples[lo:min(lo+64, len(samples))]))
-		if inc.Active() {
+		if inc.active {
 			sawSegment = sawSegment || inc.Retained() > 2*preRoll
 			continue
 		}

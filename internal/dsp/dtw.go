@@ -6,11 +6,6 @@ import (
 	"sync"
 )
 
-// ErrDTWAbandoned is returned by DTWWith when every alignment prefix
-// has exceeded the AbandonAbove cutoff: the true distance is known to
-// be above the cutoff without finishing the dynamic program.
-var ErrDTWAbandoned = errors.New("dsp: DTW abandoned above cutoff")
-
 // DTWOptions configures a Dynamic Time Warping computation.
 type DTWOptions struct {
 	// Window is the Sakoe-Chiba band half-width in samples. Zero or
@@ -18,16 +13,6 @@ type DTWOptions struct {
 	// window makes the computation O(len(a)*Window) instead of
 	// O(len(a)*len(b)): only cells inside the band are touched.
 	Window int
-	// Dist is the local distance between two samples. Nil means
-	// absolute difference (computed inline, without an indirect call
-	// per cell).
-	Dist func(a, b float64) float64
-	// AbandonAbove, when positive, stops the dynamic program as soon
-	// as every cost in a row exceeds it and returns ErrDTWAbandoned.
-	// Because row minima only grow, the final distance is guaranteed
-	// to be above the cutoff. Use it in nearest-baseline searches
-	// where only distances below the current best matter.
-	AbandonAbove float64
 }
 
 // dtwRows pools the two DP rows so repeated classifications do not
@@ -43,27 +28,21 @@ func dtwRow(m int) *[]float64 {
 	return rp
 }
 
-// DTW computes the Dynamic Time Warping distance between a and b with
-// default options (unconstrained band, absolute difference). This is
-// the similarity measure the paper uses to classify variable-speed
-// distorted packets against clean baselines (Sec. 4.2).
-func DTW(a, b []float64) (float64, error) {
-	return DTWWith(a, b, DTWOptions{})
-}
-
-// DTWWith computes the DTW distance with explicit options. It uses a
-// two-row dynamic program with pooled scratch: O(len(b)) space, and
-// time proportional to the band area (full matrix when
-// unconstrained). Only band cells are written per row — the cells
-// just outside the band carry +Inf sentinels, which is exactly what
-// the full-row initialization produced, so banded results are
-// unchanged while narrow bands run in O(len(a)*Window).
+// DTWWith computes the Dynamic Time Warping distance between a and b
+// under the local distance |a[i]-b[j]|: the similarity measure the
+// paper uses to classify variable-speed distorted packets against
+// clean baselines (Sec. 4.2). It uses a two-row dynamic program with
+// pooled scratch: O(len(b)) space, and time proportional to the band
+// area (full matrix when unconstrained). Only band cells are written
+// per row — the cells just outside the band carry +Inf sentinels,
+// which is exactly what the full-row initialization produced, so
+// banded results are unchanged while narrow bands run in
+// O(len(a)*Window).
 func DTWWith(a, b []float64, opt DTWOptions) (float64, error) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return 0, ErrEmptyInput
 	}
-	dist := opt.Dist
 	w := opt.Window
 	if w > 0 {
 		// The band must be at least |n-m| wide for a path to exist.
@@ -98,46 +77,20 @@ func DTWWith(a, b []float64, opt DTWOptions) (float64, error) {
 		if hi < m {
 			cur[hi+1] = inf
 		}
-		rowMin := inf
 		ai := a[i-1]
-		if dist == nil {
-			for j := lo; j <= hi; j++ {
-				d := ai - b[j-1]
-				if d < 0 {
-					d = -d
-				}
-				best := prev[j] // insertion
-				if prev[j-1] < best {
-					best = prev[j-1] // match
-				}
-				if cur[j-1] < best {
-					best = cur[j-1] // deletion
-				}
-				c := d + best
-				cur[j] = c
-				if c < rowMin {
-					rowMin = c
-				}
+		for j := lo; j <= hi; j++ {
+			d := ai - b[j-1]
+			if d < 0 {
+				d = -d
 			}
-		} else {
-			for j := lo; j <= hi; j++ {
-				d := dist(ai, b[j-1])
-				best := prev[j] // insertion
-				if prev[j-1] < best {
-					best = prev[j-1] // match
-				}
-				if cur[j-1] < best {
-					best = cur[j-1] // deletion
-				}
-				c := d + best
-				cur[j] = c
-				if c < rowMin {
-					rowMin = c
-				}
+			best := prev[j] // insertion
+			if prev[j-1] < best {
+				best = prev[j-1] // match
 			}
-		}
-		if opt.AbandonAbove > 0 && rowMin > opt.AbandonAbove {
-			return rowMin, ErrDTWAbandoned
+			if cur[j-1] < best {
+				best = cur[j-1] // deletion
+			}
+			cur[j] = d + best
 		}
 		prev, cur = cur, prev
 	}
@@ -145,66 +98,6 @@ func DTWWith(a, b []float64, opt DTWOptions) (float64, error) {
 		return 0, errors.New("dsp: DTW window too narrow for any path")
 	}
 	return prev[m], nil
-}
-
-// DTWPath computes the DTW distance and the optimal alignment path as
-// (i, j) index pairs from (0,0) to (len(a)-1, len(b)-1). It needs the
-// full O(n*m) cost matrix, so prefer DTWWith when only the distance is
-// required.
-func DTWPath(a, b []float64) (float64, [][2]int, error) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return 0, nil, ErrEmptyInput
-	}
-	inf := math.Inf(1)
-	cost := make([][]float64, n+1)
-	for i := range cost {
-		cost[i] = make([]float64, m+1)
-		for j := range cost[i] {
-			cost[i][j] = inf
-		}
-	}
-	cost[0][0] = 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			d := math.Abs(a[i-1] - b[j-1])
-			best := cost[i-1][j]
-			if cost[i-1][j-1] < best {
-				best = cost[i-1][j-1]
-			}
-			if cost[i][j-1] < best {
-				best = cost[i][j-1]
-			}
-			cost[i][j] = d + best
-		}
-	}
-	// Backtrack.
-	var path [][2]int
-	i, j := n, m
-	for i > 1 || j > 1 {
-		path = append(path, [2]int{i - 1, j - 1})
-		switch {
-		case i == 1:
-			j--
-		case j == 1:
-			i--
-		default:
-			diag, up, left := cost[i-1][j-1], cost[i-1][j], cost[i][j-1]
-			if diag <= up && diag <= left {
-				i, j = i-1, j-1
-			} else if up <= left {
-				i--
-			} else {
-				j--
-			}
-		}
-	}
-	path = append(path, [2]int{0, 0})
-	// Reverse in place.
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
-	}
-	return cost[n][m], path, nil
 }
 
 // EuclideanDistance is the point-wise L2 distance between equal-length
@@ -219,18 +112,4 @@ func EuclideanDistance(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

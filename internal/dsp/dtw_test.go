@@ -9,7 +9,7 @@ import (
 
 func TestDTWIdenticalSignalsZero(t *testing.T) {
 	x := []float64{0, 1, 0, 1, 0.5, 0}
-	d, err := DTW(x, x)
+	d, err := DTWWith(x, x, DTWOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestDTWIdenticalSignalsZero(t *testing.T) {
 }
 
 func TestDTWEmptyInput(t *testing.T) {
-	if _, err := DTW(nil, []float64{1}); err == nil {
+	if _, err := DTWWith(nil, []float64{1}, DTWOptions{}); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 }
@@ -36,7 +36,7 @@ func TestDTWAbsorbsUniformTimeWarp(t *testing.T) {
 	for i := range b {
 		b[i] = math.Sin(2 * math.Pi * 3 * float64(i) / float64(2*n))
 	}
-	d, err := DTW(a, b)
+	d, err := DTWWith(a, b, DTWOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDTWAbsorbsUniformTimeWarp(t *testing.T) {
 	for i, v := range b {
 		neg[i] = -v
 	}
-	dNeg, err := DTW(a, neg)
+	dNeg, err := DTWWith(a, neg, DTWOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestDTWDiscriminatesDifferentShapes(t *testing.T) {
 		sin[i] = math.Sin(2 * math.Pi * float64(i) / float64(n))
 		saw[i] = 2*float64(i%10)/10 - 1
 	}
-	dSame, err := DTW(sin, sin)
+	dSame, err := DTWWith(sin, sin, DTWOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dDiff, err := DTW(sin, saw)
+	dDiff, err := DTWWith(sin, saw, DTWOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestDTWSymmetry(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	dab, err := DTW(a, b)
+	dab, err := DTWWith(a, b, DTWOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dba, err := DTW(b, a)
+	dba, err := DTWWith(b, a, DTWOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,70 +129,6 @@ func TestDTWWindowWidensForLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestDTWCustomDistance(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 5}
-	sq, err := DTWWith(a, b, DTWOptions{Dist: func(x, y float64) float64 {
-		d := x - y
-		return d * d
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sq != 4 {
-		t.Fatalf("squared-distance DTW = %v, want 4", sq)
-	}
-}
-
-func TestDTWPathEndpoints(t *testing.T) {
-	a := []float64{0, 1, 2, 3}
-	b := []float64{0, 0, 1, 2, 3}
-	d, path, err := DTWPath(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Fatalf("distance %v, want 0", d)
-	}
-	if path[0] != [2]int{0, 0} {
-		t.Fatalf("path starts at %v", path[0])
-	}
-	if path[len(path)-1] != [2]int{len(a) - 1, len(b) - 1} {
-		t.Fatalf("path ends at %v", path[len(path)-1])
-	}
-	// Steps must be monotone and adjacent.
-	for i := 1; i < len(path); i++ {
-		di := path[i][0] - path[i-1][0]
-		dj := path[i][1] - path[i-1][1]
-		if di < 0 || dj < 0 || di > 1 || dj > 1 || (di == 0 && dj == 0) {
-			t.Fatalf("invalid path step %v -> %v", path[i-1], path[i])
-		}
-	}
-}
-
-func TestDTWPathMatchesDTWDistance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := make([]float64, 20)
-	b := make([]float64, 25)
-	for i := range a {
-		a[i] = rng.Float64()
-	}
-	for i := range b {
-		b[i] = rng.Float64()
-	}
-	d1, err := DTW(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _, err := DTWPath(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d1-d2) > 1e-9 {
-		t.Fatalf("DTW=%v DTWPath=%v", d1, d2)
-	}
-}
-
 func TestDTWPropertyNonNegativeAndSelfZero(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 || len(raw) > 64 {
@@ -203,7 +139,7 @@ func TestDTWPropertyNonNegativeAndSelfZero(t *testing.T) {
 				return true
 			}
 		}
-		self, err := DTW(raw, raw)
+		self, err := DTWWith(raw, raw, DTWOptions{})
 		if err != nil || self != 0 {
 			return false
 		}
@@ -211,7 +147,7 @@ func TestDTWPropertyNonNegativeAndSelfZero(t *testing.T) {
 		for i, v := range raw {
 			shifted[i] = v + 1
 		}
-		d, err := DTW(raw, shifted)
+		d, err := DTWWith(raw, shifted, DTWOptions{})
 		return err == nil && d >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -230,7 +166,7 @@ func BenchmarkDTW256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DTW(x, y); err != nil {
+		if _, err := DTWWith(x, y, DTWOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,9 @@
 // Package dsp implements the signal-processing primitives the passive
-// visible-light receiver needs: FFT and power spectra (collision
-// analysis, Sec. 4.3 of the paper), Dynamic Time Warping (variable
-// speed classification, Sec. 4.2), digital filters, peak detection
-// (preamble A/B/C points, Sec. 4.1) and basic statistics.
+// visible-light receiver needs: power spectra (collision analysis,
+// Sec. 4.3 of the paper), Dynamic Time Warping (variable speed
+// classification, Sec. 4.2), moving-average smoothing, peak detection
+// (preamble A/B/C points, Sec. 4.1), Goertzel tone bins and basic
+// statistics and curve fits.
 //
 // Everything is implemented from scratch on the standard library.
 package dsp
@@ -27,66 +28,6 @@ func NextPowerOfTwo(n int) int {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// FFT computes the in-place iterative radix-2 Cooley-Tukey transform
-// of x. len(x) must be a power of two. The forward transform is
-// unnormalized (matching common DSP convention). The twiddle factors
-// and bit-reversal permutation come from the cached FFTPlan for the
-// size, so repeated transforms of one size pay the trigonometry once.
-func FFT(x []complex128) error {
-	n := len(x)
-	if n == 0 {
-		return ErrEmptyInput
-	}
-	if !IsPowerOfTwo(n) {
-		return errors.New("dsp: FFT length must be a power of two")
-	}
-	p, err := PlanFFT(n)
-	if err != nil {
-		return err
-	}
-	p.transform(x)
-	return nil
-}
-
-// IFFT computes the inverse transform of x in place, normalizing by
-// 1/N. len(x) must be a power of two.
-func IFFT(x []complex128) error {
-	n := len(x)
-	if n == 0 {
-		return ErrEmptyInput
-	}
-	if !IsPowerOfTwo(n) {
-		return errors.New("dsp: FFT length must be a power of two")
-	}
-	p, err := PlanFFT(n)
-	if err != nil {
-		return err
-	}
-	return p.Inverse(x)
-}
-
-// FFTAny computes the DFT of x for arbitrary length using the
-// Bluestein chirp-z algorithm (radix-2 FFT under the hood). The input
-// is not modified; a new slice is returned. The chirp sequence and
-// the convolution kernel's transform come precomputed from the cached
-// plan; only per-call scratch is pooled.
-func FFTAny(x []complex128) ([]complex128, error) {
-	n := len(x)
-	if n == 0 {
-		return nil, ErrEmptyInput
-	}
-	p, err := PlanFFT(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if err := p.Transform(out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Spectrum holds a one-sided power spectrum.

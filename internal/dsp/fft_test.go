@@ -43,39 +43,34 @@ func randComplex(n int, seed int64) []complex128 {
 	return x
 }
 
+// fft runs the plan's in-place radix-2 kernel on x.
+func fft(t testing.TB, x []complex128) {
+	t.Helper()
+	p, err := PlanFFT(len(x))
+	if err != nil {
+		t.Fatalf("n=%d: %v", len(x), err)
+	}
+	p.transform(x)
+}
+
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
 		x := randComplex(n, int64(n))
 		want := naiveDFT(x)
 		got := make([]complex128, n)
 		copy(got, x)
-		if err := FFT(got); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		fft(t, got)
 		complexSliceClose(t, got, want, 1e-8*float64(n))
 	}
 }
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
-	if err := FFT(make([]complex128, 3)); err == nil {
+	if _, err := PlanFFT(3); err == nil {
 		t.Fatal("expected error for n=3")
 	}
-	if err := FFT(nil); err == nil {
+	if _, err := PlanFFT(0); err == nil {
 		t.Fatal("expected error for empty input")
 	}
-}
-
-func TestIFFTRoundTrip(t *testing.T) {
-	x := randComplex(128, 7)
-	y := make([]complex128, len(x))
-	copy(y, x)
-	if err := FFT(y); err != nil {
-		t.Fatal(err)
-	}
-	if err := IFFT(y); err != nil {
-		t.Fatal(err)
-	}
-	complexSliceClose(t, y, x, 1e-9)
 }
 
 func TestFFTParseval(t *testing.T) {
@@ -86,9 +81,7 @@ func TestFFTParseval(t *testing.T) {
 	}
 	y := make([]complex128, len(x))
 	copy(y, x)
-	if err := FFT(y); err != nil {
-		t.Fatal(err)
-	}
+	fft(t, y)
 	var freqEnergy float64
 	for _, v := range y {
 		freqEnergy += real(v)*real(v) + imag(v)*imag(v)
@@ -97,28 +90,6 @@ func TestFFTParseval(t *testing.T) {
 	if math.Abs(timeEnergy-freqEnergy) > 1e-6*timeEnergy {
 		t.Fatalf("Parseval violated: time %.6f freq %.6f", timeEnergy, freqEnergy)
 	}
-}
-
-func TestFFTAnyArbitraryLengths(t *testing.T) {
-	for _, n := range []int{3, 5, 6, 7, 12, 17, 100, 131} {
-		x := randComplex(n, int64(100+n))
-		want := naiveDFT(x)
-		got, err := FFTAny(x)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		complexSliceClose(t, got, want, 1e-7*float64(n))
-	}
-}
-
-func TestFFTAnyDoesNotModifyInput(t *testing.T) {
-	x := randComplex(13, 3)
-	orig := make([]complex128, len(x))
-	copy(orig, x)
-	if _, err := FFTAny(x); err != nil {
-		t.Fatal(err)
-	}
-	complexSliceClose(t, x, orig, 0)
 }
 
 func TestPowerSpectrumFindsTone(t *testing.T) {
@@ -222,9 +193,7 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			b.Fatal(err)
-		}
+		fft(b, buf)
 	}
 }
 

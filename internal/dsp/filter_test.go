@@ -32,174 +32,3 @@ func TestMovingAverageSmoothsStep(t *testing.T) {
 		t.Fatalf("levels altered: %v, %v", out[2], out[18])
 	}
 }
-
-func TestMedianFilterRemovesImpulse(t *testing.T) {
-	x := []float64{1, 1, 1, 50, 1, 1, 1}
-	out := MedianFilter(x, 3)
-	if out[3] != 1 {
-		t.Fatalf("impulse survived: %v", out[3])
-	}
-	// A genuine step survives the median.
-	step := []float64{0, 0, 0, 5, 5, 5}
-	sout := MedianFilter(step, 3)
-	if sout[4] != 5 || sout[1] != 0 {
-		t.Fatalf("step distorted: %v", sout)
-	}
-}
-
-func TestExponentialMATracksTowardsInput(t *testing.T) {
-	x := []float64{0, 10, 10, 10, 10, 10}
-	out := ExponentialMA(x, 0.5)
-	if out[0] != 0 {
-		t.Fatalf("first sample %v", out[0])
-	}
-	for i := 1; i < len(out)-1; i++ {
-		if out[i+1] < out[i] {
-			t.Fatalf("not monotone toward input at %d: %v", i, out)
-		}
-	}
-	if out[5] < 9 {
-		t.Fatalf("converged too slowly: %v", out[5])
-	}
-}
-
-func TestFirstOrderLowpassAttenuatesHighFrequency(t *testing.T) {
-	const fs = 1000.0
-	lp := NewFirstOrderLowpass(10, fs)
-	// 200 Hz tone: far above cutoff, should be strongly attenuated.
-	n := 2000
-	var maxOut float64
-	for i := 0; i < n; i++ {
-		v := lp.Step(math.Sin(2 * math.Pi * 200 * float64(i) / fs))
-		if i > n/2 && math.Abs(v) > maxOut {
-			maxOut = math.Abs(v)
-		}
-	}
-	if maxOut > 0.12 {
-		t.Fatalf("200 Hz attenuated to %v, want < 0.12", maxOut)
-	}
-	// DC passes unchanged.
-	lp.Reset()
-	var last float64
-	for i := 0; i < 2000; i++ {
-		last = lp.Step(1)
-	}
-	if math.Abs(last-1) > 1e-3 {
-		t.Fatalf("DC gain %v", last)
-	}
-}
-
-func TestFirstOrderLowpassDisabled(t *testing.T) {
-	lp := NewFirstOrderLowpass(0, 1000)
-	if out := lp.Apply([]float64{1, -1, 1, -1}); out[1] != -1 || out[3] != -1 {
-		t.Fatalf("disabled filter altered signal: %v", out)
-	}
-}
-
-func TestBiquadLowpassAndHighpass(t *testing.T) {
-	const fs = 1000.0
-	lp, err := NewLowpassBiquad(20, fs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := NewHighpassBiquad(20, fs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 3000
-	tone := func(f float64) []float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = math.Sin(2 * math.Pi * f * float64(i) / fs)
-		}
-		return x
-	}
-	amp := func(x []float64) float64 {
-		var m float64
-		for _, v := range x[n/2:] {
-			if math.Abs(v) > m {
-				m = math.Abs(v)
-			}
-		}
-		return m
-	}
-	if a := amp(lp.Apply(tone(200))); a > 0.1 {
-		t.Fatalf("lowpass leaks 200 Hz: %v", a)
-	}
-	if a := amp(lp.Apply(tone(2))); a < 0.9 {
-		t.Fatalf("lowpass attenuates 2 Hz: %v", a)
-	}
-	if a := amp(hp.Apply(tone(2))); a > 0.1 {
-		t.Fatalf("highpass leaks 2 Hz: %v", a)
-	}
-	if a := amp(hp.Apply(tone(200))); a < 0.9 {
-		t.Fatalf("highpass attenuates 200 Hz: %v", a)
-	}
-}
-
-func TestBiquadRejectsBadCutoff(t *testing.T) {
-	if _, err := NewLowpassBiquad(600, 1000, 0); err == nil {
-		t.Fatal("expected error for cutoff above Nyquist")
-	}
-	if _, err := NewHighpassBiquad(0, 1000, 0); err == nil {
-		t.Fatal("expected error for zero cutoff")
-	}
-}
-
-func TestConvolveIdentityAndLength(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	out := Convolve(x, []float64{1})
-	for i := range x {
-		if out[i] != x[i] {
-			t.Fatalf("identity kernel altered signal: %v", out)
-		}
-	}
-	out = Convolve(x, []float64{1, 1})
-	if len(out) != 5 {
-		t.Fatalf("full convolution length %d, want 5", len(out))
-	}
-	want := []float64{1, 3, 5, 7, 4}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("conv = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestConvolveSameKeepsLengthAndAlignment(t *testing.T) {
-	x := []float64{0, 0, 1, 0, 0}
-	k := []float64{0.25, 0.5, 0.25}
-	out := ConvolveSame(x, k)
-	if len(out) != len(x) {
-		t.Fatalf("length %d, want %d", len(out), len(x))
-	}
-	if ArgMax(out) != 2 {
-		t.Fatalf("symmetric kernel shifted the impulse: %v", out)
-	}
-}
-
-func TestSincLowpassKernel(t *testing.T) {
-	k, err := SincLowpassKernel(0.1, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range k {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("DC gain %v, want 1", sum)
-	}
-	// Symmetric.
-	for i := range k {
-		if math.Abs(k[i]-k[len(k)-1-i]) > 1e-12 {
-			t.Fatalf("kernel asymmetric at %d", i)
-		}
-	}
-	if _, err := SincLowpassKernel(0.6, 31); err == nil {
-		t.Fatal("expected error for cutoff >= 0.5")
-	}
-	if _, err := SincLowpassKernel(0.1, 30); err == nil {
-		t.Fatal("expected error for even length")
-	}
-}

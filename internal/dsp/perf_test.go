@@ -356,7 +356,7 @@ func TestDTWBandedMatchesExactWithinBand(t *testing.T) {
 			}
 			b[j] = a[k]
 		}
-		exact, err := DTW(a, b)
+		exact, err := DTWWith(a, b, DTWOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestDTWBandedFallbackOutsideBand(t *testing.T) {
 			}
 			b[j] = a[k]
 		}
-		exact, err := DTW(a, b)
+		exact, err := DTWWith(a, b, DTWOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,94 +421,69 @@ func TestDTWBandedFallbackOutsideBand(t *testing.T) {
 	}
 }
 
-// TestDTWEarlyAbandon: the cutoff must trigger exactly when the true
-// distance exceeds it, and the returned lower bound must not exceed
-// the true distance.
-func TestDTWEarlyAbandon(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 40; trial++ {
-		n := 32 + rng.Intn(100)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			b[i] = rng.NormFloat64()
-		}
-		exact, err := DTW(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cutoff above the true distance: must complete and match.
-		got, err := DTWWith(a, b, DTWOptions{AbandonAbove: exact * 1.01})
-		if err != nil {
-			t.Fatalf("trial %d: abandoned below its own distance: %v", trial, err)
-		}
-		if got != exact {
-			t.Fatalf("trial %d: distance %v != exact %v with loose cutoff", trial, got, exact)
-		}
-		// Cutoff far below: must abandon with a lower bound.
-		lb, err := DTWWith(a, b, DTWOptions{AbandonAbove: exact * 0.1})
-		if err == nil {
-			t.Fatalf("trial %d: expected abandonment below cutoff", trial)
-		}
-		if lb > exact {
-			t.Fatalf("trial %d: abandoned lower bound %v above exact %v", trial, lb, exact)
-		}
-	}
-}
-
-// TestFFTPlanConcurrent hammers the shared plan cache and one shared
-// plan from many goroutines; run under -race it proves plan reuse is
-// safe (immutable tables, pooled scratch).
+// TestFFTPlanConcurrent hammers the shared plan cache and the shared
+// plans from many goroutines through the production real-input path;
+// run under -race it proves plan reuse is safe (immutable tables,
+// pooled scratch).
 func TestFFTPlanConcurrent(t *testing.T) {
-	sizes := []int{8, 60, 128, 100, 256, 37}
+	sizes := []int{8, 64, 128, 2, 256, 1024}
+	want := map[int][]complex128{}
+	inputs := map[int][]float64{}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range sizes {
+		re := make([]float64, n-1)
+		for i := range re {
+			re[i] = rng.NormFloat64()
+		}
+		inputs[n] = re
+		want[n] = realDFT(re, n)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
 			for iter := 0; iter < 50; iter++ {
-				n := sizes[iter%len(sizes)]
+				n := sizes[(g+iter)%len(sizes)]
 				p, err := PlanFFT(n)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				x := make([]complex128, n)
-				for i := range x {
-					x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				}
-				orig := append([]complex128(nil), x...)
-				if err := p.Transform(x); err != nil {
+				got := make([]complex128, n/2+1)
+				if err := p.RealHalfSpectrum(inputs[n], got); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := p.Inverse(x); err != nil {
-					t.Error(err)
-					return
-				}
-				for i := range x {
-					if d := x[i] - orig[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
-						t.Errorf("size %d: round trip diverged at %d", n, i)
+				for k, w := range want[n] {
+					if d := got[k] - w; math.Hypot(real(d), imag(d)) > 1e-9*(1+math.Hypot(real(w), imag(w))) {
+						t.Errorf("size %d bin %d: %v, want %v", n, k, got[k], w)
 						return
 					}
 				}
 			}
-		}(int64(g))
+		}(g)
 	}
 	wg.Wait()
 }
 
+// realDFT returns bins 0..n/2 of the naive DFT of re zero-padded to n.
+func realDFT(re []float64, n int) []complex128 {
+	full := make([]complex128, n)
+	for i, v := range re {
+		full[i] = complex(v, 0)
+	}
+	return naiveDFT(full)[:n/2+1]
+}
+
 // TestRealHalfSpectrumMatchesComplexFFT compares the packed real
-// transform against the full complex FFT bin by bin.
+// transform against the naive complex DFT bin by bin, for input
+// lengths that fill the plan and that zero-pad it by an even and an
+// odd count.
 func TestRealHalfSpectrumMatchesComplexFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{2, 4, 8, 64, 256, 1024} {
-		for _, inLen := range []int{n, n / 2, n - 1} {
-			if inLen < 1 {
-				continue
-			}
+		for _, inLen := range []int{n, n / 2, n - 1, n/2 + 1} {
 			re := make([]float64, inLen)
 			for i := range re {
 				re[i] = rng.NormFloat64()
@@ -521,17 +496,10 @@ func TestRealHalfSpectrumMatchesComplexFFT(t *testing.T) {
 			if err := p.RealHalfSpectrum(re, got); err != nil {
 				t.Fatal(err)
 			}
-			full := make([]complex128, n)
-			for i, v := range re {
-				full[i] = complex(v, 0)
-			}
-			if err := FFT(full); err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k <= n/2; k++ {
-				d := got[k] - full[k]
-				if math.Hypot(real(d), imag(d)) > 1e-9*(1+math.Hypot(real(full[k]), imag(full[k]))) {
-					t.Fatalf("n=%d inLen=%d bin %d: real path %v, complex %v", n, inLen, k, got[k], full[k])
+			for k, w := range realDFT(re, n) {
+				d := got[k] - w
+				if math.Hypot(real(d), imag(d)) > 1e-9*(1+math.Hypot(real(w), imag(w))) {
+					t.Fatalf("n=%d inLen=%d bin %d: real path %v, naive %v", n, inLen, k, got[k], w)
 				}
 			}
 		}
@@ -551,7 +519,7 @@ func BenchmarkDTWKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DTW(a, c); err != nil {
+		if _, err := DTWWith(a, c, DTWOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,106 +6,41 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"sync"
-	"sync/atomic"
 )
 
-// FFTPlan holds everything a transform of one size needs but does not
-// want to recompute per call: the twiddle-factor table and
-// bit-reversal permutation for a radix-2 size, and — for non-power-
-// of-two sizes — the Bluestein chirp sequence with the convolution
-// kernel's transform precomputed. Plans are immutable after
-// construction and safe for concurrent use; per-call convolution
-// scratch comes from an internal pool.
+// FFTPlan holds everything a radix-2 transform of one size needs but
+// does not want to recompute per call: the twiddle-factor table and the
+// bit-reversal permutation. Plans are immutable after construction and
+// safe for concurrent use; per-call packing scratch comes from an
+// internal pool.
 //
 // Plans are cached: PlanFFT returns the shared plan for a size, so
-// hot paths (PowerSpectrum on every collision segment, repeated
-// classifier transforms) pay the trigonometry once per size per
-// process.
+// PowerSpectrum on every collision segment pays the trigonometry once
+// per size per process.
 type FFTPlan struct {
-	n int
-
-	// Radix-2 path (n a power of two).
+	n       int
 	twiddle []complex128 // exp(-2πik/n), k < n/2
 	bitrev  []uint32
-
-	// Bluestein path (any n): DFT as a convolution of size m.
-	m     int          // NextPowerOfTwo(2n+1)
-	chirp []complex128 // exp(-iπk²/n), k < n
-	bfft  []complex128 // sub-plan transform of the chirp kernel
-	sub   *FFTPlan     // radix-2 plan of size m
-	buf   sync.Pool    // *[]complex128 per-call scratch (convolution, real packing)
+	buf     sync.Pool // *[]complex128 per-call scratch (real packing)
 }
 
-var (
-	fftPlans sync.Map // int -> *FFTPlan
-	// fftPlanCount bounds the cache: power-of-two sizes are few and
-	// always cached, but Bluestein plans retain several O(n) arrays
-	// per distinct size, so a stream of data-dependent lengths (every
-	// segment a different size) must not pin memory without bound.
-	// Sizes beyond the cap get an ephemeral per-call plan — exactly
-	// the pre-plan-cache cost.
-	fftPlanCount atomic.Int64
-)
+var fftPlans sync.Map // int -> *FFTPlan
 
-const maxCachedFFTPlans = 64
-
-// PlanFFT returns the cached plan for transforms of size n. Plans are
-// immutable and safe for concurrent use. At most maxCachedFFTPlans
-// non-power-of-two sizes are retained; further sizes are planned per
-// call.
+// PlanFFT returns the cached plan for transforms of size n, which must
+// be a power of two. Plans are immutable and safe for concurrent use.
 func PlanFFT(n int) (*FFTPlan, error) {
 	if n <= 0 {
 		return nil, ErrEmptyInput
 	}
+	if !IsPowerOfTwo(n) {
+		return nil, errors.New("dsp: FFT size must be a power of two")
+	}
 	if p, ok := fftPlans.Load(n); ok {
 		return p.(*FFTPlan), nil
 	}
-	p := newFFTPlan(n)
-	if !IsPowerOfTwo(n) && fftPlanCount.Load() >= maxCachedFFTPlans {
-		return p, nil // ephemeral: cache full
-	}
-	actual, loaded := fftPlans.LoadOrStore(n, p)
-	if !loaded && !IsPowerOfTwo(n) {
-		fftPlanCount.Add(1)
-	}
+	p := &FFTPlan{n: n, twiddle: twiddleTable(n), bitrev: bitrevTable(n)}
+	actual, _ := fftPlans.LoadOrStore(n, p)
 	return actual.(*FFTPlan), nil
-}
-
-func newFFTPlan(n int) *FFTPlan {
-	p := &FFTPlan{n: n}
-	if IsPowerOfTwo(n) {
-		p.twiddle = twiddleTable(n)
-		p.bitrev = bitrevTable(n)
-		return p
-	}
-	// Bluestein: express the DFT as a linear convolution with the
-	// chirp kernel b[k] = conj(chirp[k]), evaluated circularly at a
-	// power-of-two size m >= 2n+1.
-	p.m = NextPowerOfTwo(2*n + 1)
-	p.sub = mustSubPlan(p.m)
-	p.chirp = make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// Use k*k mod 2n to avoid float blowup for large k.
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		p.chirp[k] = cmplx.Exp(complex(0, -math.Pi*float64(kk)/float64(n)))
-	}
-	p.bfft = make([]complex128, p.m)
-	for k := 0; k < n; k++ {
-		p.bfft[k] = cmplx.Conj(p.chirp[k])
-	}
-	for k := 1; k < n; k++ {
-		p.bfft[p.m-k] = cmplx.Conj(p.chirp[k])
-	}
-	p.sub.transform(p.bfft)
-	return p
-}
-
-func mustSubPlan(m int) *FFTPlan {
-	sub, err := PlanFFT(m)
-	if err != nil {
-		panic(err) // unreachable: m is a positive power of two
-	}
-	return sub
 }
 
 // twiddleTable precomputes w[k] = exp(-2πik/n) for k < n/2.
@@ -125,40 +60,6 @@ func bitrevTable(n int) []uint32 {
 		rev[i] = uint32(bits.Reverse64(uint64(i)) >> shift)
 	}
 	return rev
-}
-
-// Size returns the transform size the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
-// Transform computes the unnormalized forward DFT of x in place.
-// len(x) must equal Size. Safe for concurrent use with distinct x.
-func (p *FFTPlan) Transform(x []complex128) error {
-	if len(x) != p.n {
-		return errors.New("dsp: input length does not match plan size")
-	}
-	if p.twiddle != nil {
-		p.transform(x)
-		return nil
-	}
-	return p.bluestein(x)
-}
-
-// Inverse computes the inverse DFT of x in place, normalizing by 1/N.
-func (p *FFTPlan) Inverse(x []complex128) error {
-	if len(x) != p.n {
-		return errors.New("dsp: input length does not match plan size")
-	}
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := p.Transform(x); err != nil {
-		return err
-	}
-	inv := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * inv
-	}
-	return nil
 }
 
 // transform is the radix-2 kernel: iterative Cooley-Tukey over the
@@ -233,35 +134,6 @@ func (p *FFTPlan) release(s []complex128) {
 	p.buf.Put(&s)
 }
 
-// bluestein evaluates the arbitrary-size DFT with the precomputed
-// chirp and kernel transform; only the a-sequence is transformed per
-// call (the b-side is baked into the plan).
-func (p *FFTPlan) bluestein(x []complex128) error {
-	n, m := p.n, p.m
-	a := p.scratch(m)
-	defer p.release(a)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * p.chirp[k]
-	}
-	for k := n; k < m; k++ {
-		a[k] = 0
-	}
-	p.sub.transform(a)
-	for i := range a {
-		a[i] *= p.bfft[i]
-	}
-	// Inverse transform of the product, inlined over the sub-plan.
-	for i := range a {
-		a[i] = cmplx.Conj(a[i])
-	}
-	p.sub.transform(a)
-	inv := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		x[k] = cmplx.Conj(a[k]) * inv * p.chirp[k]
-	}
-	return nil
-}
-
 // RealHalfSpectrum computes the first half+1 bins (k = 0..n/2) of the
 // DFT of a real signal using one complex transform of half the plan
 // size: the even/odd samples are packed into complex pairs,
@@ -271,8 +143,8 @@ func (p *FFTPlan) bluestein(x []complex128) error {
 // PowerSpectrum's work relative to a full complex FFT.
 func (p *FFTPlan) RealHalfSpectrum(re []float64, out []complex128) error {
 	n := p.n
-	if !IsPowerOfTwo(n) || n < 2 {
-		return errors.New("dsp: real transform needs a power-of-two plan size >= 2")
+	if n < 2 {
+		return errors.New("dsp: real transform needs a plan size >= 2")
 	}
 	if len(re) > n {
 		return errors.New("dsp: input longer than plan size")

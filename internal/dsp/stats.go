@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of x (0 for empty input).
@@ -64,58 +63,6 @@ func MinMax(x []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// ArgMax returns the index of the maximum of x (-1 for empty input).
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum of x (-1 for empty input).
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of x using linear
-// interpolation between order statistics. x is not modified.
-func Quantile(x []float64, q float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := make([]float64, len(x))
-	copy(s, x)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // NormalizeMinMax scales x into [0, 1]. A constant signal maps to all
 // zeros. This matches the "Normalized RSS" axis of the paper's
 // figures.
@@ -130,69 +77,6 @@ func NormalizeMinMax(x []float64) []float64 {
 		out[i] = (v - lo) * inv
 	}
 	return out
-}
-
-// NormalizeZScore returns (x - mean) / std; a constant signal maps to
-// all zeros.
-func NormalizeZScore(x []float64) []float64 {
-	out := make([]float64, len(x))
-	m, s := Mean(x), Std(x)
-	if s == 0 {
-		return out
-	}
-	for i, v := range x {
-		out[i] = (v - m) / s
-	}
-	return out
-}
-
-// CrossCorrelation returns the (non-normalized) cross-correlation of x
-// and template at each lag in [0, len(x)-len(template)]. Used for
-// matched-filter style preamble search experiments.
-func CrossCorrelation(x, template []float64) []float64 {
-	n, m := len(x), len(template)
-	if n == 0 || m == 0 || m > n {
-		return nil
-	}
-	out := make([]float64, n-m+1)
-	for lag := range out {
-		var sum float64
-		for j, t := range template {
-			sum += x[lag+j] * t
-		}
-		out[lag] = sum
-	}
-	return out
-}
-
-// AutoCorrelation returns the biased autocorrelation of x for lags
-// 0..maxLag (inclusive), normalized so lag 0 equals 1 (unless the
-// signal is all zeros). Useful for estimating the dominant symbol
-// period of a packet.
-func AutoCorrelation(x []float64, maxLag int) []float64 {
-	n := len(x)
-	if n == 0 || maxLag < 0 {
-		return nil
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	m := Mean(x)
-	c := make([]float64, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
-		var sum float64
-		for i := 0; i+lag < n; i++ {
-			sum += (x[i] - m) * (x[i+lag] - m)
-		}
-		c[lag] = sum / float64(n)
-	}
-	if c[0] != 0 {
-		inv := 1 / c[0]
-		for i := range c {
-			c[i] *= inv
-		}
-	}
-	return c
 }
 
 // ResampleLinear resamples x from its implicit uniform grid to a new
@@ -227,48 +111,12 @@ func ResampleLinear(x []float64, newLen int) []float64 {
 	return out
 }
 
-// Decimate keeps every factor-th sample of x (factor >= 1), applying a
-// moving-average anti-alias prefilter of the same width.
-func Decimate(x []float64, factor int) []float64 {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	smooth := MovingAverage(x, factor)
-	out := make([]float64, 0, len(x)/factor+1)
-	for i := 0; i < len(smooth); i += factor {
-		out = append(out, smooth[i])
-	}
-	return out
-}
-
-// Envelope returns the amplitude envelope of x: full-wave rectify
-// around the mean, then low-pass with a moving average of the given
-// window.
-func Envelope(x []float64, window int) []float64 {
-	m := Mean(x)
-	rect := make([]float64, len(x))
-	for i, v := range x {
-		rect[i] = math.Abs(v - m)
-	}
-	return MovingAverage(rect, window)
-}
-
 // HannWindow is a window function for PowerSpectrum.
 func HannWindow(n, i int) float64 {
 	if n <= 1 {
 		return 1
 	}
 	return 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-}
-
-// HammingWindow is a window function for PowerSpectrum.
-func HammingWindow(n, i int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	return 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
 }
 
 // LinearFit fits y = a + b*x by least squares and returns (a, b).

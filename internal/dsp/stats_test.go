@@ -28,39 +28,6 @@ func TestBasicStats(t *testing.T) {
 	}
 }
 
-func TestArgMinMax(t *testing.T) {
-	x := []float64{3, 1, 4, 1, 5}
-	if i := ArgMax(x); i != 4 {
-		t.Fatalf("argmax %d", i)
-	}
-	if i := ArgMin(x); i != 1 {
-		t.Fatalf("argmin %d (first minimum wins)", i)
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Fatal("empty input should return -1")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(x, 0); q != 1 {
-		t.Fatalf("q0 %v", q)
-	}
-	if q := Quantile(x, 1); q != 5 {
-		t.Fatalf("q1 %v", q)
-	}
-	if q := Quantile(x, 0.5); q != 3 {
-		t.Fatalf("median %v", q)
-	}
-	if q := Quantile(x, 0.25); q != 2 {
-		t.Fatalf("q25 %v", q)
-	}
-	// Input must not be mutated (sorted copy inside).
-	if x[0] != 1 || x[4] != 5 {
-		t.Fatal("quantile mutated input")
-	}
-}
-
 func TestNormalizeMinMax(t *testing.T) {
 	out := NormalizeMinMax([]float64{10, 20, 30})
 	want := []float64{0, 0.5, 1}
@@ -74,54 +41,6 @@ func TestNormalizeMinMax(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("constant signal should map to zeros: %v", flat)
 		}
-	}
-}
-
-func TestNormalizeZScore(t *testing.T) {
-	out := NormalizeZScore([]float64{1, 2, 3, 4, 5})
-	if !almostEqual(Mean(out), 0, 1e-12) {
-		t.Fatalf("mean %v", Mean(out))
-	}
-	if !almostEqual(Std(out), 1, 1e-12) {
-		t.Fatalf("std %v", Std(out))
-	}
-}
-
-func TestCrossCorrelationPeakAtTemplateOffset(t *testing.T) {
-	x := make([]float64, 50)
-	tpl := []float64{1, 2, 1}
-	copy(x[20:], tpl)
-	cc := CrossCorrelation(x, tpl)
-	if best := ArgMax(cc); best != 20 {
-		t.Fatalf("correlation peak at %d, want 20", best)
-	}
-	if CrossCorrelation(tpl, x) != nil {
-		t.Fatal("template longer than signal should return nil")
-	}
-}
-
-func TestAutoCorrelationPeriodDetection(t *testing.T) {
-	// Period-8 square wave: autocorrelation peaks at lag 8.
-	n := 128
-	x := make([]float64, n)
-	for i := range x {
-		if (i/4)%2 == 0 {
-			x[i] = 1
-		}
-	}
-	ac := AutoCorrelation(x, 16)
-	if !almostEqual(ac[0], 1, 1e-12) {
-		t.Fatalf("lag-0 autocorrelation %v, want 1", ac[0])
-	}
-	// Lag 8 (full period) should be the strongest non-trivial lag.
-	best := 1
-	for lag := 2; lag < len(ac); lag++ {
-		if ac[lag] > ac[best] {
-			best = lag
-		}
-	}
-	if best != 8 {
-		t.Fatalf("period detected at lag %d, want 8", best)
 	}
 }
 
@@ -149,41 +68,6 @@ func TestResampleLinear(t *testing.T) {
 		if v != 7 {
 			t.Fatalf("single-sample resample %v", single)
 		}
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := make([]float64, 10)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	out := Decimate(x, 2)
-	if len(out) != 5 {
-		t.Fatalf("length %d, want 5", len(out))
-	}
-	same := Decimate(x, 1)
-	for i := range x {
-		if same[i] != x[i] {
-			t.Fatal("factor 1 altered signal")
-		}
-	}
-}
-
-func TestEnvelopeOfAmplitudeModulatedTone(t *testing.T) {
-	const fs = 1000.0
-	n := 1000
-	x := make([]float64, n)
-	for i := range x {
-		ti := float64(i) / fs
-		amp := 1 + 0.8*math.Sin(2*math.Pi*2*ti)
-		x[i] = amp * math.Sin(2*math.Pi*100*ti)
-	}
-	env := Envelope(x, 21)
-	// The envelope should vary with the 2 Hz modulation, not the
-	// 100 Hz carrier: check variance at modulation scale.
-	lo, hi := MinMax(env[100 : n-100])
-	if hi/math.Max(lo, 1e-9) < 1.5 {
-		t.Fatalf("envelope flat: lo=%v hi=%v", lo, hi)
 	}
 }
 

@@ -149,12 +149,6 @@ func ByName(name string) (Receiver, error) {
 	return r, nil
 }
 
-// DeviceNames lists the canonical receiver names ByName resolves,
-// for -list style help output.
-func DeviceNames() []string {
-	return []string{"pd-G1", "pd-G2", "pd-G2+cap", "pd-G3", "rx-led"}
-}
-
 // Validate checks the model parameters.
 func (r Receiver) Validate() error {
 	if r.Sensitivity <= 0 {

@@ -1,6 +1,6 @@
 // Package geom provides small geometric primitives used by the optical
-// channel simulator: 2-D/3-D vectors, angle conversions and
-// field-of-view (FoV) cone math.
+// channel simulator: degree-to-radian conversion and field-of-view
+// (FoV) cone math.
 //
 // The simulator mostly works in a 2-D vertical slice: objects move
 // along the x axis on the ground plane (z = 0) and receivers look
@@ -11,73 +11,8 @@ package geom
 
 import "math"
 
-// Vec2 is a point or direction in the vertical slice (x along the
-// direction of motion, z up).
-type Vec2 struct {
-	X, Z float64
-}
-
-// Add returns v + w.
-func (v Vec2) Add(w Vec2) Vec2 { return Vec2{v.X + w.X, v.Z + w.Z} }
-
-// Sub returns v - w.
-func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Z - w.Z} }
-
-// Scale returns v scaled by s.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Z * s} }
-
-// Dot returns the dot product of v and w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Z*w.Z }
-
-// Norm returns the Euclidean length of v.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Z) }
-
-// Unit returns v normalized to unit length. The zero vector is
-// returned unchanged.
-func (v Vec2) Unit() Vec2 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
-// Vec3 is a point or direction in 3-D space (x along motion, y
-// lateral, z up). Used by the scene for lateral FoV sharing.
-type Vec3 struct {
-	X, Y, Z float64
-}
-
-// Add returns v + w.
-func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
-
-// Sub returns v - w.
-func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
-
-// Scale returns v scaled by s.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
-
-// Dot returns the dot product of v and w.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Norm returns the Euclidean length of v.
-func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Unit returns v normalized to unit length. The zero vector is
-// returned unchanged.
-func (v Vec3) Unit() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
 // Radians converts degrees to radians.
 func Radians(deg float64) float64 { return deg * math.Pi / 180 }
-
-// Degrees converts radians to degrees.
-func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
 
 // Cone describes a field-of-view cone: the apex sits at the receiver,
 // the axis points straight down, and HalfAngle is the half opening
@@ -95,15 +30,6 @@ func (c Cone) FootprintRadius(h float64) float64 {
 	return h * math.Tan(c.HalfAngle)
 }
 
-// Contains reports whether a ground point at horizontal offset dx from
-// the apex, at distance h below it, lies inside the cone.
-func (c Cone) Contains(dx, h float64) bool {
-	if h <= 0 {
-		return false
-	}
-	return math.Abs(dx) <= c.FootprintRadius(h)
-}
-
 // IncidenceCos returns cos(theta) for a ray from a ground point at
 // horizontal offset dx to an apex at height h: the cosine of the angle
 // between the ray and the vertical.
@@ -114,47 +40,3 @@ func IncidenceCos(dx, h float64) float64 {
 	}
 	return h / d
 }
-
-// SlantDistance returns the distance between a ground point at
-// horizontal offset dx and an apex at height h.
-func SlantDistance(dx, h float64) float64 { return math.Hypot(dx, h) }
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// Lerp linearly interpolates between a and b by t in [0, 1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// Interval is a closed interval on the ground line.
-type Interval struct {
-	Lo, Hi float64
-}
-
-// Len returns the interval length (zero for empty/inverted intervals).
-func (iv Interval) Len() float64 {
-	if iv.Hi <= iv.Lo {
-		return 0
-	}
-	return iv.Hi - iv.Lo
-}
-
-// Intersect returns the overlap of two intervals (possibly empty).
-func (iv Interval) Intersect(o Interval) Interval {
-	lo := math.Max(iv.Lo, o.Lo)
-	hi := math.Min(iv.Hi, o.Hi)
-	if hi < lo {
-		return Interval{lo, lo}
-	}
-	return Interval{lo, hi}
-}
-
-// Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }

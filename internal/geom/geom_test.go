@@ -3,61 +3,14 @@ package geom
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestVec2Basics(t *testing.T) {
-	a := Vec2{3, 4}
-	if a.Norm() != 5 {
-		t.Fatalf("norm %v", a.Norm())
-	}
-	u := a.Unit()
-	if math.Abs(u.Norm()-1) > 1e-12 {
-		t.Fatalf("unit norm %v", u.Norm())
-	}
-	if (Vec2{}).Unit() != (Vec2{}) {
-		t.Fatal("zero vector unit should stay zero")
-	}
-	if got := a.Add(Vec2{1, 1}).Sub(Vec2{1, 1}); got != a {
-		t.Fatalf("add/sub roundtrip %v", got)
-	}
-	if got := a.Scale(2); got != (Vec2{6, 8}) {
-		t.Fatalf("scale %v", got)
-	}
-	if got := a.Dot(Vec2{1, 0}); got != 3 {
-		t.Fatalf("dot %v", got)
-	}
-}
-
-func TestVec3Basics(t *testing.T) {
-	a := Vec3{1, 2, 2}
-	if a.Norm() != 3 {
-		t.Fatalf("norm %v", a.Norm())
-	}
-	if math.Abs(a.Unit().Norm()-1) > 1e-12 {
-		t.Fatal("unit norm")
-	}
-	if (Vec3{}).Unit() != (Vec3{}) {
-		t.Fatal("zero vector unit should stay zero")
-	}
-	if got := a.Add(a).Sub(a); got != a {
-		t.Fatalf("add/sub %v", got)
-	}
-	if got := a.Scale(3).Dot(Vec3{1, 0, 0}); got != 3 {
-		t.Fatalf("dot %v", got)
-	}
-}
 
 func TestAngleConversion(t *testing.T) {
 	if math.Abs(Radians(180)-math.Pi) > 1e-12 {
 		t.Fatal("radians")
 	}
-	if math.Abs(Degrees(math.Pi/2)-90) > 1e-12 {
-		t.Fatal("degrees")
-	}
-	// Round trip.
-	if math.Abs(Degrees(Radians(37.5))-37.5) > 1e-12 {
-		t.Fatal("roundtrip")
+	if math.Abs(Radians(-90)+math.Pi/2) > 1e-12 {
+		t.Fatal("negative radians")
 	}
 }
 
@@ -70,14 +23,8 @@ func TestConeFootprint(t *testing.T) {
 	if r := narrow.FootprintRadius(1); math.Abs(r-math.Tan(Radians(4))) > 1e-12 {
 		t.Fatalf("4-degree footprint %v", r)
 	}
-	if !c.Contains(0.5, 1) {
-		t.Fatal("point inside cone rejected")
-	}
-	if c.Contains(1.5, 1) {
-		t.Fatal("point outside cone accepted")
-	}
-	if c.Contains(0, 0) {
-		t.Fatal("zero height should contain nothing")
+	if r := c.FootprintRadius(0); r != 0 {
+		t.Fatalf("footprint at zero height %v", r)
 	}
 }
 
@@ -90,77 +37,5 @@ func TestIncidenceCosAndSlant(t *testing.T) {
 	}
 	if got := IncidenceCos(0, 0); got != 1 {
 		t.Fatalf("degenerate cos %v", got)
-	}
-	if got := SlantDistance(3, 4); got != 5 {
-		t.Fatalf("slant %v", got)
-	}
-}
-
-func TestClampAndLerp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("clamp")
-	}
-	if Lerp(0, 10, 0.25) != 2.5 {
-		t.Fatal("lerp")
-	}
-}
-
-func TestInterval(t *testing.T) {
-	a := Interval{0, 2}
-	b := Interval{1, 3}
-	got := a.Intersect(b)
-	if got.Lo != 1 || got.Hi != 2 {
-		t.Fatalf("intersection %+v", got)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("length %v", got.Len())
-	}
-	empty := a.Intersect(Interval{5, 6})
-	if empty.Len() != 0 {
-		t.Fatalf("disjoint intersection has length %v", empty.Len())
-	}
-	if !a.Contains(1.5) || a.Contains(2.5) {
-		t.Fatal("contains")
-	}
-	inv := Interval{3, 1}
-	if inv.Len() != 0 {
-		t.Fatal("inverted interval should have zero length")
-	}
-}
-
-func TestUnitNormProperty(t *testing.T) {
-	f := func(x, z float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(z) || math.IsInf(z, 0) {
-			return true
-		}
-		if math.Abs(x) > 1e150 || math.Abs(z) > 1e150 {
-			return true
-		}
-		v := Vec2{x, z}
-		if v.Norm() == 0 {
-			return true
-		}
-		return math.Abs(v.Unit().Norm()-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntersectCommutativeProperty(t *testing.T) {
-	f := func(a, b, c, d float64) bool {
-		for _, v := range []float64{a, b, c, d} {
-			if math.IsNaN(v) {
-				return true
-			}
-		}
-		i1 := Interval{math.Min(a, b), math.Max(a, b)}
-		i2 := Interval{math.Min(c, d), math.Max(c, d)}
-		x := i1.Intersect(i2)
-		y := i2.Intersect(i1)
-		return x.Len() == y.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -77,9 +77,3 @@ func (m Material) WithDirt(coverage float64) Material {
 	out.SpecularFraction = m.SpecularFraction * (1 - coverage)
 	return out
 }
-
-// Contrast returns the reflectance difference between two materials;
-// the received HIGH/LOW amplitude gap is proportional to it.
-func Contrast(high, low Material) float64 {
-	return high.Reflectance - low.Reflectance
-}

@@ -20,10 +20,10 @@ func TestStandardMaterialsValid(t *testing.T) {
 func TestHighLowContrast(t *testing.T) {
 	// The paper's symbol materials must have strong contrast, and the
 	// LOW material must blend with the tarmac ground.
-	if c := Contrast(AluminumTape, BlackNapkin); c < 0.5 {
+	if c := AluminumTape.Reflectance - BlackNapkin.Reflectance; c < 0.5 {
 		t.Fatalf("aluminum/napkin contrast %.2f too low", c)
 	}
-	if c := Contrast(BlackNapkin, Tarmac); c > 0.05 || c < -0.05 {
+	if c := BlackNapkin.Reflectance - Tarmac.Reflectance; c > 0.05 || c < -0.05 {
 		t.Fatalf("napkin should be close to tarmac: %.2f", c)
 	}
 }
@@ -80,8 +80,8 @@ func TestWithDirtPropertyStaysValid(t *testing.T) {
 }
 
 func TestDirtReducesContrast(t *testing.T) {
-	clean := Contrast(AluminumTape, BlackNapkin)
-	dirty := Contrast(AluminumTape.WithDirt(0.6), BlackNapkin.WithDirt(0.6))
+	clean := AluminumTape.Reflectance - BlackNapkin.Reflectance
+	dirty := AluminumTape.WithDirt(0.6).Reflectance - BlackNapkin.WithDirt(0.6).Reflectance
 	if dirty >= clean {
 		t.Fatalf("dirt should reduce contrast: clean %.2f dirty %.2f", clean, dirty)
 	}

@@ -31,24 +31,11 @@ type Model struct {
 	Seed int64
 }
 
-// Apply returns a noisy copy of x. Negative results are clamped to 0
-// (illuminance cannot be negative).
-func (m Model) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	m.applyTo(out, x)
-	return out
-}
-
-// ApplyInPlace is Apply writing over x itself — for callers that own
-// the input buffer (the link simulation discards the clean rendering
-// anyway, and capacity sweeps run thousands of simulations). The
-// sample values produced are identical to Apply's.
+// ApplyInPlace adds the model's noise to x in place and returns x.
+// Negative results are clamped to 0 (illuminance cannot be negative).
+// Callers own the input buffer: the link simulation discards the clean
+// rendering anyway, and capacity sweeps run thousands of simulations.
 func (m Model) ApplyInPlace(x []float64) []float64 {
-	m.applyTo(x, x)
-	return x
-}
-
-func (m Model) applyTo(out, x []float64) {
 	rng := rand.New(rand.NewSource(m.Seed))
 	drift := 0.0
 	for i, v := range x {
@@ -69,8 +56,9 @@ func (m Model) applyTo(out, x []float64) {
 		if n < 0 {
 			n = 0
 		}
-		out[i] = n
+		x[i] = n
 	}
+	return x
 }
 
 // Quiet is a noise model with everything disabled.
@@ -125,34 +113,4 @@ func (f Fog) applyTo(out, x []float64) {
 	for i, v := range x {
 		out[i] = t*v + (1-t)*f.ScatterLevel
 	}
-}
-
-// SNR estimates the ratio between the peak-to-peak excursion of the
-// clean signal and the RMS of (noisy - clean); used by capacity
-// sweeps to report margins. Returns +Inf when the residual is zero.
-func SNR(clean, noisy []float64) float64 {
-	n := len(clean)
-	if len(noisy) < n {
-		n = len(noisy)
-	}
-	if n == 0 {
-		return 0
-	}
-	lo, hi := clean[0], clean[0]
-	var resid float64
-	for i := 0; i < n; i++ {
-		if clean[i] < lo {
-			lo = clean[i]
-		}
-		if clean[i] > hi {
-			hi = clean[i]
-		}
-		d := noisy[i] - clean[i]
-		resid += d * d
-	}
-	rms := math.Sqrt(resid / float64(n))
-	if rms == 0 {
-		return math.Inf(1)
-	}
-	return (hi - lo) / rms
 }

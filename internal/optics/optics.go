@@ -82,21 +82,6 @@ func (p PointLamp) IlluminanceAt(x, _ float64) float64 {
 	return p.Intensity * math.Pow(cos, m) * cos / d2
 }
 
-// CenterIlluminance returns the lux directly under the lamp; handy
-// for calibrating experiments by their reported noise floor.
-func (p PointLamp) CenterIlluminance() float64 {
-	if p.Height <= 0 {
-		return 0
-	}
-	return p.Intensity / (p.Height * p.Height)
-}
-
-// LampForLux builds a PointLamp at (x, height) whose illuminance
-// directly underneath equals lux.
-func LampForLux(x, height, lux, lambertOrder float64) PointLamp {
-	return PointLamp{X: x, Height: height, Intensity: lux * height * height, LambertOrder: lambertOrder}
-}
-
 // CeilingLight models mains-powered luminaires (fluorescent tubes or
 // incandescent bulbs, Sec. 4.1 "Impact of other light sources"). The
 // illuminance is roughly uniform over the small experiment area but

@@ -32,12 +32,11 @@ func TestPointLampOffAxisFalloff(t *testing.T) {
 }
 
 func TestLampForLuxCalibration(t *testing.T) {
-	lamp := LampForLux(0, 0.25, 300, 4)
+	// Intensity = lux·h² puts exactly lux directly under the lamp: the
+	// calibration the scenario point-lamp optics use.
+	lamp := PointLamp{Height: 0.25, Intensity: 300 * 0.25 * 0.25, LambertOrder: 4}
 	if got := lamp.IlluminanceAt(0, 0); math.Abs(got-300) > 1e-9 {
 		t.Fatalf("center lux %.3f, want 300", got)
-	}
-	if got := lamp.CenterIlluminance(); math.Abs(got-300) > 1e-9 {
-		t.Fatalf("CenterIlluminance %.3f", got)
 	}
 }
 
@@ -45,9 +44,6 @@ func TestPointLampZeroHeight(t *testing.T) {
 	lamp := PointLamp{Height: 0, Intensity: 10}
 	if lamp.IlluminanceAt(0, 0) != 0 {
 		t.Fatal("zero-height lamp should emit nothing")
-	}
-	if lamp.CenterIlluminance() != 0 {
-		t.Fatal("zero-height center illuminance should be 0")
 	}
 }
 

@@ -244,18 +244,6 @@ func (a *Aggregator) Tracks() []Track {
 	return append([]Track(nil), a.tracks...)
 }
 
-// Nodes returns a snapshot of registered nodes.
-func (a *Aggregator) Nodes() []Hello {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Hello, 0, len(a.nodes))
-	for _, h := range a.nodes {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
-	return out
-}
-
 // Close stops the listener and waits for all handlers.
 func (a *Aggregator) Close() error {
 	var err error

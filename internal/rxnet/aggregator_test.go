@@ -42,12 +42,15 @@ func TestNodeRegistersAndPublishes(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		nodes := agg.Nodes()
-		if len(nodes) == 1 && nodes[0].Name == "pole-1" {
+		agg.mu.Lock()
+		h, ok := agg.nodes[1]
+		n := len(agg.nodes)
+		agg.mu.Unlock()
+		if ok && n == 1 && h.Name == "pole-1" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("node not registered: %+v", nodes)
+			t.Fatalf("node not registered: %d nodes, node 1 %+v", n, h)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -3,6 +3,7 @@ package rxnet
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -15,7 +16,8 @@ func frameBytes(t FrameType, body []byte) []byte {
 }
 
 // FuzzParseFrame drives the full wire-parsing surface with arbitrary
-// bytes: framing (ReadFrame) and every per-type unmarshal. The
+// bytes: framing (ReadFrame) and every per-type unmarshal, with sample
+// chunks going through the listener's pooled parser. The
 // invariant is the cluster's byzantine-input contract — malformed
 // frames must return errors; they must never panic, hang, or
 // allocate unboundedly (length fields are validated before use).
@@ -43,6 +45,18 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add([]byte{0xFF, Version, byte(FrameHello), 0, 0, 0, 0})
 	f.Add([]byte{MagicByte, Version, byte(FrameHello), 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{MagicByte})
+	// Sample chunks the parser must reject: a NaN and an Inf sample, a
+	// sample count above MaxChunkSamples, and a body cut short of its
+	// declared samples.
+	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+		c := append([]byte(nil), chunk...)
+		binary.BigEndian.PutUint64(c[len(c)-8:], math.Float64bits(bad))
+		f.Add(frameBytes(FrameSampleChunk, c))
+	}
+	huge := append([]byte(nil), chunk...)
+	binary.BigEndian.PutUint16(huge[28:30], MaxChunkSamples+1)
+	f.Add(frameBytes(FrameSampleChunk, huge))
+	f.Add(frameBytes(FrameSampleChunk, chunk[:len(chunk)-3]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -58,10 +72,8 @@ func FuzzParseFrame(f *testing.F) {
 				UnmarshalDetection(body) //nolint:errcheck
 			case FrameAck:
 				UnmarshalAck(body) //nolint:errcheck
-			case FrameSampleChunk:
-				UnmarshalSampleChunk(body) //nolint:errcheck
-			case FrameTrack:
-				UnmarshalTrack(body) //nolint:errcheck
+			case FrameSampleChunk, FrameSampleReplay:
+				checkSampleChunk(t, body)
 			case FrameStreamEnd:
 				UnmarshalStreamEnd(body) //nolint:errcheck
 			case FrameStreamNack:
@@ -79,6 +91,44 @@ func FuzzParseFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkSampleChunk parses body the way the listener does, into a
+// pooled SampleBuf, and checks the buffer's reference count: a
+// rejected frame must have released the buffer it took, an accepted
+// one hands exactly one reference to the caller. The copying
+// UnmarshalSampleChunk must agree with the pooled path.
+func checkSampleChunk(t *testing.T, body []byte) {
+	var taken *SampleBuf
+	c, sb, err := decodeSampleChunk(body, func(n int) *SampleBuf {
+		taken = getSampleBuf(n)
+		return taken
+	})
+	want, werr := UnmarshalSampleChunk(body)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("pooled parse error %v, copying parse error %v", err, werr)
+	}
+	if err != nil {
+		if sb != nil {
+			t.Fatal("rejected chunk returned a SampleBuf")
+		}
+		if taken != nil && taken.refs.Load() != 0 {
+			t.Fatalf("rejected chunk left %d SampleBuf references outstanding", taken.refs.Load())
+		}
+		return
+	}
+	if sb != taken || sb.refs.Load() != 1 {
+		t.Fatalf("accepted chunk: buffer %p (took %p) with %d references, want one", sb, taken, sb.refs.Load())
+	}
+	if len(c.Samples) != len(want.Samples) {
+		t.Fatalf("pooled parse read %d samples, copying parse %d", len(c.Samples), len(want.Samples))
+	}
+	for i := range c.Samples {
+		if math.Float64bits(c.Samples[i]) != math.Float64bits(want.Samples[i]) {
+			t.Fatalf("sample %d: pooled %v, copying %v", i, c.Samples[i], want.Samples[i])
+		}
+	}
+	sb.Release()
 }
 
 // FuzzChunkCursor drives the stream-continuity rule with arbitrary

@@ -54,7 +54,7 @@ func chunkAt(t *testing.T, seq uint32, start uint64) []byte {
 // are a genuine stream restart (Seq 1, Start 0) — without resetting
 // the cursor, and counts every discard.
 func TestChunkListenerDedupsReplayedChunks(t *testing.T) {
-	l, err := ListenChunks("127.0.0.1:0", t.Logf)
+	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +151,12 @@ func MarshalOrDie(t *testing.T, c SampleChunk) []byte {
 // address and the buffered tail is retransmitted there as marked
 // replays, so the standby sees the whole stream exactly once.
 func TestNodeMultiAddressFailoverResendsTail(t *testing.T) {
-	l1, err := ListenChunks("127.0.0.1:0", t.Logf)
+	l1, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l1.Close()
-	l2, err := ListenChunks("127.0.0.1:0", t.Logf)
+	l2, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestNodeMultiAddressFailoverResendsTail(t *testing.T) {
 // the old epoch's Seqs name other chunks, so its ack is dropped instead
 // of trimming the new epoch upstream.
 func TestChunkListenerAckThroughEpoch(t *testing.T) {
-	l, err := ListenChunks("127.0.0.1:0", t.Logf)
+	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

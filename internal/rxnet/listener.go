@@ -41,17 +41,13 @@ type ChunkEvent struct {
 	// empty on End events.
 	End bool
 	// Buf, when non-nil, is the pooled buffer backing Samples. The
-	// consumer owns one reference and must call Release (directly or
-	// via ChunkEvent.Release) once the samples have been consumed —
-	// e.g. copied into an engine session ring. Ignoring it is safe
+	// consumer owns one reference and must call Buf.Release once the
+	// samples have been consumed — e.g. copied into an engine session
+	// ring. Ignoring it is safe
 	// (the buffer falls to the garbage collector, costing only a pool
 	// miss), but a consumer must never retain Samples past Release.
 	Buf *SampleBuf
 }
-
-// Release returns the event's pooled sample buffer, if any. Safe on
-// events without one (End events, hand-built test events).
-func (ev ChunkEvent) Release() { ev.Buf.Release() }
 
 // lconn is one accepted connection with a serialized write path, so
 // control frames (drain notices, NACKs) can be sent from goroutines
@@ -186,13 +182,6 @@ type ChunkListenerConfig struct {
 	// worst ratio in the pl_rxnet_pace_gap_ratio gauge (>= 1 means the
 	// documented timing invariant is violated).
 	PaceGuardIdle time.Duration
-}
-
-// ListenChunks starts a chunk listener on addr ("host:port"; empty
-// port picks an ephemeral one) with default config. logf receives
-// diagnostics; nil silences them.
-func ListenChunks(addr string, logf func(format string, args ...any)) (*ChunkListener, error) {
-	return ListenChunksConfig(addr, ChunkListenerConfig{Logf: logf})
 }
 
 // ListenChunksConfig starts a chunk listener with explicit queue and
@@ -702,8 +691,8 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 			// Decode straight into a pooled sample buffer: the wire →
 			// buffer copy here is the only copy the chunk pays before
 			// it reaches a session ring. The consumer releases the
-			// buffer (ChunkEvent.Release) once the samples are fed.
-			c, sb, err := unmarshalSampleChunkPooled(body)
+			// buffer (Buf.Release) once the samples are fed.
+			c, sb, err := decodeSampleChunk(body, getSampleBuf)
 			if err != nil {
 				l.countFrameErr()
 				l.logf("rxnet: bad sample chunk: %v", err)

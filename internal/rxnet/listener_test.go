@@ -29,7 +29,7 @@ func collectChunks(t *testing.T, l *ChunkListener, n int) []ChunkEvent {
 }
 
 func TestChunkListenerDeliversAndResets(t *testing.T) {
-	l, err := ListenChunks("127.0.0.1:0", t.Logf)
+	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestChunkCursorAdvance(t *testing.T) {
 // End event, or its open decode session would later splice in chunks
 // with continuity unchecked.
 func TestChunkListenerShedCursorEndsSession(t *testing.T) {
-	l, err := ListenChunks("127.0.0.1:0", t.Logf)
+	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestChunkListenerDrainRefusesNewStreams(t *testing.T) {
 // event locally, NACK with the consumed Seq to the peer) and
 // FrameStreamEnd (router orders a flush+release — End event locally).
 func TestChunkListenerForceRedirectAndStreamEnd(t *testing.T) {
-	l, err := ListenChunks("127.0.0.1:0", t.Logf)
+	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

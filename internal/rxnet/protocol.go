@@ -50,7 +50,9 @@ const (
 	FrameDetection
 	// FrameAck acknowledges a detection (aggregator -> node).
 	FrameAck
-	// FrameTrack carries a fused track (aggregator -> subscribers).
+	// FrameTrack is reserved. Fused tracks reach subscribers in
+	// process (Aggregator.Subscribe) and never travel on the wire; the
+	// code stays so later frame numbers do not shift.
 	FrameTrack
 	// FrameSampleChunk carries raw RSS samples from a node that
 	// delegates decoding to the engine behind a ChunkListener.
@@ -378,11 +380,24 @@ func MarshalSampleChunk(c SampleChunk) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalSampleChunk decodes a SampleChunk body.
+// UnmarshalSampleChunk decodes a SampleChunk body into freshly
+// allocated samples.
 func UnmarshalSampleChunk(b []byte) (SampleChunk, error) {
+	c, _, err := decodeSampleChunk(b, nil)
+	return c, err
+}
+
+// decodeSampleChunk is the one SampleChunk parser: it checks the
+// header, the body length and every sample, and decodes the samples.
+// With get nil the samples are freshly allocated; otherwise they go
+// into the buffer get returns (the listener passes getSampleBuf), and
+// c.Samples aliases it. That buffer carries one reference the caller
+// must Release; on error it is already released and the returned
+// SampleBuf is nil.
+func decodeSampleChunk(b []byte, get func(n int) *SampleBuf) (SampleChunk, *SampleBuf, error) {
 	const fixed = 4 + 4 + 4 + 8 + 8 + 2
 	if len(b) < fixed {
-		return SampleChunk{}, ErrTruncated
+		return SampleChunk{}, nil, ErrTruncated
 	}
 	c := SampleChunk{
 		NodeID:   binary.BigEndian.Uint32(b[0:4]),
@@ -393,25 +408,34 @@ func UnmarshalSampleChunk(b []byte) (SampleChunk, error) {
 	}
 	n := int(binary.BigEndian.Uint16(b[28:30]))
 	if n > MaxChunkSamples {
-		return SampleChunk{}, fmt.Errorf("rxnet: %d samples exceeds chunk limit %d", n, MaxChunkSamples)
+		return SampleChunk{}, nil, fmt.Errorf("rxnet: %d samples exceeds chunk limit %d", n, MaxChunkSamples)
 	}
 	if len(b) < fixed+8*n {
-		return SampleChunk{}, ErrTruncated
+		return SampleChunk{}, nil, ErrTruncated
 	}
 	if c.Fs <= 0 || math.IsNaN(c.Fs) || math.IsInf(c.Fs, 0) {
-		return SampleChunk{}, fmt.Errorf("rxnet: chunk has invalid sample rate %g", c.Fs)
+		return SampleChunk{}, nil, fmt.Errorf("rxnet: chunk has invalid sample rate %g", c.Fs)
 	}
-	c.Samples = make([]float64, n)
-	for i := range c.Samples {
+	var sb *SampleBuf
+	var out []float64
+	if get != nil {
+		sb = get(n)
+		out = sb.samples
+	} else {
+		out = make([]float64, n)
+	}
+	for i := range out {
 		v := getF64(b[fixed+8*i : fixed+8*i+8])
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			// One NaN would wedge the server-side noise-floor tracker
 			// permanently; reject the frame at the wire instead.
-			return SampleChunk{}, fmt.Errorf("rxnet: chunk sample %d is not finite", i)
+			sb.Release()
+			return SampleChunk{}, nil, fmt.Errorf("rxnet: chunk sample %d is not finite", i)
 		}
-		c.Samples[i] = v
+		out[i] = v
 	}
-	return c, nil
+	c.Samples = out
+	return c, sb, nil
 }
 
 // StreamEnd orders an engine to finish a chunk stream: flush the
@@ -673,52 +697,6 @@ func UnmarshalThrottle(b []byte) (Throttle, error) {
 		return Throttle{}, ErrTruncated
 	}
 	return Throttle{Paused: b[0] != 0}, nil
-}
-
-// MarshalTrack encodes a Track body.
-func MarshalTrack(t Track) ([]byte, error) {
-	if len(t.ObjectBits) > MaxBitsLen {
-		return nil, fmt.Errorf("rxnet: %d bits exceeds limit %d", len(t.ObjectBits), MaxBitsLen)
-	}
-	var buf bytes.Buffer
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], t.FirstNode)
-	buf.Write(u32[:])
-	binary.BigEndian.PutUint32(u32[:], t.LastNode)
-	buf.Write(u32[:])
-	putF64(&buf, t.SpeedMS)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(t.FirstSeen.UnixNano()))
-	buf.Write(u64[:])
-	binary.BigEndian.PutUint64(u64[:], uint64(t.LastSeen.UnixNano()))
-	buf.Write(u64[:])
-	binary.BigEndian.PutUint32(u32[:], uint32(t.Confirmations))
-	buf.Write(u32[:])
-	buf.WriteByte(byte(len(t.ObjectBits)))
-	buf.Write(t.ObjectBits)
-	return buf.Bytes(), nil
-}
-
-// UnmarshalTrack decodes a Track body.
-func UnmarshalTrack(b []byte) (Track, error) {
-	const fixed = 4 + 4 + 8 + 8 + 8 + 4 + 1
-	if len(b) < fixed {
-		return Track{}, ErrTruncated
-	}
-	t := Track{
-		FirstNode:     binary.BigEndian.Uint32(b[0:4]),
-		LastNode:      binary.BigEndian.Uint32(b[4:8]),
-		SpeedMS:       getF64(b[8:16]),
-		FirstSeen:     time.Unix(0, int64(binary.BigEndian.Uint64(b[16:24]))),
-		LastSeen:      time.Unix(0, int64(binary.BigEndian.Uint64(b[24:32]))),
-		Confirmations: int(binary.BigEndian.Uint32(b[32:36])),
-	}
-	n := int(b[36])
-	if len(b) < fixed+n {
-		return Track{}, ErrTruncated
-	}
-	t.ObjectBits = append([]byte(nil), b[fixed:fixed+n]...)
-	return t, nil
 }
 
 // BitsString renders a bit slice as "0"/"1" text.

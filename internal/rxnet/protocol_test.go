@@ -145,38 +145,6 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTrackRoundTrip(t *testing.T) {
-	tr := Track{
-		ObjectBits:    []byte{1, 0, 1},
-		FirstNode:     1,
-		LastNode:      3,
-		SpeedMS:       5.25,
-		FirstSeen:     time.Unix(100, 0),
-		LastSeen:      time.Unix(110, 0),
-		Confirmations: 3,
-	}
-	body, err := MarshalTrack(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalTrack(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FirstNode != 1 || got.LastNode != 3 || got.SpeedMS != 5.25 || got.Confirmations != 3 {
-		t.Fatalf("track %+v", got)
-	}
-	if !bytes.Equal(got.ObjectBits, tr.ObjectBits) {
-		t.Fatalf("bits %v", got.ObjectBits)
-	}
-	if !got.FirstSeen.Equal(tr.FirstSeen) || !got.LastSeen.Equal(tr.LastSeen) {
-		t.Fatalf("times %+v", got)
-	}
-	if _, err := UnmarshalTrack([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatal("truncated track should fail")
-	}
-}
-
 func TestBitsString(t *testing.T) {
 	if s := BitsString([]byte{1, 0, 0, 1}); s != "1001" {
 		t.Fatalf("bits string %q", s)

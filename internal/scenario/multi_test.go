@@ -308,12 +308,4 @@ func TestStopAndGoDTWFallback(t *testing.T) {
 	if matches[0].Label != want {
 		t.Fatalf("DTW classified %q, want %q (distances %v)", matches[0].Label, want, matches)
 	}
-	// And the cheap single-winner path agrees.
-	best, err := cls.Nearest(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Label != want {
-		t.Fatalf("Nearest classified %q, want %q", best.Label, want)
-	}
 }

@@ -101,16 +101,6 @@ func Entries() []Entry {
 	return out
 }
 
-// Names lists the registered preset names sorted.
-func Names() []string {
-	entries := Entries()
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.Name
-	}
-	return out
-}
-
 func init() {
 	mustRegister("indoor-bench",
 		"paper Fig. 5 bench: one tag at 3 cm symbols under the dark-room lamp, 20 cm height",

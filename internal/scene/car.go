@@ -195,6 +195,3 @@ func (cp *carProfile) ReflectanceAtLocal(u float64) (float64, bool) {
 
 // Length implements ReflectanceProfile.
 func (cp *carProfile) Length() float64 { return cp.edges[len(cp.edges)-1] }
-
-// TagOffset exposes where the tag sits (for experiment alignment).
-func (cp *carProfile) TagOffset() float64 { return cp.tagOffset }

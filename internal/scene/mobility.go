@@ -25,11 +25,6 @@ func (l LaneOffset) PositionAt(t float64) float64 {
 	return l.Inner.PositionAt(t - l.Delay)
 }
 
-// Describe implements Trajectory.
-func (l LaneOffset) Describe() string {
-	return fmt.Sprintf("after %.1f s: %s", l.Delay, l.Inner.Describe())
-}
-
 // Stop is one dwell of a stop-and-go trajectory: the object halts at
 // time At (seconds, measured on the trajectory clock) and stays put
 // for Dwell seconds.

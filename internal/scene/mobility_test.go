@@ -17,9 +17,6 @@ func TestLaneOffsetHoldsThenFollows(t *testing.T) {
 	if got, want := lo.PositionAt(4.5), inner.PositionAt(1.5); got != want {
 		t.Fatalf("t=4.5: %v want %v", got, want)
 	}
-	if lo.Describe() == "" {
-		t.Fatal("empty description")
-	}
 }
 
 func TestStopAndGo(t *testing.T) {

@@ -151,12 +151,6 @@ func New(src optics.Source, objects ...*Object) *Scene {
 	return &Scene{Source: src, Ground: material.Tarmac, Objects: objects}
 }
 
-// WithGround overrides the ground material.
-func (s *Scene) WithGround(m material.Material) *Scene {
-	s.Ground = m
-	return s
-}
-
 // SurfaceSample is what the channel sees at one ground point: the
 // effective reflectance and the set of objects covering it.
 type SurfaceSample struct {

@@ -27,9 +27,6 @@ func TestConstantSpeedTrajectory(t *testing.T) {
 	if c.PositionAt(4) != 1 {
 		t.Fatal("position after 4 s")
 	}
-	if c.Describe() == "" {
-		t.Fatal("empty description")
-	}
 }
 
 func TestPiecewiseSpeedIntegration(t *testing.T) {
@@ -67,27 +64,6 @@ func TestPiecewiseSpeedValidation(t *testing.T) {
 		{Until: 1, Speed: 2},
 	}); err == nil {
 		t.Fatal("non-increasing Until should fail")
-	}
-}
-
-func TestSpeedProfileMatchesClosedForm(t *testing.T) {
-	// v(t) = 2t integrates to t^2.
-	sp, err := NewSpeedProfile(0, func(tt float64) float64 { return 2 * tt }, 5, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []float64{0.5, 1, 2, 3.3, 4.9} {
-		want := tt * tt
-		if got := sp.PositionAt(tt); math.Abs(got-want) > 0.01 {
-			t.Fatalf("t=%v: got %v want %v", tt, got, want)
-		}
-	}
-	// Extrapolation beyond the table uses the last speed (10).
-	if got := sp.PositionAt(6); math.Abs(got-(25+10)) > 0.1 {
-		t.Fatalf("extrapolated position %v", got)
-	}
-	if _, err := NewSpeedProfile(0, func(float64) float64 { return 1 }, 0, 0.1); err == nil {
-		t.Fatal("zero duration should fail")
 	}
 }
 
@@ -236,7 +212,8 @@ func TestSceneIlluminance(t *testing.T) {
 }
 
 func TestWithGround(t *testing.T) {
-	sc := New(optics.Sun{Lux: 100}).WithGround(material.WhitePaper)
+	sc := New(optics.Sun{Lux: 100})
+	sc.Ground = material.WhitePaper
 	s := sc.SampleAt(0, 0)
 	if s.Reflectance != material.WhitePaper.Reflectance {
 		t.Fatalf("ground reflectance %v", s.Reflectance)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Trajectory maps time to the position of an object's leading edge
@@ -19,8 +18,6 @@ import (
 type Trajectory interface {
 	// PositionAt returns the leading-edge position at time t (s).
 	PositionAt(t float64) float64
-	// Describe returns a short human-readable description.
-	Describe() string
 }
 
 // ConstantSpeed moves at Speed m/s starting from Start at t=0.
@@ -31,11 +28,6 @@ type ConstantSpeed struct {
 
 // PositionAt implements Trajectory.
 func (c ConstantSpeed) PositionAt(t float64) float64 { return c.Start + c.Speed*t }
-
-// Describe implements Trajectory.
-func (c ConstantSpeed) Describe() string {
-	return fmt.Sprintf("constant %.3f m/s from %.3f m", c.Speed, c.Start)
-}
 
 // PiecewiseSpeed changes speed at fixed times. It reproduces the
 // Fig. 8 distortion: "the speed is doubled when the second half (Data
@@ -83,67 +75,6 @@ func (p PiecewiseSpeed) PositionAt(t float64) float64 {
 	pos += last.Speed * (t - prev)
 	return pos
 }
-
-// Describe implements Trajectory.
-func (p PiecewiseSpeed) Describe() string {
-	return fmt.Sprintf("piecewise %d segments from %.3f m", len(p.Segments), p.Start)
-}
-
-// SpeedProfile is a trajectory driven by an arbitrary speed function,
-// integrated numerically at construction over [0, Duration] with the
-// given step.
-type SpeedProfile struct {
-	Start    float64
-	times    []float64
-	position []float64
-	lastV    float64
-}
-
-// NewSpeedProfile integrates v(t) with trapezoidal steps.
-func NewSpeedProfile(start float64, v func(t float64) float64, duration, step float64) (*SpeedProfile, error) {
-	if duration <= 0 || step <= 0 {
-		return nil, errors.New("scene: duration and step must be positive")
-	}
-	n := int(math.Ceil(duration/step)) + 1
-	sp := &SpeedProfile{Start: start}
-	sp.times = make([]float64, n)
-	sp.position = make([]float64, n)
-	pos := start
-	prevV := v(0)
-	sp.times[0], sp.position[0] = 0, pos
-	for i := 1; i < n; i++ {
-		t := float64(i) * step
-		cv := v(t)
-		pos += 0.5 * (prevV + cv) * step
-		prevV = cv
-		sp.times[i], sp.position[i] = t, pos
-	}
-	sp.lastV = prevV
-	return sp, nil
-}
-
-// PositionAt interpolates the integrated table; beyond the table the
-// last speed is extrapolated.
-func (sp *SpeedProfile) PositionAt(t float64) float64 {
-	if t <= 0 {
-		return sp.position[0]
-	}
-	last := len(sp.times) - 1
-	if t >= sp.times[last] {
-		return sp.position[last] + sp.lastV*(t-sp.times[last])
-	}
-	i := sort.SearchFloat64s(sp.times, t)
-	if i == 0 {
-		return sp.position[0]
-	}
-	t0, t1 := sp.times[i-1], sp.times[i]
-	p0, p1 := sp.position[i-1], sp.position[i]
-	frac := (t - t0) / (t1 - t0)
-	return p0 + (p1-p0)*frac
-}
-
-// Describe implements Trajectory.
-func (sp *SpeedProfile) Describe() string { return "speed-profile" }
 
 // KmhToMs converts km/h to m/s (the paper reports car speed as
 // 18 km/h = 5 m/s).

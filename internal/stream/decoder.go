@@ -193,9 +193,6 @@ func (d *Decoder) Buffered() int { return d.inc.Buffered() }
 // session holds — what Buffered costs in memory.
 func (d *Decoder) Retained() int { return d.inc.Retained() }
 
-// Position returns the number of samples consumed so far.
-func (d *Decoder) Position() int64 { return d.inc.Position() }
-
 // SessionStats summarizes one session.
 type SessionStats struct {
 	Samples    int64

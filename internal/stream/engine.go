@@ -13,14 +13,14 @@ import (
 
 // Sentinel errors for engine session management; test with errors.Is.
 var (
-	// ErrEngineClosed is returned by Feed, FlushSession and EndSession
-	// after Close.
+	// ErrEngineClosed is returned by FeedTagged and EndSession after
+	// Close.
 	ErrEngineClosed = errors.New("stream: engine closed")
-	// ErrSessionEvicted is returned by FlushSession and EndSession
-	// when the engine no longer tracks the session — it was never fed,
-	// was ended explicitly, or was idle-evicted by the janitor.
+	// ErrSessionEvicted is returned by EndSession when the engine no
+	// longer tracks the session — it was never fed, was ended
+	// explicitly, or was idle-evicted by the janitor.
 	ErrSessionEvicted = errors.New("stream: session not tracked (evicted or never fed)")
-	// ErrSessionTableFull is returned by Feed when MaxSessions
+	// ErrSessionTableFull is returned by FeedTagged when MaxSessions
 	// sessions are already tracked and the chunk addresses a new one.
 	ErrSessionTableFull = errors.New("stream: session table full")
 )
@@ -28,7 +28,7 @@ var (
 // EngineConfig tunes the concurrent session manager.
 type EngineConfig struct {
 	// Session is the template for per-session decoders. Session.Fs is
-	// the default sample rate; Feed can override it per session.
+	// the default sample rate; FeedTagged can override it per session.
 	Session Config
 	// Workers is the decode worker pool size, spread across the
 	// shards. Zero selects runtime.GOMAXPROCS(0).
@@ -47,9 +47,8 @@ type EngineConfig struct {
 	// long (their open segment is flushed first). Zero selects 60 s;
 	// negative disables eviction.
 	IdleTimeout time.Duration
-	// DetectionBuffer is the capacity of the Batches channel (and of
-	// the flattened Detections channel); detection batches beyond it
-	// are dropped (and counted). Zero selects 1024.
+	// DetectionBuffer is the capacity of the Batches channel; detection
+	// batches beyond it are dropped (and counted). Zero selects 1024.
 	DetectionBuffer int
 	// MaxSessions bounds the session table across all shards. Feeds
 	// for new sessions beyond it are rejected. Zero selects 65536.
@@ -58,10 +57,10 @@ type EngineConfig struct {
 	// after the session's final flush has published its detections:
 	// reason "end" for an explicit EndSession, "idle" for janitor
 	// eviction, "close" for engine shutdown. tag is the one passed
-	// with the last chunk the session consumed (FeedTagged; 0 for
-	// Feed). It runs on the releasing goroutine (an EndSession caller,
-	// the janitor, or Close) with no engine locks held, but must not
-	// block — the janitor and Close release sessions serially. Cluster
+	// with the last chunk the session consumed. It runs on the
+	// releasing goroutine (an EndSession caller, the janitor, or
+	// Close) with no engine locks held, but must not block — the
+	// janitor and Close release sessions serially. Cluster
 	// deployments use it to export per-session decode totals and to
 	// acknowledge consumption upstream.
 	OnSessionEnd func(id uint64, stats SessionStats, reason string, tag uint64)
@@ -120,12 +119,6 @@ type Stats struct {
 	// sessions; DroppedDetections overflowed the batched detection
 	// channel.
 	DroppedSamples, DroppedDetections int64
-	// DroppedFlattened counts detections the Detections() flattening
-	// forwarder discarded because its consumer stopped draining — the
-	// abandoned-consumer signal, kept separate from DroppedDetections
-	// so operators can tell a slow batch consumer from a dead
-	// per-detection one.
-	DroppedFlattened int64
 	// Evicted counts idle sessions removed.
 	Evicted int64
 	// BufferedSamples is the current memory footprint across all
@@ -320,12 +313,8 @@ type Engine struct {
 	once    sync.Once
 	wg      sync.WaitGroup
 
-	// flat is the per-detection view of batches, built on first use.
-	flatOnce sync.Once
-	flat     chan Detection
-
 	// lifeMu serializes Close (writer) against the caller-goroutine
-	// drain operations FlushSession/FlushAll/EndSession (readers):
+	// drain operations FlushAll/EndSession (readers):
 	// Close must not touch session decoders while a flusher holds a
 	// drain claim, and a flusher must not spin on claims that no
 	// worker is left alive to release.
@@ -333,10 +322,6 @@ type Engine struct {
 
 	pubMu      sync.RWMutex
 	detsClosed bool
-
-	// droppedFlat belongs to the engine-wide flattening forwarder; all
-	// hot-path counters live in the per-shard shardStats blocks.
-	droppedFlat atomic.Int64
 
 	// tel holds the live-recorded histograms; nil when the engine runs
 	// without a metrics registry, which keeps time.Now off the worker
@@ -430,7 +415,6 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) *engineTelemetry {
 	reg.CounterFunc("pl_engine_dropped_detections_total", "detection batches dropped on channel overflow", func() int64 {
 		return e.sumShards(func(st *shardStats) *atomic.Int64 { return &st.droppedDets })
 	})
-	reg.CounterFunc("pl_engine_dropped_flattened_total", "detections dropped by the flattening forwarder (abandoned consumer)", e.droppedFlat.Load)
 	reg.CounterFunc("pl_engine_sessions_evicted_total", "idle sessions evicted", func() int64 {
 		return e.sumShards(func(st *shardStats) *atomic.Int64 { return &st.evicts })
 	})
@@ -469,18 +453,14 @@ func (e *Engine) shardOf(id uint64) *shard {
 	return e.shards[(h>>32)%uint64(len(e.shards))]
 }
 
-// Feed routes one chunk of RSS samples to the session's ring buffer
-// and wakes a worker on the session's shard. fs selects the session
-// sample rate on first feed; zero uses the engine default. Feeding an
-// existing session with a different non-zero fs is an error.
-func (e *Engine) Feed(id uint64, fs float64, chunk []float64) error {
-	return e.FeedTagged(id, fs, chunk, 0)
-}
-
-// FeedTagged is Feed that also records tag on the session the chunk
-// lands in. OnSessionEnd reports the tag of the session's last chunk,
-// so a caller can tell exactly what a released session consumed even
-// when a later chunk already started a fresh session under the same id.
+// FeedTagged routes one chunk of RSS samples to the session's ring
+// buffer and wakes a worker on the session's shard. fs selects the
+// session sample rate on first feed; zero uses the engine default.
+// Feeding an existing session with a different non-zero fs is an
+// error. tag is recorded on the session the chunk lands in:
+// OnSessionEnd reports the tag of the session's last chunk, so a
+// caller can tell exactly what a released session consumed even when
+// a later chunk already started a fresh session under the same id.
 func (e *Engine) FeedTagged(id uint64, fs float64, chunk []float64, tag uint64) error {
 	if len(chunk) == 0 {
 		return nil
@@ -706,23 +686,6 @@ func (e *Engine) janitor() {
 	}
 }
 
-// FlushSession forces end-of-stream on one session: pending ring
-// samples are decoded and any open segment is flushed. The session
-// stays registered.
-func (e *Engine) FlushSession(id uint64) error {
-	e.lifeMu.RLock()
-	defer e.lifeMu.RUnlock()
-	sh := e.shardOf(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	sh.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: session %d", ErrSessionEvicted, id)
-	}
-	e.drainNow(s)
-	return nil
-}
-
 // FlushAll forces end-of-stream on every registered session (e.g.
 // when a deployment-wide capture window closes).
 func (e *Engine) FlushAll() {
@@ -844,39 +807,8 @@ func (e *Engine) sessionEnded(s *session, reason string) {
 // Batches is the engine's native output: every channel receive
 // carries all detections of one decode step, so the engine pays one
 // channel operation per step instead of one per detection. The
-// channel is closed by Close after all sessions are flushed. Consume
-// either Batches or Detections, not both.
+// channel is closed by Close after all sessions are flushed.
 func (e *Engine) Batches() <-chan []Detection { return e.batches }
-
-// Detections is the per-detection view of the output stream,
-// flattened from Batches by a forwarding goroutine started on first
-// call. Like the batch channel, delivery is non-blocking: detections
-// beyond the buffer are dropped and counted, so an abandoned consumer
-// strands neither the forwarder nor the engine shutdown. The channel
-// is closed after Close has flushed every session. Consume either
-// Detections or Batches, not both.
-func (e *Engine) Detections() <-chan Detection {
-	e.flatOnce.Do(func() {
-		e.flat = make(chan Detection, e.cfg.DetectionBuffer)
-		go func() {
-			for batch := range e.batches {
-				for _, det := range batch {
-					select {
-					case e.flat <- det:
-					default:
-						e.droppedFlat.Add(1)
-					}
-				}
-				// The forwarder is the batch's consumer of record;
-				// once flattened (values copied onto flat) the slice
-				// goes back to the pool.
-				RecycleBatch(batch)
-			}
-			close(e.flat)
-		}()
-	})
-	return e.flat
-}
 
 // Occupancy reports how full the engine is on a 0..1 scale: the
 // larger of mean session-ring fill (buffered samples over sessions ×
@@ -926,10 +858,7 @@ func (e *Engine) footprint() (sessions int, samples, retained int64) {
 // Stats returns an operational snapshot, folding the shard-local
 // counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		Shards:           len(e.shards),
-		DroppedFlattened: e.droppedFlat.Load(),
-	}
+	st := Stats{Shards: len(e.shards)}
 	for _, sh := range e.shards {
 		ss := &sh.stats
 		st.SamplesIn += ss.samplesIn.Load()
@@ -968,7 +897,7 @@ func (e *Engine) Close() {
 		}
 		close(e.closed)
 		e.wg.Wait()
-		// Wait out in-flight FlushSession/FlushAll/EndSession callers
+		// Wait out in-flight FlushAll/EndSession callers
 		// (they hold drain claims on session decoders) and block new
 		// ones for the remainder of the shutdown.
 		e.lifeMu.Lock()

@@ -41,6 +41,39 @@ func sessionStream(payloads []string, fs, symbolDur, gapSec, noise float64, seed
 	return out
 }
 
+// detections flattens the engine's Batches into one detection per
+// receive. Call it once per engine; the channel closes after Close has
+// flushed every session. The buffer matches the engine's default
+// DetectionBuffer, so a test that reads only after feeding everything
+// never stalls the engine's output.
+func detections(e *Engine) <-chan Detection {
+	out := make(chan Detection, 1024)
+	go func() {
+		defer close(out)
+		for batch := range e.Batches() {
+			for _, det := range batch {
+				out <- det
+			}
+			RecycleBatch(batch)
+		}
+	}()
+	return out
+}
+
+// flushSession decodes session id's pending samples and flushes its
+// open segment on the calling goroutine; the session stays registered.
+func flushSession(t *testing.T, e *Engine, id uint64) {
+	t.Helper()
+	sh := e.shardOf(id)
+	sh.mu.Lock()
+	s, ok := sh.sessions[id]
+	sh.mu.Unlock()
+	if !ok {
+		t.Fatalf("session %d not tracked", id)
+	}
+	e.drainNow(s)
+}
+
 // TestEngineConcurrentSessions drives well over 100 sessions through
 // the worker pool at once and checks every session decodes both of
 // its passes, with memory staying far below the total sample volume.
@@ -57,6 +90,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dets := detections(e)
 	defer e.Close()
 
 	streams := make([][]float64, sessions)
@@ -76,7 +110,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 	collect.Add(1)
 	go func() {
 		defer collect.Done()
-		for det := range e.Detections() {
+		for det := range dets {
 			if det.Err == nil {
 				detMu.Lock()
 				got[det.Session] = append(got[det.Session], det.BitString())
@@ -99,7 +133,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 				s := streams[id]
 				for lo := 0; lo < len(s); lo += chunk {
 					hi := min(lo+chunk, len(s))
-					if err := e.Feed(uint64(id), 0, s[lo:hi]); err != nil {
+					if err := e.FeedTagged(uint64(id), 0, s[lo:hi], 0); err != nil {
 						t.Errorf("feed %d: %v", id, err)
 						return
 					}
@@ -136,9 +170,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 	}
 
 	for id := 0; id < sessions; id++ {
-		if err := e.FlushSession(uint64(id)); err != nil {
-			t.Fatal(err)
-		}
+		flushSession(t, e, uint64(id))
 	}
 	e.Close()
 	collect.Wait()
@@ -164,11 +196,12 @@ func TestEngineIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dets := detections(e)
 	defer e.Close()
 	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
 	// Withhold the trailing quiet so the segment stays open and only
 	// the eviction flush can complete it.
-	if err := e.Feed(7, 0, s[:len(s)-1900]); err != nil {
+	if err := e.FeedTagged(7, 0, s[:len(s)-1900], 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -185,12 +218,12 @@ func TestEngineIdleEviction(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	det := <-e.Detections()
+	det := <-dets
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("eviction flush produced %q (err %v), want 10", det.BitString(), det.Err)
 	}
 	// The evicted id starts a fresh session on the next feed.
-	if err := e.Feed(7, 0, s[:100]); err != nil {
+	if err := e.FeedTagged(7, 0, s[:100], 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Sessions != 1 {
@@ -213,7 +246,7 @@ func TestEngineFlushAllAfterEviction(t *testing.T) {
 	defer e.Close()
 	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
 	for id := uint64(0); id < 8; id++ {
-		if err := e.Feed(id, 0, s); err != nil {
+		if err := e.FeedTagged(id, 0, s, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +272,7 @@ func TestEngineFlushAllAfterEviction(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := e.Feed(3, 0, s[:100]); err != nil {
+	if err := e.FeedTagged(3, 0, s[:100], 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -252,17 +285,18 @@ func TestEngineEndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dets := detections(e)
 	defer e.Close()
 	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
 	// Withhold the trailing quiet: only EndSession's flush completes
 	// the segment.
-	if err := e.Feed(5, 0, s[:len(s)-1900]); err != nil {
+	if err := e.FeedTagged(5, 0, s[:len(s)-1900], 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.EndSession(5); err != nil {
 		t.Fatal(err)
 	}
-	det := <-e.Detections()
+	det := <-dets
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("end-session flush produced %q (err %v)", det.BitString(), det.Err)
 	}
@@ -273,13 +307,11 @@ func TestEngineEndSession(t *testing.T) {
 		t.Fatal("ending a gone session should error")
 	}
 	// The id restarts cleanly.
-	if err := e.Feed(5, 0, s); err != nil {
+	if err := e.FeedTagged(5, 0, s, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FlushSession(5); err != nil {
-		t.Fatal(err)
-	}
-	det = <-e.Detections()
+	flushSession(t, e, 5)
+	det = <-dets
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("restarted session produced %q (err %v)", det.BitString(), det.Err)
 	}
@@ -351,9 +383,10 @@ func TestEngineEndSessionMidDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dets := detections(e)
 	defer e.Close()
 	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
-	if err := e.Feed(9, 0, s[:len(s)-1900]); err != nil {
+	if err := e.FeedTagged(9, 0, s[:len(s)-1900], 0); err != nil {
 		t.Fatal(err)
 	}
 	held := holdDrainClaim(t, e, 9)
@@ -377,7 +410,7 @@ func TestEngineEndSessionMidDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("EndSession still blocked after the claim was released")
 	}
-	det := <-e.Detections()
+	det := <-dets
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("end-session flush produced %q (err %v)", det.BitString(), det.Err)
 	}
@@ -385,7 +418,7 @@ func TestEngineEndSessionMidDrain(t *testing.T) {
 		t.Fatalf("release reason %v, want end", reason)
 	}
 	select {
-	case extra := <-e.Detections():
+	case extra := <-dets:
 		t.Fatalf("pass published twice: extra %+v", extra)
 	case <-time.After(20 * time.Millisecond):
 	}
@@ -410,8 +443,9 @@ func TestEngineCloseWhileEndSessionWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dets := detections(e)
 	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
-	if err := e.Feed(4, 0, s[:len(s)-1900]); err != nil {
+	if err := e.FeedTagged(4, 0, s[:len(s)-1900], 0); err != nil {
 		t.Fatal(err)
 	}
 	held := holdDrainClaim(t, e, 4)
@@ -431,7 +465,7 @@ func TestEngineCloseWhileEndSessionWaits(t *testing.T) {
 		t.Fatalf("release reason %v, want close", reason)
 	}
 	var bits []string
-	for det := range e.Detections() {
+	for det := range dets {
 		bits = append(bits, det.BitString())
 	}
 	if len(bits) != 1 || bits[0] != "10" {
@@ -451,15 +485,14 @@ func TestEngineOversizedFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dets := detections(e)
 	defer e.Close()
 	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3) // ~5600 samples >> 1024
-	if err := e.Feed(1, 0, s); err != nil {
+	if err := e.FeedTagged(1, 0, s, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FlushSession(1); err != nil {
-		t.Fatal(err)
-	}
-	det := <-e.Detections()
+	flushSession(t, e, 1)
+	det := <-dets
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("oversized feed decoded %q (err %v); stats %+v", det.BitString(), det.Err, e.Stats())
 	}
@@ -477,15 +510,14 @@ func TestEngineNegativeWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dets := detections(e)
 	defer e.Close()
 	s := sessionStream([]string{"10"}, 1000, 0.2, 2.0, 0.3, 3)
-	if err := e.Feed(1, 0, s); err != nil {
+	if err := e.FeedTagged(1, 0, s, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FlushSession(1); err != nil {
-		t.Fatal(err)
-	}
-	det := <-e.Detections()
+	flushSession(t, e, 1)
+	det := <-dets
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("decoded %q (err %v)", det.BitString(), det.Err)
 	}
@@ -502,19 +534,19 @@ func TestEngineGuards(t *testing.T) {
 	}
 	defer e.Close()
 	chunk := make([]float64, 64)
-	if err := e.Feed(1, 0, chunk); err != nil {
+	if err := e.FeedTagged(1, 0, chunk, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Feed(2, 4000, chunk); err != nil {
+	if err := e.FeedTagged(2, 4000, chunk, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Feed(3, 0, chunk); err == nil {
+	if err := e.FeedTagged(3, 0, chunk, 0); err == nil {
 		t.Fatal("session table full should reject")
 	}
-	if err := e.Feed(2, 8000, chunk); err == nil {
+	if err := e.FeedTagged(2, 8000, chunk, 0); err == nil {
 		t.Fatal("fs mismatch should reject")
 	}
-	if err := e.Feed(2, 4000, chunk); err != nil {
+	if err := e.FeedTagged(2, 4000, chunk, 0); err != nil {
 		t.Fatalf("matching fs rejected: %v", err)
 	}
 	st := e.Stats()
@@ -522,68 +554,8 @@ func TestEngineGuards(t *testing.T) {
 		t.Fatalf("dropped %d, want 128 (table-full chunk + fs-mismatch chunk)", st.DroppedSamples)
 	}
 	e.Close()
-	if err := e.Feed(1, 0, chunk); err == nil {
+	if err := e.FeedTagged(1, 0, chunk, 0); err == nil {
 		t.Fatal("feed after close should fail")
-	}
-}
-
-// TestEngineDetectionsAbandonedConsumer is the regression test for
-// the flattening-forwarder drop counter: a caller that asks for the
-// per-detection view and then walks away must show up in
-// Stats().DroppedFlattened (and the matching telemetry counter), not
-// vanish into the batch-drop count.
-func TestEngineDetectionsAbandonedConsumer(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e, err := NewEngine(EngineConfig{
-		Session:     Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 12}},
-		IdleTimeout: -1,
-		// One slot in each output channel: with nobody draining the
-		// flattened view, detections beyond the first of a batch are
-		// dropped by the forwarder.
-		DetectionBuffer: 1,
-		Metrics:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := e.Detections() // start the forwarder, then stop consuming
-
-	// One session carrying several packets, fed as a single chunk: the
-	// decode step publishes its detections as one batch, which always
-	// fits the empty batch channel, so the forwarder (not the batch
-	// send) is what sheds the overflow.
-	const packets = 4
-	stream := sessionStream([]string{"1001", "1001", "1001", "1001"}, 1000, 0.2, 2.5, 0.3, 7)
-	if err := e.Feed(1, 0, stream); err != nil {
-		t.Fatal(err)
-	}
-	e.FlushAll()
-	e.Close()
-
-	// Close flushed every session and the forwarder has drained the
-	// closed batch channel once ch closes; count what it delivered.
-	delivered := int64(0)
-	for range ch {
-		delivered++
-	}
-
-	st := e.Stats()
-	total := st.Detections + st.DecodeErrors
-	if total < packets {
-		t.Fatalf("published %d detections, want >= %d: %+v", total, packets, st)
-	}
-	if st.DroppedFlattened < 1 {
-		t.Fatalf("abandoned consumer never surfaced in DroppedFlattened: %+v", st)
-	}
-	// Every published detection is delivered or counted in exactly one
-	// drop counter — the flattener's own drops must not leak into the
-	// batch-overflow count.
-	if delivered+st.DroppedFlattened+st.DroppedDetections != total {
-		t.Fatalf("detections unaccounted: delivered %d + flattened %d + batch %d != %d",
-			delivered, st.DroppedFlattened, st.DroppedDetections, total)
-	}
-	if got := reg.Snapshot().Counters["pl_engine_dropped_flattened_total"]; got != st.DroppedFlattened {
-		t.Fatalf("telemetry dropped_flattened = %d, want %d", got, st.DroppedFlattened)
 	}
 }
 
@@ -615,7 +587,7 @@ func TestEngineTelemetry(t *testing.T) {
 		done <- got
 	}()
 	stream := sessionStream([]string{"1001", "0110"}, 1000, 0.2, 2.5, 0.3, 7)
-	if err := e.Feed(1, 0, stream); err != nil {
+	if err := e.FeedTagged(1, 0, stream, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.FlushAll()
@@ -676,14 +648,14 @@ func TestEngineOnSessionEnd(t *testing.T) {
 	samples := sessionStream([]string{"1001"}, 1000, 0.05, 1.0, 0.3, 1)
 
 	// Session 1: explicit end.
-	if err := e.Feed(1, 0, samples); err != nil {
+	if err := e.FeedTagged(1, 0, samples, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.EndSession(1); err != nil {
 		t.Fatal(err)
 	}
 	// Session 2: idle-evicted by the janitor.
-	if err := e.Feed(2, 0, samples); err != nil {
+	if err := e.FeedTagged(2, 0, samples, 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -700,7 +672,7 @@ func TestEngineOnSessionEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// Session 3: released by Close.
-	if err := e.Feed(3, 0, samples); err != nil {
+	if err := e.FeedTagged(3, 0, samples, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()

@@ -55,18 +55,16 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	oneRound := func() {
 		for id := uint64(1); id <= sessions; id++ {
 			for c := 0; c < chunks; c++ {
-				if err := e.Feed(id, 0, chunk); err != nil {
+				if err := e.FeedTagged(id, 0, chunk, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		// FlushSession is synchronous: when it returns, the session
+		// flushSession is synchronous: when it returns, the session
 		// ring is empty and the decoder idle — a deterministic
 		// steady-state boundary for the measurement.
 		for id := uint64(1); id <= sessions; id++ {
-			if err := e.FlushSession(id); err != nil {
-				t.Fatal(err)
-			}
+			flushSession(t, e, id)
 		}
 	}
 	// Warm up: first rounds grow rings, decoder buffers and the
@@ -126,7 +124,7 @@ func TestEngineShardHammer(t *testing.T) {
 				default:
 				}
 				id := uint64(f*perFeeder+n%perFeeder) + 1
-				if err := e.Feed(id, 0, chunk); err != nil {
+				if err := e.FeedTagged(id, 0, chunk, 0); err != nil {
 					t.Errorf("feed session %d: %v", id, err)
 					return
 				}
@@ -235,17 +233,15 @@ func TestEngineSessionStateRecycled(t *testing.T) {
 		return s.rng.buf != nil || s.rng.box != nil
 	}
 	cycle := func(id uint64) {
-		if err := e.Feed(id, 0, chunk); err != nil {
+		if err := e.FeedTagged(id, 0, chunk, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.FlushSession(id); err != nil {
-			t.Fatal(err)
-		}
+		flushSession(t, e, id)
 		e.shards[0].mu.Lock()
 		s := e.shards[0].sessions[id]
 		e.shards[0].mu.Unlock()
 		if holdsRing(s) {
-			t.Fatalf("session %d still holds a ring array after FlushSession drained it", id)
+			t.Fatalf("session %d still holds a ring array after flushSession drained it", id)
 		}
 		if err := e.EndSession(id); err != nil {
 			t.Fatal(err)
@@ -295,7 +291,7 @@ func TestEngineIdleSessionsHoldPreRollOnly(t *testing.T) {
 	defer e.Close()
 	decoded := make(chan struct{}, sessions)
 	go func() {
-		for det := range e.Detections() {
+		for det := range detections(e) {
 			if det.Err == nil {
 				decoded <- struct{}{}
 			}
@@ -307,7 +303,7 @@ func TestEngineIdleSessionsHoldPreRollOnly(t *testing.T) {
 	for id := uint64(1); id <= sessions; id++ {
 		trace := sessionStream([]string{"1001"}, 1000, 0.2, 2.5, 0.3, int64(id))
 		for lo := 0; lo < len(trace); lo += chunk {
-			if err := e.Feed(id, 0, trace[lo:min(lo+chunk, len(trace))]); err != nil {
+			if err := e.FeedTagged(id, 0, trace[lo:min(lo+chunk, len(trace))], 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -376,16 +372,14 @@ func TestEngineOversizedFeedWakesOnRelease(t *testing.T) {
 		quiet[i] = 10
 	}
 	start := time.Now()
-	if err := e.Feed(1, 0, quiet); err != nil {
+	if err := e.FeedTagged(1, 0, quiet, 0); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	if floor := refills * time.Millisecond; elapsed >= floor/2 {
 		t.Fatalf("feeding %d ring refills took %v, at the sleep-poll floor of %v", refills, elapsed, floor)
 	}
-	if err := e.FlushSession(1); err != nil {
-		t.Fatal(err)
-	}
+	flushSession(t, e, 1)
 	if st := e.Stats(); st.SamplesIn != int64(len(quiet)) || st.DroppedSamples != 0 {
 		t.Fatalf("accepted %d of %d samples, dropped %d", st.SamplesIn, len(quiet), st.DroppedSamples)
 	}

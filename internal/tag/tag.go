@@ -67,9 +67,6 @@ func (p *Profile) FlatReflectance() (edges, rho []float64) {
 	return p.edges, p.flatRho
 }
 
-// SegmentCount returns the number of piecewise-constant segments.
-func (p *Profile) SegmentCount() int { return len(p.segments) }
-
 // MaterialAt returns the material at local position x. Positions
 // outside [0, Length) return (zero material, false).
 func (p *Profile) MaterialAt(x float64) (material.Material, bool) {
@@ -87,15 +84,6 @@ func (p *Profile) MaterialAt(x float64) (material.Material, bool) {
 		}
 	}
 	return p.segments[lo], true
-}
-
-// ReflectanceAt returns the reflectance at local position x, or the
-// supplied fallback for positions outside the profile.
-func (p *Profile) ReflectanceAt(x, fallback float64) float64 {
-	if m, ok := p.MaterialAt(x); ok {
-		return m.Reflectance
-	}
-	return fallback
 }
 
 // Tag is a physical passive packet: a reflectance profile generated
@@ -184,23 +172,11 @@ func NewFromSymbols(symbols []coding.Symbol, cfg Config) (*Tag, error) {
 	}, nil
 }
 
-// MustNew is New that panics on error, for fixed test/example tags.
-func MustNew(p coding.Packet, cfg Config) *Tag {
-	t, err := New(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Profile returns the tag's reflectance profile.
 func (t *Tag) Profile() *Profile { return t.profile }
 
 // Length returns the tag's physical length (m).
 func (t *Tag) Length() float64 { return t.profile.Length() }
-
-// SymbolCount returns preamble + data symbols.
-func (t *Tag) SymbolCount() int { return len(t.Packet.Symbols()) }
 
 // WithDirt returns a copy of the tag whose stripe materials carry a
 // dirt layer of the given coverage; used for distortion experiments.

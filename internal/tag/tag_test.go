@@ -20,8 +20,8 @@ func TestNewProfileLookup(t *testing.T) {
 	if math.Abs(p.Length()-0.4) > 1e-12 {
 		t.Fatalf("length %v", p.Length())
 	}
-	if p.SegmentCount() != 3 {
-		t.Fatalf("segments %d", p.SegmentCount())
+	if len(p.segments) != 3 {
+		t.Fatalf("segments %d", len(p.segments))
 	}
 	cases := []struct {
 		x    float64
@@ -48,9 +48,6 @@ func TestNewProfileLookup(t *testing.T) {
 	}
 	if _, ok := p.MaterialAt(0.4); ok {
 		t.Fatal("at end (exclusive) should be empty")
-	}
-	if r := p.ReflectanceAt(-1, 0.42); r != 0.42 {
-		t.Fatalf("fallback reflectance %v", r)
 	}
 }
 
@@ -80,8 +77,8 @@ func TestTagGeometryMatchesSymbols(t *testing.T) {
 	if got := tg.Length(); math.Abs(got-float64(len(symbols))*0.03) > 1e-12 {
 		t.Fatalf("length %v", got)
 	}
-	if tg.SymbolCount() != len(symbols) {
-		t.Fatalf("symbol count %d", tg.SymbolCount())
+	if n := len(tg.Packet.Symbols()); n != len(symbols) {
+		t.Fatalf("symbol count %d", n)
 	}
 	for i, s := range symbols {
 		x := (float64(i) + 0.5) * 0.03 // center of stripe i
@@ -173,8 +170,8 @@ func TestWithDirtKeepsGeometry(t *testing.T) {
 }
 
 func TestDynamicTagCycles(t *testing.T) {
-	a := MustNew(coding.MustPacket("00"), Config{SymbolWidth: 0.02})
-	b := MustNew(coding.MustPacket("11"), Config{SymbolWidth: 0.02})
+	a := mustNew(t, coding.MustPacket("00"), Config{SymbolWidth: 0.02})
+	b := mustNew(t, coding.MustPacket("11"), Config{SymbolWidth: 0.02})
 	d, err := NewDynamic([]*Tag{a, b}, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +194,8 @@ func TestDynamicTagCycles(t *testing.T) {
 }
 
 func TestDynamicTagValidation(t *testing.T) {
-	a := MustNew(coding.MustPacket("00"), Config{SymbolWidth: 0.02})
-	c := MustNew(coding.MustPacket("0"), Config{SymbolWidth: 0.02}) // shorter
+	a := mustNew(t, coding.MustPacket("00"), Config{SymbolWidth: 0.02})
+	c := mustNew(t, coding.MustPacket("0"), Config{SymbolWidth: 0.02}) // shorter
 	if _, err := NewDynamic([]*Tag{a, c}, 1.0); err == nil {
 		t.Fatal("mismatched frame lengths should fail")
 	}
@@ -211,7 +208,7 @@ func TestDynamicTagValidation(t *testing.T) {
 }
 
 func TestProfileLookupProperty(t *testing.T) {
-	tg := MustNew(coding.MustPacket("0110"), Config{SymbolWidth: 0.025})
+	tg := mustNew(t, coding.MustPacket("0110"), Config{SymbolWidth: 0.025})
 	f := func(frac float64) bool {
 		if math.IsNaN(frac) || math.IsInf(frac, 0) {
 			return true
@@ -229,4 +226,14 @@ func TestProfileLookupProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustNew is New for fixed test tags, failing the test on error.
+func mustNew(t *testing.T, p coding.Packet, cfg Config) *Tag {
+	t.Helper()
+	tg, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tg
 }

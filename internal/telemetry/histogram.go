@@ -89,19 +89,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Quantile returns the q-th quantile (0 <= q <= 1) as the midpoint of
-// the bucket holding that rank, which bounds the relative error by
-// half the bucket width (~6.25%); values below 16 are exact. Returns
-// 0 with no observations. Min and max ranks return the exact tracked
-// extremes.
-func (h *Histogram) Quantile(q float64) float64 {
-	s := h.Snapshot()
-	return s.Quantile(q)
-}
-
 // HistogramSnapshot is a consistent-enough point-in-time copy of a
 // histogram — the one distribution schema shared by /metrics.json,
 // the Prometheus summary rendering, and benchdump's committed BENCH

@@ -155,12 +155,3 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("min/max = %d/%d, want 0/%d", s.Min, s.Max, n-1)
 	}
 }
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(42)
-	g.Add(-2)
-	if got := g.Value(); got != 40 {
-		t.Fatalf("gauge = %d, want 40", got)
-	}
-}

@@ -16,7 +16,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota + 1
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
@@ -26,7 +25,7 @@ func (k metricKind) String() string {
 	switch k {
 	case kindCounter, kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -48,7 +47,6 @@ type metricEntry struct {
 	help string
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	cfn     func() int64
 	gfn     func() float64
@@ -95,11 +93,6 @@ func (r *Registry) get(name string, kind metricKind, help string, build func(e *
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.get(name, kindCounter, help, func(e *metricEntry) { e.counter = &Counter{} }).counter
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.get(name, kindGauge, help, func(e *metricEntry) { e.gauge = &Gauge{} }).gauge
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -185,8 +178,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[e.name] = e.counter.Value()
 		case kindCounterFunc:
 			s.Counters[e.name] = e.cfn()
-		case kindGauge:
-			s.Gauges[e.name] = float64(e.gauge.Value())
 		case kindGaugeFunc:
 			s.Gauges[e.name] = e.gfn()
 		case kindHistogram:
@@ -228,8 +219,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", e.name, e.counter.Value())
 		case kindCounterFunc:
 			_, err = fmt.Fprintf(w, "%s %d\n", e.name, e.cfn())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %d\n", e.name, e.gauge.Value())
 		case kindGaugeFunc:
 			_, err = fmt.Fprintf(w, "%s %g\n", e.name, e.gfn())
 		case kindHistogram:

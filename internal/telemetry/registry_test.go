@@ -15,7 +15,6 @@ func goldenRegistry() *Registry {
 	reg.Counter("pl_test_detections_total", "decoded packets").Add(7)
 	reg.Counter(`pl_test_ingest_bytes_total{node="1"}`, "per-node ingest").Add(1024)
 	reg.Counter(`pl_test_ingest_bytes_total{node="2"}`, "per-node ingest").Add(2048)
-	reg.Gauge("pl_test_sessions_active", "tracked sessions").Set(3)
 	reg.GaugeFunc("pl_test_queue_depth", "listener queue depth", func() float64 { return 5 })
 	reg.CounterFunc("pl_test_samples_in_total", "samples accepted", func() int64 { return 9000 })
 	h := reg.Histogram("pl_test_latency_ns", "detection latency")
@@ -50,9 +49,6 @@ pl_test_queue_depth 5
 # HELP pl_test_samples_in_total samples accepted
 # TYPE pl_test_samples_in_total counter
 pl_test_samples_in_total 9000
-# HELP pl_test_sessions_active tracked sessions
-# TYPE pl_test_sessions_active gauge
-pl_test_sessions_active 3
 `
 	if got := b.String(); got != want {
 		t.Fatalf("prometheus exposition drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -72,8 +68,7 @@ func TestRegistryJSONGolden(t *testing.T) {
     "pl_test_samples_in_total": 9000
   },
   "gauges": {
-    "pl_test_queue_depth": 5,
-    "pl_test_sessions_active": 3
+    "pl_test_queue_depth": 5
   },
   "histograms": {
     "pl_test_latency_ns": {
@@ -115,7 +110,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	reg.Gauge("pl_kind_total", "")
+	reg.GaugeFunc("pl_kind_total", "", func() float64 { return 0 })
 }
 
 func TestRegistryBadNamePanics(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package telemetry is the repository's dependency-free observability
-// substrate: sharded lock-free counters, gauges and log-bucketed
-// histograms with quantile readout, collected in a Registry that
+// substrate: sharded lock-free counters, snapshot-time gauges and
+// log-bucketed histograms with quantile readout, collected in a Registry that
 // snapshots to JSON and renders Prometheus text exposition. The hot
 // layers (internal/stream, internal/rxnet, the root Pipeline) record
 // into it; cmd/plnet serves it live on /metrics, /metrics.json and
@@ -9,7 +9,7 @@
 // diffable against each other.
 //
 // Everything is stdlib-only and safe for concurrent use. Recording
-// (Counter.Add, Gauge.Set, Histogram.Observe) is wait-free — one
+// (Counter.Add, Histogram.Observe) is wait-free — one
 // atomic add on a padded stripe or bucket — so instrumentation can sit
 // on the per-chunk decode path without serializing the worker pool.
 package telemetry
@@ -69,19 +69,3 @@ func (c *Counter) Value() int64 {
 	}
 	return sum
 }
-
-// Gauge is a settable instantaneous value (occupancy, depth, limit).
-// The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by a delta (e.g. +1 on connect, -1 on
-// disconnect).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }

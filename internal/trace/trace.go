@@ -60,42 +60,6 @@ func (tr *Trace) Duration() float64 {
 // TimeAt returns the absolute time of sample i.
 func (tr *Trace) TimeAt(i int) float64 { return tr.T0 + float64(i)/tr.Fs }
 
-// IndexAt returns the sample index nearest to absolute time t, clamped
-// to the valid range.
-func (tr *Trace) IndexAt(t float64) int {
-	i := int((t - tr.T0) * tr.Fs)
-	if i < 0 {
-		return 0
-	}
-	if i >= len(tr.Samples) {
-		return len(tr.Samples) - 1
-	}
-	return i
-}
-
-// Slice returns a sub-trace covering sample indices [lo, hi).
-func (tr *Trace) Slice(lo, hi int) (*Trace, error) {
-	if lo < 0 || hi > len(tr.Samples) || lo >= hi {
-		return nil, fmt.Errorf("trace: invalid slice [%d, %d) of %d samples", lo, hi, len(tr.Samples))
-	}
-	out := New(tr.Fs, tr.TimeAt(lo), tr.Samples[lo:hi])
-	for k, v := range tr.Meta {
-		out.Meta[k] = v
-	}
-	return out, nil
-}
-
-// Normalized returns a copy with samples min-max scaled to [0, 1],
-// matching the "Normalized RSS" axes of the paper's figures.
-func (tr *Trace) Normalized() *Trace {
-	out := New(tr.Fs, tr.T0, dsp.NormalizeMinMax(tr.Samples))
-	for k, v := range tr.Meta {
-		out.Meta[k] = v
-	}
-	out.Meta["normalized"] = "minmax"
-	return out
-}
-
 // Chunks yields consecutive sample slices of at most size samples,
 // in stream order — the natural way to replay a recorded trace into
 // a streaming decoder or over the receiver network. The slices alias

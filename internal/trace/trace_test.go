@@ -52,53 +52,8 @@ func TestTimeIndexConversions(t *testing.T) {
 	if got := tr.TimeAt(100); math.Abs(got-3.0) > 1e-12 {
 		t.Fatalf("TimeAt %v", got)
 	}
-	if got := tr.IndexAt(3.0); got != 100 {
-		t.Fatalf("IndexAt %v", got)
-	}
-	if got := tr.IndexAt(-10); got != 0 {
-		t.Fatalf("clamped low index %v", got)
-	}
-	if got := tr.IndexAt(1e9); got != 499 {
-		t.Fatalf("clamped high index %v", got)
-	}
-}
-
-func TestSlice(t *testing.T) {
-	tr := New(10, 0, []float64{0, 1, 2, 3, 4, 5})
-	tr.WithMeta("k", "v")
-	sub, err := tr.Slice(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Len() != 3 || sub.Samples[0] != 2 {
-		t.Fatalf("slice %+v", sub.Samples)
-	}
-	if math.Abs(sub.T0-0.2) > 1e-12 {
-		t.Fatalf("slice T0 %v", sub.T0)
-	}
-	if sub.Meta["k"] != "v" {
-		t.Fatal("metadata not propagated")
-	}
-	if _, err := tr.Slice(4, 2); err == nil {
-		t.Fatal("inverted slice should fail")
-	}
-	if _, err := tr.Slice(0, 99); err == nil {
-		t.Fatal("out-of-range slice should fail")
-	}
-}
-
-func TestNormalized(t *testing.T) {
-	tr := New(10, 0, []float64{10, 20, 30})
-	n := tr.Normalized()
-	if n.Samples[0] != 0 || n.Samples[2] != 1 {
-		t.Fatalf("normalized %+v", n.Samples)
-	}
-	if n.Meta["normalized"] != "minmax" {
-		t.Fatal("normalization not recorded in metadata")
-	}
-	// Original untouched.
-	if tr.Samples[0] != 10 {
-		t.Fatal("Normalized mutated the original")
+	if got := tr.TimeAt(0); got != 2.0 {
+		t.Fatalf("TimeAt(0) %v, want T0", got)
 	}
 }
 

@@ -284,11 +284,10 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 		}()
 	}
 
-	// Forwarder: engine detection batches -> sinks -> event channel.
-	// Consuming Batches (one receive per decode step) instead of the
-	// flattened Detections channel skips a per-detection hop. Runs
-	// until the engine closes the channel (after flushing every
-	// session), so no event is lost on shutdown.
+	// Forwarder: engine detection batches -> sinks -> event channel,
+	// one receive per decode step. Runs until the engine closes the
+	// channel (after flushing every session), so no event is lost on
+	// shutdown.
 	go func() {
 		for batch := range eng.Batches() {
 			for _, det := range batch {

@@ -850,7 +850,7 @@ func (s *NetSource) Next(ctx context.Context) (SourceChunk, error) {
 				return SourceChunk{Session: ev.Session, Reset: true}, nil
 			}
 			// Zero-copy path: the samples still live in the listener's
-			// pooled buffer; the pipeline releases it after Engine.Feed
+			// pooled buffer; the pipeline releases it after Engine.FeedTagged
 			// has copied them into the session ring.
 			return SourceChunk{
 				Session: ev.Session, Fs: ev.Fs, Samples: ev.Samples, Reset: ev.Reset,
