@@ -139,8 +139,8 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	reg := NewTelemetry()
 	router, err := cluster.NewRouter(cluster.RouterConfig{
 		AutoAdmit:         true,
-		RingBatchWindow:   -1,       // this test asserts one epoch bump per join
-		ReplayBytes:       20 << 10, // force byte-bound evictions (a chunk frame is ~16 KiB)
+		RingBatchWindow:   -1,      // this test asserts one epoch bump per join
+		ReplayBytes:       5 << 10, // force byte-bound evictions (a chunk of 2048 codes is kept in ~4 KiB)
 		RedialBackoff:     20 * time.Millisecond,
 		RedialBackoffMax:  200 * time.Millisecond,
 		DeadEngineTimeout: 250 * time.Millisecond,

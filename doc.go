@@ -22,7 +22,9 @@
 //   - NewChunkSource — a live feed of sample chunks from a channel;
 //   - ListenSource — a receiver-network listener: nodes stream raw
 //     SampleChunk frames over TCP and each (node, stream) pair
-//     becomes one decode session.
+//     becomes one decode session. A chunk whose samples are all
+//     integer ADC codes may travel as 2-byte codes, negotiated in the
+//     node's Hello; it decodes to the same float64 samples.
 //
 // A Pipeline binds one source to a decode strategy — Threshold
 // (Sec. 4.1 adaptive tau_r/tau_t), TwoPhase (Sec. 5 car-shape
@@ -185,7 +187,10 @@
 // ShedWhilePaused, shed at the edge with the gap kept visible to the
 // server's continuity cursor. Replay buffers are byte-bounded
 // (RouterConfig.ReplayBytes), so partitions cost bounded memory and
-// trimmed bytes are counted, never spliced over. Engines ack each
+// trimmed bytes are counted, never spliced over. The router keeps a
+// chunk of integer ADC codes at 2 bytes a sample (4x more stream time
+// per byte than float64), sends it as a code frame to engines that
+// answered its Hello and expands it back to float64 for any other. Engines ack each
 // decoded session upstream (NetSource.AckSession), which trims the
 // stream's replay buffer, and a Pipeline acks on its own when it
 // releases an idle session, through the last chunk that session
@@ -209,8 +214,9 @@
 // bump, so replicas converge with no external coordinator. Receiver
 // nodes carry a failover rotation (rxnet.RedialConfig.Addrs): when
 // their router dies they redial the next address and proactively
-// resend a byte-bounded tail of each stream (ResendBytes) as marked
-// replay frames — the engine's continuity cursor discards what the
+// resend a byte-bounded tail of each stream (ResendBytes, stored as
+// 2-byte codes where it can be) as marked float64 replay frames — the
+// engine's continuity cursor discards what the
 // dead router already delivered and keeps what it took with it, so a
 // router SIGKILL costs neither a lost packet nor a duplicate decode.
 // Ring changes are batched (RouterConfig.RingBatchWindow, default

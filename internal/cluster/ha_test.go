@@ -183,7 +183,7 @@ func TestRouterPeerConvergence(t *testing.T) {
 	key := uint64(5)<<32 | uint64(sid)
 	waitFor(t, "eviction to converge onto router B", func() bool {
 		body := wrapChunk(t, 5, sid, 1, 0)
-		rA.forward(nil, key, 1, body, rxnet.FrameSampleChunk)
+		rA.forward(nil, key, kept(t, body), false)
 		stA, stB := rA.Stats(), rB.Stats()
 		return stA.Engines == 1 && stB.Engines == 1 && stA.Epoch == stB.Epoch
 	})

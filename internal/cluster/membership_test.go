@@ -99,7 +99,7 @@ func TestNackAfterRingChangedTwice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal chunk: %v", err)
 		}
-		r.forward(nil, key, seq, body, rxnet.FrameSampleChunk)
+		r.forward(nil, key, kept(t, body), false)
 	}
 	waitFor(t, "chunks on engine-a", func() bool { return a.samplesFor(key) == 75 })
 
@@ -168,10 +168,10 @@ func TestDuplicateEngineHelloIdempotent(t *testing.T) {
 func TestReplayBufferByteBound(t *testing.T) {
 	a := startEngineSim(t, "engine-a")
 	ring := clusterRing(t, a)
-	r, _ := startRouter(t, RouterConfig{Ring: ring, ReplayBytes: 600})
+	r, _ := startRouter(t, RouterConfig{Ring: ring, ReplayBytes: 200})
 
 	key := uint64(3)<<32 | uint64(1)
-	samples := make([]float64, 25) // ~212-byte frames
+	samples := make([]float64, 25) // kept as 80-byte code chunks
 	var lastSeq uint32
 	for seq := uint32(1); seq <= 6; seq++ {
 		body, err := rxnet.MarshalSampleChunk(rxnet.SampleChunk{
@@ -181,7 +181,7 @@ func TestReplayBufferByteBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal chunk: %v", err)
 		}
-		r.forward(nil, key, seq, body, rxnet.FrameSampleChunk)
+		r.forward(nil, key, kept(t, body), false)
 		lastSeq = seq
 	}
 	waitFor(t, "chunks delivered", func() bool { return a.samplesFor(key) == 150 })
@@ -194,8 +194,8 @@ func TestReplayBufferByteBound(t *testing.T) {
 	kept, keptBytes := len(rt.replay), rt.replayBytes
 	newest := rt.replay[len(rt.replay)-1].seq
 	rt.fmu.Unlock()
-	if keptBytes > 600 {
-		t.Fatalf("replay holds %d bytes, want <= 600", keptBytes)
+	if keptBytes > 200 {
+		t.Fatalf("replay holds %d bytes, want <= 200", keptBytes)
 	}
 	if kept == 0 || newest != lastSeq {
 		t.Fatalf("replay kept %d frames ending at seq %d, want newest %d", kept, newest, lastSeq)
@@ -227,7 +227,7 @@ func TestDeadEngineEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal chunk: %v", err)
 	}
-	r.forward(nil, key, 1, body, rxnet.FrameSampleChunk)
+	r.forward(nil, key, kept(t, body), false)
 	waitFor(t, "failover to engine-a", func() bool { return a.samplesFor(key) == 10 })
 
 	waitFor(t, "dead engine evicted", func() bool { return r.Stats().Engines == 1 })

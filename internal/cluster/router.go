@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,9 +20,12 @@ type RouterConfig struct {
 	Ring *Ring
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// ReplayBytes bounds the per-stream replay buffer by payload bytes
-	// (recent chunk frames kept so a NACKed stream can be replayed on
-	// its new owner). Zero selects 1 MiB. Overflow evicts the oldest
+	// ReplayBytes bounds the per-stream replay buffer by the bytes it
+	// stores (recent chunk bodies kept so a NACKed stream can be
+	// replayed on its new owner; a chunk of integer ADC codes is stored
+	// at 2 bytes a sample, any other at 8). Zero selects 1 MiB, about
+	// 509 s of a 1 kHz code stream in 512-sample chunks, or 130 s of a
+	// float64 one. Overflow evicts the oldest
 	// frames, counted in pl_cluster_replay_evicted_bytes_total; a NACK
 	// that reaches past the buffer is counted in
 	// pl_cluster_replay_gaps_total and the stream resumes with a gap
@@ -103,10 +107,34 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// savedChunk is one buffered chunk frame for NACK replay.
+// savedChunk is one buffered chunk for NACK replay: a FrameCodeChunk
+// body when codes is set, else the float64 body as it arrived.
 type savedChunk struct {
-	seq  uint32
-	body []byte
+	seq   uint32
+	body  []byte
+	codes bool
+}
+
+// keepChunk turns a chunk frame body of type t, which aliases the
+// connection's read buffer, into the chunk the router keeps: a code
+// chunk as it arrived, a float64 chunk as codes when every sample is
+// one, and any other chunk as a copy.
+func keepChunk(t rxnet.FrameType, body []byte) (savedChunk, error) {
+	if len(body) < 12 {
+		return savedChunk{}, fmt.Errorf("short chunk frame (%d bytes)", len(body))
+	}
+	c := savedChunk{seq: binary.BigEndian.Uint32(body[8:12])}
+	if t == rxnet.FrameCodeChunk || t == rxnet.FrameCodeReplay {
+		if err := rxnet.CheckCodeBody(body); err != nil {
+			return savedChunk{}, err
+		}
+		c.body, c.codes = bytes.Clone(body), true
+	} else if c.body = rxnet.CodeBody(body); c.body != nil {
+		c.codes = true
+	} else {
+		c.body = bytes.Clone(body)
+	}
+	return c, nil
 }
 
 // route is the router's view of one chunk stream: its sticky owner
@@ -139,6 +167,12 @@ type upstream struct {
 
 	wmu  sync.Mutex
 	conn net.Conn
+	// gen numbers conn's dials, under wmu; codesGen is the dial whose
+	// engine answered a Hello with FrameCodesOK (set by its reader), so
+	// code frames go out only while codesGen == gen.
+	gen      int64
+	codesGen atomic.Int64
+	scratch  []byte // float64 expansion of a code chunk, under wmu
 
 	// nextDial (unix nanos) and connected are read lock-free by
 	// resolve and Stats — resolve runs under a route's fmu and must
@@ -432,11 +466,13 @@ func (r *Router) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn relays one receiver node's frames. Chunk bodies are
-// forwarded verbatim — only the 12-byte (NodeID, StreamID, Seq)
-// prefix is parsed to route them — so the router never touches the
-// sample payload. The same port also accepts EngineHello frames from
-// engines joining the cluster (AutoAdmit).
+// serveConn relays one receiver node's frames. Only the 12-byte
+// (NodeID, StreamID, Seq) prefix of a chunk is parsed to route it; the
+// samples are read only to keep the chunk as 2-byte codes when they
+// all are (keepChunk). Frames are read through one buffer per
+// connection, so a chunk costs only the body the router keeps. The
+// same port also accepts EngineHello frames from engines joining the
+// cluster (AutoAdmit).
 func (r *Router) serveConn(conn net.Conn) {
 	defer r.wg.Done()
 	nc := &nodeConn{c: conn, owners: make(map[string]bool)}
@@ -449,11 +485,12 @@ func (r *Router) serveConn(conn net.Conn) {
 		r.mu.Unlock()
 		conn.Close()
 	}()
+	fr := rxnet.NewFrameReader(conn)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
 			return
 		}
-		t, body, err := rxnet.ReadFrame(conn)
+		t, body, err := fr.Next()
 		if err != nil {
 			select {
 			case <-r.closed:
@@ -506,6 +543,16 @@ func (r *Router) serveConn(conn net.Conn) {
 				r.logf("cluster: bad hello: %v", err)
 				return
 			}
+			// A node that asks may send code frames from here on; the
+			// router keeps chunks as codes either way and expands them
+			// for old engines. A failed answer only keeps the node on
+			// float64 frames.
+			if rxnet.AsksCodes(body) {
+				nc.writeFrame(rxnet.FrameCodesOK, nil)
+			}
+			// The router reads its engine connections, so the Hello it
+			// passes on asks them too.
+			body = rxnet.AskCodes(body)
 			r.mu.Lock()
 			r.hellos[h.NodeID] = body
 			ups := r.upstreamsLocked()
@@ -517,16 +564,16 @@ func (r *Router) serveConn(conn net.Conn) {
 					r.logf("cluster: hello to %s: %v", up.id, err)
 				}
 			}
-		case rxnet.FrameSampleChunk, rxnet.FrameSampleReplay:
-			if len(body) < 12 {
-				r.logf("cluster: short chunk frame (%d bytes)", len(body))
+		case rxnet.FrameSampleChunk, rxnet.FrameSampleReplay, rxnet.FrameCodeChunk, rxnet.FrameCodeReplay:
+			c, err := keepChunk(t, body)
+			if err != nil {
+				r.logf("cluster: bad chunk frame: %v", err)
 				return
 			}
 			node := binary.BigEndian.Uint32(body[0:4])
 			stream := binary.BigEndian.Uint32(body[4:8])
-			seq := binary.BigEndian.Uint32(body[8:12])
 			session := uint64(node)<<32 | uint64(stream)
-			r.forward(nc, session, seq, body, t)
+			r.forward(nc, session, c, t == rxnet.FrameSampleReplay || t == rxnet.FrameCodeReplay)
 		case rxnet.FrameRingUpdate:
 			// A router peer pushing its ring (peer link, or an operator
 			// tool relaying state). Converge on it.
@@ -588,16 +635,18 @@ func (r *Router) resolve(session uint64, exclude string) (*upstream, bool) {
 	return r.ups[m.ID], true
 }
 
-// forward routes one chunk frame to its stream's owner, assigning an
-// owner to new streams and buffering the frame for NACK replay. nc is
-// the node connection the chunk arrived on (nil in tests); successful
+// forward routes one chunk to its stream's owner, assigning an owner
+// to new streams and buffering the chunk for NACK replay. nc is the
+// node connection the chunk arrived on (nil in tests); successful
 // forwards record the owner on it so engine backpressure can be
-// relayed to exactly the nodes feeding that engine. ft is the frame
-// type the chunk arrived as: replay frames (node retransmissions
-// after a failover) forward under the same marking so the engine can
+// relayed to exactly the nodes feeding that engine. replay reports
+// whether the chunk arrived as a replay frame: node retransmissions
+// after a failover forward under the same marking so the engine can
 // dedup them against its cursor, and never masquerade as live
-// restarts.
-func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, ft rxnet.FrameType) {
+// restarts. The wire type, code or float64, is chosen per upstream at
+// send time.
+func (r *Router) forward(nc *nodeConn, session uint64, in savedChunk, replay bool) {
+	seq := in.seq
 	rt, created := r.routeFor(session)
 	rt.fmu.Lock()
 	for rt.evicted {
@@ -609,7 +658,7 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 	}
 	defer rt.fmu.Unlock()
 	rt.lastAct = time.Now()
-	if created && seq != 1 && ft == rxnet.FrameSampleChunk && nc != nil {
+	if created && seq != 1 && !replay && nc != nil {
 		// First sight of a mid-stream live chunk: this router holds
 		// none of the stream's history (the node failed over from a
 		// dead peer, or the route idled out). Ask the node to resend
@@ -630,7 +679,7 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 	// entirely: it was already forwarded once and a failover replay
 	// must not deliver it out of order.
 	if n := len(rt.replay); n > 0 && !rxnet.SeqLess(rt.replay[n-1].seq, seq) {
-		if ft == rxnet.FrameSampleReplay || seq != 1 {
+		if replay || seq != 1 {
 			return
 		}
 		// A live Seq=1 behind the buffer is a genuine stream restart:
@@ -638,9 +687,9 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 		r.dropReplay(rt, len(rt.replay))
 		rt.ackedThrough = 0
 	}
-	rt.replay = append(rt.replay, savedChunk{seq: seq, body: body})
-	rt.replayBytes += len(body)
-	r.replayHeld.Add(int64(len(body)))
+	rt.replay = append(rt.replay, in)
+	rt.replayBytes += len(in.body)
+	r.replayHeld.Add(int64(len(in.body)))
 	drop := 0
 	for over := rt.replayBytes - r.cfg.ReplayBytes; over > 0 && drop < len(rt.replay)-1; drop++ {
 		over -= len(rt.replay[drop].body)
@@ -684,13 +733,9 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 		}
 		var err error
 		for _, c := range frames {
-			// The in-hand chunk keeps its arrival type; everything in
-			// front of it is a retransmission.
-			ftc := rxnet.FrameSampleReplay
-			if c.seq == seq {
-				ftc = ft
-			}
-			if err = r.send(up, ftc, c.body); err != nil {
+			// The in-hand chunk keeps its arrival marking; everything
+			// in front of it is a retransmission.
+			if err = r.sendChunk(up, c, replay || c.seq != seq); err != nil {
 				break
 			}
 			r.chunksFwd.Add(1)
@@ -758,22 +803,75 @@ func (r *Router) noteOwner(nc *nodeConn, up *upstream) {
 
 // send writes one frame to an upstream, dialing it first if needed.
 func (r *Router) send(up *upstream, t rxnet.FrameType, body []byte) error {
+	up.wmu.Lock()
+	defer up.wmu.Unlock()
+	if err := r.connectLocked(up); err != nil {
+		return err
+	}
+	return r.writeLocked(up, t, body)
+}
+
+// sendChunk writes one chunk to an upstream, dialing it first if
+// needed: as a code frame when the chunk is stored as codes and the
+// engine behind the current connection has answered a Hello, else as
+// its float64 frame. A freshly dialed engine therefore gets float64
+// frames until its answer arrives.
+func (r *Router) sendChunk(up *upstream, c savedChunk, replay bool) error {
+	up.wmu.Lock()
+	defer up.wmu.Unlock()
+	if err := r.connectLocked(up); err != nil {
+		return err
+	}
+	t, body := up.chunkFrameLocked(c, replay)
+	return r.writeLocked(up, t, body)
+}
+
+// chunkFrameLocked returns a chunk's wire form on the upstream's
+// current connection: a code frame when the chunk is stored as codes
+// and the engine has answered, else its float64 frame, expanded into
+// the upstream's scratch buffer for a code chunk. Callers hold up.wmu.
+func (up *upstream) chunkFrameLocked(c savedChunk, replay bool) (rxnet.FrameType, []byte) {
+	if c.codes && up.codesGen.Load() == up.gen {
+		if replay {
+			return rxnet.FrameCodeReplay, c.body
+		}
+		return rxnet.FrameCodeChunk, c.body
+	}
+	body := c.body
+	if c.codes {
+		up.scratch = rxnet.AppendSampleBody(up.scratch[:0], c.body)
+		body = up.scratch
+	}
+	if replay {
+		return rxnet.FrameSampleReplay, body
+	}
+	return rxnet.FrameSampleChunk, body
+}
+
+// connectLocked dials the upstream unless it is connected. Callers
+// hold up.wmu.
+func (r *Router) connectLocked(up *upstream) error {
 	select {
 	case <-r.closed:
 		return errors.New("cluster: router closed")
 	default:
 	}
-	up.wmu.Lock()
-	defer up.wmu.Unlock()
-	if up.conn == nil {
-		if time.Now().UnixNano() < up.nextDial.Load() {
-			return fmt.Errorf("cluster: engine %s in dial backoff", up.id)
-		}
-		if err := r.dialLocked(up); err != nil {
-			up.failed(r.backoff())
-			return err
-		}
+	if up.conn != nil {
+		return nil
 	}
+	if time.Now().UnixNano() < up.nextDial.Load() {
+		return fmt.Errorf("cluster: engine %s in dial backoff", up.id)
+	}
+	if err := r.dialLocked(up); err != nil {
+		up.failed(r.backoff())
+		return err
+	}
+	return nil
+}
+
+// writeLocked writes one frame on the upstream's connection, dropping
+// the connection on failure. Callers hold up.wmu after connectLocked.
+func (r *Router) writeLocked(up *upstream, t rxnet.FrameType, body []byte) error {
 	if err := up.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		return err
 	}
@@ -795,12 +893,13 @@ func (r *Router) dialLocked(up *upstream) error {
 		return err
 	}
 	up.conn = conn
+	up.gen++
 	up.connected.Store(true)
 	up.draining.Store(false) // a fresh process announces its own state
 	up.recovered()
 	r.redials.Add(1)
 	r.wg.Add(1)
-	go r.readUpstream(up, conn)
+	go r.readUpstream(up, conn, up.gen)
 	// A (re)connected engine needs the fleet's node metadata before
 	// any of their streams land on it.
 	r.mu.Lock()
@@ -820,16 +919,18 @@ func (r *Router) dialLocked(up *upstream) error {
 	return nil
 }
 
-// readUpstream consumes engine-to-router control frames (drain
-// notices, stream NACKs) until the connection dies.
-func (r *Router) readUpstream(up *upstream, conn net.Conn) {
+// readUpstream consumes engine-to-router control frames (Hello
+// answers, drain notices, stream NACKs and acks) from dial gen of the
+// upstream until the connection dies.
+func (r *Router) readUpstream(up *upstream, conn net.Conn, gen int64) {
 	defer r.wg.Done()
+	fr := rxnet.NewFrameReader(conn)
 	for {
 		// No deadline: engines speak only when state changes.
 		if err := conn.SetReadDeadline(time.Time{}); err != nil {
 			break
 		}
-		t, body, err := rxnet.ReadFrame(conn)
+		t, body, err := fr.Next()
 		if err != nil {
 			select {
 			case <-r.closed:
@@ -839,6 +940,8 @@ func (r *Router) readUpstream(up *upstream, conn net.Conn) {
 			break
 		}
 		switch t {
+		case rxnet.FrameCodesOK:
+			up.codesGen.Store(gen)
 		case rxnet.FrameDrain:
 			d, err := rxnet.UnmarshalDrain(body)
 			if err != nil {
@@ -1013,7 +1116,7 @@ func (r *Router) handleNack(from *upstream, n rxnet.StreamNack) {
 		if rxnet.SeqLEq(c.seq, n.LastSeq) {
 			continue
 		}
-		if err := r.send(up, rxnet.FrameSampleReplay, c.body); err != nil {
+		if err := r.sendChunk(up, c, true); err != nil {
 			r.logf("cluster: replay to %s: %v", up.id, err)
 			r.failovers.Add(1)
 			rt.owner = ""
@@ -1303,7 +1406,7 @@ func (r *Router) failOverRoutes(dead map[string]bool) {
 		r.streams.Add(1)
 		var err error
 		for _, c := range rt.replay {
-			if err = r.send(up, rxnet.FrameSampleReplay, c.body); err != nil {
+			if err = r.sendChunk(up, c, true); err != nil {
 				break
 			}
 			r.chunksFwd.Add(1)

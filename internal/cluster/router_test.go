@@ -92,6 +92,17 @@ func clusterRing(t *testing.T, engines ...*engineSim) *Ring {
 	return ring
 }
 
+// kept is the chunk the router keeps for a float64 body arriving on a
+// node connection.
+func kept(t *testing.T, body []byte) savedChunk {
+	t.Helper()
+	c, err := keepChunk(rxnet.FrameSampleChunk, body)
+	if err != nil {
+		t.Fatalf("keep chunk: %v", err)
+	}
+	return c
+}
+
 func startRouter(t *testing.T, cfg RouterConfig) (*Router, string) {
 	t.Helper()
 	if cfg.Logf == nil {
@@ -319,7 +330,7 @@ func TestRouterNackReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal chunk: %v", err)
 		}
-		r.forward(nil, key, seq, body, rxnet.FrameSampleChunk)
+		r.forward(nil, key, kept(t, body), false)
 	}
 	waitFor(t, "chunks on engine-a", func() bool { return a.samplesFor(key) == 75 })
 
@@ -422,7 +433,7 @@ func TestEvictionFailsOverUnackedStreams(t *testing.T) {
 			if err != nil {
 				t.Fatalf("marshal chunk: %v", err)
 			}
-			r.forward(nil, uint64(11)<<32|uint64(sid), seq, body, rxnet.FrameSampleChunk)
+			r.forward(nil, uint64(11)<<32|uint64(sid), kept(t, body), false)
 		}
 	}
 	waitFor(t, "both streams on engine-a", func() bool {
@@ -472,7 +483,7 @@ func TestEvictionFailsOverUnackedStreams(t *testing.T) {
 // the bytes still held.
 func TestReplayTrimReleasesBodies(t *testing.T) {
 	a := startEngineSim(t, "engine-a")
-	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, a), ReplayBytes: 600})
+	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, a), ReplayBytes: 200})
 	const key = uint64(5)<<32 | 1
 	check := func(stage string) {
 		t.Helper()
@@ -489,9 +500,10 @@ func TestReplayTrimReleasesBodies(t *testing.T) {
 		}
 	}
 
-	// Six ~212-byte chunks into a 600-byte bound: the oldest are evicted.
+	// Six 80-byte code chunks into a 200-byte bound: the oldest are
+	// evicted.
 	for seq := uint32(1); seq <= 6; seq++ {
-		r.forward(nil, key, seq, wrapChunk(t, 5, 1, seq, int(seq-1)), rxnet.FrameSampleChunk)
+		r.forward(nil, key, kept(t, wrapChunk(t, 5, 1, seq, int(seq-1))), false)
 	}
 	if r.replayEvicted.Load() == 0 {
 		t.Fatal("byte bound evicted nothing")
@@ -500,7 +512,7 @@ func TestReplayTrimReleasesBodies(t *testing.T) {
 
 	// A live Seq=1 restart drops the previous incarnation's buffer.
 	for seq := uint32(1); seq <= 2; seq++ {
-		r.forward(nil, key, seq, wrapChunk(t, 5, 1, seq, int(seq-1)), rxnet.FrameSampleChunk)
+		r.forward(nil, key, kept(t, wrapChunk(t, 5, 1, seq, int(seq-1))), false)
 	}
 	check("restart reset")
 
@@ -532,11 +544,11 @@ func TestStaleAckIgnoredAfterRestart(t *testing.T) {
 	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, a)})
 	const key = uint64(5)<<32 | 1
 	for seq := uint32(1); seq <= 5; seq++ {
-		r.forward(nil, key, seq, wrapChunk(t, 5, 1, seq, int(seq-1)), rxnet.FrameSampleChunk)
+		r.forward(nil, key, kept(t, wrapChunk(t, 5, 1, seq, int(seq-1))), false)
 	}
 	// The node restarts the stream; the old incarnation's ack through
 	// Seq 5 arrives after the restart's first chunk.
-	r.forward(nil, key, 1, wrapChunk(t, 5, 1, 1, 0), rxnet.FrameSampleChunk)
+	r.forward(nil, key, kept(t, wrapChunk(t, 5, 1, 1, 0)), false)
 	r.mu.Lock()
 	upA := r.ups["engine-a"]
 	r.mu.Unlock()

@@ -100,12 +100,12 @@ func (a *Aggregator) serveConn(conn net.Conn) {
 	defer a.wg.Done()
 	defer conn.Close()
 	var nodeID uint32
-	fr := newFrameReader(conn)
+	fr := NewFrameReader(conn)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
 			return
 		}
-		t, body, err := fr.next()
+		t, body, err := fr.Next()
 		if err != nil {
 			select {
 			case <-a.closed:
@@ -286,6 +286,11 @@ type Node struct {
 	helloBody []byte
 	rctx      context.Context
 	gen       int // connection generation, under mu
+	// codesGen is the connection generation whose server answered the
+	// Hello with FrameCodesOK (set by the control reader); live chunks
+	// go as code frames only while it equals gen.
+	codesGen  atomic.Int64
+	wbuf      []byte // float64 expansion of a code body, under mu
 	redials   atomic.Int64
 	shedCnt   atomic.Int64
 	resent    atomic.Int64
@@ -303,17 +308,21 @@ type streamState struct {
 	seq   uint32
 	start uint64
 	// saved is the stream's bounded resend buffer (multi-address
-	// reliable nodes only): the marshaled bodies of the most recently
-	// sent chunks, replayed on reconnect or on a server StreamNack so
-	// a failover router that never saw the stream can rebuild it.
+	// reliable nodes only): the bodies of the most recently sent
+	// chunks, replayed on reconnect or on a server StreamNack so a
+	// failover router that never saw the stream can rebuild it.
+	// savedBytes counts the bytes stored, code bodies at 2 bytes a
+	// sample.
 	saved      []savedBody
 	savedBytes int
 }
 
-// savedBody is one buffered chunk body awaiting possible replay.
+// savedBody is one buffered chunk body awaiting possible replay: a
+// FrameCodeChunk body when codes is set, else a float64 body.
 type savedBody struct {
-	seq  uint32
-	body []byte
+	seq   uint32
+	body  []byte
+	codes bool
 }
 
 // Dial connects a node to the aggregator and sends its Hello.
@@ -420,15 +429,16 @@ func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error
 			Start:    st.start,
 			Samples:  part,
 		}
-		body, err := MarshalSampleChunk(c)
+		ft, body, err := encodeSampleChunk(c)
 		if err != nil {
 			return err
 		}
-		if err := n.writeChunkLocked(body); err != nil {
+		sb := savedBody{seq: c.Seq, body: body, codes: ft == FrameCodeChunk}
+		if err := n.writeChunkLocked(sb); err != nil {
 			return err
 		}
 		if n.rcfg != nil && n.rcfg.ResendBytes > 0 {
-			n.saveChunkLocked(st, c.Seq, body)
+			n.saveChunkLocked(st, sb)
 		}
 		st.seq++
 		st.start += uint64(len(part))

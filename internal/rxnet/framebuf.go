@@ -15,20 +15,21 @@ import (
 // (decode into the pooled buffer) instead of three (frame body,
 // samples, ring).
 
-// frameReader reads frames from one connection into a single growing
-// buffer. The body returned by next is valid only until the following
-// next call — callers must copy anything they retain, which every
+// FrameReader reads frames from one connection into a single growing
+// buffer. The body returned by Next is valid only until the following
+// Next call — callers must copy anything they retain, which every
 // Unmarshal* in this package already does.
-type frameReader struct {
+type FrameReader struct {
 	r   io.Reader
 	buf []byte
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
-// next reads one frame, returning its type and body. The body aliases
+// Next reads one frame, returning its type and body. The body aliases
 // the reader's internal buffer.
-func (fr *frameReader) next() (FrameType, []byte, error) {
+func (fr *FrameReader) Next() (FrameType, []byte, error) {
 	var hdr [7]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return 0, nil, err

@@ -69,9 +69,11 @@ func (lc *lconn) writeFrame(t FrameType, body []byte) error {
 // ChunkListener accepts receiver-node connections speaking the rxnet
 // frame protocol and surfaces their raw SampleChunk frames as a
 // channel of ChunkEvents — the one ingest path for raw samples, which
-// a decode pipeline consumes. Hello frames are surfaced on a side
-// channel for node registration; Detection frames are rejected (nodes
-// that decode locally should talk to an Aggregator instead).
+// a decode pipeline consumes. Sample chunks arrive as float64 or as
+// 2-byte code frames and decode to the same samples. Hello frames are
+// answered with FrameCodesOK when they ask (AskCodes) and surfaced on
+// a side channel for node registration; Detection frames are rejected
+// (nodes that decode locally should talk to an Aggregator instead).
 type ChunkListener struct {
 	ln         net.Listener
 	out        chan ChunkEvent
@@ -575,7 +577,8 @@ func (l *ChunkListener) acceptLoop() {
 // retransmission the cursor already consumed (router failover
 // replay), discarded without disturbing the decode session. reset
 // means the consumer must end the stream's open decode session first.
-// replay marks an explicitly retransmitted chunk (FrameSampleReplay).
+// replay marks an explicitly retransmitted chunk (FrameSampleReplay or
+// FrameCodeReplay).
 // epoch is the continuity epoch of an accepted chunk: fresh for a new
 // cursor or a reset. shed=true means the cursor of session shedKey was
 // evicted to bound the table; the caller must end that session once
@@ -659,12 +662,12 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 	// One frame buffer per connection: every frame body lands in it
 	// (and is fully consumed before the next read), so the read loop
 	// allocates nothing per frame.
-	fr := newFrameReader(conn)
+	fr := NewFrameReader(conn)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
 			return
 		}
-		t, body, err := fr.next()
+		t, body, err := fr.Next()
 		if err != nil {
 			select {
 			case <-l.closed:
@@ -682,17 +685,22 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 				return
 			}
 			nodeID = h.NodeID
+			// Tell a sender that asks that it may use code frames
+			// here. A failed answer only keeps it on float64 frames.
+			if AsksCodes(body) {
+				lc.writeFrame(FrameCodesOK, nil)
+			}
 			select {
 			case l.hellos <- h:
 			default:
 			}
 			l.logf("rxnet: chunk node %d (%s) at x=%.2f m joined", h.NodeID, h.Name, h.PosX)
-		case FrameSampleChunk, FrameSampleReplay:
+		case FrameSampleChunk, FrameSampleReplay, FrameCodeChunk, FrameCodeReplay:
 			// Decode straight into a pooled sample buffer: the wire →
 			// buffer copy here is the only copy the chunk pays before
 			// it reaches a session ring. The consumer releases the
 			// buffer (Buf.Release) once the samples are fed.
-			c, sb, err := decodeSampleChunk(body, getSampleBuf)
+			c, sb, err := decodeSampleChunk(t, body, getSampleBuf)
 			if err != nil {
 				l.countFrameErr()
 				l.logf("rxnet: bad sample chunk: %v", err)
@@ -703,7 +711,7 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 			}
 			l.received.Add(1)
 			l.paceGuard(c)
-			accept, nack, reset, dup, epoch, shedKey, shed := l.admit(c, lc, t == FrameSampleReplay)
+			accept, nack, reset, dup, epoch, shedKey, shed := l.admit(c, lc, t == FrameSampleReplay || t == FrameCodeReplay)
 			if shed {
 				l.emitEnd(shedKey)
 			}

@@ -10,7 +10,15 @@
 //
 // The wire protocol is a length-prefixed binary framing (big endian)
 // designed for microcontroller-class senders: no allocations beyond
-// the payload, fixed header, bounded frame size.
+// the payload, fixed header, bounded frame size. Sample chunks travel
+// in one of two widths. A chunk whose every sample is an integer ADC
+// code in [0, 65535] (the paper's receiver reads a 10-bit ADC) goes
+// as 2-byte codes (FrameCodeChunk) on connections whose receiver
+// answered the sender's Hello with FrameCodesOK (a sender that reads
+// its connection asks for the answer in the Hello); every other chunk,
+// and every chunk to a receiver that never answers, goes as float64
+// samples (FrameSampleChunk). Receivers decode both into the same
+// float64 samples, so decoding does not depend on the width.
 package rxnet
 
 import (
@@ -109,6 +117,23 @@ const (
 	// from a genuine restart, while a replayed one is provably a
 	// duplicate.
 	FrameSampleReplay
+	// FrameCodeChunk carries a sample chunk whose every sample is an
+	// integer ADC code in [0, 65535]: the FrameSampleChunk header
+	// (node, stream, seq, fs, start, n) followed by n big-endian uint16
+	// codes instead of n float64s. A sender uses it only on a
+	// connection whose receiver has answered its Hello with
+	// FrameCodesOK; any other chunk, or any other connection, keeps
+	// FrameSampleChunk.
+	FrameCodeChunk
+	// FrameCodeReplay is FrameSampleReplay with a FrameCodeChunk body.
+	FrameCodeReplay
+	// FrameCodesOK answers a FrameHello that asks for it (AskCodes;
+	// ChunkListener or cluster router -> sender): the receiver parses
+	// FrameCodeChunk and FrameCodeReplay on this connection. Empty
+	// body. Receivers that predate code frames never send it, so their
+	// senders keep float64 frames; senders that never read their
+	// connection never ask, so no answer sits unread when they close.
+	FrameCodesOK
 )
 
 // Errors.
@@ -215,30 +240,10 @@ func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, returning its type and body.
+// ReadFrame reads one frame, returning its type and a freshly
+// allocated body.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [7]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	if hdr[0] != MagicByte {
-		return 0, nil, ErrBadMagic
-	}
-	if hdr[1] != Version {
-		return 0, nil, ErrBadVersion
-	}
-	n := binary.BigEndian.Uint32(hdr[3:])
-	if n > MaxFrameSize {
-		return 0, nil, ErrFrameTooBig
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, ErrTruncated
-		}
-		return 0, nil, err
-	}
-	return FrameType(hdr[2]), body, nil
+	return NewFrameReader(r).Next()
 }
 
 func putF64(buf *bytes.Buffer, v float64) {
@@ -265,6 +270,31 @@ func MarshalHello(h Hello) ([]byte, error) {
 	buf.WriteByte(byte(len(h.Name)))
 	buf.WriteString(h.Name)
 	return buf.Bytes(), nil
+}
+
+// helloAsksCodes is the bit of a Hello's optional flags byte, which
+// follows the name, that asks the receiver to answer with
+// FrameCodesOK. Receivers that predate it ignore the byte.
+const helloAsksCodes = 1
+
+// AskCodes returns a copy of the well-formed Hello body b that asks the
+// receiver to answer with FrameCodesOK. Only a sender that reads its
+// connection may send it: closing a TCP connection with unread bytes
+// resets it, and the reset drops what the sender had not yet
+// delivered.
+func AskCodes(b []byte) []byte {
+	n := 21 + int(b[20])
+	return append(append(make([]byte, 0, n+1), b[:n]...), helloAsksCodes)
+}
+
+// AsksCodes reports whether the Hello body b asks for a FrameCodesOK
+// answer.
+func AsksCodes(b []byte) bool {
+	if len(b) < 21 {
+		return false
+	}
+	n := 21 + int(b[20])
+	return len(b) > n && b[n]&helloAsksCodes != 0
 }
 
 // UnmarshalHello decodes a Hello body.
@@ -358,45 +388,140 @@ func UnmarshalAck(b []byte) (Ack, error) {
 	}, nil
 }
 
-// MarshalSampleChunk encodes a SampleChunk body.
-func MarshalSampleChunk(c SampleChunk) ([]byte, error) {
-	if len(c.Samples) > MaxChunkSamples {
-		return nil, fmt.Errorf("rxnet: %d samples exceeds chunk limit %d", len(c.Samples), MaxChunkSamples)
-	}
-	if c.Fs <= 0 {
-		return nil, fmt.Errorf("rxnet: chunk needs a positive sample rate, got %g", c.Fs)
-	}
-	const fixed = 4 + 4 + 4 + 8 + 8 + 2
-	b := make([]byte, fixed+8*len(c.Samples))
+// chunkHeader is the fixed part of a sample-chunk body: node,
+// stream, seq, fs, start and the sample count n.
+const chunkHeader = 4 + 4 + 4 + 8 + 8 + 2
+
+// isCode reports whether a sample travels exactly as a 2-byte code:
+// an integer in [0, 65535] that is not -0. NaN, infinities, fractions
+// and out-of-range values all convert to a uint16 that differs from
+// them, so the comparison needs no range check of its own.
+func isCode(v float64) bool { return v == float64(uint16(v)) && !math.Signbit(v) }
+
+// putChunkHeader writes c's header, with n samples, into b.
+func putChunkHeader(b []byte, c SampleChunk) {
 	binary.BigEndian.PutUint32(b[0:4], c.NodeID)
 	binary.BigEndian.PutUint32(b[4:8], c.StreamID)
 	binary.BigEndian.PutUint32(b[8:12], c.Seq)
 	binary.BigEndian.PutUint64(b[12:20], math.Float64bits(c.Fs))
 	binary.BigEndian.PutUint64(b[20:28], c.Start)
 	binary.BigEndian.PutUint16(b[28:30], uint16(len(c.Samples)))
+}
+
+// MarshalSampleChunk encodes a SampleChunk body.
+func MarshalSampleChunk(c SampleChunk) ([]byte, error) {
+	if err := checkChunk(c); err != nil {
+		return nil, err
+	}
+	b := make([]byte, chunkHeader+8*len(c.Samples))
+	putChunkHeader(b, c)
 	for i, s := range c.Samples {
-		binary.BigEndian.PutUint64(b[fixed+8*i:], math.Float64bits(s))
+		binary.BigEndian.PutUint64(b[chunkHeader+8*i:], math.Float64bits(s))
 	}
 	return b, nil
+}
+
+func checkChunk(c SampleChunk) error {
+	if len(c.Samples) > MaxChunkSamples {
+		return fmt.Errorf("rxnet: %d samples exceeds chunk limit %d", len(c.Samples), MaxChunkSamples)
+	}
+	if c.Fs <= 0 {
+		return fmt.Errorf("rxnet: chunk needs a positive sample rate, got %g", c.Fs)
+	}
+	return nil
+}
+
+// encodeSampleChunk encodes c in the frame a sender picks for it: a
+// FrameCodeChunk body when every sample is a code, otherwise
+// MarshalSampleChunk's float64 body under FrameSampleChunk.
+func encodeSampleChunk(c SampleChunk) (FrameType, []byte, error) {
+	if err := checkChunk(c); err != nil {
+		return 0, nil, err
+	}
+	for _, s := range c.Samples {
+		if !isCode(s) {
+			b, err := MarshalSampleChunk(c)
+			return FrameSampleChunk, b, err
+		}
+	}
+	b := make([]byte, chunkHeader+2*len(c.Samples))
+	putChunkHeader(b, c)
+	for i, s := range c.Samples {
+		binary.BigEndian.PutUint16(b[chunkHeader+2*i:], uint16(s))
+	}
+	return FrameCodeChunk, b, nil
+}
+
+// CodeBody returns the FrameCodeChunk body carrying the same chunk as
+// the float64 body b, or nil when b is not exactly a well-formed
+// float64 body or any of its samples is not a code. AppendSampleBody
+// turns the result back into b byte for byte.
+func CodeBody(b []byte) []byte {
+	if len(b) < chunkHeader {
+		return nil
+	}
+	n := int(binary.BigEndian.Uint16(b[28:30]))
+	if n > MaxChunkSamples || len(b) != chunkHeader+8*n {
+		return nil
+	}
+	out := make([]byte, chunkHeader+2*n)
+	for i := 0; i < n; i++ {
+		v := getF64(b[chunkHeader+8*i:])
+		if !isCode(v) {
+			return nil
+		}
+		binary.BigEndian.PutUint16(out[chunkHeader+2*i:], uint16(v))
+	}
+	copy(out, b[:chunkHeader])
+	return out
+}
+
+// CheckCodeBody reports whether b is exactly a well-formed
+// FrameCodeChunk body: a header and the n codes it declares.
+func CheckCodeBody(b []byte) error {
+	if len(b) < chunkHeader {
+		return ErrTruncated
+	}
+	n := int(binary.BigEndian.Uint16(b[28:30]))
+	if n > MaxChunkSamples {
+		return fmt.Errorf("rxnet: %d samples exceeds chunk limit %d", n, MaxChunkSamples)
+	}
+	if len(b) != chunkHeader+2*n {
+		return fmt.Errorf("rxnet: code chunk body is %d bytes, want %d", len(b), chunkHeader+2*n)
+	}
+	return nil
+}
+
+// AppendSampleBody appends to dst the float64 body (FrameSampleChunk)
+// of the well-formed FrameCodeChunk body code.
+func AppendSampleBody(dst, code []byte) []byte {
+	n := (len(code) - chunkHeader) / 2
+	dst = append(dst, code[:chunkHeader]...)
+	for i := 0; i < n; i++ {
+		v := float64(binary.BigEndian.Uint16(code[chunkHeader+2*i:]))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
 }
 
 // UnmarshalSampleChunk decodes a SampleChunk body into freshly
 // allocated samples.
 func UnmarshalSampleChunk(b []byte) (SampleChunk, error) {
-	c, _, err := decodeSampleChunk(b, nil)
+	c, _, err := decodeSampleChunk(FrameSampleChunk, b, nil)
 	return c, err
 }
 
 // decodeSampleChunk is the one SampleChunk parser: it checks the
 // header, the body length and every sample, and decodes the samples.
-// With get nil the samples are freshly allocated; otherwise they go
-// into the buffer get returns (the listener passes getSampleBuf), and
+// The frame type t sets the sample width: 2-byte codes for
+// FrameCodeChunk and FrameCodeReplay, float64 otherwise. With get nil
+// the samples are freshly allocated; otherwise they go into the
+// buffer get returns (the listener passes getSampleBuf), and
 // c.Samples aliases it. That buffer carries one reference the caller
 // must Release; on error it is already released and the returned
 // SampleBuf is nil.
-func decodeSampleChunk(b []byte, get func(n int) *SampleBuf) (SampleChunk, *SampleBuf, error) {
-	const fixed = 4 + 4 + 4 + 8 + 8 + 2
-	if len(b) < fixed {
+func decodeSampleChunk(t FrameType, b []byte, get func(n int) *SampleBuf) (SampleChunk, *SampleBuf, error) {
+	if len(b) < chunkHeader {
 		return SampleChunk{}, nil, ErrTruncated
 	}
 	c := SampleChunk{
@@ -410,7 +535,11 @@ func decodeSampleChunk(b []byte, get func(n int) *SampleBuf) (SampleChunk, *Samp
 	if n > MaxChunkSamples {
 		return SampleChunk{}, nil, fmt.Errorf("rxnet: %d samples exceeds chunk limit %d", n, MaxChunkSamples)
 	}
-	if len(b) < fixed+8*n {
+	width := 8
+	if t == FrameCodeChunk || t == FrameCodeReplay {
+		width = 2
+	}
+	if len(b) < chunkHeader+width*n {
 		return SampleChunk{}, nil, ErrTruncated
 	}
 	if c.Fs <= 0 || math.IsNaN(c.Fs) || math.IsInf(c.Fs, 0) {
@@ -424,8 +553,15 @@ func decodeSampleChunk(b []byte, get func(n int) *SampleBuf) (SampleChunk, *Samp
 	} else {
 		out = make([]float64, n)
 	}
+	if width == 2 {
+		for i := range out {
+			out[i] = float64(binary.BigEndian.Uint16(b[chunkHeader+2*i:]))
+		}
+		c.Samples = out
+		return c, sb, nil
+	}
 	for i := range out {
-		v := getF64(b[fixed+8*i : fixed+8*i+8])
+		v := getF64(b[chunkHeader+8*i : chunkHeader+8*i+8])
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			// One NaN would wedge the server-side noise-floor tracker
 			// permanently; reject the frame at the wire instead.

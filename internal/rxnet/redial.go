@@ -149,6 +149,15 @@ func DialReliable(ctx context.Context, addr string, hello Hello, cfg RedialConfi
 			addrs = append(addrs, a)
 		}
 	}
+	// The control reader also drives reconnects when the read side sees
+	// the connection die first, which is how a multi-address node
+	// notices a dead router before its next write — so it runs for
+	// failover nodes too, not just flow-controlled ones. A node that
+	// reads asks its servers whether they take code frames.
+	reads := cfg.FlowControl || len(addrs) > 1
+	if reads {
+		helloBody = AskCodes(helloBody)
+	}
 	n := &Node{
 		hello:     hello,
 		addr:      addr,
@@ -165,11 +174,7 @@ func DialReliable(ctx context.Context, addr string, hello Hello, cfg RedialConfi
 	if err != nil {
 		return nil, err
 	}
-	// The control reader also drives reconnects when the read side sees
-	// the connection die first, which is how a multi-address node
-	// notices a dead router before its next write — so it runs for
-	// failover nodes too, not just flow-controlled ones.
-	if cfg.FlowControl || len(addrs) > 1 {
+	if reads {
 		n.readerWG.Add(1)
 		go n.controlLoop()
 	}
@@ -294,12 +299,24 @@ func (n *Node) dialOnce() (net.Conn, error) {
 }
 
 // writeChunkLocked writes one chunk frame, redialing and retrying on
-// failure for reliable nodes. Callers hold n.mu.
-func (n *Node) writeChunkLocked(body []byte) error {
+// failure for reliable nodes. A code body goes as a code frame only
+// while the current connection's server has answered the Hello;
+// otherwise, and on every fresh connection, it is expanded to its
+// float64 frame. Callers hold n.mu.
+func (n *Node) writeChunkLocked(sb savedBody) error {
 	for {
 		gen := n.gen
+		t, body := FrameSampleChunk, sb.body
+		if sb.codes {
+			// A plain node (gen 0) never asks, so is never answered.
+			if gen > 0 && n.codesGen.Load() == int64(gen) {
+				t = FrameCodeChunk
+			} else {
+				body = n.floatBodyLocked(sb)
+			}
+		}
 		if err := n.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err == nil {
-			if err := WriteFrame(n.conn, FrameSampleChunk, body); err == nil {
+			if err := WriteFrame(n.conn, t, body); err == nil {
 				return nil
 			} else if n.rcfg == nil {
 				return err
@@ -317,13 +334,24 @@ func (n *Node) writeChunkLocked(body []byte) error {
 	}
 }
 
-// saveChunkLocked copies one sent chunk's marshaled body into the
-// stream's bounded resend buffer, trimming the oldest entries past
-// the byte budget. Callers hold n.mu.
-func (n *Node) saveChunkLocked(st *streamState, seq uint32, body []byte) {
+// floatBodyLocked returns sb's float64 body, expanding a code body
+// into the node's scratch buffer. Callers hold n.mu; the result is
+// valid until the next call.
+func (n *Node) floatBodyLocked(sb savedBody) []byte {
+	if !sb.codes {
+		return sb.body
+	}
+	n.wbuf = AppendSampleBody(n.wbuf[:0], sb.body)
+	return n.wbuf
+}
+
+// saveChunkLocked keeps one sent chunk's body in the stream's bounded
+// resend buffer, trimming the oldest entries past the byte budget.
+// Callers hold n.mu; the body is not written to again.
+func (n *Node) saveChunkLocked(st *streamState, sb savedBody) {
 	limit := n.rcfg.ResendBytes
-	st.saved = append(st.saved, savedBody{seq: seq, body: append([]byte(nil), body...)})
-	st.savedBytes += len(body)
+	st.saved = append(st.saved, sb)
+	st.savedBytes += len(sb.body)
 	drop := 0
 	for st.savedBytes > limit && drop < len(st.saved)-1 {
 		st.savedBytes -= len(st.saved[drop].body)
@@ -335,15 +363,16 @@ func (n *Node) saveChunkLocked(st *streamState, seq uint32, body []byte) {
 }
 
 // resendSavedOn retransmits every stream's buffered tail on conn as
-// SampleReplay frames. Callers hold n.mu; conn is not yet installed
-// as n.conn, so a failure leaves the node's state untouched.
+// float64 SampleReplay frames: the server of a fresh connection has
+// not answered its Hello yet. Callers hold n.mu; conn is not yet
+// installed as n.conn, so a failure leaves the node's state untouched.
 func (n *Node) resendSavedOn(conn net.Conn) error {
 	for _, st := range n.streams {
 		for _, sb := range st.saved {
 			if err := conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 				return err
 			}
-			if err := WriteFrame(conn, FrameSampleReplay, sb.body); err != nil {
+			if err := WriteFrame(conn, FrameSampleReplay, n.floatBodyLocked(sb)); err != nil {
 				return err
 			}
 			n.resent.Add(1)
@@ -353,9 +382,9 @@ func (n *Node) resendSavedOn(conn net.Conn) error {
 }
 
 // handleStreamNack answers a server StreamNack by retransmitting the
-// buffered chunks past the server's cursor as SampleReplay frames —
-// how a failover router that never saw the stream rebuilds it without
-// a continuity reset.
+// buffered chunks past the server's cursor as float64 SampleReplay
+// frames, like every resend — how a failover router that never saw
+// the stream rebuilds it without a continuity reset.
 func (n *Node) handleStreamNack(nk StreamNack) {
 	if SessionNodeID(nk.Session) != n.hello.NodeID {
 		return
@@ -374,7 +403,7 @@ func (n *Node) handleStreamNack(nk StreamNack) {
 		if err := n.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 			return
 		}
-		if err := WriteFrame(n.conn, FrameSampleReplay, sb.body); err != nil {
+		if err := WriteFrame(n.conn, FrameSampleReplay, n.floatBodyLocked(sb)); err != nil {
 			// The connection died mid-resend; the next write or the
 			// control reader reconnects and replays the full tail.
 			return
@@ -424,9 +453,9 @@ func (n *Node) shedGateLocked() bool {
 	return paused
 }
 
-// controlLoop consumes server-to-node control frames (Throttle
-// pause/resume, drain notices) and drives reconnects when the read
-// side sees the connection die first.
+// controlLoop consumes server-to-node control frames (the Hello's
+// FrameCodesOK answer, Throttle pause/resume, drain notices) and
+// drives reconnects when the read side sees the connection die first.
 func (n *Node) controlLoop() {
 	defer n.readerWG.Done()
 	for {
@@ -459,6 +488,8 @@ func (n *Node) controlLoop() {
 			continue
 		}
 		switch t {
+		case FrameCodesOK:
+			n.codesGen.Store(int64(gen))
 		case FrameThrottle:
 			th, err := UnmarshalThrottle(body)
 			if err != nil {
