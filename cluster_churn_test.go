@@ -122,7 +122,7 @@ func streamZeros(node *rxnet.Node, stream uint32, n int) error {
 // kill/rejoin cycles (one graceful drain, two hard crashes with
 // dead-engine eviction) under a 128-session paced load with zero
 // packet loss and no operator action, propagates engine
-// backpressure out to a shedding edge node, rides out injected
+// backpressure out to a flow-controlled edge node, rides out injected
 // connection faults, and keeps every loss counted and every
 // membership change visible in pl_cluster_* telemetry.
 func TestClusterChurnSelfHealing(t *testing.T) {
@@ -305,45 +305,43 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	}
 
 	// Backpressure: every engine signals hot, the router relays the
-	// pause to the nodes feeding them, and a shed-mode edge node drops
-	// at the edge — with the gap visible to the server as a counted
-	// reset once the stream resumes.
-	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer scancel()
-	shedNode, err := rxnet.DialReliable(sctx, addr, rxnet.Hello{NodeID: 901, Name: "shed-probe"},
-		rxnet.RedialConfig{FlowControl: true, ShedWhilePaused: true, Logf: t.Logf})
+	// pause to the nodes feeding them, and a flow-controlled edge node
+	// stalls: a StreamChunk issued while paused does not return until
+	// the release, then completes.
+	pctx, pcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer pcancel()
+	pauseNode, err := rxnet.DialReliable(pctx, addr, rxnet.Hello{NodeID: 901, Name: "pause-probe"},
+		rxnet.RedialConfig{FlowControl: true, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shedNode.Close()
-	if err := streamZeros(shedNode, 1, 1); err != nil { // register an owner
-		t.Fatalf("shed probe: %v", err)
+	defer pauseNode.Close()
+	if err := streamZeros(pauseNode, 1, 1); err != nil { // register an owner
+		t.Fatalf("pause probe: %v", err)
 	}
 	live := []*clusterEngine{a2, b2, c2}
 	for _, e := range live {
 		e.src.Throttle(true)
 	}
-	waitChurn(t, "throttle pause to reach the shed probe", shedNode.Paused)
-	if err := streamZeros(shedNode, 1, 4); err != nil {
-		t.Fatalf("shed probe (paused): %v", err)
-	}
-	if got := shedNode.Shed(); got < 1 {
-		t.Errorf("shed probe shed %d chunks while paused, want >= 1", got)
+	waitChurn(t, "throttle pause to reach the pause probe", pauseNode.Paused)
+	stalled := make(chan error, 1)
+	go func() { stalled <- streamZeros(pauseNode, 1, 4) }()
+	select {
+	case err := <-stalled:
+		t.Fatalf("pause probe: StreamChunk returned while paused (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
 	}
 	for _, e := range live {
 		e.src.Throttle(false)
 	}
-	waitChurn(t, "throttle release to reach the shed probe", func() bool { return !shedNode.Paused() })
-	if err := streamZeros(shedNode, 1, 1); err != nil {
-		t.Fatalf("shed probe (resumed): %v", err)
-	}
-	waitChurn(t, "shed gap counted as a reset", func() bool {
-		var resets int64
-		for _, e := range live {
-			resets += e.src.StreamResets()
+	select {
+	case err := <-stalled:
+		if err != nil {
+			t.Fatalf("pause probe (resumed): %v", err)
 		}
-		return resets >= 1
-	})
+	case <-time.After(15 * time.Second):
+		t.Fatal("pause probe: StreamChunk did not complete after the release")
+	}
 
 	// The ledger: exactly one decode per session, no decode errors, no
 	// dropped chunks, and bounded memory once the sessions flush.
@@ -404,12 +402,12 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	if got := counters["pl_cluster_handoffs_total"]; got < 1 {
 		t.Errorf("pl_cluster_handoffs_total = %d, want >= 1", got)
 	}
-	t.Logf("churn: decoded=%d epoch=%d joins=%d evictions=%d handoffs=%d failovers=%d replay_evicted=%dB injected=%d shed=%d",
+	t.Logf("churn: decoded=%d epoch=%d joins=%d evictions=%d handoffs=%d failovers=%d replay_evicted=%dB injected=%d",
 		total, router.Stats().Epoch,
 		counters["pl_cluster_engine_joins_total"],
 		counters["pl_cluster_engines_evicted_total"],
 		counters["pl_cluster_handoffs_total"],
 		counters["pl_cluster_failovers_total"],
 		counters["pl_cluster_replay_evicted_bytes_total"],
-		inj.Injected(), shedNode.Shed())
+		inj.Injected())
 }

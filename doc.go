@@ -56,8 +56,8 @@
 // paper's system pieces onto any pipeline: WithCodebook applies the
 // Sec. 4.2 restricted code sets as an error-correction stage,
 // WithReceiverAutoSelect applies the Sec. 4.4 dual-receiver policy to
-// simulated sources, WithWorkers/WithShards/WithQueue/WithIdleTimeout
-// tune the concurrent substrate, WithSink taps the event flow.
+// simulated sources, WithWorkers/WithShards/WithIdleTimeout tune the
+// concurrent substrate, WithSink taps the event flow.
 //
 // # Scenario catalog
 //
@@ -183,14 +183,14 @@
 // exponential backoff (rxnet.Backoff). Overload propagates backwards:
 // a hot engine (pl_engine_occupancy, NetSource.AutoThrottle) emits a
 // throttle upstream and the router pauses exactly the nodes feeding
-// it — flow-controlled nodes (rxnet.DialReliable) block or, with
-// ShedWhilePaused, shed at the edge with the gap kept visible to the
-// server's continuity cursor. Replay buffers are byte-bounded
-// (RouterConfig.ReplayBytes), so partitions cost bounded memory and
-// trimmed bytes are counted, never spliced over. The router keeps a
-// chunk of integer ADC codes at 2 bytes a sample (4x more stream time
-// per byte than float64), sends it as a code frame to engines that
-// answered its Hello and expands it back to float64 for any other. Engines ack each
+// it — flow-controlled nodes (rxnet.DialReliable with FlowControl)
+// block until the release, so ingest stays lossless. Replay buffers
+// are byte-bounded (RouterConfig.ReplayBytes), so partitions cost
+// bounded memory and trimmed bytes are counted, never spliced over.
+// The router keeps a chunk of integer ADC codes at 2 bytes a sample
+// (4x more stream time per byte than float64), sends it as a code
+// frame to engines that answered its Hello and expands it back to
+// float64 for any other. Engines ack each
 // decoded session upstream (NetSource.AckSession), which trims the
 // stream's replay buffer, and a Pipeline acks on its own when it
 // releases an idle session, through the last chunk that session
@@ -246,8 +246,8 @@
 // exactly.
 //
 // Per-session memory is bounded and follows the session's state: a
-// session ring holds an array (grown geometrically only to the
-// WithQueue bound) only while it has undecoded samples, and hands it
+// session ring holds an array (grown geometrically only to a fixed
+// 32768-sample bound) only while it has undecoded samples, and hands it
 // back to a pool on every drain; an idle decoder keeps one pre-roll
 // buffer and borrows a pooled segment buffer only while a segment is
 // open; detection batches are pooled too (the pipeline hands consumed
@@ -286,9 +286,9 @@
 // a detection-latency histogram (chunk arrival → event emit) under
 // pl_pipeline_*{strategy="..."}. ListenSourceConfig wires the same
 // registry into the receiver-network listener (per-node ingest bytes,
-// frame errors, queue depth, dropped chunks under pl_rxnet_*), and
-// NetSourceConfig{QueueDepth, DropOnFull} bounds the ingest queue —
-// lossless TCP backpressure by default, counted drops when opted in.
+// frame errors, queue depth, dropped chunks under pl_rxnet_*). Ingest
+// is lossless: a full queue pushes back on the nodes over TCP, and
+// only chunks stranded by a closing source count as dropped.
 //
 // The registry renders Prometheus text exposition and JSON;
 // TelemetryHandler serves both plus a /healthz endpoint driven by

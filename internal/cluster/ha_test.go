@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -135,6 +136,46 @@ func TestAdmitStampedeBatchesToOneEpochBump(t *testing.T) {
 	}
 	if got := r.ringBatches.Load(); got != 1 {
 		t.Fatalf("ring batches after settle = %d, want 1", got)
+	}
+}
+
+// With batching disabled, each admission is its own membership
+// change: N concurrent joins give N epoch bumps, never one flush
+// absorbing another caller's queued join.
+func TestUnbatchedAdmitsBumpEpochPerJoin(t *testing.T) {
+	seed := startEngineSim(t, "engine-seed")
+	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, seed), RingBatchWindow: -1})
+	epoch0 := r.Stats().Epoch
+
+	const n = 8
+	joiners := make([]*engineSim, n)
+	for i := range joiners {
+		joiners[i] = startEngineSim(t, fmt.Sprintf("engine-%d", i))
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, e := range joiners {
+		wg.Add(1)
+		go func(e *engineSim) {
+			defer wg.Done()
+			<-start
+			r.AdmitEngine(Member{ID: e.id, Addr: e.l.Addr()})
+		}(e)
+	}
+	close(start)
+	wg.Wait()
+
+	// Unbatched admission is synchronous: everything has landed.
+	st := r.Stats()
+	if st.Engines != n+1 {
+		t.Fatalf("engines = %d, want %d", st.Engines, n+1)
+	}
+	if st.Epoch != epoch0+n {
+		t.Fatalf("epoch = %d after %d joins from %d, want %d (one bump per join)",
+			st.Epoch, n, epoch0, epoch0+n)
+	}
+	if got := r.ringBatches.Load(); got != n {
+		t.Fatalf("ring batches = %d, want %d", got, n)
 	}
 }
 

@@ -114,7 +114,7 @@ func (r *Router) peerLoop(pl *peerLink) {
 		default:
 		}
 		if conn == nil {
-			c, err := net.DialTimeout("tcp", pl.addr, r.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", pl.addr, dialTimeout)
 			if err != nil {
 				attempt++
 				select {

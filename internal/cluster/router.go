@@ -31,12 +31,6 @@ type RouterConfig struct {
 	// pl_cluster_replay_gaps_total and the stream resumes with a gap
 	// (the new owner's continuity cursor resets it).
 	ReplayBytes int
-	// RouteIdleTimeout evicts routes whose stream has been silent for
-	// this long, sending the owner a StreamEnd so the engine session
-	// releases too. Zero selects 120 s; negative disables eviction.
-	RouteIdleTimeout time.Duration
-	// DialTimeout bounds one upstream dial. Zero selects 5 s.
-	DialTimeout time.Duration
 	// RedialBackoff is the first-failure backoff before an upstream is
 	// redialed; consecutive failures double it (with jitter) up to
 	// RedialBackoffMax. Zero selects 1 s.
@@ -76,18 +70,20 @@ type RouterConfig struct {
 	Metrics *telemetry.Registry
 }
 
+// routeIdleTimeout evicts routes whose stream has been silent for
+// this long, sending the owner a StreamEnd so the engine session
+// releases too.
+const routeIdleTimeout = 120 * time.Second
+
+// dialTimeout bounds one upstream or peer dial.
+const dialTimeout = 5 * time.Second
+
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	if c.ReplayBytes == 0 {
 		c.ReplayBytes = 1 << 20
-	}
-	if c.RouteIdleTimeout == 0 {
-		c.RouteIdleTimeout = 120 * time.Second
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.RedialBackoff == 0 {
 		c.RedialBackoff = time.Second
@@ -434,10 +430,8 @@ func (r *Router) Listen(addr string) (string, error) {
 	r.mu.Unlock()
 	r.wg.Add(1)
 	go r.acceptLoop(ln)
-	if r.cfg.RouteIdleTimeout > 0 || r.cfg.DeadEngineTimeout > 0 {
-		r.wg.Add(1)
-		go r.janitor()
-	}
+	r.wg.Add(1)
+	go r.janitor()
 	for _, p := range r.cfg.Peers {
 		r.AddPeer(p)
 	}
@@ -888,7 +882,7 @@ func (r *Router) writeLocked(up *upstream, t rxnet.FrameType, body []byte) error
 // dialLocked connects an upstream and starts its reader. Callers hold
 // up.wmu.
 func (r *Router) dialLocked(up *upstream) error {
-	conn, err := net.DialTimeout("tcp", up.addr, r.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", up.addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -1146,7 +1140,7 @@ func (r *Router) handleNack(from *upstream, n rxnet.StreamNack) {
 // RingBatchWindow: the first one arms a timer, everything arriving
 // before it fires is absorbed as ONE epoch bump — a join stampede of
 // N engines costs one rebalance instead of N. A negative window
-// applies each admission synchronously.
+// applies each admission synchronously as its own epoch bump.
 //
 // Admission never clears a draining flag — a keepalive from a
 // draining engine must not un-drain it; the flag resets when the
@@ -1169,36 +1163,45 @@ func (r *Router) AdmitEngine(m Member) {
 		// A queued address move for this ID is pending; fall through so
 		// the newest announcement wins when the batch flushes.
 	}
-	r.pendAdmits[m.ID] = m
-	if r.cfg.RingBatchWindow > 0 {
-		if r.pendTimer == nil {
-			r.pendTimer = time.AfterFunc(r.cfg.RingBatchWindow, r.flushAdmits)
-		}
-		r.mu.Unlock()
+	if r.cfg.RingBatchWindow < 0 {
+		// Unbatched: apply exactly this admission under the same lock
+		// hold, so concurrent joins cost one epoch bump each.
+		r.applyAdmits([]Member{m})
 		return
 	}
+	r.pendAdmits[m.ID] = m
+	if r.pendTimer == nil {
+		r.pendTimer = time.AfterFunc(r.cfg.RingBatchWindow, r.flushAdmits)
+	}
 	r.mu.Unlock()
-	r.flushAdmits()
 }
 
 // flushAdmits applies every admission queued in the batch window as
-// one membership change: a single ring clone, a single epoch bump
-// (Ring.Absorb), however many engines joined or moved. Runs on the
-// batch timer, or synchronously when batching is disabled.
+// one membership change. Runs on the batch timer.
 func (r *Router) flushAdmits() {
-	var stale []*upstream
 	r.mu.Lock()
 	r.pendTimer = nil
 	members := make([]Member, 0, len(r.pendAdmits))
 	for _, m := range r.pendAdmits {
-		// Drop entries that became no-ops while queued (a keepalive or
-		// peer update already landed the same ID+addr).
+		members = append(members, m)
+	}
+	r.pendAdmits = make(map[string]Member)
+	r.applyAdmits(members)
+}
+
+// applyAdmits applies admissions as one membership change: a single
+// ring clone, a single epoch bump (Ring.Absorb), however many engines
+// joined or moved. Entries that became no-ops (a keepalive or peer
+// update already landed the same ID+addr) are skipped. The caller
+// holds r.mu; applyAdmits releases it.
+func (r *Router) applyAdmits(admits []Member) {
+	members := admits[:0]
+	for _, m := range admits {
 		if up := r.ups[m.ID]; up != nil && up.addr == m.Addr {
 			continue
 		}
 		members = append(members, m)
 	}
-	r.pendAdmits = make(map[string]Member)
 	if len(members) == 0 {
 		r.mu.Unlock()
 		return
@@ -1209,6 +1212,7 @@ func (r *Router) flushAdmits() {
 		return
 	}
 	r.ring = nr
+	var stale []*upstream
 	for _, m := range members {
 		if old := r.ups[m.ID]; old != nil {
 			stale = append(stale, old)
@@ -1239,10 +1243,7 @@ func (r *Router) flushAdmits() {
 // have been continuously unreachable past DeadEngineTimeout.
 func (r *Router) janitor() {
 	defer r.wg.Done()
-	interval := 30 * time.Second
-	if r.cfg.RouteIdleTimeout > 0 && r.cfg.RouteIdleTimeout/4 < interval {
-		interval = r.cfg.RouteIdleTimeout / 4
-	}
+	interval := routeIdleTimeout / 4
 	if r.cfg.DeadEngineTimeout > 0 && r.cfg.DeadEngineTimeout/4 < interval {
 		interval = r.cfg.DeadEngineTimeout / 4
 	}
@@ -1258,9 +1259,6 @@ func (r *Router) janitor() {
 		case now := <-tick.C:
 			if r.cfg.DeadEngineTimeout > 0 {
 				r.evictDeadEngines(now)
-			}
-			if r.cfg.RouteIdleTimeout <= 0 {
-				continue
 			}
 			type idle struct {
 				session uint64
@@ -1278,7 +1276,7 @@ func (r *Router) janitor() {
 			var stale []idle
 			for s, rt := range snapshot {
 				rt.fmu.Lock()
-				if now.Sub(rt.lastAct) <= r.cfg.RouteIdleTimeout {
+				if now.Sub(rt.lastAct) <= routeIdleTimeout {
 					rt.fmu.Unlock()
 					continue
 				}

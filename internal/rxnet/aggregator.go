@@ -292,7 +292,6 @@ type Node struct {
 	codesGen  atomic.Int64
 	wbuf      []byte // float64 expansion of a code body, under mu
 	redials   atomic.Int64
-	shedCnt   atomic.Int64
 	resent    atomic.Int64
 	readerWG  sync.WaitGroup
 	closedCh  chan struct{}
@@ -411,15 +410,6 @@ func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error
 		part := samples
 		if len(part) > MaxChunkSamples {
 			part = part[:MaxChunkSamples]
-		}
-		if n.shedGateLocked() {
-			// Paused and shedding: drop the chunk but advance the
-			// counters, so the server's continuity cursor sees the gap
-			// as a counted reset rather than a silent splice.
-			st.seq++
-			st.start += uint64(len(part))
-			samples = samples[len(part):]
-			continue
 		}
 		c := SampleChunk{
 			NodeID:   n.hello.NodeID,

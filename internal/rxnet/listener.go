@@ -80,7 +80,6 @@ type ChunkListener struct {
 	hellos     chan Hello
 	drainReq   chan struct{}
 	logf       func(format string, args ...any)
-	dropOnFull bool
 	paceIdle   time.Duration
 	dropped    atomic.Int64
 	received   atomic.Int64
@@ -166,13 +165,9 @@ type ChunkListenerConfig struct {
 	Logf func(format string, args ...any)
 	// QueueDepth bounds the Chunks channel (the ingest queue between
 	// the network readers and the consumer). Zero selects 64.
+	// A full queue blocks the connection readers, so TCP flow control
+	// pushes back on the nodes: ingest is lossless.
 	QueueDepth int
-	// DropOnFull switches a full ingest queue from backpressure
-	// (connection readers block, TCP flow control pushes back on the
-	// nodes — the lossless default) to lossy ingest: the incoming
-	// chunk is discarded and counted in DroppedChunks. Use it when a
-	// stalled consumer must not stall the whole receiver network.
-	DropOnFull bool
 	// Metrics registers the listener's ingest series: per-node
 	// pl_rxnet_ingest_bytes_total{node="N"}, pl_rxnet_frame_errors_total,
 	// pl_rxnet_dropped_chunks_total and the pl_rxnet_queue_depth gauge.
@@ -202,17 +197,16 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 		depth = 64
 	}
 	l := &ChunkListener{
-		ln:         ln,
-		out:        make(chan ChunkEvent, depth),
-		hellos:     make(chan Hello, 64),
-		drainReq:   make(chan struct{}, 1),
-		logf:       logf,
-		dropOnFull: cfg.DropOnFull,
-		paceIdle:   cfg.PaceGuardIdle,
-		cursors:    make(map[uint64]*streamCursor),
-		refused:    make(map[uint64]bool),
-		conns:      make(map[*lconn]struct{}),
-		closed:     make(chan struct{}),
+		ln:       ln,
+		out:      make(chan ChunkEvent, depth),
+		hellos:   make(chan Hello, 64),
+		drainReq: make(chan struct{}, 1),
+		logf:     logf,
+		paceIdle: cfg.PaceGuardIdle,
+		cursors:  make(map[uint64]*streamCursor),
+		refused:  make(map[uint64]bool),
+		conns:    make(map[*lconn]struct{}),
+		closed:   make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
 		l.reg = cfg.Metrics
@@ -220,7 +214,7 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 		l.frameErr = l.reg.Counter("pl_rxnet_frame_errors_total",
 			"Malformed or unexpected frames received from nodes.")
 		l.reg.CounterFunc("pl_rxnet_dropped_chunks_total",
-			"Sample chunks discarded because the ingest queue was full (DropOnFull).",
+			"Sample chunks discarded because the listener closed with its ingest queue full.",
 			l.dropped.Load)
 		l.reg.GaugeFunc("pl_rxnet_queue_depth",
 			"Chunk events waiting in the listener's ingest queue.",
@@ -238,7 +232,7 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 			"Chunks discarded because their stream was NACKed while draining.",
 			l.refusedCnt.Load)
 		l.reg.CounterFunc("pl_rxnet_stream_resets_total",
-			"Streams restarted or spliced with a gap (reconnects, discontinuities, shed chunks).",
+			"Streams restarted or spliced with a gap (reconnects, discontinuities).",
 			l.resets.Load)
 		l.reg.CounterFunc("pl_rxnet_duplicate_chunks_total",
 			"Replayed chunks discarded because the stream cursor had already consumed them (router failover retransmissions).",
@@ -267,8 +261,9 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 	return l, nil
 }
 
-// DroppedChunks reports how many sample chunks a DropOnFull listener
-// has discarded because the ingest queue was full.
+// DroppedChunks reports how many sample chunks the listener discarded
+// because it closed while its ingest queue was full. Ingest is
+// otherwise lossless, so this is zero until Close.
 func (l *ChunkListener) DroppedChunks() int64 { return l.dropped.Load() }
 
 // ReceivedChunks reports how many well-formed sample chunks the
@@ -290,9 +285,9 @@ func (l *ChunkListener) RefusedChunks() int64 { return l.refusedCnt.Load() }
 func (l *ChunkListener) DuplicateChunks() int64 { return l.duplicates.Load() }
 
 // StreamResets reports how many times a stream restarted or spliced
-// with a gap (reconnects, discontinuities, shed chunks) — every
-// non-graceful loss surfaces here, which is what makes chunk loss
-// countable rather than silent.
+// with a gap (reconnects, discontinuities) — every non-graceful loss
+// surfaces here, which is what makes chunk loss countable rather than
+// silent.
 func (l *ChunkListener) StreamResets() int64 { return l.resets.Load() }
 
 // DrainRequests signals FrameDrainRequest arrivals (an ops client or
@@ -346,7 +341,7 @@ func (l *ChunkListener) Drain() {
 // SetThrottled flips the listener's backpressure signal: every
 // connected peer (and every later one) is sent a Throttle frame, so a
 // router pauses the contributing nodes — or a directly-connected
-// flow-controlled node stalls/sheds itself — until the signal clears.
+// flow-controlled node stalls itself — until the signal clears.
 // Idempotent per state.
 func (l *ChunkListener) SetThrottled(paused bool) {
 	l.mu.Lock()
@@ -748,19 +743,6 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 				Samples:  c.Samples,
 				Reset:    reset,
 				Buf:      sb,
-			}
-			if l.dropOnFull {
-				select {
-				case l.out <- ev:
-				case <-l.closed:
-					l.dropped.Add(1)
-					sb.Release()
-					return
-				default:
-					l.dropped.Add(1)
-					sb.Release()
-				}
-				continue
 			}
 			select {
 			case l.out <- ev:

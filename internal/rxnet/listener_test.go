@@ -99,79 +99,19 @@ func TestChunkListenerDeliversAndResets(t *testing.T) {
 	}
 }
 
-// TestChunkListenerDropOnFull locks in the bounded-ingest contract: a
-// DropOnFull listener with a full queue discards chunks instead of
-// blocking the connection reader, counts every discard, and records
-// the ingest series in the attached registry.
-func TestChunkListenerDropOnFull(t *testing.T) {
+// TestChunkListenerCloseDrainsQueued locks in lossless ingest and the
+// close accounting contract (delivered + dropped == received): a full
+// queue blocks the connection reader instead of discarding, closing
+// the listener while chunks sit in the queue must not strand them —
+// the consumer can still drain the channel — and anything truly
+// undeliverable at close is counted, never silently abandoned. The
+// ingest series land in the attached registry.
+func TestChunkListenerCloseDrainsQueued(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{
 		Logf:       t.Logf,
-		QueueDepth: 1,
-		DropOnFull: true,
-		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 4, Name: "pole-4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-
-	const sent = 16
-	samples := make([]float64, 256)
-	for i := 0; i < sent; i++ {
-		if err := node.StreamChunk(1, 2000, samples); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Nobody consumes Chunks: the first chunk fills the depth-1 queue
-	// and the listener must drop the remaining sent-1 as it reads them.
-	deadline := time.Now().Add(5 * time.Second)
-	for l.DroppedChunks() < sent-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dropped %d chunks, want %d", l.DroppedChunks(), sent-1)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := l.DroppedChunks(); got != sent-1 {
-		t.Fatalf("dropped %d chunks, want exactly %d", got, sent-1)
-	}
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["pl_rxnet_dropped_chunks_total"]; got != sent-1 {
-		t.Fatalf("pl_rxnet_dropped_chunks_total = %d, want %d", got, sent-1)
-	}
-	if got := snap.Counters[`pl_rxnet_ingest_bytes_total{node="4"}`]; got <= 0 {
-		t.Fatalf("pl_rxnet_ingest_bytes_total = %d, want > 0", got)
-	}
-	if got := snap.Gauges["pl_rxnet_queue_depth"]; got != 1 {
-		t.Fatalf("pl_rxnet_queue_depth = %g, want 1 (queue full)", got)
-	}
-
-	// The queued chunk is still deliverable; the connection survived.
-	evs := collectChunks(t, l, 1)
-	if evs[0].NodeID != 4 || len(evs[0].Samples) != len(samples) {
-		t.Fatalf("surviving chunk %+v", evs[0])
-	}
-}
-
-// TestChunkListenerCloseDrainsQueued locks in the close accounting
-// contract (delivered + dropped == received): closing the listener
-// while chunks sit in the ingest queue must not strand them — the
-// consumer can still drain the channel, and anything truly
-// undeliverable is counted, never silently abandoned.
-func TestChunkListenerCloseDrainsQueued(t *testing.T) {
-	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{
-		Logf:       t.Logf,
 		QueueDepth: 4,
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +143,16 @@ func TestChunkListenerCloseDrainsQueued(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond) // let ingestion settle
+	if got, dropped := l.ReceivedChunks(), l.DroppedChunks(); got != 5 || dropped != 0 {
+		t.Fatalf("full queue: received %d, dropped %d; want 5 and 0 (reader blocks, nothing discarded)", got, dropped)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[`pl_rxnet_ingest_bytes_total{node="9"}`]; got <= 0 {
+		t.Fatalf("pl_rxnet_ingest_bytes_total = %d, want > 0", got)
+	}
+	if got := snap.Gauges["pl_rxnet_queue_depth"]; got != 4 {
+		t.Fatalf("pl_rxnet_queue_depth = %g, want 4 (queue full)", got)
+	}
 
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- l.Close() }()
@@ -227,6 +177,9 @@ func TestChunkListenerCloseDrainsQueued(t *testing.T) {
 	}
 	if delivered < 4 {
 		t.Fatalf("only %d of the 4 queued chunks survived close", delivered)
+	}
+	if got := reg.Snapshot().Counters["pl_rxnet_dropped_chunks_total"]; got != dropped {
+		t.Fatalf("pl_rxnet_dropped_chunks_total = %d, want %d", got, dropped)
 	}
 }
 

@@ -82,15 +82,10 @@ type RedialConfig struct {
 	// error. Zero selects 30 s; negative retries forever.
 	MaxDowntime time.Duration
 	// FlowControl starts a control reader that honors server-sent
-	// Throttle frames: StreamChunk stalls while paused (or sheds, see
-	// ShedWhilePaused). A flow-controlled node must not use Publish —
-	// the reader would consume its acks.
+	// Throttle frames: StreamChunk stalls while paused. A
+	// flow-controlled node must not use Publish — the reader would
+	// consume its acks.
 	FlowControl bool
-	// ShedWhilePaused makes a paused StreamChunk discard the chunk
-	// (advancing the stream counters so the gap stays visible to the
-	// server's continuity cursor, and counting it in Shed) instead of
-	// blocking until resume — edge-side load shedding.
-	ShedWhilePaused bool
 	// Addrs lists additional server addresses beyond the one passed to
 	// DialReliable. When a reconnect episode cannot reach the current
 	// address, the node rotates through the list — transparent router
@@ -189,10 +184,6 @@ func (n *Node) Resent() int64 { return n.resent.Load() }
 // Redials reports how many times a reliable node has re-established
 // its connection (the initial dial not counted).
 func (n *Node) Redials() int64 { return n.redials.Load() }
-
-// Shed reports how many chunks a ShedWhilePaused node discarded while
-// the server held it paused.
-func (n *Node) Shed() int64 { return n.shedCnt.Load() }
 
 // Paused reports whether the server currently holds this
 // flow-controlled node paused.
@@ -412,11 +403,11 @@ func (n *Node) handleStreamNack(nk StreamNack) {
 	}
 }
 
-// pauseGate blocks while a flow-controlled (non-shedding) node is
-// paused by the server. Advisory: a pause that lands after the gate
-// delays only until the next chunk.
+// pauseGate blocks while a flow-controlled node is paused by the
+// server. Advisory: a pause that lands after the gate delays only
+// until the next chunk.
 func (n *Node) pauseGate() error {
-	if n.rcfg == nil || !n.rcfg.FlowControl || n.rcfg.ShedWhilePaused {
+	if n.rcfg == nil || !n.rcfg.FlowControl {
 		return nil
 	}
 	for {
@@ -437,27 +428,14 @@ func (n *Node) pauseGate() error {
 	}
 }
 
-// shedGateLocked reports whether a paused shedding node should drop
-// the chunk in hand. Callers hold n.mu; counters still advance so the
-// server's continuity cursor sees the gap.
-func (n *Node) shedGateLocked() bool {
-	if n.rcfg == nil || !n.rcfg.FlowControl || !n.rcfg.ShedWhilePaused {
-		return false
-	}
-	n.pmu.Lock()
-	paused := n.paused
-	n.pmu.Unlock()
-	if paused {
-		n.shedCnt.Add(1)
-	}
-	return paused
-}
-
 // controlLoop consumes server-to-node control frames (the Hello's
 // FrameCodesOK answer, Throttle pause/resume, drain notices) and
 // drives reconnects when the read side sees the connection die first.
+// Each connection generation is read through one FrameReader.
 func (n *Node) controlLoop() {
 	defer n.readerWG.Done()
+	var fr *FrameReader
+	frGen := -1
 	for {
 		n.mu.Lock()
 		conn, gen := n.conn, n.gen
@@ -465,8 +443,11 @@ func (n *Node) controlLoop() {
 		if conn == nil {
 			return
 		}
+		if gen != frGen {
+			fr, frGen = NewFrameReader(conn), gen
+		}
 		conn.SetReadDeadline(time.Time{})
-		t, body, err := ReadFrame(conn)
+		t, body, err := fr.Next()
 		if err != nil {
 			select {
 			case <-n.closedCh:

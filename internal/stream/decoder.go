@@ -20,12 +20,6 @@ type Config struct {
 	// (batch-equivalent mode: detections only on Flush, unbounded
 	// memory — for tests and offline replay).
 	PreRollSec float64
-	// QuietHoldSec is how long the signal must return to the noise
-	// band before an active segment is decoded. Zero selects 1.5 s.
-	QuietHoldSec float64
-	// MaxSegmentSec bounds an active segment; a segment that grows
-	// past it is force-decoded. Zero selects 60 s.
-	MaxSegmentSec float64
 	// ActivityMargin is the activity band half-width in multiples of
 	// the tracked noise deviation. Zero selects 4.
 	ActivityMargin float64
@@ -45,14 +39,9 @@ func (c Config) incremental() decoder.IncrementalConfig {
 	if c.PreRollSec > 0 {
 		cfg.PreRollSamples = max(1, int(c.PreRollSec*c.Fs))
 	}
-	if c.QuietHoldSec > 0 {
-		cfg.QuietHoldSamples = max(1, int(c.QuietHoldSec*c.Fs))
-	}
-	if c.MaxSegmentSec > 0 {
-		cfg.MaxSegmentSamples = max(1, int(c.MaxSegmentSec*c.Fs))
-	} else {
-		cfg.MaxSegmentSamples = max(1, int(60*c.Fs))
-	}
+	// A segment that grows past 60 s is force-decoded; the quiet hold
+	// keeps the decoder's default (1.5 s).
+	cfg.MaxSegmentSamples = max(1, int(60*c.Fs))
 	return cfg
 }
 

@@ -10,36 +10,22 @@ import (
 // is assembled exclusively through functional options so every knob
 // has a working zero value.
 type pipeConfig struct {
-	fs            float64
-	decode        DecodeOptions
-	preRollSec    float64
-	quietHoldSec  float64
-	maxSegmentSec float64
-	workers       int
-	shards        int
-	idleTimeout   time.Duration
-	queueSamples  int
-	maxSessions   int
-	eventBuffer   int
-	codebook      *Codebook
-	autoSelect    []ReceiverDevice
-	autoSelectOn  bool
-	sinks         []func(Event)
-	statsEvery    time.Duration
-	statsSink     func(StreamStats)
-	metrics       *telemetry.Registry
-	onSessionEnd  func(session uint64, stats SessionStats, reason string)
+	decode       DecodeOptions
+	preRollSec   float64
+	workers      int
+	shards       int
+	idleTimeout  time.Duration
+	maxSessions  int
+	codebook     *Codebook
+	autoSelect   []ReceiverDevice
+	autoSelectOn bool
+	sinks        []func(Event)
+	metrics      *telemetry.Registry
+	onSessionEnd func(session uint64, stats SessionStats, reason string)
 }
 
 // Option configures a Pipeline.
 type Option func(*pipeConfig)
-
-// WithSampleRate overrides the source's sample rate (Hz). Required
-// when the source does not declare one (a ChunkSource built with fs 0)
-// and its chunks do not carry their own.
-func WithSampleRate(fs float64) Option {
-	return func(c *pipeConfig) { c.fs = fs }
-}
 
 // WithDecodeOptions tunes the per-segment adaptive threshold decode,
 // exactly as for the batch Decode.
@@ -61,18 +47,6 @@ func WithExpectedSymbols(n int) Option {
 // the same samples — unbounded memory, for tests and offline replay).
 func WithPreRoll(sec float64) Option {
 	return func(c *pipeConfig) { c.preRollSec = sec }
-}
-
-// WithQuietHold sets how long the signal must sit back in the noise
-// band before an active segment decodes (seconds). Zero selects 1.5 s.
-func WithQuietHold(sec float64) Option {
-	return func(c *pipeConfig) { c.quietHoldSec = sec }
-}
-
-// WithMaxSegment bounds one active segment (seconds); a segment that
-// grows past it is force-decoded. Zero selects 60 s.
-func WithMaxSegment(sec float64) Option {
-	return func(c *pipeConfig) { c.maxSegmentSec = sec }
 }
 
 // WithWorkers sets the decode worker pool size. Zero selects
@@ -98,23 +72,10 @@ func WithIdleTimeout(d time.Duration) Option {
 	return func(c *pipeConfig) { c.idleTimeout = d }
 }
 
-// WithQueue sets the per-session ring buffer capacity in samples; a
-// real-time session that falls behind drops its oldest samples. Zero
-// selects 32768.
-func WithQueue(samples int) Option {
-	return func(c *pipeConfig) { c.queueSamples = samples }
-}
-
 // WithMaxSessions bounds the concurrent session table. Zero selects
 // 65536.
 func WithMaxSessions(n int) Option {
 	return func(c *pipeConfig) { c.maxSessions = n }
-}
-
-// WithEventBuffer sets the capacity of the event channel returned by
-// Stream. Zero selects 1024.
-func WithEventBuffer(n int) Option {
-	return func(c *pipeConfig) { c.eventBuffer = n }
 }
 
 // WithCodebook matches every decoded payload against a
@@ -169,17 +130,4 @@ func WithTelemetry(t *Telemetry) Option {
 // ignore it.
 func WithSessionEnd(fn func(session uint64, stats SessionStats, reason string)) Option {
 	return func(c *pipeConfig) { c.onSessionEnd = fn }
-}
-
-// WithStats registers a metrics sink called with an engine snapshot
-// every interval while the pipeline runs (and once at shutdown).
-// interval <= 0 selects 1 s.
-func WithStats(interval time.Duration, fn func(StreamStats)) Option {
-	return func(c *pipeConfig) {
-		if interval <= 0 {
-			interval = time.Second
-		}
-		c.statsEvery = interval
-		c.statsSink = fn
-	}
 }

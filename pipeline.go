@@ -185,6 +185,10 @@ func NewPipeline(src Source, strat Strategy, opts ...Option) (*Pipeline, error) 
 	return p, nil
 }
 
+// eventBuffer is the capacity of the event channel Stream returns,
+// and of the engine's detection-batch channel behind it.
+const eventBuffer = 1024
+
 // Stream starts the pipeline and returns its event channel. The
 // channel is closed when the source ends (io.EOF), the context is
 // canceled, or the source fails; check Err afterwards. Events flow
@@ -209,25 +213,17 @@ func (p *Pipeline) Stream(ctx context.Context) (<-chan Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := p.cfg.fs
-	if fs == 0 {
-		fs = info.Fs
-	}
-	buffer := p.cfg.eventBuffer
-	if buffer == 0 {
-		buffer = 1024
-	}
-	out := make(chan Event, buffer)
+	out := make(chan Event, eventBuffer)
 	switch p.strat.kind {
 	case strategyThreshold, strategyTwoPhase:
-		if err := p.startEngine(ctx, fs, out); err != nil {
+		if err := p.startEngine(ctx, info.Fs, out); err != nil {
 			// The source was opened but no goroutine owns it yet.
 			p.src.Close()
 			return nil, err
 		}
 		return out, nil
 	default:
-		go p.runWholeStream(ctx, fs, out)
+		go p.runWholeStream(ctx, info.Fs, out)
 		return out, nil
 	}
 }
@@ -244,16 +240,13 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 	}
 	eng, err := stream.NewEngine(stream.EngineConfig{
 		Session: stream.Config{
-			Fs:            sessionFs,
-			Decode:        p.cfg.decode,
-			PreRollSec:    p.cfg.preRollSec,
-			QuietHoldSec:  p.cfg.quietHoldSec,
-			MaxSegmentSec: p.cfg.maxSegmentSec,
-			CarShape:      p.strat.kind == strategyTwoPhase,
+			Fs:         sessionFs,
+			Decode:     p.cfg.decode,
+			PreRollSec: p.cfg.preRollSec,
+			CarShape:   p.strat.kind == strategyTwoPhase,
 		},
 		Workers:         p.cfg.workers,
 		Shards:          p.cfg.shards,
-		QueueSamples:    p.cfg.queueSamples,
 		IdleTimeout:     p.cfg.idleTimeout,
 		DetectionBuffer: cap(out),
 		MaxSessions:     p.cfg.maxSessions,
@@ -267,23 +260,6 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 	p.engine = eng
 	p.mu.Unlock()
 
-	statsDone := make(chan struct{})
-	if p.cfg.statsSink != nil {
-		go func() {
-			tick := time.NewTicker(p.cfg.statsEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					p.cfg.statsSink(eng.Stats())
-				case <-statsDone:
-					p.cfg.statsSink(eng.Stats())
-					return
-				}
-			}
-		}()
-	}
-
 	// Forwarder: engine detection batches -> sinks -> event channel,
 	// one receive per decode step. Runs until the engine closes the
 	// channel (after flushing every session), so no event is lost on
@@ -296,9 +272,6 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 			// The events copied everything they need; hand the batch
 			// slice back to the engine's pool.
 			stream.RecycleBatch(batch)
-		}
-		if p.cfg.statsSink != nil {
-			close(statsDone)
 		}
 		close(out)
 	}()
@@ -330,7 +303,7 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 			}
 			if chunk.Fs == 0 && fs == 0 {
 				chunk.Release()
-				p.fail(fmt.Errorf("passivelight: session %d chunk carries no sample rate and the source declares none; use WithSampleRate", chunk.Session))
+				p.fail(fmt.Errorf("passivelight: session %d chunk carries no sample rate and the source declares none", chunk.Session))
 				return
 			}
 			if chunk.acks != nil && p.acks.Load() == nil {
@@ -375,23 +348,6 @@ func (p *Pipeline) sessionEnded(id uint64, stats SessionStats, reason string, ta
 func (p *Pipeline) runWholeStream(ctx context.Context, fs float64, out chan Event) {
 	defer close(out)
 	defer p.src.Close()
-	if p.cfg.statsSink != nil {
-		statsDone := make(chan struct{})
-		defer close(statsDone)
-		go func() {
-			tick := time.NewTicker(p.cfg.statsEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					p.cfg.statsSink(p.Stats())
-				case <-statsDone:
-					p.cfg.statsSink(p.Stats())
-					return
-				}
-			}
-		}()
-	}
 	type accum struct {
 		fs  float64
 		buf []float64
@@ -419,7 +375,7 @@ func (p *Pipeline) runWholeStream(ctx context.Context, fs float64, out chan Even
 			cfs = fs
 		}
 		if cfs == 0 {
-			p.fail(fmt.Errorf("passivelight: session %d chunk carries no sample rate and the source declares none; use WithSampleRate", chunk.Session))
+			p.fail(fmt.Errorf("passivelight: session %d chunk carries no sample rate and the source declares none", chunk.Session))
 			return
 		}
 		a, ok := bufs[chunk.Session]

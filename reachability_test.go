@@ -42,7 +42,6 @@ var reachAllowlist = map[string]string{
 	"(*internal/rxnet.Node).Resent":                  "test seam: the failover tests assert resent tails through it",
 	"(*internal/rxnet.Node).Redials":                 "test seam: TestClusterChurnSelfHealing asserts node redials through it",
 	"(*internal/rxnet.Node).Paused":                  "test seam: TestClusterChurnSelfHealing asserts throttle release through it",
-	"(*internal/rxnet.Node).Shed":                    "test seam: TestClusterChurnSelfHealing asserts a backpressured node sheds through it",
 }
 
 // stdlibInterfaces are the standard-library interfaces through which
@@ -368,5 +367,127 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 	if len(dead) > 0 {
 		t.Errorf("%d internal functions are reached by no production path; delete them or add them to reachAllowlist with a reason:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
+	}
+}
+
+// optionAllowlist names the root Options no binary, example or the
+// benchmark sets but that stay on purpose, each with its reason.
+var optionAllowlist = map[string]string{
+	"WithMaxSessions":   "load_test drives ErrSessionTableFull through it",
+	"WithDecodeOptions": "the only public route to the Sec. 4.1 decoder parameters",
+}
+
+// TestEveryOptionHasACaller fails on any exported root function
+// returning Option that no non-test file under cmd/, examples/ or
+// perfbench/ calls and optionAllowlist does not name: a setting nobody
+// sets is a code path nobody runs. The reachability walk above cannot
+// see such paths: it enters at every exported root function, options
+// included, so the branches an option selects always look reached.
+func TestEveryOptionHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	goFiles := func(dir string) []string {
+		var out []string
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				out = append(out, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	options := map[string]bool{}
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range roots {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, d := range parse(path).Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
+				continue
+			}
+			if id, ok := fd.Type.Results.List[0].Type.(*ast.Ident); ok && id.Name == "Option" {
+				options[fd.Name.Name] = false
+			}
+		}
+	}
+	if len(options) == 0 {
+		t.Fatal("found no root functions returning Option")
+	}
+
+	for _, dir := range []string{"cmd", "examples", "perfbench"} {
+		for _, path := range goFiles(dir) {
+			f := parse(path)
+			local := ""
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"passivelight"` {
+					local = "passivelight"
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
+				}
+			}
+			if local == "" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					if _, isOpt := options[sel.Sel.Name]; isOpt {
+						options[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var missing, stale []string
+	for name, called := range options {
+		_, allowed := optionAllowlist[name]
+		switch {
+		case called && allowed:
+			stale = append(stale, name+" (a production caller sets it)")
+		case !called && !allowed:
+			missing = append(missing, name)
+		}
+	}
+	for name := range optionAllowlist {
+		if _, ok := options[name]; !ok {
+			stale = append(stale, name+" (no such option)")
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	for _, s := range stale {
+		t.Errorf("stale optionAllowlist entry: %s", s)
+	}
+	if len(missing) > 0 {
+		t.Errorf("%d options have no caller in cmd/, examples/ or perfbench/; delete them or add them to optionAllowlist with a reason:\n\t%s",
+			len(missing), strings.Join(missing, "\n\t"))
 	}
 }

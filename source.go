@@ -60,8 +60,7 @@ func (c SourceChunk) ackTag() uint64 {
 type SourceInfo struct {
 	// Fs is the default sample rate (Hz) for chunks that do not carry
 	// their own. Zero means every chunk declares its rate (network
-	// sources) — the pipeline then requires WithSampleRate or per-chunk
-	// rates.
+	// sources) — the pipeline then requires per-chunk rates.
 	Fs float64
 	// Name labels the source in diagnostics.
 	Name string
@@ -664,16 +663,8 @@ type NetSource struct {
 
 // NetSourceConfig tunes a NetSource's ingest path.
 type NetSourceConfig struct {
-	// QueueDepth bounds the ingest queue between the network readers
-	// and the pipeline (in chunks). Zero selects 64.
-	QueueDepth int
-	// DropOnFull discards (and counts) chunks arriving while the
-	// ingest queue is full instead of exerting TCP backpressure on the
-	// nodes — lossy ingest for deployments where a stalled pipeline
-	// must not stall the receiver network. Default false: lossless.
-	DropOnFull bool
 	// Telemetry registers the listener's ingest series (per-node
-	// ingest bytes, frame errors, queue depth, dropped chunks) into
+	// ingest bytes, frame errors, queue depth, close-time drops) into
 	// the registry — typically the same one passed to WithTelemetry.
 	Telemetry *Telemetry
 	// PaceGuardIdle, when positive, is this engine's session idle
@@ -687,8 +678,8 @@ type NetSourceConfig struct {
 }
 
 // ListenSource starts a NetSource listening on addr ("host:port";
-// empty port picks an ephemeral one) with default config: lossless
-// ingest, no telemetry.
+// empty port picks an ephemeral one) with default config: no
+// telemetry, no pace guard.
 func ListenSource(addr string) (*NetSource, error) {
 	return ListenSourceConfig(addr, NetSourceConfig{})
 }
@@ -698,8 +689,6 @@ func ListenSource(addr string) (*NetSource, error) {
 func ListenSourceConfig(addr string, cfg NetSourceConfig) (*NetSource, error) {
 	l, err := rxnet.ListenChunksConfig(addr, rxnet.ChunkListenerConfig{
 		Logf:          cfg.Logf,
-		QueueDepth:    cfg.QueueDepth,
-		DropOnFull:    cfg.DropOnFull,
 		Metrics:       cfg.Telemetry,
 		PaceGuardIdle: cfg.PaceGuardIdle,
 	})
@@ -712,8 +701,10 @@ func ListenSourceConfig(addr string, cfg NetSourceConfig) (*NetSource, error) {
 // Addr returns the bound listen address (for nodes to Dial).
 func (s *NetSource) Addr() string { return s.l.Addr() }
 
-// DroppedChunks reports how many chunks a DropOnFull source has
-// discarded because the ingest queue was full (always 0 otherwise).
+// DroppedChunks reports how many chunks the source discarded because
+// it closed while its ingest queue was full. Ingest is otherwise
+// lossless (a full queue pushes back on the nodes over TCP), so this
+// is zero until Close.
 func (s *NetSource) DroppedChunks() int64 { return s.l.DroppedChunks() }
 
 // DuplicateChunks reports how many replayed chunks the ingest side
@@ -777,7 +768,7 @@ func (s *NetSource) Throttle(paused bool) { s.l.SetThrottled(paused) }
 func (s *NetSource) Throttled() bool { return s.l.Throttled() }
 
 // StreamResets reports how many continuity resets the ingest side has
-// observed (reconnects, sequence gaps, shed chunks) — the "counted,
+// observed (reconnects, sequence gaps) — the "counted,
 // never silent" loss ledger.
 func (s *NetSource) StreamResets() int64 { return s.l.StreamResets() }
 
