@@ -268,8 +268,13 @@
 // generic evaluator), the FFT runs over cached twiddle/bit-reversal
 // plans with a real-input path for power spectra, DTW runs a pooled
 // two-row band-limited dynamic program, and the threshold decoder's
-// timing search answers window maxima from a sparse table. Measured
-// against the PR 1 baseline on the same hardware (see
+// timing search is branch-and-bound (a grid candidate is dropped as
+// soon as it cannot outrank the best one) over window maxima from a
+// one-level table: each power-of-two width it queries is built in
+// O(n) from block prefix and suffix maxima, not by doubling through
+// every narrower width. Both are bit-identical to the exhaustive
+// search and the doubling table, kept as test reference models.
+// Measured against the PR 1 baseline on the same hardware (see
 // BENCH_PR3.json for the committed machine-readable numbers):
 // BenchmarkDTWClassify ~14x, BenchmarkFFTCollision ~6x,
 // BenchmarkBatchDecode ~3.5x MB/s, BenchmarkEngineSessions128 ~3x

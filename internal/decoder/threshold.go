@@ -147,83 +147,14 @@ func Decode(tr *trace.Trace, opt Options) (Result, error) {
 // the streaming Incremental decoder.
 func decodePass(samples []float64, fs float64, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	if len(samples) < 8 {
-		return Result{}, errors.New("decoder: trace too short")
-	}
 	sc := passPool.Get().(*passScratch)
 	defer passPool.Put(sc)
-	x := samples
-	if opt.SearchFrom > 0 {
-		if opt.SearchFrom >= len(x)-8 {
-			return Result{}, fmt.Errorf("decoder: SearchFrom %d beyond trace", opt.SearchFrom)
-		}
-		x = x[opt.SearchFrom:]
-	}
-	// Every smoothing of the pass is served from one set of prefix
-	// sums: bound here, and rebound only if ripple suppression
-	// replaces the signal.
-	sc.sm.Bind(x)
-	x = suppressMainsRipple(x, fs, sc)
-	smoothWin := opt.SmoothWindow
-	if smoothWin == 0 {
-		// Automatic: ~2.5 ms at the trace rate, at least 3 samples.
-		smoothWin = int(fs * 0.0025)
-		if smoothWin < 3 {
-			smoothWin = 3
-		}
-	}
-	sc.smooth = sc.sm.MovingAverage(sc.smooth, smoothWin)
-	smooth := sc.smooth
-	pts, err := findPreamble(smooth, opt)
+	g, err := prepareGrid(samples, fs, opt, sc)
 	if err != nil {
-		return Result{}, err
+		return Result{Preamble: g.pts, Thresholds: g.th}, err
 	}
-	dt := 1 / fs
-	th := computeThresholds(pts, dt)
-	// Second pass: with the symbol duration roughly known, re-detect
-	// the preamble on a tau_t/3-smoothed signal. Heavier smoothing
-	// rounds the HIGH plateaus so their maxima sit at the symbol
-	// centers, which fixes the grid phase/step estimate under
-	// FoV-induced inter-symbol interference.
-	if w := int(th.TauT * fs / 3); w > smoothWin {
-		sc.smooth2 = sc.sm.MovingAverage(sc.smooth2, w)
-		smooth2 := sc.smooth2
-		if pts2, err2 := findPreamble(smooth2, opt); err2 == nil {
-			th2 := computeThresholds(pts2, dt)
-			if th2.TauT > 0 && th2.TauR > 0 {
-				pts, th = pts2, th2
-				// Keep amplitude anchors from the lightly smoothed
-				// signal (heavy smoothing deflates the contrast).
-				pts.AValue = smooth[pts.AIndex]
-				pts.BValue = smooth[pts.BIndex]
-				pts.CValue = smooth[pts.CIndex]
-				th.TauR = ((pts.AValue - pts.BValue) + (pts.CValue - pts.BValue)) / 2
-				th.Baseline = pts.BValue
-			}
-		}
-	}
-	pts.ATime = float64(pts.AIndex) * dt
-	pts.BTime = float64(pts.BIndex) * dt
-	pts.CTime = float64(pts.CIndex) * dt
-	if th.TauR < opt.MinContrast {
-		return Result{Preamble: pts, Thresholds: th}, fmt.Errorf("%w: tau_r %.2f < %.2f", ErrLowContrast, th.TauR, opt.MinContrast)
-	}
-	if th.TauT <= 0 {
-		return Result{Preamble: pts, Thresholds: th}, ErrNoPreamble
-	}
-	// Slice symbol windows of length tau_t centered on the symbol
-	// grid anchored at peak A (the center of the first HIGH symbol).
-	tauSamples := th.TauT * fs
-	// Now that the symbol duration is known, re-smooth at tau_t/8 so
-	// window maxima ride the symbol level rather than noise spikes
-	// (the analog front end of the real board does this for free).
-	// The lightly smoothed signal is dead at this point, so its
-	// buffer is reused.
-	if resmooth := int(tauSamples / 8); resmooth > smoothWin {
-		sc.smooth = sc.sm.MovingAverage(sc.smooth, resmooth)
-		smooth = sc.smooth
-	}
-	decision := pts.BValue + th.TauR/2
+	smooth, pts, th := g.smooth, g.pts, g.th
+	tauSamples, decision := g.tauSamples, g.decision
 	// Fine timing recovery. The A/B/C extrema shift under FoV-induced
 	// inter-symbol interference (a HIGH stripe next to a bright car
 	// roof has its apparent peak pulled toward the roof), so the raw
@@ -262,6 +193,98 @@ func decodePass(samples []float64, fs float64, opt Options) (Result, error) {
 		res.Packet = pkt
 	}
 	return res, nil
+}
+
+// passGrid is what the timing search starts from: the tau_t/8
+// smoothed signal, the preamble anchors and thresholds, the symbol
+// duration in samples and the HIGH/LOW decision level.
+type passGrid struct {
+	smooth               []float64
+	pts                  PreamblePoints
+	th                   Thresholds
+	tauSamples, decision float64
+}
+
+// prepareGrid runs the pass up to the timing search: ripple
+// suppression, smoothing, preamble search and the tau_r/tau_t
+// estimate. On a contrast or duration error the anchors and
+// thresholds found so far are returned with it. smooth aliases sc.
+func prepareGrid(samples []float64, fs float64, opt Options, sc *passScratch) (passGrid, error) {
+	if len(samples) < 8 {
+		return passGrid{}, errors.New("decoder: trace too short")
+	}
+	x := samples
+	if opt.SearchFrom > 0 {
+		if opt.SearchFrom >= len(x)-8 {
+			return passGrid{}, fmt.Errorf("decoder: SearchFrom %d beyond trace", opt.SearchFrom)
+		}
+		x = x[opt.SearchFrom:]
+	}
+	// Every smoothing of the pass is served from one set of prefix
+	// sums: bound here, and rebound only if ripple suppression
+	// replaces the signal.
+	sc.sm.Bind(x)
+	x = suppressMainsRipple(x, fs, sc)
+	smoothWin := opt.SmoothWindow
+	if smoothWin == 0 {
+		// Automatic: ~2.5 ms at the trace rate, at least 3 samples.
+		smoothWin = int(fs * 0.0025)
+		if smoothWin < 3 {
+			smoothWin = 3
+		}
+	}
+	sc.smooth = sc.sm.MovingAverage(sc.smooth, smoothWin)
+	smooth := sc.smooth
+	pts, err := findPreamble(smooth, opt)
+	if err != nil {
+		return passGrid{}, err
+	}
+	dt := 1 / fs
+	th := computeThresholds(pts, dt)
+	// Second pass: with the symbol duration roughly known, re-detect
+	// the preamble on a tau_t/3-smoothed signal. Heavier smoothing
+	// rounds the HIGH plateaus so their maxima sit at the symbol
+	// centers, which fixes the grid phase/step estimate under
+	// FoV-induced inter-symbol interference.
+	if w := int(th.TauT * fs / 3); w > smoothWin {
+		sc.smooth2 = sc.sm.MovingAverage(sc.smooth2, w)
+		smooth2 := sc.smooth2
+		if pts2, err2 := findPreamble(smooth2, opt); err2 == nil {
+			th2 := computeThresholds(pts2, dt)
+			if th2.TauT > 0 && th2.TauR > 0 {
+				pts, th = pts2, th2
+				// Keep amplitude anchors from the lightly smoothed
+				// signal (heavy smoothing deflates the contrast).
+				pts.AValue = smooth[pts.AIndex]
+				pts.BValue = smooth[pts.BIndex]
+				pts.CValue = smooth[pts.CIndex]
+				th.TauR = ((pts.AValue - pts.BValue) + (pts.CValue - pts.BValue)) / 2
+				th.Baseline = pts.BValue
+			}
+		}
+	}
+	pts.ATime = float64(pts.AIndex) * dt
+	pts.BTime = float64(pts.BIndex) * dt
+	pts.CTime = float64(pts.CIndex) * dt
+	if th.TauR < opt.MinContrast {
+		return passGrid{pts: pts, th: th}, fmt.Errorf("%w: tau_r %.2f < %.2f", ErrLowContrast, th.TauR, opt.MinContrast)
+	}
+	if th.TauT <= 0 {
+		return passGrid{pts: pts, th: th}, ErrNoPreamble
+	}
+	// Slice symbol windows of length tau_t centered on the symbol
+	// grid anchored at peak A (the center of the first HIGH symbol).
+	tauSamples := th.TauT * fs
+	// Now that the symbol duration is known, re-smooth at tau_t/8 so
+	// window maxima ride the symbol level rather than noise spikes
+	// (the analog front end of the real board does this for free).
+	// The lightly smoothed signal is dead at this point, so its
+	// buffer is reused.
+	if resmooth := int(tauSamples / 8); resmooth > smoothWin {
+		sc.smooth = sc.sm.MovingAverage(sc.smooth, resmooth)
+		smooth = sc.smooth
+	}
+	return passGrid{smooth: smooth, pts: pts, th: th, tauSamples: tauSamples, decision: pts.BValue + th.TauR/2}, nil
 }
 
 // suppressMainsRipple detects the double-line-frequency flicker of
@@ -373,52 +396,26 @@ func DecodeFixed(tr *trace.Trace, th Thresholds, opt Options) (Result, error) {
 // returns the HIGH/LOW decisions plus per-window maxima in freshly
 // allocated slices.
 func sliceGrid(smooth []float64, anchor, step, frac, decision float64, maxSymbols int) ([]coding.Symbol, []float64) {
-	return sliceGridInto(smooth, nil, anchor, step, frac, decision, maxSymbols, nil, nil)
-}
-
-// sliceGridInto is sliceGrid appending into caller-provided buffers
-// (reset to length zero first), pre-sized to the expected symbol
-// count so the timing search's hundreds of candidate grids do not
-// each regrow their slices. A non-nil rmq (a sparse table built over
-// smooth) answers each window maximum in O(1) instead of one scan
-// per window; the result is identical either way.
-func sliceGridInto(smooth []float64, rmq *rangeMax, anchor, step, frac, decision float64, maxSymbols int, symbols []coding.Symbol, windowMax []float64) ([]coding.Symbol, []float64) {
 	want := maxSymbols
 	if want <= 0 && step > 0 {
 		want = int(float64(len(smooth))/step) + 2
 	}
-	if want > 0 && cap(symbols) < want {
+	var symbols []coding.Symbol
+	var windowMax []float64
+	if want > 0 {
 		symbols = make([]coding.Symbol, 0, want)
 		windowMax = make([]float64, 0, want)
-	} else {
-		symbols, windowMax = symbols[:0], windowMax[:0]
 	}
 	half := step * frac / 2
-	for k := 0; ; k++ {
-		if maxSymbols > 0 && k == maxSymbols {
+	for k := 0; maxSymbols <= 0 || k < maxSymbols; k++ {
+		lo, hi, ok := gridWindow(len(smooth), anchor, step, half, k)
+		if !ok {
 			break
 		}
-		center := anchor + float64(k)*step
-		lo := int(center - half)
-		hi := int(center + half)
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(smooth) {
-			hi = len(smooth)
-		}
-		if lo >= len(smooth) || hi-lo < 1 {
-			break
-		}
-		var maxV float64
-		if rmq != nil {
-			maxV = rmq.max(lo, hi)
-		} else {
-			maxV = smooth[lo]
-			for _, v := range smooth[lo+1 : hi] {
-				if v > maxV {
-					maxV = v
-				}
+		maxV := smooth[lo]
+		for _, v := range smooth[lo+1 : hi] {
+			if v > maxV {
+				maxV = v
 			}
 		}
 		windowMax = append(windowMax, maxV)
@@ -431,14 +428,41 @@ func sliceGridInto(smooth []float64, rmq *rangeMax, anchor, step, frac, decision
 	return symbols, windowMax
 }
 
+// gridWindow returns the sample span [lo, hi) of window k on the
+// (anchor, step) grid, half the window wide on each side of its
+// center and clamped to n samples; ok is false once the grid has left
+// the signal.
+func gridWindow(n int, anchor, step, half float64, k int) (lo, hi int, ok bool) {
+	center := anchor + float64(k)*step
+	lo = int(center - half)
+	hi = int(center + half)
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > n {
+		hi = n
+	}
+	return lo, hi, lo < n && hi-lo >= 1
+}
+
 // refineGrid searches step in [0.8, 1.2]*tauSamples and phase in
 // +-0.5*tauSamples around anchor A for the symbol grid with the best
 // decision margins, preferring grids whose first four symbols decode
 // to the HLHL preamble.
+//
+// The search is branch-and-bound: a candidate is dropped as soon as
+// it provably cannot rank strictly above the current best, which then
+// keeps its place exactly as if the candidate had been evaluated in
+// full (ties go to the first candidate found either way). With a
+// parsing best and an edge clock, a step no closer to that clock than
+// the best's is skipped unsliced; with a parsing best and no edge
+// clock, slicing stops at the first window whose margin is no wider
+// than the best's worst one; and once the best reads the preamble, a
+// grid whose first four windows do not stops there.
 func refineGrid(smooth []float64, aIndex int, tauSamples, decision float64, opt Options, sc *passScratch) (symbols []coding.Symbol, windowMax []float64, bestStep, bestAnchor float64) {
 	const stepSteps, phaseSteps = 17, 17
 	// Candidates are ranked entirely by scalar figures of merit, so
-	// the search evaluates every grid into the shared scratch buffers
+	// the search evaluates every grid into a shared scratch buffer
 	// and only the winning (step, anchor) pair is re-sliced into
 	// fresh memory at the end.
 	type cand struct {
@@ -450,15 +474,15 @@ func refineGrid(smooth []float64, aIndex int, tauSamples, decision float64, opt 
 		anchor    float64
 	}
 	best := cand{score: -1}
-	// One sparse table answers every candidate grid's window maxima in
-	// O(1) per window; the searches below evaluate hundreds of grids
-	// over the same signal. Window widths are bounded by the widest
+	// One table answers every candidate grid's window maxima in O(1)
+	// per window; the searches below evaluate hundreds of grids over
+	// the same signal. Window widths are bounded by the widest
 	// candidate step (the coarse round sweeps up to 1.45x tau, the
 	// re-acquisition rescales around the edge clock), so the table
-	// stops at that depth; anything wider scans directly. Levels are
-	// built as the searches first reach them.
+	// stops at that width; anything wider scans directly.
 	maxW := int(tauSamples*3*opt.WindowFraction) + 4
 	sc.rmq.reset(smooth, maxW)
+	frac, maxSymbols := opt.WindowFraction, opt.ExpectedSymbols
 	// edgeClock, when non-zero, is the crossing-derived symbol
 	// duration used by the re-acquisition rounds to rank parsing
 	// candidates (set before round 2 runs, so round 1 keeps the
@@ -467,21 +491,57 @@ func refineGrid(smooth []float64, aIndex int, tauSamples, decision float64, opt 
 	search := func(stepLo, stepHi float64, stepSteps int) {
 		for si := 0; si < stepSteps; si++ {
 			step := tauSamples * (stepLo + (stepHi-stepLo)*float64(si)/float64(stepSteps-1))
+			half := step * frac / 2
 			for pi := 0; pi < phaseSteps; pi++ {
+				if best.parses && edgeClock > 0 && !(math.Abs(step-edgeClock) < math.Abs(best.step-edgeClock)) {
+					// Only a parsing grid closer to the edge clock can
+					// win, and every remaining phase has this step.
+					break
+				}
 				anchor := float64(aIndex) + step*(-0.5+float64(pi)/float64(phaseSteps-1))
-				sc.syms, sc.wm = sliceGridInto(smooth, &sc.rmq, anchor, step, opt.WindowFraction, decision, opt.ExpectedSymbols, sc.syms, sc.wm)
-				syms, wm := sc.syms, sc.wm
-				if len(syms) < coding.PreambleLen {
+				// A parsing best with no edge clock is beaten only on
+				// the worst window margin, and a best that reads the
+				// preamble only by a grid that reads it too.
+				boundMargin := best.parses && edgeClock == 0
+				syms := sc.syms[:0]
+				var margin, minMargin float64
+				cut := false
+				for k := 0; maxSymbols <= 0 || k < maxSymbols; k++ {
+					lo, hi, ok := gridWindow(len(smooth), anchor, step, half, k)
+					if !ok {
+						break
+					}
+					maxV := sc.rmq.max(lo, hi)
+					if maxV > decision {
+						syms = append(syms, coding.High)
+					} else {
+						syms = append(syms, coding.Low)
+					}
+					d := maxV - decision
+					if d < 0 {
+						d = -d
+					}
+					margin += d
+					if k == 0 || d < minMargin {
+						minMargin = d
+					}
+					if boundMargin && d <= best.minMargin ||
+						k == coding.PreambleLen-1 && best.preamble && !readsPreamble(syms) {
+						cut = true
+						break
+					}
+				}
+				sc.syms = syms
+				if cut || len(syms) < coding.PreambleLen {
 					continue
 				}
-				pre := syms[0] == coding.High && syms[1] == coding.Low &&
-					syms[2] == coding.High && syms[3] == coding.Low
+				pre := readsPreamble(syms)
 				// In auto mode the stream runs to the end of the trace,
 				// so parseability is judged the way Decode judges it
 				// downstream: with trailing LOW windows trimmed and the
 				// stream padded back to even length.
 				evalSyms := syms
-				if opt.ExpectedSymbols == 0 {
+				if maxSymbols == 0 {
 					end := len(syms)
 					for end > 0 && syms[end-1] == coding.Low {
 						end--
@@ -494,18 +554,7 @@ func refineGrid(smooth []float64, aIndex int, tauSamples, decision float64, opt 
 					}
 				}
 				valid := coding.ValidPacket(evalSyms)
-				var margin, minMargin float64
-				for i, v := range wm {
-					d := v - decision
-					if d < 0 {
-						d = -d
-					}
-					margin += d
-					if i == 0 || d < minMargin {
-						minMargin = d
-					}
-				}
-				margin /= float64(len(wm))
+				margin /= float64(len(syms))
 				c := cand{
 					score: margin, minMargin: minMargin,
 					preamble: pre, parses: pre && valid,
@@ -579,6 +628,13 @@ func refineGrid(smooth []float64, aIndex int, tauSamples, decision float64, opt 
 	// deterministic, so this reproduces the ranked candidate exactly).
 	syms, wm := sliceGrid(smooth, best.anchor, best.step, opt.WindowFraction, decision, opt.ExpectedSymbols)
 	return syms, wm, best.step, best.anchor
+}
+
+// readsPreamble reports whether the first four symbols are the HLHL
+// preamble; syms must hold at least four.
+func readsPreamble(syms []coding.Symbol) bool {
+	return syms[0] == coding.High && syms[1] == coding.Low &&
+		syms[2] == coding.High && syms[3] == coding.Low
 }
 
 // edgeTauSamples estimates the symbol duration from decision-level

@@ -184,9 +184,20 @@ func TestNodeMultiAddressFailoverResendsTail(t *testing.T) {
 	evs := collectChunks(t, l1, 5)
 	key := uint64(4)<<32 | 8
 
-	// Kill the primary; the next chunk must land on the standby,
-	// preceded by the resent tail.
+	// Kill the primary and wait for the node's control reader to see
+	// the connection die and fail over: the standby gets the resent
+	// tail, and the next chunk must land there after it. Sending the
+	// live chunk before the reconnect would race the reader, and that
+	// chunk could vanish into the dead socket's send buffer and go out
+	// again as a sixth replay.
 	l1.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for node.Redials() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("node never reconnected after the primary died")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if err := node.StreamChunk(8, 1000, samples); err != nil {
 		t.Fatalf("chunk after primary death: %v", err)
 	}

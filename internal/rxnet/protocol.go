@@ -97,8 +97,8 @@ const (
 	// upstream when their session rings or batch channel run hot
 	// (paused=true) and again when pressure clears (paused=false);
 	// a router relays pause/resume to the receiver-node connections
-	// whose streams feed the hot engine, so nodes shed or stall at
-	// the edge instead of overrunning it.
+	// whose streams feed the hot engine, so flow-controlled nodes
+	// stall at the edge instead of overrunning it.
 	FrameThrottle
 	// FrameStreamAck confirms consumption on a chunk stream (engine ->
 	// router): every chunk through LastSeq has been decoded, so the
@@ -814,7 +814,9 @@ func UnmarshalRingUpdate(b []byte) (RingUpdate, error) {
 }
 
 // Throttle is a backpressure signal: paused=true asks the receiver to
-// stop (or shed) new sample chunks until a paused=false follows.
+// stop sending new sample chunks until a paused=false follows. A
+// flow-controlled node (RedialConfig.FlowControl) stalls its
+// StreamChunk calls meanwhile; nothing is dropped.
 type Throttle struct {
 	Paused bool
 }

@@ -759,8 +759,9 @@ func (s *NetSource) AckSession(session uint64) bool { return s.l.AckSession(sess
 
 // Throttle flips the source's backpressure signal: paused sends a
 // Throttle frame to every connected peer (a cluster router relays it
-// to the receiver nodes feeding this engine, which pause or shed at
-// the edge), resume releases them. Idempotent per state.
+// to the receiver nodes feeding this engine, and flow-controlled nodes
+// stall at the edge until released), resume releases them.
+// Idempotent per state.
 func (s *NetSource) Throttle(paused bool) { s.l.SetThrottled(paused) }
 
 // Throttled reports whether the source currently signals
