@@ -234,8 +234,8 @@ func NewTelemetryHealth() *TelemetryHealth { return telemetry.NewHealth() }
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TelemetryHistogram is a point-in-time distribution summary
-// (count/sum/min/max plus p50/p90/p99) — the schema shared by the
-// /metrics.json endpoint and benchdump's committed BENCH files.
+// (count/sum/min/max plus p50/p90/p99), as served by the
+// /metrics.json endpoint.
 type TelemetryHistogram = telemetry.HistogramSnapshot
 
 // TelemetryHandler serves a registry over HTTP: /metrics (Prometheus

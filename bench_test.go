@@ -400,10 +400,9 @@ func fleetLoadStreams(b *testing.B, sessions int) fleetStreams {
 // on a small box still exercises N independent queues.
 //
 // The run records into a telemetry registry (so the measured cost
-// includes live instrumentation, keeping the committed baselines
-// honest about production overhead) and reports the detection-latency
-// quantiles as custom bench metrics, which benchdump folds back into
-// a HistogramSnapshot in the committed BENCH files.
+// includes live instrumentation, keeping the numbers honest about
+// production overhead) and reports the detection-latency
+// quantiles as custom bench metrics, printed beside ns/op.
 func engineBenchRun(b *testing.B, sessions, shards int) {
 	b.Helper()
 	// Above 512 sessions the fleet cycles a 512-trace rendered pool

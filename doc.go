@@ -219,6 +219,12 @@
 // engine's continuity cursor discards what the
 // dead router already delivered and keeps what it took with it, so a
 // router SIGKILL costs neither a lost packet nor a duplicate decode.
+// That resend tail and the router's replay buffer are one type,
+// rxnet.ReplayTail, under two budgets (RedialConfig.ResendBytes,
+// default 256 KiB, and RouterConfig.ReplayBytes, default 1 MiB, per
+// stream): the newest chunk bodies in Seq order, the oldest dropped
+// past the budget, trimmed through an acked Seq, and replayed after
+// any Seq with a counted gap where the tail no longer reaches.
 // Ring changes are batched (RouterConfig.RingBatchWindow, default
 // 250ms): a join stampede of N engines — or a restarted router
 // re-learning its whole fleet — produces one epoch bump, not N.
@@ -301,9 +307,7 @@
 // ~6% worst-case quantile error) and every recording is a single
 // atomic add, so telemetry can stay attached under production load;
 // with no registry attached the hot paths skip instrumentation
-// entirely. cmd/plnet serves a live endpoint via -metrics-addr, and
-// cmd/benchdump embeds the same TelemetryHistogram schema in
-// committed BENCH baselines.
+// entirely. cmd/plnet serves a live endpoint via -metrics-addr.
 //
 // The runnable programs under cmd/ and the examples/ directory cover
 // the paper's indoor bench, the outdoor car application and the

@@ -158,9 +158,9 @@ func TestRouterSendsOldEngineOnlyFloatFrames(t *testing.T) {
 
 	rt, _ := r.routeFor(key)
 	rt.fmu.Lock()
-	for _, c := range rt.replay {
-		if !c.codes || len(c.body) != 1054 {
-			t.Errorf("replay entry %d kept as %d bytes (codes %v), want a 1054-byte code body", c.seq, len(c.body), c.codes)
+	for _, c := range rt.replay.Entries() {
+		if !c.Codes || len(c.Body) != 1054 {
+			t.Errorf("replay entry %d kept as %d bytes (codes %v), want a 1054-byte code body", c.Seq, len(c.Body), c.Codes)
 		}
 	}
 	rt.fmu.Unlock()
@@ -224,13 +224,13 @@ func TestReplayEntriesCountStoredBytes(t *testing.T) {
 		rt, _ := r.routeFor(key)
 		rt.fmu.Lock()
 		defer rt.fmu.Unlock()
-		for _, c := range rt.replay {
-			if len(c.body) != entry {
-				t.Fatalf("entry %d keeps %d bytes, want %d", c.seq, len(c.body), entry)
+		for _, c := range rt.replay.Entries() {
+			if len(c.Body) != entry {
+				t.Fatalf("entry %d keeps %d bytes, want %d", c.Seq, len(c.Body), entry)
 			}
 		}
-		if len(rt.replay) != kept || rt.replayBytes != kept*entry {
-			t.Fatalf("buffer keeps %d entries in %d bytes, want %d in %d", len(rt.replay), rt.replayBytes, kept, kept*entry)
+		if len(rt.replay.Entries()) != kept || rt.replay.Bytes() != kept*entry {
+			t.Fatalf("buffer keeps %d entries in %d bytes, want %d in %d", len(rt.replay.Entries()), rt.replay.Bytes(), kept, kept*entry)
 		}
 	}
 

@@ -48,8 +48,7 @@ func TestReplayBufferSeqWraparound(t *testing.T) {
 	rt.ackedThrough = math.MaxUint32 - 2
 	for i, seq := range seqs {
 		body := wrapChunk(t, 3, 17, seq, i)
-		rt.replay = append(rt.replay, savedChunk{seq: seq, body: body})
-		rt.replayBytes += len(body)
+		rt.replay.Append(rxnet.ReplayEntry{Seq: seq, Body: body}, r.cfg.ReplayBytes)
 	}
 	rt.fmu.Unlock()
 
@@ -65,10 +64,10 @@ func TestReplayBufferSeqWraparound(t *testing.T) {
 	// with naked uint32 comparisons (0 < MaxUint32-2) both are no-ops.
 	r.handleAck(upA, rxnet.StreamAck{Session: key, LastSeq: 0})
 	rt.fmu.Lock()
-	acked, kept := rt.ackedThrough, len(rt.replay)
+	acked, kept := rt.ackedThrough, len(rt.replay.Entries())
 	var keptSeqs []uint32
-	for _, c := range rt.replay {
-		keptSeqs = append(keptSeqs, c.seq)
+	for _, c := range rt.replay.Entries() {
+		keptSeqs = append(keptSeqs, c.Seq)
 	}
 	rt.fmu.Unlock()
 	if acked != 0 {

@@ -191,8 +191,8 @@ func TestReplayBufferByteBound(t *testing.T) {
 	}
 	rt, _ := r.routeFor(key)
 	rt.fmu.Lock()
-	kept, keptBytes := len(rt.replay), rt.replayBytes
-	newest := rt.replay[len(rt.replay)-1].seq
+	kept, keptBytes := len(rt.replay.Entries()), rt.replay.Bytes()
+	newest := rt.replay.Entries()[len(rt.replay.Entries())-1].Seq
 	rt.fmu.Unlock()
 	if keptBytes > 200 {
 		t.Fatalf("replay holds %d bytes, want <= 200", keptBytes)

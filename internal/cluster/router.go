@@ -103,32 +103,24 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// savedChunk is one buffered chunk for NACK replay: a FrameCodeChunk
-// body when codes is set, else the float64 body as it arrived.
-type savedChunk struct {
-	seq   uint32
-	body  []byte
-	codes bool
-}
-
 // keepChunk turns a chunk frame body of type t, which aliases the
 // connection's read buffer, into the chunk the router keeps: a code
 // chunk as it arrived, a float64 chunk as codes when every sample is
 // one, and any other chunk as a copy.
-func keepChunk(t rxnet.FrameType, body []byte) (savedChunk, error) {
+func keepChunk(t rxnet.FrameType, body []byte) (rxnet.ReplayEntry, error) {
 	if len(body) < 12 {
-		return savedChunk{}, fmt.Errorf("short chunk frame (%d bytes)", len(body))
+		return rxnet.ReplayEntry{}, fmt.Errorf("short chunk frame (%d bytes)", len(body))
 	}
-	c := savedChunk{seq: binary.BigEndian.Uint32(body[8:12])}
+	c := rxnet.ReplayEntry{Seq: binary.BigEndian.Uint32(body[8:12])}
 	if t == rxnet.FrameCodeChunk || t == rxnet.FrameCodeReplay {
 		if err := rxnet.CheckCodeBody(body); err != nil {
-			return savedChunk{}, err
+			return rxnet.ReplayEntry{}, err
 		}
-		c.body, c.codes = bytes.Clone(body), true
-	} else if c.body = rxnet.CodeBody(body); c.body != nil {
-		c.codes = true
+		c.Body, c.Codes = bytes.Clone(body), true
+	} else if c.Body = rxnet.CodeBody(body); c.Body != nil {
+		c.Codes = true
 	} else {
-		c.body = bytes.Clone(body)
+		c.Body = bytes.Clone(body)
 	}
 	return c, nil
 }
@@ -138,12 +130,11 @@ func keepChunk(t rxnet.FrameType, body []byte) (savedChunk, error) {
 // resolve, buffer, forward, and NACK-triggered replay — so the new
 // owner can never observe replayed and live chunks out of order.
 type route struct {
-	fmu         sync.Mutex
-	owner       string // member ID; "" means unresolved
-	lastFwd     uint32
-	lastAct     time.Time
-	replay      []savedChunk
-	replayBytes int // sum of len(body) across replay
+	fmu     sync.Mutex
+	owner   string // member ID; "" means unresolved
+	lastFwd uint32
+	lastAct time.Time
+	replay  rxnet.ReplayTail
 	// ackedThrough is the highest chunk Seq the owner confirmed
 	// consumed (StreamAck); acked frames are dropped from replay and a
 	// failover replay starting past ackedThrough+1 is a counted gap.
@@ -479,6 +470,13 @@ func (r *Router) serveConn(conn net.Conn) {
 		r.mu.Unlock()
 		conn.Close()
 	}()
+	select {
+	case <-r.closed:
+		// Close snapshotted the connections it closes before this one
+		// registered, so nothing else would end the read below.
+		return
+	default:
+	}
 	fr := rxnet.NewFrameReader(conn)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
@@ -639,8 +637,8 @@ func (r *Router) resolve(session uint64, exclude string) (*upstream, bool) {
 // dedup them against its cursor, and never masquerade as live
 // restarts. The wire type, code or float64, is chosen per upstream at
 // send time.
-func (r *Router) forward(nc *nodeConn, session uint64, in savedChunk, replay bool) {
-	seq := in.seq
+func (r *Router) forward(nc *nodeConn, session uint64, in rxnet.ReplayEntry, replay bool) {
+	seq := in.Seq
 	rt, created := r.routeFor(session)
 	rt.fmu.Lock()
 	for rt.evicted {
@@ -672,24 +670,21 @@ func (r *Router) forward(nc *nodeConn, session uint64, in savedChunk, replay boo
 	// node resent its tail to a router that survived) is skipped
 	// entirely: it was already forwarded once and a failover replay
 	// must not deliver it out of order.
-	if n := len(rt.replay); n > 0 && !rxnet.SeqLess(rt.replay[n-1].seq, seq) {
-		if replay || seq != 1 {
-			return
-		}
-		// A live Seq=1 behind the buffer is a genuine stream restart:
-		// the buffered chunks belong to the previous incarnation.
-		r.dropReplay(rt, len(rt.replay))
+	if kept := rt.replay.Entries(); len(kept) > 0 && !rxnet.SeqLess(kept[len(kept)-1].Seq, seq) && (replay || seq != 1) {
+		return
+	}
+	if !replay && seq == 1 && !rxnet.SeqLess(rt.lastFwd, seq) {
+		// A live Seq=1 at or behind the newest forwarded chunk is a
+		// genuine stream restart: the buffered chunks and the acks
+		// belong to the previous incarnation, even once an ack has
+		// emptied the buffer.
+		r.replayHeld.Add(-int64(rt.replay.TrimThrough(rt.lastFwd)))
 		rt.ackedThrough = 0
 	}
-	rt.replay = append(rt.replay, in)
-	rt.replayBytes += len(in.body)
-	r.replayHeld.Add(int64(len(in.body)))
-	drop := 0
-	for over := rt.replayBytes - r.cfg.ReplayBytes; over > 0 && drop < len(rt.replay)-1; drop++ {
-		over -= len(rt.replay[drop].body)
-	}
-	if drop > 0 {
-		r.replayEvicted.Add(int64(r.dropReplay(rt, drop)))
+	evicted := rt.replay.Append(in, r.cfg.ReplayBytes)
+	r.replayHeld.Add(int64(len(in.Body) - evicted))
+	if evicted > 0 {
+		r.replayEvicted.Add(int64(evicted))
 	}
 	rt.lastFwd = seq
 	failedOver := false
@@ -718,10 +713,10 @@ func (r *Router) forward(nc *nodeConn, session uint64, in savedChunk, replay boo
 		// replay marking and dedup against the new owner's cursor.
 		// Anything the byte bound already trimmed is a counted gap,
 		// never a silent splice.
-		frames := rt.replay[len(rt.replay)-1:]
+		frames := []rxnet.ReplayEntry{in}
 		if failedOver {
-			frames = rt.replay
-			if rxnet.SeqLess(rt.ackedThrough+1, frames[0].seq) {
+			var gap bool
+			if frames, gap = rt.replay.After(rt.ackedThrough); gap {
 				r.replayGaps.Add(1)
 			}
 		}
@@ -729,11 +724,11 @@ func (r *Router) forward(nc *nodeConn, session uint64, in savedChunk, replay boo
 		for _, c := range frames {
 			// The in-hand chunk keeps its arrival marking; everything
 			// in front of it is a retransmission.
-			if err = r.sendChunk(up, c, replay || c.seq != seq); err != nil {
+			if err = r.sendChunk(up, c, replay || c.Seq != seq); err != nil {
 				break
 			}
 			r.chunksFwd.Add(1)
-			if c.seq != seq {
+			if c.Seq != seq {
 				r.replayed.Add(1)
 			}
 		}
@@ -753,25 +748,6 @@ func (r *Router) forward(nc *nodeConn, session uint64, in savedChunk, replay boo
 		return
 	}
 	r.undeliv.Add(1)
-}
-
-// dropReplay releases the oldest n chunks of a stream's replay buffer
-// and returns their bytes. The vacated slots are cleared so the backing
-// array stops pinning the chunk bodies, and an emptied buffer lets go
-// of the array itself. Callers hold rt.fmu.
-func (r *Router) dropReplay(rt *route, n int) int {
-	freed := 0
-	for _, c := range rt.replay[:n] {
-		freed += len(c.body)
-	}
-	clear(rt.replay[:n])
-	rt.replay = rt.replay[n:]
-	if len(rt.replay) == 0 {
-		rt.replay = nil
-	}
-	rt.replayBytes -= freed
-	r.replayHeld.Add(-int64(freed))
-	return freed
 }
 
 // noteOwner records that nc's streams feed engine up, and pauses the
@@ -810,36 +786,14 @@ func (r *Router) send(up *upstream, t rxnet.FrameType, body []byte) error {
 // engine behind the current connection has answered a Hello, else as
 // its float64 frame. A freshly dialed engine therefore gets float64
 // frames until its answer arrives.
-func (r *Router) sendChunk(up *upstream, c savedChunk, replay bool) error {
+func (r *Router) sendChunk(up *upstream, c rxnet.ReplayEntry, replay bool) error {
 	up.wmu.Lock()
 	defer up.wmu.Unlock()
 	if err := r.connectLocked(up); err != nil {
 		return err
 	}
-	t, body := up.chunkFrameLocked(c, replay)
+	t, body := c.Frame(up.codesGen.Load() == up.gen, replay, &up.scratch)
 	return r.writeLocked(up, t, body)
-}
-
-// chunkFrameLocked returns a chunk's wire form on the upstream's
-// current connection: a code frame when the chunk is stored as codes
-// and the engine has answered, else its float64 frame, expanded into
-// the upstream's scratch buffer for a code chunk. Callers hold up.wmu.
-func (up *upstream) chunkFrameLocked(c savedChunk, replay bool) (rxnet.FrameType, []byte) {
-	if c.codes && up.codesGen.Load() == up.gen {
-		if replay {
-			return rxnet.FrameCodeReplay, c.body
-		}
-		return rxnet.FrameCodeChunk, c.body
-	}
-	body := c.body
-	if c.codes {
-		up.scratch = rxnet.AppendSampleBody(up.scratch[:0], c.body)
-		body = up.scratch
-	}
-	if replay {
-		return rxnet.FrameSampleReplay, body
-	}
-	return rxnet.FrameSampleChunk, body
 }
 
 // connectLocked dials the upstream unless it is connected. Callers
@@ -1063,11 +1017,7 @@ func (r *Router) handleAck(from *upstream, a rxnet.StreamAck) {
 	if rxnet.SeqLess(rt.ackedThrough, a.LastSeq) {
 		rt.ackedThrough = a.LastSeq
 	}
-	drop := 0
-	for drop < len(rt.replay) && rxnet.SeqLEq(rt.replay[drop].seq, a.LastSeq) {
-		drop++
-	}
-	r.dropReplay(rt, drop)
+	r.replayHeld.Add(-int64(rt.replay.TrimThrough(a.LastSeq)))
 }
 
 // handleNack moves a refused stream to a new owner and replays every
@@ -1102,23 +1052,28 @@ func (r *Router) handleNack(from *upstream, n rxnet.StreamNack) {
 	// Replay the unconsumed window in order. If the buffer no longer
 	// reaches back to LastSeq+1, the stream resumes with a gap and
 	// the new owner's continuity cursor resets the session; count it.
-	// Serial-number comparisons: seqs wrap on long-lived streams.
-	if len(rt.replay) > 0 && rxnet.SeqLess(n.LastSeq+1, rt.replay[0].seq) {
+	later, gap := rt.replay.After(n.LastSeq)
+	if gap {
 		r.replayGaps.Add(1)
 	}
-	for _, c := range rt.replay {
-		if rxnet.SeqLEq(c.seq, n.LastSeq) {
-			continue
-		}
+	if err := r.replayOn(up, later); err != nil {
+		r.logf("cluster: replay to %s: %v", up.id, err)
+		r.failovers.Add(1)
+		rt.owner = ""
+	}
+}
+
+// replayOn sends buffered chunks to up as replay frames, in order,
+// stopping at the first failure.
+func (r *Router) replayOn(up *upstream, entries []rxnet.ReplayEntry) error {
+	for _, c := range entries {
 		if err := r.sendChunk(up, c, true); err != nil {
-			r.logf("cluster: replay to %s: %v", up.id, err)
-			r.failovers.Add(1)
-			rt.owner = ""
-			return
+			return err
 		}
 		r.replayed.Add(1)
 		r.chunksFwd.Add(1)
 	}
+	return nil
 }
 
 // AdmitEngine adds (or refreshes) an engine on the active ring — the
@@ -1288,7 +1243,8 @@ func (r *Router) janitor() {
 				r.mu.Unlock()
 				if gone {
 					rt.evicted = true
-					r.dropReplay(rt, len(rt.replay))
+					r.replayHeld.Add(-int64(rt.replay.Bytes()))
+					rt.replay = rxnet.ReplayTail{}
 					stale = append(stale, idle{s, rt.owner})
 				}
 				rt.fmu.Unlock()
@@ -1385,39 +1341,32 @@ func (r *Router) failOverRoutes(dead map[string]bool) {
 			continue
 		}
 		rt.owner = ""
-		if len(rt.replay) == 0 {
+		unacked, gap := rt.replay.After(rt.ackedThrough)
+		if len(unacked) == 0 {
 			rt.fmu.Unlock()
 			continue
 		}
 		up, ok := r.resolve(session, "")
 		if !ok {
-			r.undeliv.Add(int64(len(rt.replay)))
+			r.undeliv.Add(int64(len(unacked)))
 			r.logf("cluster: stream %d orphaned by eviction and no engine will take it", session)
 			rt.fmu.Unlock()
 			continue
 		}
-		if rxnet.SeqLess(rt.ackedThrough+1, rt.replay[0].seq) {
+		if gap {
 			r.replayGaps.Add(1)
 		}
 		r.failovers.Add(1)
 		r.handoffs.Add(1)
 		r.streams.Add(1)
-		var err error
-		for _, c := range rt.replay {
-			if err = r.sendChunk(up, c, true); err != nil {
-				break
-			}
-			r.chunksFwd.Add(1)
-			r.replayed.Add(1)
-		}
-		if err != nil {
+		if err := r.replayOn(up, unacked); err != nil {
 			// The survivor is down too; leave the route unresolved so
 			// the next live chunk (or a later NACK) retries.
 			r.logf("cluster: eviction replay to %s: %v", up.id, err)
 		} else {
 			rt.owner = up.id
 			r.logf("cluster: stream %d failed over to %s after eviction (%d chunks replayed)",
-				session, up.id, len(rt.replay))
+				session, up.id, len(unacked))
 		}
 		rt.fmu.Unlock()
 	}

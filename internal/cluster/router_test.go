@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -94,7 +95,7 @@ func clusterRing(t *testing.T, engines ...*engineSim) *Ring {
 
 // kept is the chunk the router keeps for a float64 body arriving on a
 // node connection.
-func kept(t *testing.T, body []byte) savedChunk {
+func kept(t *testing.T, body []byte) rxnet.ReplayEntry {
 	t.Helper()
 	c, err := keepChunk(rxnet.FrameSampleChunk, body)
 	if err != nil {
@@ -449,7 +450,7 @@ func TestEvictionFailsOverUnackedStreams(t *testing.T) {
 		rt, _ := r.routeFor(doneKey)
 		rt.fmu.Lock()
 		defer rt.fmu.Unlock()
-		return len(rt.replay) == 0
+		return len(rt.replay.Entries()) == 0
 	})
 
 	// engine-a dies with the stuck stream undecoded and both nodes
@@ -490,13 +491,14 @@ func TestReplayTrimReleasesBodies(t *testing.T) {
 		rt, _ := r.routeFor(key)
 		rt.fmu.Lock()
 		defer rt.fmu.Unlock()
-		for i, c := range rt.replay[len(rt.replay):cap(rt.replay)] {
-			if c.body != nil {
-				t.Errorf("%s: slot len+%d still pins a %d-byte body", stage, i, len(c.body))
+		entries := rt.replay.Entries()
+		for i, c := range entries[len(entries):cap(entries)] {
+			if c.Body != nil {
+				t.Errorf("%s: slot len+%d still pins a %d-byte body", stage, i, len(c.Body))
 			}
 		}
-		if got := r.replayHeld.Load(); got != int64(rt.replayBytes) {
-			t.Errorf("%s: replay gauge = %d bytes, buffer holds %d", stage, got, rt.replayBytes)
+		if got := r.replayHeld.Load(); got != int64(rt.replay.Bytes()) {
+			t.Errorf("%s: replay gauge = %d bytes, buffer holds %d", stage, got, rt.replay.Bytes())
 		}
 	}
 
@@ -524,7 +526,7 @@ func TestReplayTrimReleasesBodies(t *testing.T) {
 	check("ack")
 	rt, _ := r.routeFor(key)
 	rt.fmu.Lock()
-	n, c := len(rt.replay), cap(rt.replay)
+	n, c := len(rt.replay.Entries()), cap(rt.replay.Entries())
 	rt.fmu.Unlock()
 	if n != 0 || c != 0 {
 		t.Errorf("fully acked buffer has len %d cap %d, want no backing array", n, c)
@@ -556,7 +558,7 @@ func TestStaleAckIgnoredAfterRestart(t *testing.T) {
 
 	rt, _ := r.routeFor(key)
 	rt.fmu.Lock()
-	kept, acked := len(rt.replay), rt.ackedThrough
+	kept, acked := len(rt.replay.Entries()), rt.ackedThrough
 	rt.fmu.Unlock()
 	if kept != 1 || acked != 0 {
 		t.Fatalf("after the stale ack: %d chunks kept, ackedThrough %d; want the restart's 1 chunk and 0", kept, acked)
@@ -565,9 +567,69 @@ func TestStaleAckIgnoredAfterRestart(t *testing.T) {
 	// The new incarnation's own ack still trims.
 	r.handleAck(upA, rxnet.StreamAck{Session: key, LastSeq: 1})
 	rt.fmu.Lock()
-	kept, acked = len(rt.replay), rt.ackedThrough
+	kept, acked = len(rt.replay.Entries()), rt.ackedThrough
 	rt.fmu.Unlock()
 	if kept != 0 || acked != 1 {
 		t.Fatalf("after the live ack: %d chunks kept, ackedThrough %d; want 0 and 1", kept, acked)
+	}
+}
+
+// A stream that restarts after its owner acked everything must start
+// its ack history over too. The ack emptied the replay buffer, so the
+// restart's Seq=1 is behind no buffered chunk; if the old incarnation's
+// ackedThrough survived, a crash failover would treat the new
+// incarnation's unacked chunks as consumed and replay none of them.
+func TestRestartAfterFullAckReplaysOnFailover(t *testing.T) {
+	a := startEngineSim(t, "engine-a")
+	b := startEngineSim(t, "engine-b")
+	ring := clusterRing(t, a, b)
+	r, _ := startRouter(t, RouterConfig{
+		Ring:              ring,
+		RedialBackoff:     10 * time.Millisecond,
+		DeadEngineTimeout: 80 * time.Millisecond,
+	})
+	sid := streamOwnedBy(t, ring, 5, "engine-a", map[uint32]bool{})
+	key := uint64(5)<<32 | uint64(sid)
+	for seq := uint32(1); seq <= 3; seq++ {
+		r.forward(nil, key, kept(t, wrapChunk(t, 5, sid, seq, int(seq-1))), false)
+	}
+	r.mu.Lock()
+	upA := r.ups["engine-a"]
+	r.mu.Unlock()
+	r.handleAck(upA, rxnet.StreamAck{Session: key, LastSeq: 3})
+
+	// The node restarts the stream: two live chunks, never acked.
+	for seq := uint32(1); seq <= 2; seq++ {
+		r.forward(nil, key, kept(t, wrapChunk(t, 5, sid, seq, int(seq-1))), false)
+	}
+	// engine-a dies and is evicted, which fails its streams over.
+	a.l.Close()
+	waitFor(t, "the restarted stream replayed on engine-b", func() bool { return b.samplesFor(key) == 50 })
+	if got := r.replayGaps.Load(); got != 0 {
+		t.Errorf("replay gaps = %d, want 0", got)
+	}
+}
+
+// A node connection accepted just before Close registers after Close
+// snapshotted the connections it closes. Its handler must notice the
+// router is closed rather than wait out the two-minute read deadline,
+// which held Close in its WaitGroup wait for as long.
+func TestServeConnAfterCloseReturns(t *testing.T) {
+	a := startEngineSim(t, "engine-a")
+	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, a)})
+	r.Close()
+	node, conn := net.Pipe()
+	t.Cleanup(func() { node.Close() })
+	r.wg.Add(1) // as acceptLoop does before starting the handler
+	go r.serveConn(conn)
+	closed := make(chan struct{})
+	go func() {
+		r.wg.Wait()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("serveConn still reading a node connection 1 s after Close")
 	}
 }

@@ -306,22 +306,11 @@ type Node struct {
 type streamState struct {
 	seq   uint32
 	start uint64
-	// saved is the stream's bounded resend buffer (multi-address
-	// reliable nodes only): the bodies of the most recently sent
-	// chunks, replayed on reconnect or on a server StreamNack so a
+	// tail is the stream's resend buffer (multi-address reliable nodes
+	// only), bounded by ResendBytes: the bodies of the most recently
+	// sent chunks, replayed on reconnect or on a server StreamNack so a
 	// failover router that never saw the stream can rebuild it.
-	// savedBytes counts the bytes stored, code bodies at 2 bytes a
-	// sample.
-	saved      []savedBody
-	savedBytes int
-}
-
-// savedBody is one buffered chunk body awaiting possible replay: a
-// FrameCodeChunk body when codes is set, else a float64 body.
-type savedBody struct {
-	seq   uint32
-	body  []byte
-	codes bool
+	tail ReplayTail
 }
 
 // Dial connects a node to the aggregator and sends its Hello.
@@ -423,12 +412,12 @@ func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error
 		if err != nil {
 			return err
 		}
-		sb := savedBody{seq: c.Seq, body: body, codes: ft == FrameCodeChunk}
-		if err := n.writeChunkLocked(sb); err != nil {
+		e := ReplayEntry{Seq: c.Seq, Body: body, Codes: ft == FrameCodeChunk}
+		if err := n.writeChunkLocked(e); err != nil {
 			return err
 		}
 		if n.rcfg != nil && n.rcfg.ResendBytes > 0 {
-			n.saveChunkLocked(st, sb)
+			st.tail.Append(e, n.rcfg.ResendBytes)
 		}
 		st.seq++
 		st.start += uint64(len(part))

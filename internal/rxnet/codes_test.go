@@ -314,11 +314,11 @@ func TestResendBytesCountsStoredBytes(t *testing.T) {
 		}
 		node.mu.Lock()
 		st := node.streams[uint32(stream)]
-		saved, held := append([]savedBody(nil), st.saved...), st.savedBytes
+		saved, held := append([]ReplayEntry(nil), st.tail.Entries()...), st.tail.Bytes()
 		node.mu.Unlock()
 		for _, sb := range saved {
-			if len(sb.body) != tc.entry || sb.codes == tc.frac {
-				t.Fatalf("frac=%v: entry of %d bytes (codes %v), want %d", tc.frac, len(sb.body), sb.codes, tc.entry)
+			if len(sb.Body) != tc.entry || sb.Codes == tc.frac {
+				t.Fatalf("frac=%v: entry of %d bytes (codes %v), want %d", tc.frac, len(sb.Body), sb.Codes, tc.entry)
 			}
 		}
 		if len(saved) != tc.kept || held != tc.kept*tc.entry || held > 256<<10 {

@@ -3,6 +3,7 @@ package rxnet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -277,4 +278,125 @@ func FuzzChunkCursor(f *testing.F) {
 			t.Fatalf("contiguous chunk: dup %v reset %v", dup, reset)
 		}
 	})
+}
+
+// FuzzReplayTail runs random sequences of appends, trims, after-Seq
+// reads and budget changes against ReplayTail and a reference model, a
+// plain slice filtered by Seq and budget. Each op is two bytes: an
+// opcode and an argument. Appends take Seq steps of 1 to 3 from start,
+// so a start near MaxUint32 wraps, and bodies of 1054 (a code chunk)
+// or 4126 bytes (a float64 one); budgets include ones smaller than any
+// entry. After every op the tail must hold exactly the model's entries
+// and bytes, and no slot it vacated may still reference a body.
+func FuzzReplayTail(f *testing.F) {
+	f.Add(uint32(1), []byte{0, 0, 0, 1, 0, 0, 1, 2, 2, 1, 0, 0})
+	f.Add(uint32(math.MaxUint32-3), []byte{3, 3, 0, 0, 0, 5, 0, 1, 0, 2, 2, 4, 1, 6, 2, 9})
+	f.Add(uint32(math.MaxUint32), []byte{3, 1, 0, 0, 0, 1, 0, 0, 1, 3, 2, 0})
+	f.Add(uint32(7), []byte{3, 0, 0, 0, 0, 1, 2, 8, 1, 15, 0, 0, 2, 1})
+
+	budgets := []int{1 << 20, 0, 500, 1054, 4126, 3 * 1054, 3 * 4126, 10000}
+	f.Fuzz(func(t *testing.T, start uint32, ops []byte) {
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		var tail ReplayTail
+		var model []ReplayEntry
+		budget, held := budgets[0], 0
+		newest := start - 1
+		// Bodies are distinct windows of one arena: entries are told
+		// apart by where their bodies start.
+		arena := make([]byte, 4126+len(ops))
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%4, ops[i+1]
+			// The Seq a trim or a read names: up to 11 behind the newest
+			// appended Seq, or up to 4 past it.
+			target := newest - uint32(arg%16) + 4
+			base := tail.entries[:cap(tail.entries)]
+			switch op {
+			case 0:
+				newest += 1 + uint32(arg%3)
+				size := 1054
+				if arg&4 != 0 {
+					size = 4126
+				}
+				e := ReplayEntry{Seq: newest, Body: arena[i : i+size], Codes: size == 1054}
+				model = append(model, e)
+				held += size
+				want := 0
+				for held > budget && len(model) > 1 {
+					want += len(model[0].Body)
+					held -= len(model[0].Body)
+					model = model[1:]
+				}
+				if got := tail.Append(e, budget); got != want {
+					t.Fatalf("op %d: Append(seq %d, budget %d) evicted %d bytes, model %d", i/2, e.Seq, budget, got, want)
+				}
+			case 1:
+				var keep []ReplayEntry
+				want := 0
+				for _, e := range model {
+					if SeqLEq(e.Seq, target) {
+						want += len(e.Body)
+					} else {
+						keep = append(keep, e)
+					}
+				}
+				model = keep
+				held -= want
+				if got := tail.TrimThrough(target); got != want {
+					t.Fatalf("op %d: TrimThrough(%d) freed %d bytes, model %d", i/2, target, got, want)
+				}
+			case 2:
+				var want []ReplayEntry
+				for _, e := range model {
+					if SeqLess(target, e.Seq) {
+						want = append(want, e)
+					}
+				}
+				wantGap := len(model) > 0 && SeqLess(target+1, model[0].Seq)
+				got, gap := tail.After(target)
+				if gap != wantGap {
+					t.Fatalf("op %d: After(%d) gap %v, model %v", i/2, target, gap, wantGap)
+				}
+				sameEntries(t, fmt.Sprintf("op %d: After(%d)", i/2, target), got, want)
+			case 3:
+				budget = budgets[int(arg)%len(budgets)]
+			}
+			sameEntries(t, fmt.Sprintf("op %d: tail", i/2), tail.Entries(), model)
+			if got := tail.Bytes(); got != held {
+				t.Fatalf("op %d: Bytes() = %d, model %d", i/2, got, held)
+			}
+			live := tail.entries
+			if len(live) == 0 && cap(live) != 0 {
+				t.Fatalf("op %d: empty tail keeps a %d-slot array", i/2, cap(live))
+			}
+			for j, e := range live[len(live):cap(live)] {
+				if e.Body != nil {
+					t.Fatalf("op %d: slot len+%d still references a body", i/2, j)
+				}
+			}
+			// Slots trimmed off the front of the same array must be
+			// cleared too.
+			if cap(live) > 0 && cap(base) > 0 && &live[:cap(live)][cap(live)-1] == &base[cap(base)-1] {
+				for j, e := range base[:cap(base)-cap(live)] {
+					if e.Body != nil {
+						t.Fatalf("op %d: vacated slot %d still references a body", i/2, j)
+					}
+				}
+			}
+		}
+	})
+}
+
+// sameEntries fails unless got holds want's entries, bodies included.
+func sameEntries(t *testing.T, what string, got, want []ReplayEntry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, model %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Seq != want[i].Seq || got[i].Codes != want[i].Codes || &got[i].Body[0] != &want[i].Body[0] {
+			t.Fatalf("%s: entry %d is seq %d, model seq %d", what, i, got[i].Seq, want[i].Seq)
+		}
+	}
 }

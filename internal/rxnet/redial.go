@@ -294,18 +294,11 @@ func (n *Node) dialOnce() (net.Conn, error) {
 // while the current connection's server has answered the Hello;
 // otherwise, and on every fresh connection, it is expanded to its
 // float64 frame. Callers hold n.mu.
-func (n *Node) writeChunkLocked(sb savedBody) error {
+func (n *Node) writeChunkLocked(e ReplayEntry) error {
 	for {
 		gen := n.gen
-		t, body := FrameSampleChunk, sb.body
-		if sb.codes {
-			// A plain node (gen 0) never asks, so is never answered.
-			if gen > 0 && n.codesGen.Load() == int64(gen) {
-				t = FrameCodeChunk
-			} else {
-				body = n.floatBodyLocked(sb)
-			}
-		}
+		// A plain node (gen 0) never asks, so is never answered.
+		t, body := e.Frame(gen > 0 && n.codesGen.Load() == int64(gen), false, &n.wbuf)
 		if err := n.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err == nil {
 			if err := WriteFrame(n.conn, t, body); err == nil {
 				return nil
@@ -325,57 +318,38 @@ func (n *Node) writeChunkLocked(sb savedBody) error {
 	}
 }
 
-// floatBodyLocked returns sb's float64 body, expanding a code body
-// into the node's scratch buffer. Callers hold n.mu; the result is
-// valid until the next call.
-func (n *Node) floatBodyLocked(sb savedBody) []byte {
-	if !sb.codes {
-		return sb.body
+// resendLocked retransmits entries on conn as float64 SampleReplay
+// frames, like every resend: the server of a fresh connection has not
+// answered its Hello yet. Callers hold n.mu.
+func (n *Node) resendLocked(conn net.Conn, entries []ReplayEntry) error {
+	for _, e := range entries {
+		if err := conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			return err
+		}
+		t, body := e.Frame(false, true, &n.wbuf)
+		if err := WriteFrame(conn, t, body); err != nil {
+			return err
+		}
+		n.resent.Add(1)
 	}
-	n.wbuf = AppendSampleBody(n.wbuf[:0], sb.body)
-	return n.wbuf
+	return nil
 }
 
-// saveChunkLocked keeps one sent chunk's body in the stream's bounded
-// resend buffer, trimming the oldest entries past the byte budget.
-// Callers hold n.mu; the body is not written to again.
-func (n *Node) saveChunkLocked(st *streamState, sb savedBody) {
-	limit := n.rcfg.ResendBytes
-	st.saved = append(st.saved, sb)
-	st.savedBytes += len(sb.body)
-	drop := 0
-	for st.savedBytes > limit && drop < len(st.saved)-1 {
-		st.savedBytes -= len(st.saved[drop].body)
-		drop++
-	}
-	if drop > 0 {
-		st.saved = append(st.saved[:0], st.saved[drop:]...)
-	}
-}
-
-// resendSavedOn retransmits every stream's buffered tail on conn as
-// float64 SampleReplay frames: the server of a fresh connection has
-// not answered its Hello yet. Callers hold n.mu; conn is not yet
-// installed as n.conn, so a failure leaves the node's state untouched.
+// resendSavedOn retransmits every stream's buffered tail on conn.
+// Callers hold n.mu; conn is not yet installed as n.conn, so a failure
+// leaves the node's state untouched.
 func (n *Node) resendSavedOn(conn net.Conn) error {
 	for _, st := range n.streams {
-		for _, sb := range st.saved {
-			if err := conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-				return err
-			}
-			if err := WriteFrame(conn, FrameSampleReplay, n.floatBodyLocked(sb)); err != nil {
-				return err
-			}
-			n.resent.Add(1)
+		if err := n.resendLocked(conn, st.tail.Entries()); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // handleStreamNack answers a server StreamNack by retransmitting the
-// buffered chunks past the server's cursor as float64 SampleReplay
-// frames, like every resend — how a failover router that never saw
-// the stream rebuilds it without a continuity reset.
+// buffered chunks past the server's cursor — how a failover router
+// that never saw the stream rebuilds it without a continuity reset.
 func (n *Node) handleStreamNack(nk StreamNack) {
 	if SessionNodeID(nk.Session) != n.hello.NodeID {
 		return
@@ -384,23 +358,13 @@ func (n *Node) handleStreamNack(nk StreamNack) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.streams[streamID]
-	if st == nil || len(st.saved) == 0 || n.conn == nil {
+	if st == nil || n.conn == nil {
 		return
 	}
-	for _, sb := range st.saved {
-		if !SeqLess(nk.LastSeq, sb.seq) {
-			continue // server already consumed it
-		}
-		if err := n.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-			return
-		}
-		if err := WriteFrame(n.conn, FrameSampleReplay, n.floatBodyLocked(sb)); err != nil {
-			// The connection died mid-resend; the next write or the
-			// control reader reconnects and replays the full tail.
-			return
-		}
-		n.resent.Add(1)
-	}
+	// A write failure means the connection died mid-resend; the next
+	// write or the control reader reconnects and replays the full tail.
+	later, _ := st.tail.After(nk.LastSeq)
+	_ = n.resendLocked(n.conn, later)
 }
 
 // pauseGate blocks while a flow-controlled node is paused by the

@@ -333,12 +333,6 @@ type Engine struct {
 	rateSamples int64
 }
 
-// DefaultShards reports the shard count a zero EngineConfig resolves
-// to in this process — the GOMAXPROCS-bound auto setting. Tooling
-// (benchdump) records it alongside bench results so committed
-// baselines say what sharding they actually ran with.
-func DefaultShards() int { return EngineConfig{}.withDefaults().Shards }
-
 // NewEngine starts the sharded worker pool and idle-eviction janitor.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	cfg = cfg.withDefaults()

@@ -90,9 +90,8 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // HistogramSnapshot is a consistent-enough point-in-time copy of a
-// histogram — the one distribution schema shared by /metrics.json,
-// the Prometheus summary rendering, and benchdump's committed BENCH
-// files.
+// histogram — the one distribution schema shared by /metrics.json
+// and the Prometheus summary rendering.
 type HistogramSnapshot struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`

@@ -4,9 +4,7 @@
 // snapshots to JSON and renders Prometheus text exposition. The hot
 // layers (internal/stream, internal/rxnet, the root Pipeline) record
 // into it; cmd/plnet serves it live on /metrics, /metrics.json and
-// /healthz; cmd/benchdump embeds the same HistogramSnapshot schema in
-// committed BENCH files, so offline baselines and live metrics stay
-// diffable against each other.
+// /healthz.
 //
 // Everything is stdlib-only and safe for concurrent use. Recording
 // (Counter.Add, Histogram.Observe) is wait-free — one
