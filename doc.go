@@ -271,15 +271,20 @@
 // The simulation and decode hot paths are plan-cached: the channel
 // renderer specializes time-invariant/uniform light sources and
 // piecewise-constant reflectance profiles (bit-identical to the
-// generic evaluator), the FFT runs over cached twiddle/bit-reversal
-// plans with a real-input path for power spectra, DTW runs a pooled
-// two-row band-limited dynamic program, and the threshold decoder's
-// timing search is branch-and-bound (a grid candidate is dropped as
-// soon as it cannot outrank the best one) over window maxima from a
-// one-level table: each power-of-two width it queries is built in
-// O(n) from block prefix and suffix maxima, not by doubling through
-// every narrower width. Both are bit-identical to the exhaustive
-// search and the doubling table, kept as test reference models.
+// generic evaluator) and starts each time step's footprint coverage
+// search from the last step's indices, the FFT runs over cached
+// twiddle/bit-reversal plans with a real-input path for power
+// spectra, DTW runs a pooled two-row band-limited dynamic program,
+// and the threshold decoder's timing search is branch-and-bound (a
+// grid candidate is dropped as soon as it cannot outrank the best
+// one) over window maxima from a one-level table: each power-of-two
+// width it queries is built in O(n) from block prefix and suffix
+// maxima, not by doubling through every narrower width. Both are
+// bit-identical to the exhaustive search and the doubling table, kept
+// as test reference models. The preamble anchors and the outdoor
+// car-shape extrema come from one linear prominence-threshold scan
+// (dsp.PreambleExtrema, dsp.ProminentExtrema), bit-identical to the
+// exact-prominence peak lists kept as the test reference.
 // Measured against the PR 1 baseline on the same hardware (see
 // BENCH_PR3.json for the committed machine-readable numbers):
 // BenchmarkDTWClassify ~14x, BenchmarkFFTCollision ~6x,

@@ -190,6 +190,43 @@ func (o *planObject) below(xs []float64, lo, hi int, off, edge float64) int {
 	return lo + sort.Search(hi-lo, func(d int) bool { return o.lead-xs[lo+d]-off < edge })
 }
 
+// seek returns below(xs, lo, hi, off, edge), galloping out from hint
+// (clamped into [lo, hi]) to bracket the answer before the binary
+// search. The predicate is monotone in k, so any hint gives the same
+// first-true index. With the last time step's index as the hint it
+// takes a few comparisons: between samples an edge outside the
+// footprint stays put, and one crossing it moves a few indices (3-4
+// on the 18 km/h outdoor pass).
+func (o *planObject) seek(xs []float64, lo, hi, hint int, off, edge float64) int {
+	hint = min(max(hint, lo), hi)
+	if hint > lo && o.lead-xs[hint-1]-off < edge {
+		// The answer lies in [lo, hint-1]: gallop down from there.
+		top, step := hint-1, 1
+		for {
+			k := top - step
+			if k < lo {
+				return o.below(xs, lo, top, off, edge)
+			}
+			if !(o.lead-xs[k]-off < edge) {
+				return o.below(xs, k+1, top, off, edge)
+			}
+			top, step = k, 2*step
+		}
+	}
+	// The answer lies in [hint, hi]: gallop up.
+	bot, step := hint, 1
+	for {
+		k := bot + step - 1
+		if k >= hi {
+			return o.below(xs, bot, hi, off, edge)
+		}
+		if o.lead-xs[k]-off < edge {
+			return o.below(xs, bot, k, off, edge)
+		}
+		bot, step = k+1, 2*step
+	}
+}
+
 // step sets the object's run state at footprint index k < kEnd:
 // coverage (u >= 0 and u < length, i.e. k in [kLo, kHi)), then the
 // overlay layer if v = u - ovOffset lies in [0, ovLen), else the base
@@ -247,8 +284,8 @@ func (p *renderPlan) advance(t float64) (kStart, kEnd int) {
 	for j := range p.objs {
 		o := &p.objs[j]
 		o.lead = o.traj.PositionAt(t)
-		o.kLo = o.below(p.xs, 0, n, 0, o.length)
-		o.kHi = o.below(p.xs, o.kLo, n, 0, 0)
+		o.kLo = o.seek(p.xs, 0, n, o.kLo, 0, o.length)
+		o.kHi = o.seek(p.xs, o.kLo, n, o.kHi, 0, 0)
 		o.next = 0
 		if o.kLo < o.kHi {
 			kStart, kEnd = min(kStart, o.kLo), max(kEnd, o.kHi)

@@ -104,8 +104,9 @@ func assertPlanMatchesGeneric(t *testing.T, name string, s *scene.Scene, r Recei
 }
 
 // TestRenderPlanMatchesGeneric locks the fast path to the generic
-// evaluator bit for bit across every specialization and on the
-// paper's outdoor pass.
+// evaluator bit for bit across every specialization, on the paper's
+// outdoor pass, and on a car that backs up halfway through the
+// footprint, so the warm-started footprint search moves both ways.
 func TestRenderPlanMatchesGeneric(t *testing.T) {
 	r := Receiver{Height: 0.2, FoVHalfAngleDeg: 5}
 	for name, s := range planScenes(t) {
@@ -113,6 +114,67 @@ func TestRenderPlanMatchesGeneric(t *testing.T) {
 	}
 	s, dur := outdoorScene(t, "1001")
 	assertPlanMatchesGeneric(t, "outdoor", s, outdoorReceiver, 0, outdoorFs, int(dur*outdoorFs))
+
+	// Forward 3 m (the hood and windshield cross the footprint), back
+	// 1.6 m, then forward until the tail has cleared.
+	start := -(1 + outdoorReceiver.FootprintRadius())
+	traj, err := scene.NewPiecewiseSpeed(start, []scene.SpeedSegment{
+		{Until: 0.6, Speed: 5}, {Until: 1.0, Speed: -4}, {Until: math.Inf(1), Speed: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := coding.NewPacket("1001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := scene.VolvoV40()
+	car, err := scene.NewTaggedCarObject(model, mustTagOf(t, pkt, tag.Config{SymbolWidth: 0.10}), traj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur = 1 + (model.Length()+1.6-3-start+outdoorReceiver.FootprintRadius()+0.5)/5
+	assertPlanMatchesGeneric(t, "outdoor reversing", scene.New(optics.Sun{Lux: 6200}, car), outdoorReceiver, 0, outdoorFs, int(dur*outdoorFs))
+}
+
+// TestSeekMatchesBelow checks the galloping footprint search against
+// the plain binary search for every hint in [0, n] (and past both
+// ends) on random monotone predicates: footprints with tied points,
+// every sub-range [lo, hi), and thresholds below, inside and above
+// the footprint, NaN included.
+func TestSeekMatchesBelow(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		xs := make([]float64, n)
+		x := rng.Float64()
+		for k := range xs {
+			if rng.Intn(4) != 0 {
+				x += math.Round(rng.Float64()*8) / 64
+			}
+			xs[k] = x
+		}
+		o := &planObject{lead: xs[0] + rng.Float64()*(xs[n-1]-xs[0]+1)}
+		if trial%50 == 0 {
+			o.lead = math.NaN()
+		}
+		off := []float64{0, 0.25, -0.125}[trial%3]
+		edge := (rng.Float64()*2 - 1) * (xs[n-1] - xs[0] + 1)
+		if rng.Intn(3) == 0 {
+			// An edge the coordinate meets exactly at some point.
+			edge = o.lead - xs[rng.Intn(n)] - off
+		}
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n; hi++ {
+				want := o.below(xs, lo, hi, off, edge)
+				for hint := -2; hint <= n+2; hint++ {
+					if got := o.seek(xs, lo, hi, hint, off, edge); got != want {
+						t.Fatalf("trial %d: seek(lo %d, hi %d, hint %d) = %d, below = %d", trial, lo, hi, hint, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // planDraws draws the random scene parameters. On a grid draw every

@@ -3,6 +3,7 @@ package decoder
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"passivelight/internal/dsp"
 	"passivelight/internal/trace"
@@ -30,6 +31,18 @@ type ShapeExtremum struct {
 	IsPeak bool
 }
 
+// shapeScratch pools DetectCarShape's working buffers, so a call
+// allocates only the Extrema list it returns.
+type shapeScratch struct {
+	sm             dsp.Smoother
+	smooth         []float64
+	peaks, valleys []dsp.Peak
+	order          []int
+	suppressed     []bool
+}
+
+var shapePool = sync.Pool{New: func() any { return new(shapeScratch) }}
+
 // DetectCarShape finds the hood-peak / windshield-valley pattern that
 // marks an approaching car. The smoothing window is wide (tens of
 // milliseconds) so stripe-level detail does not hide the body shape.
@@ -43,18 +56,30 @@ func DetectCarShape(tr *trace.Trace) (CarSignature, error) {
 	if win < 3 {
 		win = 3
 	}
-	smooth := dsp.MovingAverage(tr.Samples, win)
+	sc := shapePool.Get().(*shapeScratch)
+	defer shapePool.Put(sc)
+	sc.sm.Bind(tr.Samples)
+	sc.smooth = sc.sm.MovingAverage(sc.smooth, win)
+	// Car body features are >= 100 ms apart at street speeds;
+	// suppress plateau double-peaks and glint spikes closer than that.
+	return sc.signature(sc.smooth, int(tr.Fs*0.1))
+}
+
+// signature finds the car shape in the smoothed trace: the extrema
+// whose prominence reaches a fifth of its range, thinned to one per
+// minDist samples.
+func (sc *shapeScratch) signature(smooth []float64, minDist int) (CarSignature, error) {
 	lo, hi := dsp.MinMax(smooth)
 	rng := hi - lo
 	if rng <= 0 {
 		return CarSignature{}, errors.New("decoder: flat trace")
 	}
+	// A NaN range passes the test above; the NaN threshold then keeps
+	// every extremum.
 	prom := 0.2 * rng
-	// Car body features are >= 100 ms apart at street speeds;
-	// suppress plateau double-peaks and glint spikes closer than that.
-	minDist := int(tr.Fs * 0.1)
-	peaks := dsp.FindPeaks(smooth, dsp.PeakOptions{MinProminence: prom, MinDistance: minDist})
-	valleys := dsp.FindValleys(smooth, dsp.PeakOptions{MinProminence: prom, MinDistance: minDist})
+	peaks := sc.thin(dsp.ProminentExtrema(sc.peaks[:0], smooth, prom, dsp.Maxima), minDist, 1)
+	valleys := sc.thin(dsp.ProminentExtrema(sc.valleys[:0], smooth, prom, dsp.Minima), minDist, -1)
+	sc.peaks, sc.valleys = peaks, valleys
 	if len(peaks) == 0 || len(valleys) == 0 {
 		return CarSignature{}, errors.New("decoder: no car-shape features found")
 	}
@@ -73,6 +98,7 @@ func DetectCarShape(tr *trace.Trace) (CarSignature, error) {
 	}
 	sig.RoofStartIndex = sig.WindshieldValleyIndex
 	// Collect the merged, time-ordered extrema list.
+	sig.Extrema = make([]ShapeExtremum, 0, len(peaks)+len(valleys))
 	pi, vi := 0, 0
 	for pi < len(peaks) || vi < len(valleys) {
 		switch {
@@ -91,6 +117,45 @@ func DetectCarShape(tr *trace.Trace) (CarSignature, error) {
 		}
 	}
 	return sig, nil
+}
+
+// thin drops, in place, every extremum within minDist samples of a
+// kept one that ranks higher (sign*Value larger; ties keep the
+// earlier), visiting candidates from the highest down. An extremum
+// dropped this way drops nothing itself.
+func (sc *shapeScratch) thin(ext []dsp.Peak, minDist int, sign float64) []dsp.Peak {
+	if minDist <= 0 || len(ext) < 2 {
+		return ext
+	}
+	order := sc.order[:0]
+	for i := range ext {
+		order = append(order, i)
+	}
+	// Insertion sort by rank descending, stable (lists are short).
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && sign*ext[order[j]].Value > sign*ext[order[j-1]].Value; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	suppressed := append(sc.suppressed[:0], make([]bool, len(ext))...)
+	for _, i := range order {
+		if suppressed[i] {
+			continue
+		}
+		for j := range ext {
+			if d := ext[j].Index - ext[i].Index; j != i && !suppressed[j] && max(d, -d) < minDist {
+				suppressed[j] = true
+			}
+		}
+	}
+	kept := ext[:0]
+	for i, p := range ext {
+		if !suppressed[i] {
+			kept = append(kept, p)
+		}
+	}
+	sc.order, sc.suppressed = order, suppressed
+	return kept
 }
 
 // TwoPhaseResult bundles the Sec. 5.2 two-phase decode.

@@ -1,6 +1,8 @@
 package decoder
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"passivelight/internal/trace"
@@ -87,6 +89,37 @@ func TestDetectCarShapeErrors(t *testing.T) {
 	}
 	if _, err := DetectCarShape(trace.New(2000, 0, flat)); err == nil {
 		t.Fatal("flat trace should fail")
+	}
+}
+
+// TestCarShapeNaNRangeKeepsEveryExtremum pins what a NaN range does:
+// it passes the flat-trace test (NaN <= 0 is false), and the NaN
+// prominence threshold then keeps every extremum, as the list-based
+// detector's filter did, leaving only the distance thinning. Prefix
+// sums spread a NaN sample over the whole smoothed trace, so the
+// smoothed samples are given directly.
+func TestCarShapeNaNRangeKeepsEveryExtremum(t *testing.T) {
+	smooth := []float64{math.NaN(), 0, 1, 0, 0.5, 0.4, 0.5, 0}
+	sig, err := new(shapeScratch).signature(smooth, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CarSignature{
+		HoodPeakIndex: 2, WindshieldValleyIndex: 3, RoofStartIndex: 3,
+		Extrema: []ShapeExtremum{{2, 1, true}, {3, 0, false}, {4, 0.5, true}, {5, 0.4, false}, {6, 0.5, true}},
+	}
+	if !reflect.DeepEqual(sig, want) {
+		t.Fatalf("signature %+v, want %+v", sig, want)
+	}
+	// Thinning still applies: at 3 samples, the hood peak drops the
+	// peak at 4 and the windshield valley the valley at 5.
+	sig, err = new(shapeScratch).signature(smooth, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Extrema = []ShapeExtremum{{2, 1, true}, {3, 0, false}, {6, 0.5, true}}
+	if !reflect.DeepEqual(sig, want) {
+		t.Fatalf("minDist 3: signature %+v, want %+v", sig, want)
 	}
 }
 

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// TestProminencesMatchWalk locks the batch prominence sweep to the
-// reference per-peak walk on random signals (noise, plateaus, trends).
+// TestProminencesMatchWalk locks the reference's batch prominence
+// sweep to its per-peak walk on random signals (noise, plateaus,
+// trends), with and without NaN samples, which both step over.
 func TestProminencesMatchWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		n := 16 + rng.Intn(400)
 		x := make([]float64, n)
 		for i := range x {
@@ -25,11 +26,19 @@ func TestProminencesMatchWalk(t *testing.T) {
 				x[i] = math.Sin(float64(i)/7) + 0.3*rng.NormFloat64()
 			}
 		}
+		if trial >= 50 {
+			for k := 0; k < 1+rng.Intn(8); k++ {
+				x[rng.Intn(n)] = math.NaN()
+			}
+		}
 		peaks := FindPeaks(x, PeakOptions{})
-		for _, p := range peaks {
+		swept := append([]RefPeak(nil), peaks...)
+		prominences(x, swept)
+		for k, p := range peaks {
 			want := prominence(x, p.Index)
-			if p.Prominence != want {
-				t.Fatalf("trial %d: peak at %d: batch prominence %v, walk %v", trial, p.Index, p.Prominence, want)
+			if p.Prominence != want || swept[k].Prominence != want {
+				t.Fatalf("trial %d: peak at %d: FindPeaks prominence %v, sweep %v, walk %v",
+					trial, p.Index, p.Prominence, swept[k].Prominence, want)
 			}
 		}
 	}
@@ -62,10 +71,10 @@ func TestPreambleExtremaMatchesLists(t *testing.T) {
 		var wantA, wantB, wantC Peak
 		wantOK := false
 		if len(peaks) >= 1 {
-			wantA = peaks[0]
+			wantA = peaks[0].Peak
 			for _, v := range valleys {
 				if v.Index > wantA.Index {
-					wantB = v
+					wantB = v.Peak
 					wantOK = true
 					break
 				}
@@ -74,7 +83,7 @@ func TestPreambleExtremaMatchesLists(t *testing.T) {
 				wantOK = false
 				for _, p := range peaks {
 					if p.Index > wantB.Index {
-						wantC = p
+						wantC = p.Peak
 						wantOK = true
 						break
 					}

@@ -640,6 +640,13 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 		delete(l.conns, lc)
 		l.mu.Unlock()
 	}()
+	select {
+	case <-l.closed:
+		// Close snapshotted the connections it closes before this one
+		// registered, so nothing else would end the read below.
+		return
+	default:
+	}
 	if draining {
 		// A peer connecting to a draining engine (e.g. a router
 		// redial) learns immediately.

@@ -183,6 +183,32 @@ func TestChunkListenerCloseDrainsQueued(t *testing.T) {
 	}
 }
 
+// TestServeConnAfterCloseReturns covers a connection accepted just
+// before Close snapshots the live connections: its handler registers
+// too late to be closed by Close, so it must notice the closed
+// listener itself instead of reading until its 2-minute deadline.
+func TestServeConnAfterCloseReturns(t *testing.T) {
+	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	node, conn := net.Pipe()
+	t.Cleanup(func() { node.Close() })
+	l.wg.Add(1) // as acceptLoop does before starting the handler
+	go l.serveConn(conn)
+	closed := make(chan struct{})
+	go func() {
+		l.wg.Wait()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("serveConn still reading a node connection 1 s after Close")
+	}
+}
+
 // TestChunkCursorAdvance is the stream-continuity rule, case by case.
 func TestChunkCursorAdvance(t *testing.T) {
 	chunk := func(seq uint32, start uint64, n int) SampleChunk {

@@ -34,7 +34,6 @@ var reachAllowlist = map[string]string{
 	"(*internal/cluster/chaos.Injector).Injected":    "chaos harness: fault counter the churn and chaos tests assert on",
 	"(*internal/cluster/chaos.Script).Start":         "chaos harness: scripted kill/restart schedule TestScriptRunsStepsInOrder and the plnet e2e tests run",
 	"internal/channel.LevelAt":                       "reference model: the direct per-instant level TestLevelAtMatchesRender compares Render against",
-	"internal/dsp.prominence":                        "reference model: the per-peak walk TestProminencesMatchWalk compares the batched prominences against",
 	"(*internal/coding.Codebook).VerifyDistances":    "reference model: brute-force pairwise distances TestCodebookInvariants checks the greedy codebook against",
 	"internal/channel.PlanSpecialized":               "test seam: BenchmarkRenderOutdoorPass and BenchmarkScenarioMultiLane assert the render plan is specialized",
 	"(*internal/rxnet.ChunkListener).ReceivedChunks": "test seam: TestChunkListenerCloseDrainsQueued asserts the chunk-accounting identity through it",
