@@ -1,9 +1,6 @@
 package passivelight
 
 import (
-	"net/http"
-
-	"passivelight/internal/capacity"
 	"passivelight/internal/coding"
 	"passivelight/internal/core"
 	"passivelight/internal/decoder"
@@ -25,12 +22,6 @@ const (
 	Low  = coding.Low
 	High = coding.High
 )
-
-// NewPacket parses a bit string such as "10" into a Packet.
-func NewPacket(bits string) (Packet, error) { return coding.NewPacket(bits) }
-
-// MustPacket is NewPacket that panics on invalid input.
-func MustPacket(bits string) Packet { return coding.MustPacket(bits) }
 
 // Codebook selects payloads with a guaranteed minimum pairwise
 // Hamming distance (Sec. 4.2 of the paper).
@@ -98,12 +89,6 @@ func ScenarioStreamID(session, receiver int) uint64 {
 	return scenario.StreamID(session, receiver)
 }
 
-// ScenarioStreamSession recovers the load-session half of a stream id.
-func ScenarioStreamSession(id uint64) int { return scenario.StreamSession(id) }
-
-// ScenarioStreamReceiver recovers the receiver half of a stream id.
-func ScenarioStreamReceiver(id uint64) int { return scenario.StreamReceiver(id) }
-
 // ScenarioLoadPreset builds a named load preset from the load
 // registry ("fleet-load", ...). Callers may override Sessions and the
 // stagger policy on the returned value.
@@ -112,11 +97,6 @@ func ScenarioLoadPreset(name string) (ScenarioLoad, error) { return scenario.Get
 // ScenarioLoadPresets lists the load-registry presets sorted by name.
 func ScenarioLoadPresets() []ScenarioLoadEntry { return scenario.LoadEntries() }
 
-// RegisterScenarioLoad adds a named load preset to the registry.
-func RegisterScenarioLoad(name, description string, build func() (ScenarioLoad, error)) error {
-	return scenario.RegisterLoad(name, description, build)
-}
-
 // ScenarioPreset builds a named preset from the scenario registry
 // ("indoor-bench", "outdoor-pass", "car-signature", "collision",
 // "multi-lane", "tag-fleet", "weather-sweep", ...).
@@ -124,11 +104,6 @@ func ScenarioPreset(name string) (Scenario, error) { return scenario.Get(name) }
 
 // ScenarioPresets lists the registry presets sorted by name.
 func ScenarioPresets() []ScenarioEntry { return scenario.Entries() }
-
-// RegisterScenario adds a named preset to the registry.
-func RegisterScenario(name, description string, build func() (Scenario, error)) error {
-	return scenario.Register(name, description, build)
-}
 
 // IndoorBench is the paper's Sec. 4 controlled bench: an LED lamp and
 // receiver at equal height, a tag passing underneath. It is the typed
@@ -156,10 +131,6 @@ type DecodeResult = decoder.Result
 
 // TwoPhaseResult is the outdoor (car-shape + stripe) decode output.
 type TwoPhaseResult = decoder.TwoPhaseResult
-
-// Classifier matches distorted waveforms against clean baselines with
-// DTW (Sec. 4.2).
-type Classifier = decoder.Classifier
 
 // CollisionReport is the FFT collision analysis output (Sec. 4.3).
 type CollisionReport = decoder.CollisionReport
@@ -194,11 +165,6 @@ func SelectReceiver(noiseFloorLux float64, candidates ...ReceiverDevice) (Receiv
 	return frontend.SelectReceiver(noiseFloorLux, candidates...)
 }
 
-// NewClassifier builds a DTW waveform classifier; length <= 0 selects
-// 256 resampled points. Bind it to a stream with the DTWClassify
-// pipeline strategy, or call Classify directly.
-func NewClassifier(length int) *Classifier { return decoder.NewClassifier(length) }
-
 // StreamDetection is one decoded packet event from a streaming
 // session.
 type StreamDetection = stream.Detection
@@ -214,16 +180,16 @@ type SessionStats = stream.SessionStats
 // Telemetry is a metrics registry: named counters, gauges and
 // latency histograms that render as Prometheus text or JSON. Pass one
 // to a pipeline with WithTelemetry (and to ListenSourceConfig for
-// ingest metrics); serve it live with TelemetryHandler. Registration
-// is get-or-create, so one registry can be shared across every layer
-// of a process.
+// ingest metrics); read it with Snapshot or WritePrometheus.
+// Registration is get-or-create, so one registry can be shared across
+// every layer of a process.
 type Telemetry = telemetry.Registry
 
 // NewTelemetry builds an empty metrics registry.
 func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
 // TelemetryHealth aggregates named degradation checks for the
-// /healthz endpoint served by TelemetryHandler.
+// /healthz endpoint plnet serves on -metrics-addr.
 type TelemetryHealth = telemetry.Health
 
 // NewTelemetryHealth builds an empty health check set (always
@@ -237,27 +203,3 @@ type TelemetrySnapshot = telemetry.Snapshot
 // (count/sum/min/max plus p50/p90/p99), as served by the
 // /metrics.json endpoint.
 type TelemetryHistogram = telemetry.HistogramSnapshot
-
-// TelemetryHandler serves a registry over HTTP: /metrics (Prometheus
-// text), /metrics.json (TelemetrySnapshot), /healthz (200 "ok" or
-// 503 "degraded" per the health checks) and the net/http/pprof
-// profiles under /debug/pprof/. health may be nil.
-func TelemetryHandler(t *Telemetry, health *TelemetryHealth) http.Handler {
-	return telemetry.Handler(t, health)
-}
-
-// CapacitySweep is the configuration for decodable-region and
-// throughput measurements (Fig. 6).
-type CapacitySweep = capacity.SweepConfig
-
-// DecodableRegion sweeps symbol widths and reports the maximal
-// decodable height for each (Fig. 6(a)).
-func DecodableRegion(widths []float64, hLo, hHi, hStep float64, cfg CapacitySweep) ([]capacity.RegionPoint, error) {
-	return capacity.DecodableRegion(widths, hLo, hHi, hStep, cfg)
-}
-
-// ThroughputCurve reports symbols/second against receiver height
-// (Fig. 6(b)).
-func ThroughputCurve(heights []float64, wLo, wHi, wStep float64, cfg CapacitySweep) ([]capacity.ThroughputPoint, error) {
-	return capacity.ThroughputCurve(heights, wLo, wHi, wStep, cfg)
-}

@@ -32,22 +32,6 @@ func TestQuickstartEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadePacketHelpers(t *testing.T) {
-	p, err := NewPacket("0110")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.SymbolString() != "HLHL.HLLHLHHL" {
-		t.Fatalf("symbol string %q", p.SymbolString())
-	}
-	if MustPacket("1").BitString() != "1" {
-		t.Fatal("MustPacket")
-	}
-	if _, err := NewPacket("abc"); err == nil {
-		t.Fatal("invalid payload should fail")
-	}
-}
-
 func TestFacadeCodebook(t *testing.T) {
 	cb, err := NewCodebook(6, 3, 4)
 	if err != nil {

@@ -186,11 +186,11 @@ func fail(err error) {
 
 func printRegistry() {
 	fmt.Println("scenario registry (plsim -scenario <name>):")
-	for _, e := range scenario.Entries() {
+	for _, e := range passivelight.ScenarioPresets() {
 		fmt.Printf("  %-14s %s\n", e.Name, e.Description)
 	}
 	fmt.Println("\nload registry (plsim -scenario <name> -load N):")
-	for _, e := range scenario.LoadEntries() {
+	for _, e := range passivelight.ScenarioLoadPresets() {
 		fmt.Printf("  %-14s %s\n", e.Name, e.Description)
 	}
 	fmt.Println("\nlegacy aliases (accept the tuning flags; see -h):")
@@ -200,7 +200,7 @@ func printRegistry() {
 }
 
 func dump(name string) error {
-	spec, err := scenario.Get(name)
+	spec, err := passivelight.ScenarioPreset(name)
 	if err != nil {
 		return err
 	}
@@ -267,7 +267,7 @@ func resolveSpec(specPath, name string, lf legacyFlags) (scenario.Spec, error) {
 		}
 		return p.Spec()
 	default:
-		return scenario.Get(name)
+		return passivelight.ScenarioPreset(name)
 	}
 }
 

@@ -15,12 +15,13 @@
 //   - NewScenarioSource — any declarative Scenario (a registry
 //     preset, a JSON spec file, or a hand-built Spec), compiled and
 //     rendered on Open;
-//   - NewBenchSource / NewCarPassSource / NewLinkSource — the
-//     simulated testbed (indoor bench, Sec. 5 car pass, or any custom
-//     Link); the first two are thin typed wrappers over the scenario
-//     layer;
+//   - NewBenchSource / NewCarPassSource — the simulated testbed
+//     (indoor bench, Sec. 5 car pass), thin typed wrappers over the
+//     scenario layer;
+//   - NewLoadSource — a multi-receiver scenario or a load of many
+//     staggered sessions, every receiver of every session one stream;
 //   - NewChunkSource — a live feed of sample chunks from a channel;
-//   - ListenSource — a receiver-network listener: nodes stream raw
+//   - ListenSourceConfig — a receiver-network listener: nodes stream raw
 //     SampleChunk frames over TCP and each (node, stream) pair
 //     becomes one decode session. A chunk whose samples are all
 //     integer ADC codes may travel as 2-byte codes, negotiated in the
@@ -28,8 +29,8 @@
 //
 // A Pipeline binds one source to a decode strategy — Threshold
 // (Sec. 4.1 adaptive tau_r/tau_t), TwoPhase (Sec. 5 car-shape
-// preamble + stripe decode), Collision (Sec. 4.3 FFT analysis) or
-// DTWClassify (Sec. 4.2) — configured with functional options:
+// preamble + stripe decode) or Collision (Sec. 4.3 FFT analysis) —
+// configured with functional options:
 //
 //	src := passivelight.NewBenchSource(passivelight.IndoorBench{
 //		Height:      0.20, // m
@@ -69,7 +70,7 @@
 // offsets) — and compiles deterministically into a renderable link:
 // the same spec + seed renders a bit-identical trace every time, and
 // a spec round-trips through JSON losslessly. The preset registry
-// (ScenarioPreset, ScenarioPresets, RegisterScenario) ships the
+// (ScenarioPreset, ScenarioPresets) ships the
 // paper's worlds (indoor-bench, outdoor-pass, car-signature,
 // collision) plus multi-object workloads (multi-lane: staggered
 // tagged cars in adjacent lanes; tag-fleet: N tags at distinct
@@ -91,21 +92,25 @@
 // Receiver: CompileMulti then fans the one shared world out into one
 // deterministic core link per receiver (heterogeneous devices,
 // placements, per-receiver noise/seed overrides — the Sec. 4.4
-// deployment of several receivers covering one scene). NewMultiSource
-// replays all links into one Pipeline; every chunk carries its link's
-// stable stream id, so events attribute back to the receiver via
-// ScenarioStreamReceiver. The rx-lanes preset is the canonical form:
-// two staggered tagged lanes observed by an RX-LED pole and a
-// lens-focused photodiode on one gantry, two links, four detections:
+// deployment of several receivers covering one scene). NewLoadSource
+// over a one-session load replays all links into one Pipeline; every
+// chunk carries its link's stable stream id, so events attribute back
+// to the receiver through Streams. The rx-lanes preset is the
+// canonical form: two staggered tagged lanes observed by an RX-LED
+// pole and a lens-focused photodiode on one gantry, two links, four
+// detections:
 //
 //	spec, _ := passivelight.ScenarioPreset("rx-lanes")
-//	src := passivelight.NewMultiSource(spec)
+//	src := passivelight.NewLoadSource(passivelight.ScenarioLoad{Base: &spec, Sessions: 1})
 //	pipe, _ := passivelight.NewPipeline(src, passivelight.TwoPhase(),
 //		passivelight.WithExpectedSymbols(spec.Decode.ExpectedSymbols))
 //	events, _ := pipe.Run(ctx)
+//	names := map[uint64]string{}
+//	for _, st := range src.Streams() {
+//		names[st.ID] = st.Name
+//	}
 //	for _, ev := range events {
-//		rx := passivelight.ScenarioStreamReceiver(ev.Session)
-//		fmt.Println(src.Streams()[rx].Name, ev.BitString())
+//		fmt.Println(names[ev.Session], ev.BitString())
 //	}
 //
 // On top of the fan-out sits spec-driven load generation: a
@@ -113,13 +118,12 @@
 // each with its own deterministic seed and a staggered (optionally
 // jittered) start — hundreds of staggered passes from one JSON-sized
 // spec. NewLoadSource feeds sessions x receivers streams into one
-// pipeline; ScenarioStreamSession / ScenarioStreamReceiver split
-// every event's stream id back into (session, receiver). The
-// fleet-load preset (ScenarioLoadPreset) fans the indoor bench out
-// into 128 staggered sessions by default and is what the
-// EngineSessions benchmarks run from; Window bounds how many sessions
-// replay concurrently, which with WithIdleTimeout models a fleet
-// arriving over time against a bounded session table:
+// pipeline, and its Streams table maps every event's stream id back
+// to (session, receiver). The fleet-load preset (ScenarioLoadPreset)
+// fans the indoor bench out into 128 staggered sessions by default
+// and is what the EngineSessions benchmarks run from (the load's Pace
+// field replays every stream in real time on its own clock, as a live
+// fleet arrives):
 //
 //	load, _ := passivelight.ScenarioLoadPreset("fleet-load")
 //	load.Sessions = 256
@@ -141,13 +145,12 @@
 // serves a single recorded trace and a whole receiver deployment with
 // the same code path. In batch-equivalent mode (WithPreRoll(-1)) a
 // pipeline over a recorded trace produces detections bit-identical to
-// the batch decoder on the same samples. Whole-stream strategies
-// (Collision, DTWClassify) buffer per session and analyze at end of
-// stream.
+// the batch decoder on the same samples. The whole-stream Collision
+// strategy buffers per session and analyzes at end of stream.
 //
 // The receiver network (internal/rxnet, cmd/plnet) builds on this:
 // nodes either decode locally and publish compact detections to an
-// aggregator, or ship raw samples into a ListenSource pipeline whose
+// aggregator, or ship raw samples into a NetSource pipeline whose
 // sink feeds the aggregator's track fusion.
 //
 // # Cluster tier
@@ -160,7 +163,7 @@
 // the unchanged wire protocol and every chunk is forwarded raw to its
 // session's owning engine, with sticky routes, a bounded per-stream
 // replay buffer, and crash failover. Engines stay plain pipelines:
-// plnet -mode engine wraps ListenSource + Pipeline with a graceful
+// plnet -mode engine wraps a NetSource + Pipeline with a graceful
 // drain path (SIGTERM or a wire drain request → refuse new streams,
 // finish in-flight ones, flush, NACK stragglers to the router for
 // replay on their new owner, exit clean), NetSource exposes the same
@@ -306,13 +309,13 @@
 // is lossless: a full queue pushes back on the nodes over TCP, and
 // only chunks stranded by a closing source count as dropped.
 //
-// The registry renders Prometheus text exposition and JSON;
-// TelemetryHandler serves both plus a /healthz endpoint driven by
-// TelemetryHealth checks. Histograms are log-bucketed (HDR-style,
+// The registry renders Prometheus text exposition and JSON; plnet's
+// -metrics-addr endpoint serves both plus a /healthz endpoint driven
+// by TelemetryHealth checks. Histograms are log-bucketed (HDR-style,
 // ~6% worst-case quantile error) and every recording is a single
 // atomic add, so telemetry can stay attached under production load;
 // with no registry attached the hot paths skip instrumentation
-// entirely. cmd/plnet serves a live endpoint via -metrics-addr.
+// entirely.
 //
 // The runnable programs under cmd/ and the examples/ directory cover
 // the paper's indoor bench, the outdoor car application and the

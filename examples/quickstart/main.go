@@ -1,7 +1,8 @@
 // Quickstart: encode two bits on a reflective tag, slide it under a
 // lamp-lit receiver, and decode the reflected light — the paper's
 // Fig. 5 as one Pipeline: a simulated bench source bound to the
-// adaptive threshold strategy.
+// adaptive threshold strategy. The rendered trace is then fed again
+// chunk by chunk through a ChunkSource, the live-feed path.
 package main
 
 import (
@@ -43,4 +44,29 @@ func main() {
 	}
 	tr := src.Trace()
 	fmt.Printf("trace   : %d samples at %g Hz\n", tr.Len(), tr.Fs)
+
+	// Live half: the same trace arrives chunk by chunk, as from a
+	// receiver, and decodes in the default bounded-memory mode.
+	chunks := make(chan passivelight.SourceChunk)
+	go func() {
+		defer close(chunks)
+		for c := range tr.Chunks(500) {
+			chunks <- passivelight.SourceChunk{Samples: c}
+		}
+	}()
+	live, err := passivelight.NewPipeline(passivelight.NewChunkSource(tr.Fs, chunks),
+		passivelight.Threshold(), passivelight.WithExpectedSymbols(8))
+	if err != nil {
+		log.Fatal(err)
+	}
+	events, err = live.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.Err != nil {
+			log.Fatal(ev.Err)
+		}
+		fmt.Printf("live    : %s success=%v\n", ev.Symbols, ev.BitString() == packet.BitString())
+	}
 }

@@ -37,18 +37,14 @@ func TestMultiLinkDeterminism(t *testing.T) {
 	if same {
 		t.Fatal("both receivers produced the identical trace; per-receiver streams are not independent")
 	}
-	// Stream ids are stable and recover (session, receiver).
+	// Stream ids are stable and pack session<<32 | receiver.
 	for i, l := range m1.Links {
-		if l.StreamID != StreamID(0, i) {
+		if l.StreamID != StreamID(0, i) || l.StreamID != uint64(i) {
 			t.Fatalf("link %d stream id %d", i, l.StreamID)
 		}
-		if StreamSession(l.StreamID) != 0 || StreamReceiver(l.StreamID) != i {
-			t.Fatalf("stream id %d does not split back to (0, %d)", l.StreamID, i)
-		}
 	}
-	id := StreamID(130, 3)
-	if StreamSession(id) != 130 || StreamReceiver(id) != 3 {
-		t.Fatalf("StreamID(130,3) -> (%d,%d)", StreamSession(id), StreamReceiver(id))
+	if id := StreamID(130, 3); id != 130<<32|3 {
+		t.Fatalf("StreamID(130,3) = %#x, want %#x", id, uint64(130)<<32|3)
 	}
 }
 

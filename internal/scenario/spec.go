@@ -557,12 +557,6 @@ func StreamID(session, receiver int) uint64 {
 	return uint64(uint32(session))<<32 | uint64(uint32(receiver))
 }
 
-// StreamSession recovers the session half of a StreamID.
-func StreamSession(id uint64) int { return int(id >> 32) }
-
-// StreamReceiver recovers the receiver half of a StreamID.
-func StreamReceiver(id uint64) int { return int(uint32(id)) }
-
 // receiversList resolves the effective receiver list: Receivers when
 // set (the multi-receiver form), else the single Receiver field as a
 // one-element list.

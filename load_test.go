@@ -6,6 +6,8 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"passivelight/internal/decoder"
 )
 
 // TestMultiLinkRxLanesAttribution is the acceptance lock for the
@@ -21,7 +23,7 @@ func TestMultiLinkRxLanesAttribution(t *testing.T) {
 	if len(spec.Receivers) < 2 {
 		t.Fatalf("rx-lanes declares %d receivers, want >= 2", len(spec.Receivers))
 	}
-	src := NewMultiSource(spec).Chunked(2048)
+	src := NewLoadSource(ScenarioLoad{Base: &spec, Sessions: 1})
 	pipe, err := NewPipeline(src, TwoPhase(), WithExpectedSymbols(spec.Decode.ExpectedSymbols))
 	if err != nil {
 		t.Fatal(err)
@@ -35,16 +37,22 @@ func TestMultiLinkRxLanesAttribution(t *testing.T) {
 		t.Fatalf("%d streams for %d receivers", len(streams), len(spec.Receivers))
 	}
 	byStream := map[uint64][]string{}
+	for _, st := range streams {
+		if st.Session != 0 || st.ID != ScenarioStreamID(0, st.Receiver) {
+			t.Fatalf("stream %s keyed (%d,%d) id=%d", st.Name, st.Session, st.Receiver, st.ID)
+		}
+		byStream[st.ID] = nil
+	}
 	for _, ev := range events {
 		if ev.Err != nil {
 			t.Fatalf("session %d event error: %v", ev.Session, ev.Err)
 		}
+		if _, ok := byStream[ev.Session]; !ok {
+			t.Fatalf("event on stream %d, which Streams does not list", ev.Session)
+		}
 		byStream[ev.Session] = append(byStream[ev.Session], ev.BitString())
 	}
 	for _, st := range streams {
-		if st.Session != 0 || ScenarioStreamReceiver(st.ID) != st.Receiver {
-			t.Fatalf("stream %s keyed (%d,%d) id=%d", st.Name, st.Session, st.Receiver, st.ID)
-		}
 		got := byStream[st.ID]
 		if len(got) != len(st.Packets) {
 			t.Fatalf("receiver %s decoded %d packets (%v), scene encodes %d", st.Name, len(got), got, len(st.Packets))
@@ -75,16 +83,24 @@ func TestLoadSourceFleetThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	streams := src.Streams()
+	if len(streams) != load.Sessions {
+		t.Fatalf("%d streams for %d sessions", len(streams), load.Sessions)
+	}
+	byID := map[uint64]MultiStream{}
+	for _, st := range streams {
+		byID[st.ID] = st
+	}
 	decoded := map[int][]string{}
 	for _, ev := range events {
 		if ev.Err != nil {
 			t.Fatalf("session %d event error: %v", ev.Session, ev.Err)
 		}
-		decoded[ScenarioStreamSession(ev.Session)] = append(decoded[ScenarioStreamSession(ev.Session)], ev.BitString())
-	}
-	streams := src.Streams()
-	if len(streams) != load.Sessions {
-		t.Fatalf("%d streams for %d sessions", len(streams), load.Sessions)
+		st, ok := byID[ev.Session]
+		if !ok {
+			t.Fatalf("event on stream %d, which Streams does not list", ev.Session)
+		}
+		decoded[st.Session] = append(decoded[st.Session], ev.BitString())
 	}
 	for _, st := range streams {
 		got := decoded[st.Session]
@@ -137,22 +153,6 @@ func TestLoadOversubscriptionSurfacesTableFull(t *testing.T) {
 	}
 }
 
-// pacedSource delays each stream hand-off so the engine's idle
-// janitor gets wall-clock room to evict finished sessions between
-// staggered arrivals.
-type pacedSource struct {
-	Source
-	delay time.Duration
-}
-
-func (p pacedSource) Next(ctx context.Context) (SourceChunk, error) {
-	chunk, err := p.Source.Next(ctx)
-	if err == nil && chunk.Reset {
-		time.Sleep(p.delay)
-	}
-	return chunk, err
-}
-
 // TestLoadEvictionKeepsFleetFlowing: with idle eviction enabled, a
 // fleet far larger than the session table flows through — finished
 // sessions are evicted between staggered arrivals (Stats().Evicted
@@ -167,8 +167,43 @@ func TestLoadEvictionKeepsFleetFlowing(t *testing.T) {
 	}
 	load.Sessions = 12
 	const maxSessions = 3
-	src := NewLoadSource(load).Window(1) // sessions arrive one after another
-	pipe, err := NewPipeline(pacedSource{Source: src, delay: 40 * time.Millisecond}, Threshold(),
+	// Replay the fleet once to collect each session's chunks, then
+	// feed the sessions one after another, with a gap before each that
+	// gives the idle janitor wall-clock room to evict finished ones.
+	src := NewLoadSource(load)
+	ctx := context.Background()
+	info, err := src.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bySession := map[uint64][]SourceChunk{}
+	var order []uint64
+	n := 0
+	for {
+		c, err := src.Next(ctx)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Reset {
+			order = append(order, c.Session)
+		}
+		bySession[c.Session] = append(bySession[c.Session], c)
+		n++
+	}
+	ch := make(chan SourceChunk, n) // the feeder never blocks
+	go func() {
+		defer close(ch)
+		for _, id := range order {
+			time.Sleep(40 * time.Millisecond)
+			for _, c := range bySession[id] {
+				ch <- c
+			}
+		}
+	}()
+	pipe, err := NewPipeline(NewChunkSource(info.Fs, ch), Threshold(),
 		WithExpectedSymbols(8),
 		WithMaxSessions(maxSessions),
 		WithIdleTimeout(5*time.Millisecond),
@@ -176,7 +211,7 @@ func TestLoadEvictionKeepsFleetFlowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := pipe.Run(context.Background())
+	events, err := pipe.Run(ctx)
 	if err != nil {
 		t.Fatalf("evicting fleet should flow: %v", err)
 	}
@@ -199,12 +234,13 @@ func TestLoadEvictionKeepsFleetFlowing(t *testing.T) {
 	}
 }
 
-// TestStopAndGoClassifiesThroughPipeline drives the stop-and-go
-// preset (mid-packet dwell) through a DTWClassify pipeline: the event
-// carries the correct nearest-baseline label even though the dwell
+// TestStopAndGoClassifiesThroughPipeline renders the stop-and-go
+// preset (mid-packet dwell) through a scenario source and classifies
+// its trace with the Sec. 4.2 DTW classifier, as plexperiments does:
+// the nearest baseline carries the sent label even though the dwell
 // defeats plain threshold slicing.
 func TestStopAndGoClassifiesThroughPipeline(t *testing.T) {
-	cls := NewClassifier(256)
+	cls := decoder.NewClassifier(256)
 	for i, payload := range []string{"00", "10"} {
 		link, _, err := (IndoorBench{
 			Height: 0.20, SymbolWidth: 0.03, Speed: 0.08,
@@ -228,24 +264,23 @@ func TestStopAndGoClassifiesThroughPipeline(t *testing.T) {
 	if spec.Decode.Strategy != "dtw" {
 		t.Fatalf("stop-and-go declares strategy %q, want dtw", spec.Decode.Strategy)
 	}
-	src := NewScenarioSource(spec).Chunked(1024)
-	pipe, err := NewPipeline(src, DTWClassify(cls))
+	if _, err := StrategyForScenario(spec.Decode); err == nil {
+		t.Fatal("the dtw hint should have no pipeline strategy")
+	}
+	src := NewScenarioSource(spec)
+	if _, err := src.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := cls.Classify(src.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := pipe.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Err != nil {
-		t.Fatalf("expected one clean classification event, got %+v", events)
-	}
-	if want := src.Packets()[0].Packet.BitString(); events[0].Label != want {
-		t.Fatalf("classified %q, want %q (matches %v)", events[0].Label, want, events[0].Matches)
+	if want := src.Packet().BitString(); matches[0].Label != want {
+		t.Fatalf("classified %q, want %q (matches %v)", matches[0].Label, want, matches)
 	}
 }
 
-// TestPacedReplayHoldsStreamClock: a Paced MultiSource may not emit a
+// TestPacedReplayHoldsStreamClock: a paced load source may not emit a
 // chunk before its stream clock — the whole replay therefore takes at
 // least the rendered duration of its longest stream. The lower bound
 // is what matters (and is timing-robust); as-fast-as-possible replay
@@ -255,9 +290,10 @@ func TestPacedReplayHoldsStreamClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.DurationSec = 0.25 // truncate the pass; pacing, not decoding, is under test
-	const chunk = 64
-	src := NewMultiSource(spec).Chunked(chunk).Paced(true)
+	// Truncate the pass to three chunks at the preset's 2 kHz; pacing,
+	// not decoding, is under test.
+	spec.DurationSec = 1.5
+	src := NewLoadSource(ScenarioLoad{Base: &spec, Sessions: 1, Pace: true})
 	ctx := context.Background()
 	info, err := src.Open(ctx)
 	if err != nil {
@@ -279,16 +315,19 @@ func TestPacedReplayHoldsStreamClock(t *testing.T) {
 		total += len(c.Samples)
 	}
 	elapsed := time.Since(start)
+	if total <= 2*multiChunk {
+		t.Fatalf("stream of %d samples spans under three %d-sample chunks; the floor below would prove little", total, multiChunk)
+	}
 	// The final chunk is due when its first sample's stream time
 	// arrives, so the floor is (total - chunk) samples of wall clock.
-	floor := time.Duration(float64(total-chunk) / info.Fs * float64(time.Second))
+	floor := time.Duration(float64(total-multiChunk) / info.Fs * float64(time.Second))
 	if elapsed < floor {
 		t.Fatalf("paced replay of %d samples at %v Hz took %v, want >= %v", total, info.Fs, elapsed, floor)
 	}
 }
 
 // TestLoadPaceFlagPlumbsToSource: NewLoadSource adopts the load
-// spec's Pace field and Paced() overrides it either way.
+// spec's Pace field.
 func TestLoadPaceFlagPlumbsToSource(t *testing.T) {
 	load, err := ScenarioLoadPreset("fleet-load")
 	if err != nil {
@@ -300,8 +339,5 @@ func TestLoadPaceFlagPlumbsToSource(t *testing.T) {
 	load.Pace = true
 	if src := NewLoadSource(load); !src.paced {
 		t.Fatal("load.Pace did not reach the source")
-	}
-	if src := NewLoadSource(load).Paced(false); src.paced {
-		t.Fatal("Paced(false) should override load.Pace")
 	}
 }

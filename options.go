@@ -27,15 +27,10 @@ type pipeConfig struct {
 // Option configures a Pipeline.
 type Option func(*pipeConfig)
 
-// WithDecodeOptions tunes the per-segment adaptive threshold decode,
-// exactly as for the batch Decode.
-func WithDecodeOptions(opt DecodeOptions) Option {
-	return func(c *pipeConfig) { c.decode = opt }
-}
-
 // WithExpectedSymbols bounds the number of symbols sliced per packet
-// (preamble + data); zero decodes to the end of each segment. It is a
-// shorthand for the same field of WithDecodeOptions.
+// (preamble + data); zero decodes to the end of each segment. It is
+// the one decoder setting a pipeline exposes; the others keep their
+// defaults.
 func WithExpectedSymbols(n int) Option {
 	return func(c *pipeConfig) { c.decode.ExpectedSymbols = n }
 }
@@ -112,8 +107,8 @@ func WithSink(fn func(Event)) Option {
 // counters and the detection latency histogram
 // pl_pipeline_detection_latency_ns{strategy="..."} — stamped from the
 // arrival of the chunk that completed each segment to the event's
-// emit on the pipeline's forwarder. Serve the registry live with
-// TelemetryHandler, or read it with Snapshot/WritePrometheus. One
+// emit on the pipeline's forwarder. Read the registry with
+// Snapshot/WritePrometheus (plnet serves it on -metrics-addr). One
 // registry may be shared across pipelines and other layers; metric
 // registration is get-or-create.
 func WithTelemetry(t *Telemetry) Option {
@@ -126,8 +121,7 @@ func WithTelemetry(t *Telemetry) Option {
 // eviction, "close" for pipeline shutdown. The hook runs on the
 // releasing goroutine and must not block. Cluster engines use it to
 // export per-session decode totals at handoff time. Streaming
-// strategies only (Threshold, TwoPhase); whole-stream strategies
-// ignore it.
+// strategies only (Threshold, TwoPhase); Collision ignores it.
 func WithSessionEnd(fn func(session uint64, stats SessionStats, reason string)) Option {
 	return func(c *pipeConfig) { c.onSessionEnd = fn }
 }

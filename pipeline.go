@@ -17,22 +17,12 @@ import (
 	"passivelight/internal/trace"
 )
 
-// ClassifierMatch is one DTW classification candidate (label +
-// distance, ascending).
-type ClassifierMatch = decoder.Match
-
 // Event is one output of a running Pipeline. Streaming strategies
-// (Threshold, TwoPhase) fill the embedded detection; whole-stream
-// strategies add their analysis: Collision fills Collision,
-// DTWClassify fills Label/Matches. WithCodebook fills
+// (Threshold, TwoPhase) fill the embedded detection; the whole-stream
+// Collision strategy fills Collision instead. WithCodebook fills
 // CodeIndex/CodeDistance on successfully decoded events.
 type Event struct {
 	StreamDetection
-	// Label is the nearest-baseline label from a DTWClassify
-	// pipeline.
-	Label string
-	// Matches is the full ordered candidate list from DTWClassify.
-	Matches []ClassifierMatch
 	// Collision is the Sec. 4.3 frequency-domain report from a
 	// Collision pipeline.
 	Collision *CollisionReport
@@ -50,18 +40,16 @@ const (
 	strategyThreshold strategyKind = iota + 1
 	strategyTwoPhase
 	strategyCollision
-	strategyDTW
 )
 
 // Strategy selects the decode algorithm a Pipeline binds to its
 // source. Threshold and TwoPhase run online on the streaming engine
-// (bounded memory, many concurrent sessions); Collision and
-// DTWClassify are whole-stream analyses that buffer each session and
-// run at end of stream.
+// (bounded memory, many concurrent sessions); Collision is a
+// whole-stream analysis that buffers each session and runs at end of
+// stream.
 type Strategy struct {
-	kind       strategyKind
-	collision  CollisionOptions
-	classifier *Classifier
+	kind      strategyKind
+	collision CollisionOptions
 }
 
 // Threshold decodes with the paper's Sec. 4.1 adaptive threshold
@@ -79,19 +67,13 @@ func Collision(opt CollisionOptions) Strategy {
 	return Strategy{kind: strategyCollision, collision: opt}
 }
 
-// DTWClassify matches each stream against the classifier's clean
-// baselines with DTW (Sec. 4.2); events carry the ranked labels.
-func DTWClassify(c *Classifier) Strategy {
-	return Strategy{kind: strategyDTW, classifier: c}
-}
-
 // StrategyForScenario maps a scenario's decode hint onto a pipeline
 // strategy. Only the streaming hints are data-only: "threshold" and
-// "two-phase" resolve directly. "collision" and "dtw" need options or
-// a baseline database (build Collision/DTWClassify yourself), and
-// "shape"/"none" have no pipeline form — those return an error naming
-// the hint, so generic drivers (plsim -load, plnet -mode load) fail
-// with the same message.
+// "two-phase" resolve directly. "collision" needs analyzer options
+// (build Collision yourself), and "dtw", "shape" and "none" have no
+// pipeline form (plexperiments runs the Sec. 4.2 DTW classifier) —
+// those return an error naming the hint, so generic callers (plsim
+// -load, plnet -mode load) fail with the same message.
 func StrategyForScenario(decode ScenarioDecode) (Strategy, error) {
 	switch decode.Strategy {
 	case "threshold":
@@ -111,8 +93,6 @@ func (s Strategy) String() string {
 		return "two-phase"
 	case strategyCollision:
 		return "collision"
-	case strategyDTW:
-		return "dtw-classify"
 	default:
 		return "invalid"
 	}
@@ -173,10 +153,7 @@ func NewPipeline(src Source, strat Strategy, opts ...Option) (*Pipeline, error) 
 		return nil, errors.New("passivelight: pipeline needs a source")
 	}
 	if strat.kind == 0 {
-		return nil, errors.New("passivelight: pipeline needs a strategy (Threshold, TwoPhase, Collision or DTWClassify)")
-	}
-	if strat.kind == strategyDTW && strat.classifier == nil {
-		return nil, errors.New("passivelight: DTWClassify needs a classifier")
+		return nil, errors.New("passivelight: pipeline needs a strategy (Threshold, TwoPhase or Collision)")
 	}
 	p := &Pipeline{src: src, strat: strat}
 	for _, opt := range opts {
@@ -343,8 +320,8 @@ func (p *Pipeline) sessionEnded(id uint64, stats SessionStats, reason string, ta
 }
 
 // runWholeStream buffers each session and runs the whole-stream
-// analysis (Collision, DTWClassify) at end of stream — or at a Reset
-// boundary, which closes the session's previous epoch.
+// Collision analysis at end of stream — or at a Reset boundary,
+// which closes the session's previous epoch.
 func (p *Pipeline) runWholeStream(ctx context.Context, fs float64, out chan Event) {
 	defer close(out)
 	defer p.src.Close()
@@ -397,33 +374,19 @@ func (p *Pipeline) runWholeStream(ctx context.Context, fs float64, out chan Even
 	}
 }
 
-// analyzeWhole runs the whole-stream strategy over one session's
+// analyzeWhole runs the Collision analysis over one session's
 // buffered samples.
 func (p *Pipeline) analyzeWhole(id uint64, fs float64, buf []float64) Event {
 	ev := Event{CodeIndex: -1}
 	ev.Session = id
 	ev.End = int64(len(buf))
 	ev.TimeSec = float64(len(buf)) / fs
-	tr := trace.New(fs, 0, buf)
-	switch p.strat.kind {
-	case strategyCollision:
-		rep, err := decoder.AnalyzeCollision(tr, p.strat.collision)
-		if err != nil {
-			ev.Err = err
-			return ev
-		}
-		ev.Collision = &rep
-	case strategyDTW:
-		matches, err := p.strat.classifier.Classify(tr)
-		if err != nil {
-			ev.Err = err
-			return ev
-		}
-		ev.Matches = matches
-		if len(matches) > 0 {
-			ev.Label = matches[0].Label
-		}
+	rep, err := decoder.AnalyzeCollision(trace.New(fs, 0, buf), p.strat.collision)
+	if err != nil {
+		ev.Err = err
+		return ev
 	}
+	ev.Collision = &rep
 	return ev
 }
 
@@ -448,8 +411,8 @@ func (p *Pipeline) emit(out chan Event, ev Event) {
 		if ev.Err != nil {
 			p.tel.errors.Inc()
 		}
-		// Whole-stream strategies carry no arrival stamp (they analyze
-		// at end of stream); only streaming events feed the latency
+		// Collision events carry no arrival stamp (they analyze at
+		// end of stream); only streaming events feed the latency
 		// histogram.
 		if !ev.Arrival.IsZero() {
 			p.tel.latency.Observe(int64(time.Since(ev.Arrival)))
@@ -479,8 +442,8 @@ func (p *Pipeline) Run(ctx context.Context) ([]Event, error) {
 
 // Flush forces end-of-stream on every open session of a streaming
 // strategy: pending samples decode and open segments flush now,
-// without waiting out the quiet hold. No-op for whole-stream
-// strategies (they analyze when the source ends).
+// without waiting out the quiet hold. No-op for Collision (it
+// analyzes when the source ends).
 func (p *Pipeline) Flush() {
 	p.mu.Lock()
 	eng := p.engine
@@ -491,7 +454,7 @@ func (p *Pipeline) Flush() {
 }
 
 // Stats returns an operational snapshot: the engine's counters for
-// streaming strategies, or the ingest count for whole-stream ones.
+// streaming strategies, or the ingest count for Collision.
 func (p *Pipeline) Stats() StreamStats {
 	p.mu.Lock()
 	eng := p.engine
@@ -503,9 +466,8 @@ func (p *Pipeline) Stats() StreamStats {
 }
 
 // Occupancy reports the streaming engine's queue fill on a 0..1
-// scale (0 before the engine starts or for whole-stream strategies).
-// Feed it to NetSource.AutoThrottle to close the cluster
-// backpressure loop.
+// scale (0 before the engine starts or for Collision). Feed it to
+// NetSource.AutoThrottle to close the cluster backpressure loop.
 func (p *Pipeline) Occupancy() float64 {
 	p.mu.Lock()
 	eng := p.engine

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"passivelight/internal/coding"
 	"passivelight/internal/decoder"
 	"passivelight/internal/rxnet"
 )
@@ -25,7 +26,7 @@ func synthPacketStream(payload string, fs float64, seed int64) []float64 {
 		}
 	}
 	quiet(gap)
-	for _, s := range MustPacket(payload).Symbols() {
+	for _, s := range coding.MustPacket(payload).Symbols() {
 		level := low
 		if s == High {
 			level = high
@@ -226,47 +227,6 @@ func TestPipelineCollision(t *testing.T) {
 	}
 }
 
-// TestPipelineDTWClassify: the whole-stream classifier strategy
-// labels a stream with its nearest baseline.
-func TestPipelineDTWClassify(t *testing.T) {
-	baseline := func(payload string, seed int64) *Trace {
-		link, _, err := (IndoorBench{
-			Height: 0.20, SymbolWidth: 0.03, Speed: 0.08,
-			Payload: payload, Seed: seed,
-		}).Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := link.Simulate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	clf := NewClassifier(0)
-	if err := clf.AddBaseline("10", baseline("10", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := clf.AddBaseline("00", baseline("00", 2)); err != nil {
-		t.Fatal(err)
-	}
-	probe, _ := testTrace(t) // payload "10", different seed
-	pipe, err := NewPipeline(NewTraceSource(probe, 0), DTWClassify(clf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := pipe.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Err != nil {
-		t.Fatalf("events %+v", events)
-	}
-	if events[0].Label != "10" {
-		t.Fatalf("classified %q (matches %+v), want 10", events[0].Label, events[0].Matches)
-	}
-}
-
 // TestPipelineCancel: a blocked live source unblocks on context
 // cancellation and the pipeline reports the cancellation.
 func TestPipelineCancel(t *testing.T) {
@@ -313,7 +273,7 @@ func TestPipelineSingleShot(t *testing.T) {
 // the rxnet protocol into a NetSource pipeline; the detection carries
 // the node's session key.
 func TestPipelineNetSource(t *testing.T) {
-	src, err := ListenSource("127.0.0.1:0")
+	src, err := ListenSourceConfig("127.0.0.1:0", NetSourceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,14 +345,14 @@ func TestPipelineNetSource(t *testing.T) {
 }
 
 // startNetFusion wires the production receiver-network path: nodes
-// stream raw samples to a ListenSource, a Pipeline decodes them, and
+// stream raw samples to a NetSource, a Pipeline decodes them, and
 // its sink feeds every clean event into an Aggregator's track fusion.
 // Canceling ctx stops the pipeline and closes the source.
 func startNetFusion(ctx context.Context, t *testing.T, symbols int, opts ...Option) (*NetSource, *Pipeline, *rxnet.Aggregator, <-chan Event) {
 	t.Helper()
 	agg := rxnet.NewAggregator(rxnet.AggregatorOptions{TrackGap: time.Minute})
 	t.Cleanup(func() { agg.Close() })
-	src, err := ListenSource("127.0.0.1:0")
+	src, err := ListenSourceConfig("127.0.0.1:0", NetSourceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,14 @@ import (
 	"testing"
 )
 
-// reachAllowlist names the internal functions that no production path
+// reachAllowlist names the module functions that no production path
 // reaches but that stay on purpose. Each reason starts with its kind:
 //
 //   - chaos harness: fault-injection code the cluster tests drive;
 //   - reference model: a direct implementation tests compare the
 //     optimised production path against;
-//   - test seam: an accessor tests assert through.
+//   - test seam: an accessor, option or fixture constructor tests
+//     work through.
 //
 // Functions reached only from an allowlisted function are kept with it
 // and need no entry of their own.
@@ -41,6 +42,8 @@ var reachAllowlist = map[string]string{
 	"(*internal/rxnet.Node).Resent":                  "test seam: the failover tests assert resent tails through it",
 	"(*internal/rxnet.Node).Redials":                 "test seam: TestClusterChurnSelfHealing asserts node redials through it",
 	"(*internal/rxnet.Node).Paused":                  "test seam: TestClusterChurnSelfHealing asserts throttle release through it",
+	"internal/coding.MustPacket":                     "test seam: the fixture constructor of the coding, channel, scene, tag, decoder, stream and root tests",
+	"passivelight.WithMaxSessions":                   "test seam: the load tests shrink the session table through it; every binary runs the default 65536",
 }
 
 // stdlibInterfaces are the standard-library interfaces through which
@@ -136,10 +139,13 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // TestProductionReachesAllInternalCode walks the call graph from every
-// production entry point — the cmd/ and examples/ binaries, the
-// perfbench module, and the root package's exported API — and fails on
-// any function declared under internal/ that the walk does not reach
-// and reachAllowlist does not name. A call through an interface method
+// production entry point — the cmd/ and examples/ binaries and the
+// perfbench module — and fails on any function declared in the root
+// package or under internal/ that the walk does not reach and
+// reachAllowlist does not name. The root package's exported API is no
+// entry point: a public function, method or Option that no binary,
+// example or the benchmark calls is dead code like any other, and so
+// is every branch only it selects. A call through an interface method
 // reaches every method of that name. Package initialisers (init
 // functions and package-level variable values) of every linked package
 // are entry points too.
@@ -180,7 +186,7 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 		if _, err := m.Import(p.ImportPath); err != nil {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
-		if p.Name == "main" || p.ImportPath == module {
+		if p.Name == "main" {
 			roots = append(roots, p.ImportPath)
 		}
 	}
@@ -243,9 +249,8 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 		}
 	}
 
-	// Entry points: the linked packages' initialisers, main functions
-	// and the root package's exported API; methods the standard
-	// library calls back follow below.
+	// Entry points: the linked packages' initialisers and main
+	// functions; methods the standard library calls back follow below.
 	linked := map[string]bool{}
 	var link func(path string)
 	link = func(path string) {
@@ -270,12 +275,8 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 						visit(d)
 					}
 				case *ast.FuncDecl:
-					fn := m.info.Defs[d.Name].(*types.Func)
-					switch {
-					case d.Name.Name == "init" && d.Recv == nil,
-						d.Name.Name == "main" && d.Recv == nil && m.checked[path].Name() == "main",
-						path == module && d.Name.IsExported():
-						mark(fn)
+					if d.Recv == nil && (d.Name.Name == "init" || (d.Name.Name == "main" && m.checked[path].Name() == "main")) {
+						mark(m.info.Defs[d.Name].(*types.Func))
 					}
 				}
 			}
@@ -351,7 +352,7 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 	}
 	var dead []string
 	for fn, fd := range decls {
-		if reached[fn] || !strings.HasPrefix(fn.Pkg().Path(), module+"/internal/") {
+		if reached[fn] || (fn.Pkg().Path() != module && !strings.HasPrefix(fn.Pkg().Path(), module+"/internal/")) {
 			continue
 		}
 		pos := fset.Position(fd.Pos())
@@ -364,129 +365,7 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 		t.Errorf("stale reachAllowlist entry: %s", s)
 	}
 	if len(dead) > 0 {
-		t.Errorf("%d internal functions are reached by no production path; delete them or add them to reachAllowlist with a reason:\n\t%s",
+		t.Errorf("%d module functions are reached by no production path; delete them or add them to reachAllowlist with a reason:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
-	}
-}
-
-// optionAllowlist names the root Options no binary, example or the
-// benchmark sets but that stay on purpose, each with its reason.
-var optionAllowlist = map[string]string{
-	"WithMaxSessions":   "load_test drives ErrSessionTableFull through it",
-	"WithDecodeOptions": "the only public route to the Sec. 4.1 decoder parameters",
-}
-
-// TestEveryOptionHasACaller fails on any exported root function
-// returning Option that no non-test file under cmd/, examples/ or
-// perfbench/ calls and optionAllowlist does not name: a setting nobody
-// sets is a code path nobody runs. The reachability walk above cannot
-// see such paths: it enters at every exported root function, options
-// included, so the branches an option selects always look reached.
-func TestEveryOptionHasACaller(t *testing.T) {
-	fset := token.NewFileSet()
-	parse := func(path string) *ast.File {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	goFiles := func(dir string) []string {
-		var out []string
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				out = append(out, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	options := map[string]bool{}
-	roots, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range roots {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		for _, d := range parse(path).Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
-				continue
-			}
-			if id, ok := fd.Type.Results.List[0].Type.(*ast.Ident); ok && id.Name == "Option" {
-				options[fd.Name.Name] = false
-			}
-		}
-	}
-	if len(options) == 0 {
-		t.Fatal("found no root functions returning Option")
-	}
-
-	for _, dir := range []string{"cmd", "examples", "perfbench"} {
-		for _, path := range goFiles(dir) {
-			f := parse(path)
-			local := ""
-			for _, imp := range f.Imports {
-				if imp.Path.Value == `"passivelight"` {
-					local = "passivelight"
-					if imp.Name != nil {
-						local = imp.Name.Name
-					}
-				}
-			}
-			if local == "" {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-					if _, isOpt := options[sel.Sel.Name]; isOpt {
-						options[sel.Sel.Name] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	var missing, stale []string
-	for name, called := range options {
-		_, allowed := optionAllowlist[name]
-		switch {
-		case called && allowed:
-			stale = append(stale, name+" (a production caller sets it)")
-		case !called && !allowed:
-			missing = append(missing, name)
-		}
-	}
-	for name := range optionAllowlist {
-		if _, ok := options[name]; !ok {
-			stale = append(stale, name+" (no such option)")
-		}
-	}
-	sort.Strings(missing)
-	sort.Strings(stale)
-	for _, s := range stale {
-		t.Errorf("stale optionAllowlist entry: %s", s)
-	}
-	if len(missing) > 0 {
-		t.Errorf("%d options have no caller in cmd/, examples/ or perfbench/; delete them or add them to optionAllowlist with a reason:\n\t%s",
-			len(missing), strings.Join(missing, "\n\t"))
 	}
 }

@@ -8,15 +8,19 @@ import (
 
 // TestScenarioMultiLaneStreamsThroughPipeline is the acceptance lock
 // for the scenario layer: the multi-lane preset (two staggered tagged
-// cars in adjacent lanes) feeds a streaming TwoPhase pipeline through
-// NewScenarioSource, and every encoded packet comes back as its own
+// cars in adjacent lanes) feeds a streaming TwoPhase pipeline in
+// 1024-sample chunks, and every encoded packet comes back as its own
 // detection, in lane order.
 func TestScenarioMultiLaneStreamsThroughPipeline(t *testing.T) {
 	spec, err := ScenarioPreset("multi-lane")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewScenarioSource(spec).Chunked(1024) // stream in real chunks
+	world, tr, err := spec.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewTraceSource(tr, 1024) // stream in real chunks
 	pipe, err := NewPipeline(src, TwoPhase(),
 		WithExpectedSymbols(spec.Decode.ExpectedSymbols),
 	)
@@ -27,7 +31,7 @@ func TestScenarioMultiLaneStreamsThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packets := src.Packets()
+	packets := world.Packets
 	if len(packets) != 2 {
 		t.Fatalf("multi-lane should encode 2 packets, got %d", len(packets))
 	}
@@ -71,7 +75,7 @@ func TestScenarioPresetsThroughPipelines(t *testing.T) {
 			if len(spec.Receivers) > 0 {
 				// Multi-receiver preset: all links through one pipeline,
 				// one event per (receiver, packet).
-				src := NewMultiSource(spec)
+				src := NewLoadSource(ScenarioLoad{Base: &spec, Sessions: 1})
 				pipe, err := NewPipeline(src, strat, WithExpectedSymbols(spec.Decode.ExpectedSymbols))
 				if err != nil {
 					t.Fatal(err)
@@ -112,8 +116,15 @@ func TestScenarioPresetsThroughPipelines(t *testing.T) {
 					t.Fatalf("event error: %v", ev.Err)
 				}
 			}
-			if spec.Decode.Strategy != "collision" && len(events) != len(src.Packets()) {
-				t.Fatalf("%d events for %d packets", len(events), len(src.Packets()))
+			if spec.Decode.Strategy == "collision" {
+				return
+			}
+			world, err := spec.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != len(world.Packets) {
+				t.Fatalf("%d events for %d packets", len(events), len(world.Packets))
 			}
 		})
 	}

@@ -130,34 +130,29 @@ func (s *TraceSource) Next(ctx context.Context) (SourceChunk, error) {
 // Close implements Source.
 func (s *TraceSource) Close() error { return nil }
 
-// SimSource simulates a configured scenario (or an already-assembled
-// link) on Open and replays the rendered trace — the programmatic
-// equivalent of one pass of the paper's testbed feeding the decode
-// pipeline.
+// SimSource simulates a configured scenario on Open and replays the
+// rendered trace as one chunk — the programmatic equivalent of one
+// pass of the paper's testbed feeding the decode pipeline.
 type SimSource struct {
 	build func() (*Link, Packet, error)
 	name  string
-	chunk int
 
 	customize  []func(*Link)
 	selectHook func(cands []ReceiverDevice) error
 
-	link        *Link
 	packet      Packet
 	trace       *Trace
 	inner       *TraceSource
-	compiled    *ScenarioWorld
 	receiverTag string
 }
 
-// compileSpec compiles a scenario spec into the source's link,
-// retaining the compiled world so Packets/World stay inspectable.
-func (s *SimSource) compileSpec(spec Scenario) (*Link, Packet, error) {
+// compileSpec compiles a scenario spec into its link and first tag
+// payload.
+func compileSpec(spec Scenario) (*Link, Packet, error) {
 	c, err := spec.Compile()
 	if err != nil {
 		return nil, Packet{}, err
 	}
-	s.compiled = c
 	return c.Link, c.Packet(), nil
 }
 
@@ -174,7 +169,7 @@ func NewScenarioSource(spec Scenario) *SimSource {
 	if spec.Name != "" {
 		s.name = spec.Name
 	}
-	s.build = func() (*Link, Packet, error) { return s.compileSpec(spec) }
+	s.build = func() (*Link, Packet, error) { return compileSpec(spec) }
 	s.selectHook = func(cands []ReceiverDevice) error {
 		floor, ok := spec.AmbientLux()
 		if !ok {
@@ -200,7 +195,7 @@ func NewBenchSource(b IndoorBench) *SimSource {
 		if err != nil {
 			return nil, Packet{}, err
 		}
-		return s.compileSpec(spec)
+		return compileSpec(spec)
 	}
 	return s
 }
@@ -220,7 +215,7 @@ func NewCarPassSource(p OutdoorCarPass) *SimSource {
 		if err != nil {
 			return nil, Packet{}, err
 		}
-		return s.compileSpec(spec)
+		return compileSpec(spec)
 	}
 	s.selectHook = func(cands []ReceiverDevice) error {
 		dev, err := SelectReceiver(p.NoiseFloorLux, cands...)
@@ -247,25 +242,11 @@ func (s *SimSource) applyReceiverAutoSelect(cands []ReceiverDevice) error {
 	return s.selectHook(cands)
 }
 
-// NewLinkSource wraps an already-assembled Link (custom scene,
-// receiver, noise) as a pipeline source.
-func NewLinkSource(l *Link) *SimSource {
-	return &SimSource{build: func() (*Link, Packet, error) { return l, Packet{}, nil }, name: "link"}
-}
-
 // Customize registers a hook run on the built link before simulation
 // (swap the light source, bend the trajectory...). Returns the source
 // for chaining.
 func (s *SimSource) Customize(fn func(*Link)) *SimSource {
 	s.customize = append(s.customize, fn)
-	return s
-}
-
-// Chunked sets the replay chunk size in samples (<= 0, the default,
-// replays the rendered trace as one chunk). Returns the source for
-// chaining.
-func (s *SimSource) Chunked(size int) *SimSource {
-	s.chunk = size
 	return s
 }
 
@@ -286,8 +267,8 @@ func (s *SimSource) Open(ctx context.Context) (SourceInfo, error) {
 	if err != nil {
 		return SourceInfo{}, err
 	}
-	s.link, s.packet, s.trace = link, pkt, tr
-	s.inner = NewTraceSource(tr, s.chunk)
+	s.packet, s.trace = pkt, tr
+	s.inner = NewTraceSource(tr, 0)
 	info, err := s.inner.Open(ctx)
 	info.Name = s.name
 	return info, err
@@ -306,31 +287,13 @@ func (s *SimSource) Close() error { return nil }
 
 // Packet returns the payload physically encoded on the simulated tag
 // (zero value for bare-car passes). Valid after the pipeline opened
-// the source. Multi-object scenarios report their first tag; use
-// Packets for the full set.
+// the source. Multi-object scenarios report their first tag; the
+// load source's Streams list every payload.
 func (s *SimSource) Packet() Packet { return s.packet }
-
-// Packets returns every payload physically present in the simulated
-// scenario, in scene order (nil for NewLinkSource). Valid after the
-// pipeline opened the source.
-func (s *SimSource) Packets() []ScenarioPacket {
-	if s.compiled == nil {
-		return nil
-	}
-	return s.compiled.Packets
-}
-
-// World returns the compiled scenario (nil for NewLinkSource). Valid
-// after the pipeline opened the source.
-func (s *SimSource) World() *ScenarioWorld { return s.compiled }
 
 // Trace returns the rendered trace. Valid after the pipeline opened
 // the source.
 func (s *SimSource) Trace() *Trace { return s.trace }
-
-// Link returns the built link. Valid after the pipeline opened the
-// source.
-func (s *SimSource) Link() *Link { return s.link }
 
 // Receiver returns the name of the receiver device chosen by
 // WithReceiverAutoSelect (empty without it).
@@ -344,7 +307,7 @@ type MultiStream struct {
 	// ID is the stream id chunks carry (ScenarioStreamID(Session,
 	// Receiver)).
 	ID uint64
-	// Session is the load session index (0 for NewMultiSource).
+	// Session is the load session index.
 	Session int
 	// Receiver is the receiver index within the scenario.
 	Receiver int
@@ -366,58 +329,46 @@ type multiStream struct {
 	pos  int
 }
 
-// MultiSource compiles a multi-receiver scenario (NewMultiSource) or
-// an expanded Load (NewLoadSource) into N deterministic links and
-// replays them as one interleaved multi-session stream: every chunk
-// carries its link's stream id, so one Pipeline decodes the whole
-// receiver network (or fleet) concurrently and events attribute back
-// to (session, receiver) via ScenarioStreamSession /
-// ScenarioStreamReceiver. Links render lazily as their replay starts;
-// Window bounds how many are live at once.
+// multiChunk is the replay chunk size of a MultiSource, in samples.
+const multiChunk = 1024
+
+// MultiSource compiles an expanded Load (NewLoadSource) into
+// sessions × receivers deterministic links and replays them as one
+// interleaved multi-session stream: every chunk carries its link's
+// stream id, so one Pipeline decodes the whole receiver network (or
+// fleet) concurrently and events attribute back to (session,
+// receiver) through Streams. Links render lazily as their replay
+// starts.
 type MultiSource struct {
-	name   string
-	build  func() ([]*multiStream, error)
-	chunk  int
-	window int
-	paced  bool
+	name  string
+	build func() ([]*multiStream, error)
+	paced bool
 
 	streams []*multiStream
 	active  []*multiStream
-	next    int // streams[next] is admitted when an active one ends
 	cursor  int
 	start   time.Time // wall-clock anchor of a paced replay
-}
-
-// NewMultiSource compiles a declarative scenario into one link per
-// receiver (CompileMulti) and replays all links through one pipeline.
-// Single-receiver scenarios work too (one stream); use
-// NewScenarioSource when you want the single-link extras
-// (auto-select, Customize).
-func NewMultiSource(spec Scenario) *MultiSource {
-	s := &MultiSource{name: "multi"}
-	if spec.Name != "" {
-		s.name = spec.Name
-	}
-	s.build = func() ([]*multiStream, error) {
-		m, err := spec.CompileMulti()
-		if err != nil {
-			return nil, err
-		}
-		return multiStreams(m, 0), nil
-	}
-	return s
 }
 
 // NewLoadSource expands a load spec into its staggered per-session
 // scenarios, compiles every session's receiver links, and replays
 // sessions × receivers streams into one pipeline — spec-driven load
-// generation for engine-scale runs.
+// generation for engine-scale runs. One session with no stagger or
+// jitter replays the base scenario itself, every receiver a stream.
+//
+// By default the replay runs as fast as possible (right for
+// throughput tests and benchmarks). The load's Pace field switches it
+// to stream-clock pacing: a chunk whose first sample lies at t
+// seconds into its stream is not emitted before t seconds of wall
+// clock have elapsed since the first Next, so every stream delivers
+// samples at its own rate in real time — the replay a live receiver
+// fleet would produce, which a cluster drain rehearsal or latency
+// measurement needs.
 func NewLoadSource(load ScenarioLoad) *MultiSource {
-	s := &MultiSource{name: "load"}
+	s := &MultiSource{name: "load", paced: load.Pace}
 	if load.Name != "" {
 		s.name = load.Name
 	}
-	s.paced = load.Pace
 	s.build = func() ([]*multiStream, error) {
 		specs, err := load.Expand()
 		if err != nil {
@@ -461,38 +412,6 @@ func multiStreams(m *ScenarioMultiWorld, session int) []*multiStream {
 	return out
 }
 
-// Chunked sets the replay chunk size in samples (<= 0 keeps the
-// default 1024). Returns the source for chaining.
-func (s *MultiSource) Chunked(size int) *MultiSource {
-	if size > 0 {
-		s.chunk = size
-	}
-	return s
-}
-
-// Window bounds how many streams replay concurrently (0, the default,
-// replays all at once): earlier sessions finish before later ones are
-// admitted, modeling a fleet arriving over time and bounding the
-// rendered-trace memory to the window.
-func (s *MultiSource) Window(n int) *MultiSource {
-	s.window = n
-	return s
-}
-
-// Paced switches the replay from as-fast-as-possible (the default,
-// right for throughput tests and benchmarks) to stream-clock pacing:
-// a chunk whose first sample lies at t seconds into its stream is not
-// emitted before t seconds of wall clock have elapsed since the first
-// Next. Every stream then delivers samples at its own rate in real
-// time — the replay a live receiver fleet would produce, which is
-// what a cluster drain rehearsal or latency measurement needs.
-// NewLoadSource adopts the load spec's Pace field; Paced overrides
-// either way. Returns the source for chaining.
-func (s *MultiSource) Paced(on bool) *MultiSource {
-	s.paced = on
-	return s
-}
-
 // Open implements Source: compile every link. Rendering is lazy (a
 // link simulates when its replay starts).
 func (s *MultiSource) Open(ctx context.Context) (SourceInfo, error) {
@@ -506,16 +425,8 @@ func (s *MultiSource) Open(ctx context.Context) (SourceInfo, error) {
 	if len(streams) == 0 {
 		return SourceInfo{}, errors.New("passivelight: multi source compiled no links")
 	}
-	if s.chunk <= 0 {
-		s.chunk = 1024
-	}
 	s.streams = streams
-	window := s.window
-	if window <= 0 || window > len(streams) {
-		window = len(streams)
-	}
-	s.active = append([]*multiStream(nil), streams[:window]...)
-	s.next = window
+	s.active = append([]*multiStream(nil), streams...)
 	s.cursor = 0
 	// Chunks always carry their own rate (links may sample at
 	// different rates); declare the common one when it exists.
@@ -569,10 +480,7 @@ func (s *MultiSource) Next(ctx context.Context) (SourceChunk, error) {
 			}
 		}
 	}
-	hi := st.pos + s.chunk
-	if hi > st.tr.Len() {
-		hi = st.tr.Len()
-	}
+	hi := min(st.pos+multiChunk, st.tr.Len())
 	out := SourceChunk{
 		Session: st.info.ID,
 		Fs:      st.fs,
@@ -581,13 +489,9 @@ func (s *MultiSource) Next(ctx context.Context) (SourceChunk, error) {
 	}
 	st.pos = hi
 	if st.pos >= st.tr.Len() {
-		// Stream done: release the trace, admit the next pending one.
+		// Stream done: release its trace.
 		st.tr = nil
 		s.active = append(s.active[:s.cursor], s.active[s.cursor+1:]...)
-		if s.next < len(s.streams) {
-			s.active = append(s.active, s.streams[s.next])
-			s.next++
-		}
 	} else {
 		s.cursor++
 	}
@@ -597,8 +501,8 @@ func (s *MultiSource) Next(ctx context.Context) (SourceChunk, error) {
 // Close implements Source.
 func (s *MultiSource) Close() error { return nil }
 
-// Streams describes every link of the source, in replay-admission
-// order. Valid after the pipeline opened the source.
+// Streams describes every link of the source, in replay order. Valid
+// after the pipeline opened the source.
 func (s *MultiSource) Streams() []MultiStream {
 	out := make([]MultiStream, len(s.streams))
 	for i, st := range s.streams {
@@ -677,15 +581,9 @@ type NetSourceConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// ListenSource starts a NetSource listening on addr ("host:port";
-// empty port picks an ephemeral one) with default config: no
-// telemetry, no pace guard.
-func ListenSource(addr string) (*NetSource, error) {
-	return ListenSourceConfig(addr, NetSourceConfig{})
-}
-
-// ListenSourceConfig starts a NetSource with explicit ingest
-// configuration.
+// ListenSourceConfig starts a NetSource listening on addr
+// ("host:port"; empty port picks an ephemeral one). The zero config
+// runs with no telemetry and no pace guard.
 func ListenSourceConfig(addr string, cfg NetSourceConfig) (*NetSource, error) {
 	l, err := rxnet.ListenChunksConfig(addr, rxnet.ChunkListenerConfig{
 		Logf:          cfg.Logf,
