@@ -14,15 +14,6 @@ import (
 // Packet is a passive packet payload (preamble handling is implicit).
 type Packet = coding.Packet
 
-// Symbol is a reflective stripe value (High or Low).
-type Symbol = coding.Symbol
-
-// Stripe symbol values.
-const (
-	Low  = coding.Low
-	High = coding.High
-)
-
 // Codebook selects payloads with a guaranteed minimum pairwise
 // Hamming distance (Sec. 4.2 of the paper).
 type Codebook = coding.Codebook
@@ -50,18 +41,10 @@ type (
 	ScenarioOptics = scenario.OpticsSpec
 	// ScenarioReceiver places the receiver and selects its device.
 	ScenarioReceiver = scenario.ReceiverSpec
-	// ScenarioNoise selects the impairment profile (plus fog).
-	ScenarioNoise = scenario.NoiseSpec
-	// ScenarioFog configures the fog stage.
-	ScenarioFog = scenario.FogSpec
 	// ScenarioObject is one mobile element.
 	ScenarioObject = scenario.ObjectSpec
 	// ScenarioMobility is a declarative trajectory.
 	ScenarioMobility = scenario.MobilitySpec
-	// ScenarioSpeedSegment is one piecewise-speed segment.
-	ScenarioSpeedSegment = scenario.SpeedSegmentSpec
-	// ScenarioStop is one dwell of a stop-and-go trajectory.
-	ScenarioStop = scenario.StopSpec
 	// ScenarioDecode hints the intended decode strategy.
 	ScenarioDecode = scenario.DecodeSpec
 	// ScenarioWorld is a compiled scenario (link + encoded packets).
@@ -73,8 +56,6 @@ type (
 	// ScenarioMultiWorld is a scenario compiled to one link per
 	// receiver over a single shared world (Scenario.CompileMulti).
 	ScenarioMultiWorld = scenario.MultiCompiled
-	// ScenarioLink is one receiver's link of a ScenarioMultiWorld.
-	ScenarioLink = scenario.CompiledLink
 	// ScenarioLoad is a declarative load spec: a base scenario fanned
 	// out into N staggered, independently seeded sessions. Feed one to
 	// a pipeline with NewLoadSource.
@@ -116,18 +97,8 @@ type IndoorBench = scenario.BenchParams
 // parameter form of the "outdoor-pass" scenario family.
 type OutdoorCarPass = scenario.OutdoorParams
 
-// CollisionBench is the Sec. 4.3 two-packet collision world — the
-// typed parameter form of the "collision" scenario family.
-type CollisionBench = scenario.CollisionParams
-
-// RunResult is the outcome of an end-to-end run.
-type RunResult = core.RunResult
-
 // DecodeOptions tunes the adaptive threshold decoder.
 type DecodeOptions = decoder.Options
-
-// DecodeResult is the threshold decoder output.
-type DecodeResult = decoder.Result
 
 // TwoPhaseResult is the outdoor (car-shape + stripe) decode output.
 type TwoPhaseResult = decoder.TwoPhaseResult
@@ -195,11 +166,3 @@ type TelemetryHealth = telemetry.Health
 // NewTelemetryHealth builds an empty health check set (always
 // healthy until checks are added).
 func NewTelemetryHealth() *TelemetryHealth { return telemetry.NewHealth() }
-
-// TelemetrySnapshot is the JSON form of a Telemetry registry.
-type TelemetrySnapshot = telemetry.Snapshot
-
-// TelemetryHistogram is a point-in-time distribution summary
-// (count/sum/min/max plus p50/p90/p99), as served by the
-// /metrics.json endpoint.
-type TelemetryHistogram = telemetry.HistogramSnapshot

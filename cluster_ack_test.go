@@ -100,7 +100,7 @@ func startAckRig(t *testing.T, gate *gatedSource) *ackRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rig.router.Close() })
-	rig.node, err = rxnet.Dial(ctx, addr, rxnet.Hello{NodeID: 7, Name: "pole-7"})
+	rig.node, err = rxnet.DialReliable(ctx, addr, rxnet.Hello{NodeID: 7, Name: "pole-7"}, rxnet.RedialConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func replayPacedChurnSession(ctx context.Context, target string, k int, spec sce
 	if err != nil {
 		return err
 	}
-	node, err := rxnet.Dial(ctx, target, rxnet.Hello{NodeID: uint32(k + 1), Name: spec.Name})
+	node, err := rxnet.DialReliable(ctx, target, rxnet.Hello{NodeID: uint32(k + 1), Name: spec.Name}, rxnet.RedialConfig{})
 	if err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func streamZeros(node *rxnet.Node, stream uint32, n int) error {
 // kill/rejoin cycles (one graceful drain, two hard crashes with
 // dead-engine eviction) under a 128-session paced load with zero
 // packet loss and no operator action, propagates engine
-// backpressure out to a flow-controlled edge node, rides out injected
+// backpressure out to an edge node, rides out injected
 // connection faults, and keeps every loss counted and every
 // membership change visible in pl_cluster_* telemetry.
 func TestClusterChurnSelfHealing(t *testing.T) {
@@ -263,9 +263,8 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	defer fcancel()
 	faultNode, err := rxnet.DialReliable(fctx, proxy.Addr(), rxnet.Hello{NodeID: 900, Name: "fault-probe"},
 		rxnet.RedialConfig{
-			Backoff:     rxnet.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
-			ResendBytes: 64 << 10, // resend the tail on every redial: the duplicate-delivery audit below
-			Logf:        t.Logf,
+			Backoff: rxnet.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+			Logf:    t.Logf,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -305,13 +304,13 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	}
 
 	// Backpressure: every engine signals hot, the router relays the
-	// pause to the nodes feeding them, and a flow-controlled edge node
-	// stalls: a StreamChunk issued while paused does not return until
-	// the release, then completes.
+	// pause to the nodes feeding them, and an edge node stalls: a
+	// StreamChunk issued while paused does not return until the
+	// release, then completes.
 	pctx, pcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer pcancel()
 	pauseNode, err := rxnet.DialReliable(pctx, addr, rxnet.Hello{NodeID: 901, Name: "pause-probe"},
-		rxnet.RedialConfig{FlowControl: true, Logf: t.Logf})
+		rxnet.RedialConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func replayClusterSession(ctx context.Context, target string, k int, spec scenar
 	if err != nil {
 		return err
 	}
-	node, err := rxnet.Dial(ctx, target, rxnet.Hello{NodeID: uint32(k + 1), Name: spec.Name})
+	node, err := rxnet.DialReliable(ctx, target, rxnet.Hello{NodeID: uint32(k + 1), Name: spec.Name}, rxnet.RedialConfig{})
 	if err != nil {
 		return err
 	}

@@ -330,7 +330,7 @@ func runDrainRequest(target string) error {
 // paced to the stream clocks — the workload a rolling-restart
 // rehearsal is run against. targets[0] is dialed; any further
 // addresses are standby routers the nodes fail over to transparently
-// (reliable dial + buffered-tail resend) when the primary dies.
+// (redial plus buffered-tail resend) when the primary dies.
 func runLoadRemote(ctx context.Context, loadName string, sessions, chunkSize int, pace bool, targets []string, fanout int, engineIdle time.Duration) error {
 	if len(targets) == 0 {
 		return errors.New("load replay needs at least one target address")
@@ -420,10 +420,10 @@ func runLoadRemote(ctx context.Context, loadName string, sessions, chunkSize int
 
 // replaySession renders one expanded session and ships every link's
 // trace to the first target, returning samples and links sent.
-// Additional targets become the node's failover rotation: the dial
-// turns reliable and a dead primary costs a reconnect plus a
-// buffered-tail resend, not the session. warnGap, if non-nil, is told
-// each link's sample rate for the pacing-gap guard.
+// Additional targets become the node's failover rotation: a dead
+// primary costs a reconnect plus a buffered-tail resend, not the
+// session. warnGap, if non-nil, is told each link's sample rate for
+// the pacing-gap guard.
 func replaySession(ctx context.Context, targets []string, k int, spec scenario.Spec, chunkSize int, pace bool, warnGap func(fs float64)) (int64, int64, error) {
 	world, err := spec.CompileMulti()
 	if err != nil {
@@ -434,15 +434,10 @@ func replaySession(ctx context.Context, targets []string, k int, spec scenario.S
 		Height: world.Links[0].Receiver.HeightM,
 		Name:   spec.Name,
 	}
-	var node *rxnet.Node
-	if len(targets) > 1 {
-		node, err = rxnet.DialReliable(ctx, targets[0], hello, rxnet.RedialConfig{
-			Addrs: targets[1:],
-			Logf:  rxnet.StdLogf,
-		})
-	} else {
-		node, err = rxnet.Dial(ctx, targets[0], hello)
-	}
+	node, err := rxnet.DialReliable(ctx, targets[0], hello, rxnet.RedialConfig{
+		Addrs: targets[1:],
+		Logf:  rxnet.StdLogf,
+	})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -311,12 +311,12 @@ func runStream(ctx context.Context, mon *obs, nodeCount, chunkSize int, payload 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		node, err := rxnet.Dial(ctx, src.Addr(), rxnet.Hello{
+		node, err := rxnet.DialReliable(ctx, src.Addr(), rxnet.Hello{
 			NodeID: uint32(i + 1),
 			PosX:   float64(i) * 25,
 			Height: 0.75,
 			Name:   fmt.Sprintf("pole-%d", i+1),
-		})
+		}, rxnet.RedialConfig{Logf: rxnet.StdLogf})
 		if err != nil {
 			return err
 		}
@@ -469,11 +469,11 @@ func runLoad(ctx context.Context, mon *obs, loadName string, sessions, chunkSize
 		if err != nil {
 			return fmt.Errorf("session %d: %w", k, err)
 		}
-		node, err := rxnet.Dial(ctx, src.Addr(), rxnet.Hello{
+		node, err := rxnet.DialReliable(ctx, src.Addr(), rxnet.Hello{
 			NodeID: uint32(k + 1),
 			Height: world.Links[0].Receiver.HeightM,
 			Name:   spec.Name,
-		})
+		}, rxnet.RedialConfig{Logf: rxnet.StdLogf})
 		if err != nil {
 			return err
 		}

@@ -15,10 +15,12 @@
 //
 // Load mode expands a load preset (or fans any scenario out) into N
 // staggered sessions and decodes them all through one pipeline,
-// printing a summary instead of a CSV:
+// printing a summary instead of a CSV. A multi-receiver preset named
+// without -load runs as a one-session load:
 //
 //	plsim -scenario fleet-load -load 128
 //	plsim -scenario rx-lanes -load 16 -stagger 0.5
+//	plsim -scenario rx-lanes
 package main
 
 import (
@@ -87,6 +89,14 @@ func main() {
 	spec, err := resolveSpec(*specPath, *name, lf)
 	if err != nil {
 		fail(err)
+	}
+	if len(spec.Receivers) > 1 {
+		// A multi-receiver world has no single trace to write: decode
+		// it as a one-session load instead.
+		if err := runLoad(*specPath, *name, lf, 1, *stagger, *jitter, seedSet, *seed); err != nil {
+			fail(err)
+		}
+		return
 	}
 	if seedSet {
 		spec.Seed = *seed

@@ -186,8 +186,8 @@
 // exponential backoff (rxnet.Backoff). Overload propagates backwards:
 // a hot engine (pl_engine_occupancy, NetSource.AutoThrottle) emits a
 // throttle upstream and the router pauses exactly the nodes feeding
-// it — flow-controlled nodes (rxnet.DialReliable with FlowControl)
-// block until the release, so ingest stays lossless. Replay buffers
+// it; every streaming node (rxnet.DialReliable) blocks until the
+// release, so ingest stays lossless. Replay buffers
 // are byte-bounded (RouterConfig.ReplayBytes), so partitions cost
 // bounded memory and trimmed bytes are counted, never spliced over.
 // The router keeps a chunk of integer ADC codes at 2 bytes a sample
@@ -217,15 +217,14 @@
 // bump, so replicas converge with no external coordinator. Receiver
 // nodes carry a failover rotation (rxnet.RedialConfig.Addrs): when
 // their router dies they redial the next address and proactively
-// resend a byte-bounded tail of each stream (ResendBytes, stored as
-// 2-byte codes where it can be) as marked float64 replay frames — the
-// engine's continuity cursor discards what the
-// dead router already delivered and keeps what it took with it, so a
-// router SIGKILL costs neither a lost packet nor a duplicate decode.
-// That resend tail and the router's replay buffer are one type,
-// rxnet.ReplayTail, under two budgets (RedialConfig.ResendBytes,
-// default 256 KiB, and RouterConfig.ReplayBytes, default 1 MiB, per
-// stream): the newest chunk bodies in Seq order, the oldest dropped
+// resend a byte-bounded tail of each stream (stored as 2-byte codes
+// where it can be) as marked float64 replay frames — the engine's
+// continuity cursor discards what the dead router already delivered
+// and keeps what it took with it, so a router SIGKILL costs neither a
+// lost packet nor a duplicate decode. That resend tail and the
+// router's replay buffer are one type, rxnet.ReplayTail, under two
+// budgets (a fixed 256 KiB on the node, RouterConfig.ReplayBytes,
+// default 1 MiB, on the router, per stream): the newest chunk bodies in Seq order, the oldest dropped
 // past the budget, trimmed through an acked Seq, and replayed after
 // any Seq with a counted gap where the tail no longer reaches.
 // Ring changes are batched (RouterConfig.RingBatchWindow, default

@@ -146,9 +146,9 @@ func streamOwnedBy(t *testing.T, ring *Ring, node uint32, owner string, used map
 
 func dialNode(t *testing.T, addr string, id uint32) *rxnet.Node {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	n, err := rxnet.Dial(ctx, addr, rxnet.Hello{NodeID: id, Name: fmt.Sprintf("node-%d", id)})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	n, err := rxnet.DialReliable(ctx, addr, rxnet.Hello{NodeID: id, Name: fmt.Sprintf("node-%d", id)}, rxnet.RedialConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("dial router: %v", err)
 	}

@@ -22,7 +22,7 @@ func minimalLink(t *testing.T) *Link {
 		Scene:    scene.New(optics.Sun{Lux: 200}),
 		Receiver: channel.Receiver{Height: 0.3},
 		Frontend: fe,
-		Noise:    noise.Quiet,
+		Noise:    noise.Model{}, // every impairment off
 		Duration: 0.25,
 	}
 }

@@ -61,9 +61,6 @@ func (m Model) ApplyInPlace(x []float64) []float64 {
 	return x
 }
 
-// Quiet is a noise model with everything disabled.
-var Quiet = Model{}
-
 // Indoor is a mild noise model matching the dark-room bench: small
 // thermal noise, tiny shot component.
 func Indoor(seed int64) Model {

@@ -16,7 +16,7 @@ func constant(v float64, n int) []float64 {
 func TestQuietIsPassthrough(t *testing.T) {
 	in := []float64{1, 2, 3, 0, 5}
 	x := append([]float64(nil), in...)
-	out := Quiet.ApplyInPlace(x)
+	out := Model{}.ApplyInPlace(x)
 	for i := range in {
 		if out[i] != in[i] {
 			t.Fatalf("sample %d changed: %v", i, out[i])

@@ -8,7 +8,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -267,54 +266,18 @@ func (a *Aggregator) Close() error {
 	return err
 }
 
-// Node is a receiver-side client publishing detections to an
-// Aggregator or streaming raw samples to a ChunkListener. Dial builds a plain node whose writes fail when the
-// connection dies; DialReliable builds one that redials with backoff
-// and honors server backpressure.
-type Node struct {
-	hello   Hello
-	conn    net.Conn
-	mu      sync.Mutex
-	seq     uint32
-	streams map[uint32]*streamState
-
-	// Reliable-mode state (see redial.go); nil rcfg on a plain node.
-	addr      string
-	addrs     []string // failover rotation; addrs[0] == addr
-	addrIdx   int      // current rotation position, under mu
-	rcfg      *RedialConfig
-	helloBody []byte
-	rctx      context.Context
-	gen       int // connection generation, under mu
-	// codesGen is the connection generation whose server answered the
-	// Hello with FrameCodesOK (set by the control reader); live chunks
-	// go as code frames only while it equals gen.
-	codesGen  atomic.Int64
-	wbuf      []byte // float64 expansion of a code body, under mu
-	redials   atomic.Int64
-	resent    atomic.Int64
-	readerWG  sync.WaitGroup
-	closedCh  chan struct{}
-	closeOnce sync.Once
-
-	pmu      sync.Mutex
-	paused   bool
-	resumeCh chan struct{}
-}
-
-// streamState tracks per-stream chunk accounting on the node side.
-type streamState struct {
+// Publisher is a receiver-side client that decodes locally and
+// publishes its detections to an Aggregator. Nodes that ship raw
+// samples for server-side decoding use DialReliable instead.
+type Publisher struct {
+	hello Hello
+	conn  net.Conn
+	mu    sync.Mutex
 	seq   uint32
-	start uint64
-	// tail is the stream's resend buffer (multi-address reliable nodes
-	// only), bounded by ResendBytes: the bodies of the most recently
-	// sent chunks, replayed on reconnect or on a server StreamNack so a
-	// failover router that never saw the stream can rebuild it.
-	tail ReplayTail
 }
 
-// Dial connects a node to the aggregator and sends its Hello.
-func Dial(ctx context.Context, addr string, hello Hello) (*Node, error) {
+// Dial connects a publisher to the aggregator and sends its Hello.
+func Dial(ctx context.Context, addr string, hello Hello) (*Publisher, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -333,30 +296,30 @@ func Dial(ctx context.Context, addr string, hello Hello) (*Node, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &Node{hello: hello, conn: conn}, nil
+	return &Publisher{hello: hello, conn: conn}, nil
 }
 
 // Publish sends a detection and waits for the ack.
-func (n *Node) Publish(d Detection) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.seq++
-	d.NodeID = n.hello.NodeID
-	d.Seq = n.seq
+func (p *Publisher) Publish(d Detection) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.seq++
+	d.NodeID = p.hello.NodeID
+	d.Seq = p.seq
 	body, err := MarshalDetection(d)
 	if err != nil {
 		return err
 	}
-	if err := n.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		return err
 	}
-	if err := WriteFrame(n.conn, FrameDetection, body); err != nil {
+	if err := WriteFrame(p.conn, FrameDetection, body); err != nil {
 		return err
 	}
-	if err := n.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := p.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		return err
 	}
-	t, ackBody, err := ReadFrame(n.conn)
+	t, ackBody, err := ReadFrame(p.conn)
 	if err != nil {
 		return err
 	}
@@ -374,76 +337,8 @@ func (n *Node) Publish(d Detection) error {
 	return nil
 }
 
-// StreamChunk ships raw RSS samples for server-side decoding to a
-// ChunkListener (or a cluster router in front of one). Unlike Publish
-// it does not wait for an acknowledgement: chunk streams are
-// high-rate, TCP orders them, and the decode engine behind the
-// listener absorbs bursts in per-session ring buffers. The node's ID is stamped on the
-// chunk; Seq and Start are maintained per stream automatically.
-func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error {
-	if err := n.pauseGate(); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.streams == nil {
-		n.streams = make(map[uint32]*streamState)
-	}
-	st := n.streams[streamID]
-	if st == nil {
-		st = &streamState{}
-		n.streams[streamID] = st
-	}
-	// Oversized slices are split transparently into wire-sized chunks.
-	for len(samples) > 0 {
-		part := samples
-		if len(part) > MaxChunkSamples {
-			part = part[:MaxChunkSamples]
-		}
-		c := SampleChunk{
-			NodeID:   n.hello.NodeID,
-			StreamID: streamID,
-			Seq:      st.seq + 1,
-			Fs:       fs,
-			Start:    st.start,
-			Samples:  part,
-		}
-		ft, body, err := encodeSampleChunk(c)
-		if err != nil {
-			return err
-		}
-		e := ReplayEntry{Seq: c.Seq, Body: body, Codes: ft == FrameCodeChunk}
-		if err := n.writeChunkLocked(e); err != nil {
-			return err
-		}
-		if n.rcfg != nil && n.rcfg.ResendBytes > 0 {
-			st.tail.Append(e, n.rcfg.ResendBytes)
-		}
-		st.seq++
-		st.start += uint64(len(part))
-		samples = samples[len(part):]
-	}
-	return nil
-}
-
-// Close closes the node connection (and stops a reliable node's
-// redial/control machinery).
-func (n *Node) Close() error {
-	if n.rcfg == nil {
-		return n.conn.Close()
-	}
-	var err error
-	n.closeOnce.Do(func() {
-		close(n.closedCh)
-		n.mu.Lock()
-		if n.conn != nil {
-			err = n.conn.Close()
-		}
-		n.mu.Unlock()
-		n.readerWG.Wait()
-	})
-	return err
-}
+// Close closes the publisher's connection.
+func (p *Publisher) Close() error { return p.conn.Close() }
 
 // StdLogf adapts the standard logger for AggregatorOptions.Logf.
 func StdLogf(format string, args ...any) { log.Printf(format, args...) }

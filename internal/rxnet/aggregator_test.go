@@ -17,7 +17,7 @@ func startAggregator(t *testing.T, opt AggregatorOptions) (*Aggregator, string) 
 	return agg, addr
 }
 
-func dialNode(t *testing.T, addr string, hello Hello) *Node {
+func dialPublisher(t *testing.T, addr string, hello Hello) *Publisher {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -31,7 +31,7 @@ func dialNode(t *testing.T, addr string, hello Hello) *Node {
 
 func TestNodeRegistersAndPublishes(t *testing.T) {
 	agg, addr := startAggregator(t, AggregatorOptions{})
-	node := dialNode(t, addr, Hello{NodeID: 1, PosX: 0, Height: 0.75, Name: "pole-1"})
+	node := dialPublisher(t, addr, Hello{NodeID: 1, PosX: 0, Height: 0.75, Name: "pole-1"})
 	det := Detection{Time: time.Now(), Bits: []byte{1, 0}, RSSPeak: 100, NoiseFloor: 450, SymbolRate: 50}
 	if err := node.Publish(det); err != nil {
 		t.Fatal(err)
@@ -60,11 +60,11 @@ func TestTrackFusionAcrossNodes(t *testing.T) {
 	agg, addr := startAggregator(t, AggregatorOptions{TrackGap: time.Hour})
 	base := time.Now()
 	// Two poles 30 m apart; the object passes them 6 s apart -> 5 m/s.
-	n1 := dialNode(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
+	n1 := dialPublisher(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
 	if err := n1.Publish(Detection{Time: base, Bits: []byte{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	n2 := dialNode(t, addr, Hello{NodeID: 2, PosX: 30, Name: "p2"})
+	n2 := dialPublisher(t, addr, Hello{NodeID: 2, PosX: 30, Name: "p2"})
 	if err := n2.Publish(Detection{Time: base.Add(6 * time.Second), Bits: []byte{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTrackFusionAcrossNodes(t *testing.T) {
 
 func TestNoTrackFromSingleNode(t *testing.T) {
 	agg, addr := startAggregator(t, AggregatorOptions{})
-	n := dialNode(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
+	n := dialPublisher(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
 	for i := 0; i < 3; i++ {
 		if err := n.Publish(Detection{Time: time.Now(), Bits: []byte{1}}); err != nil {
 			t.Fatal(err)
@@ -112,11 +112,11 @@ func TestNoTrackFromSingleNode(t *testing.T) {
 func TestDifferentPayloadsDoNotFuse(t *testing.T) {
 	agg, addr := startAggregator(t, AggregatorOptions{TrackGap: time.Hour})
 	base := time.Now()
-	n1 := dialNode(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
+	n1 := dialPublisher(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
 	if err := n1.Publish(Detection{Time: base, Bits: []byte{0}}); err != nil {
 		t.Fatal(err)
 	}
-	n2 := dialNode(t, addr, Hello{NodeID: 2, PosX: 30, Name: "p2"})
+	n2 := dialPublisher(t, addr, Hello{NodeID: 2, PosX: 30, Name: "p2"})
 	if err := n2.Publish(Detection{Time: base.Add(time.Second), Bits: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestSubscribeReceivesTracks(t *testing.T) {
 	agg, addr := startAggregator(t, AggregatorOptions{TrackGap: time.Hour})
 	sub := agg.Subscribe()
 	base := time.Now()
-	n1 := dialNode(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
+	n1 := dialPublisher(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
 	if err := n1.Publish(Detection{Time: base, Bits: []byte{1, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	n2 := dialNode(t, addr, Hello{NodeID: 2, PosX: 10, Name: "p2"})
+	n2 := dialPublisher(t, addr, Hello{NodeID: 2, PosX: 10, Name: "p2"})
 	if err := n2.Publish(Detection{Time: base.Add(2 * time.Second), Bits: []byte{1, 0}}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestSubscribeReceivesTracks(t *testing.T) {
 func TestTrackGapDropsStaleDetections(t *testing.T) {
 	agg, addr := startAggregator(t, AggregatorOptions{TrackGap: time.Second})
 	base := time.Now()
-	n1 := dialNode(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
+	n1 := dialPublisher(t, addr, Hello{NodeID: 1, PosX: 0, Name: "p1"})
 	if err := n1.Publish(Detection{Time: base.Add(-time.Hour), Bits: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
-	n2 := dialNode(t, addr, Hello{NodeID: 2, PosX: 10, Name: "p2"})
+	n2 := dialPublisher(t, addr, Hello{NodeID: 2, PosX: 10, Name: "p2"})
 	if err := n2.Publish(Detection{Time: base, Bits: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,9 @@ func TestDialFailsWithoutServer(t *testing.T) {
 // instead of silently eating them.
 func TestAggregatorClosesConnOnSampleFrames(t *testing.T) {
 	_, addr := startAggregator(t, AggregatorOptions{})
-	node := dialNode(t, addr, Hello{NodeID: 1, Name: "pole"})
-	if err := node.StreamChunk(0, 1000, []float64{1, 2, 3}); err != nil {
+	node := dialPublisher(t, addr, Hello{NodeID: 1, Name: "pole"})
+	chunk := MarshalOrDie(t, SampleChunk{NodeID: 1, Seq: 1, Fs: 1000, Samples: []float64{1, 2, 3}})
+	if err := WriteFrame(node.conn, FrameSampleChunk, chunk); err != nil {
 		// The write itself may or may not fail depending on timing;
 		// the server closing the connection is the contract.
 		t.Logf("stream chunk write: %v", err)

@@ -132,12 +132,17 @@ func waitCodesAnswered(t *testing.T, n *Node) {
 	}
 }
 
-func dialReliable(t *testing.T, addr string, cfg RedialConfig) *Node {
+// pole4 is the hello of the node the code-frame and failover tests dial.
+var pole4 = Hello{NodeID: 4, Name: "pole-4"}
+
+// dialNode dials a streaming node that logs to the test and closes
+// with it.
+func dialNode(t *testing.T, addr string, hello Hello, cfg RedialConfig) *Node {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	t.Cleanup(cancel)
 	cfg.Logf = t.Logf
-	n, err := DialReliable(ctx, addr, Hello{NodeID: 4, Name: "pole-4"}, cfg)
+	n, err := DialReliable(ctx, addr, hello, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +194,7 @@ func TestListenerAnswersOnlyHellosThatAsk(t *testing.T) {
 // all codes.
 func TestNodeSendsFloatToSilentServer(t *testing.T) {
 	stub := startFrameStub(t, false)
-	node := dialReliable(t, stub.addr(), RedialConfig{FlowControl: true})
+	node := dialNode(t, stub.addr(), pole4, RedialConfig{})
 	samples := codeSamples(512, false)
 	for i := 0; i < 3; i++ {
 		if err := node.StreamChunk(1, 1000, samples); err != nil {
@@ -219,7 +224,7 @@ func TestNodeSendsCodesAfterAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	node := dialReliable(t, l.Addr(), RedialConfig{FlowControl: true})
+	node := dialNode(t, l.Addr(), pole4, RedialConfig{})
 	waitCodesAnswered(t, node)
 
 	ingest := func() int64 { return reg.Snapshot().Counters[`pl_rxnet_ingest_bytes_total{node="4"}`] }
@@ -255,7 +260,7 @@ func TestNodeSendsCodesAfterAnswer(t *testing.T) {
 func TestNodeResendsCodeTailAsFloat(t *testing.T) {
 	primary := startFrameStub(t, true)
 	standby := startFrameStub(t, false)
-	node := dialReliable(t, primary.addr(), RedialConfig{
+	node := dialNode(t, primary.addr(), pole4, RedialConfig{
 		Addrs:       []string{standby.addr()},
 		Backoff:     Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
 		MaxDowntime: 10 * time.Second,
@@ -289,14 +294,13 @@ func TestNodeResendsCodeTailAsFloat(t *testing.T) {
 	}
 }
 
-// ResendBytes bounds the bytes a stream's tail stores: a 512-sample
-// chunk of codes costs 1054 bytes, any other 4126. At 1 kHz the
-// default 256 KiB therefore holds 127 s of a code stream and 32 s of a
-// float64 one.
-func TestResendBytesCountsStoredBytes(t *testing.T) {
+// resendBytes bounds the bytes a stream's tail stores: a 512-sample
+// chunk of codes costs 1054 bytes, any other 4126. At 1 kHz its
+// 256 KiB therefore hold 127 s of a code stream and 32 s of a float64
+// one. A single-address node keeps the tail too.
+func TestResendTailCountsStoredBytes(t *testing.T) {
 	stub := startFrameStub(t, false)
-	standby := startFrameStub(t, false)
-	node := dialReliable(t, stub.addr(), RedialConfig{Addrs: []string{standby.addr()}})
+	node := dialNode(t, stub.addr(), pole4, RedialConfig{})
 	for stream, tc := range []struct {
 		frac         bool
 		entry, kept  int
@@ -321,7 +325,7 @@ func TestResendBytesCountsStoredBytes(t *testing.T) {
 				t.Fatalf("frac=%v: entry of %d bytes (codes %v), want %d", tc.frac, len(sb.Body), sb.Codes, tc.entry)
 			}
 		}
-		if len(saved) != tc.kept || held != tc.kept*tc.entry || held > 256<<10 {
+		if len(saved) != tc.kept || held != tc.kept*tc.entry || held > resendBytes {
 			t.Fatalf("frac=%v: tail keeps %d chunks in %d bytes, want %d in %d", tc.frac, len(saved), held, tc.kept, tc.kept*tc.entry)
 		}
 		if s := float64(len(saved)*512) / 1000; math.Round(s) != tc.heldSeconds {

@@ -60,19 +60,11 @@ func TestChunkListenerDedupsReplayedChunks(t *testing.T) {
 	}
 	defer l.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 9, Name: "pole-9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := dialRaw(t, l.Addr(), Hello{NodeID: 9, Name: "pole-9"})
 
 	samples := make([]float64, 50)
 	for i := 0; i < 3; i++ {
-		if err := node.StreamChunk(2, 1000, samples); err != nil {
-			t.Fatal(err)
-		}
+		node.chunk(t, 2, samples)
 	}
 	collectChunks(t, l, 3) // cursor now at seq 3, next 150
 
@@ -102,9 +94,7 @@ func TestChunkListenerDedupsReplayedChunks(t *testing.T) {
 
 	// The live stream continues past the duplicates with no reset: the
 	// cursor must not have moved.
-	if err := node.StreamChunk(2, 1000, samples); err != nil {
-		t.Fatal(err)
-	}
+	node.chunk(t, 2, samples)
 	evs := collectChunks(t, l, 1)
 	if evs[0].Reset {
 		t.Fatal("live chunk after discarded duplicates flagged reset")
@@ -281,4 +271,50 @@ func TestChunkListenerAckThroughEpoch(t *testing.T) {
 	if a.Session != session || a.LastSeq != 2 {
 		t.Fatalf("ack %+v, want session %d through Seq 2", a, session)
 	}
+}
+
+// A node whose server stays away past MaxDowntime ends its reconnect
+// episode with no connection. Its next write must redial rather than
+// write on the missing connection, and the fresh connection gets a
+// control reader again: the server's code-frame answer is read.
+func TestNodeRedialsAfterReaderGivesUp(t *testing.T) {
+	l1, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l1.Addr()
+	node := dialNode(t, addr, pole4, RedialConfig{
+		Backoff:     Backoff{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond},
+		MaxDowntime: 100 * time.Millisecond,
+	})
+	waitCodesAnswered(t, node)
+
+	l1.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		node.mu.Lock()
+		gaveUp := node.conn == nil && !node.reading
+		node.mu.Unlock()
+		if gaveUp {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("control reader never gave up on the dead server")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	l2, err := ListenChunksConfig(addr, ChunkListenerConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	samples := codeSamples(64, false)
+	if err := node.StreamChunk(1, 1000, samples); err != nil {
+		t.Fatalf("write after the reader gave up: %v", err)
+	}
+	if ev := collectChunks(t, l2, 1)[0]; len(ev.Samples) != len(samples) {
+		t.Fatalf("delivered %d samples, want %d", len(ev.Samples), len(samples))
+	}
+	waitCodesAnswered(t, node)
 }

@@ -340,8 +340,8 @@ func (l *ChunkListener) Drain() {
 
 // SetThrottled flips the listener's backpressure signal: every
 // connected peer (and every later one) is sent a Throttle frame, so a
-// router pauses the contributing nodes — or a directly-connected
-// flow-controlled node stalls itself — until the signal clears.
+// router pauses the contributing nodes — or a directly-connected node
+// stalls itself — until the signal clears.
 // Idempotent per state.
 func (l *ChunkListener) SetThrottled(paused bool) {
 	l.mu.Lock()
@@ -433,8 +433,8 @@ func (l *ChunkListener) ForceRedirect(session uint64) bool {
 // never need replaying to a failover owner if this engine dies. It
 // reports whether the stream was still known (a redirected or ended
 // stream has no cursor left to ack). Peers that are not routers
-// tolerate the frame: reliable nodes ignore unknown control frames and
-// plain streaming nodes never read.
+// tolerate the frame: streaming nodes ignore control frames they do
+// not act on.
 func (l *ChunkListener) AckSession(session uint64) bool {
 	l.mu.Lock()
 	var src *lconn

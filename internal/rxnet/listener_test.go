@@ -1,13 +1,50 @@
 package rxnet
 
 import (
-	"context"
 	"net"
 	"testing"
 	"time"
 
 	"passivelight/internal/telemetry"
 )
+
+// rawPeer is a naive sender for tests that drive the wire themselves:
+// it writes a plain Hello and float64 chunk frames at 1 kHz, reads
+// only what a test reads off conn, and never redials.
+type rawPeer struct {
+	conn net.Conn
+	id   uint32
+	last map[uint32]SampleChunk // per stream: the last chunk's Seq, Start and length
+}
+
+func dialRaw(t *testing.T, addr string, hello Hello) *rawPeer {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	body, err := MarshalHello(hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(c, FrameHello, body); err != nil {
+		t.Fatal(err)
+	}
+	return &rawPeer{conn: c, id: hello.NodeID, last: make(map[uint32]SampleChunk)}
+}
+
+// chunk sends samples as the stream's next live chunk.
+func (p *rawPeer) chunk(t *testing.T, stream uint32, samples []float64) {
+	t.Helper()
+	prev := p.last[stream]
+	c := SampleChunk{NodeID: p.id, StreamID: stream, Seq: prev.Seq + 1, Fs: 1000,
+		Start: prev.Start + uint64(len(prev.Samples)), Samples: samples}
+	if err := WriteFrame(p.conn, FrameSampleChunk, MarshalOrDie(t, c)); err != nil {
+		t.Fatal(err)
+	}
+	p.last[stream] = c
+}
 
 // collectChunks drains n chunk events with a deadline.
 func collectChunks(t *testing.T, l *ChunkListener, n int) []ChunkEvent {
@@ -35,13 +72,8 @@ func TestChunkListenerDeliversAndResets(t *testing.T) {
 	}
 	defer l.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	hello := Hello{NodeID: 7, PosX: 12.5, Height: 0.75, Name: "pole-7"}
-	node, err := Dial(ctx, l.Addr(), hello)
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := dialNode(t, l.Addr(), hello, RedialConfig{})
 	samples := make([]float64, 2048)
 	for i := range samples {
 		samples[i] = float64(i % 100)
@@ -85,11 +117,7 @@ func TestChunkListenerDeliversAndResets(t *testing.T) {
 	// A reconnecting node restarts its per-stream numbering: the
 	// first chunk of the new connection must arrive flagged Reset so
 	// the decode session cannot splice epochs.
-	node2, err := Dial(ctx, l.Addr(), hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
+	node2 := dialNode(t, l.Addr(), hello, RedialConfig{})
 	if err := node2.StreamChunk(3, 2000, samples[:512]); err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +145,7 @@ func TestChunkListenerCloseDrainsQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 9, Name: "pole-9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := dialNode(t, l.Addr(), Hello{NodeID: 9, Name: "pole-9"}, RedialConfig{})
 
 	const sent = 16
 	samples := make([]float64, 128)
@@ -277,13 +299,7 @@ func TestChunkListenerShedCursorEndsSession(t *testing.T) {
 		filled[c.SessionKey()] = true
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 2, Name: "pole-2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := dialNode(t, l.Addr(), Hello{NodeID: 2, Name: "pole-2"}, RedialConfig{})
 	if err := node.StreamChunk(0, 1000, make([]float64, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -324,17 +340,9 @@ func TestChunkListenerDrainRefusesNewStreams(t *testing.T) {
 	}
 	defer l.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 1, Name: "pole-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := dialRaw(t, l.Addr(), Hello{NodeID: 1, Name: "pole-1"})
 	samples := make([]float64, 64)
-	if err := node.StreamChunk(1, 1000, samples); err != nil {
-		t.Fatal(err)
-	}
+	node.chunk(t, 1, samples)
 	collectChunks(t, l, 1) // stream (1,1) is now in flight
 
 	l.Drain()
@@ -351,9 +359,7 @@ func TestChunkListenerDrainRefusesNewStreams(t *testing.T) {
 	}
 
 	// A NEW stream is refused with a replay-from-start NACK...
-	if err := node.StreamChunk(2, 1000, samples); err != nil {
-		t.Fatal(err)
-	}
+	node.chunk(t, 2, samples)
 	ft, body = readFrameWithin(t, node.conn, 5*time.Second)
 	if ft != FrameStreamNack {
 		t.Fatalf("new stream got frame %d while draining, want FrameStreamNack", ft)
@@ -366,14 +372,10 @@ func TestChunkListenerDrainRefusesNewStreams(t *testing.T) {
 		t.Fatalf("nack %+v, want session (1,2) lastSeq 0", nack)
 	}
 	// ...and its follow-up chunks are discarded without a second NACK.
-	if err := node.StreamChunk(2, 1000, samples); err != nil {
-		t.Fatal(err)
-	}
+	node.chunk(t, 2, samples)
 
 	// The in-flight stream keeps flowing.
-	if err := node.StreamChunk(1, 1000, samples); err != nil {
-		t.Fatal(err)
-	}
+	node.chunk(t, 1, samples)
 	evs := collectChunks(t, l, 1)
 	if evs[0].StreamID != 1 || evs[0].Reset {
 		t.Fatalf("in-flight stream event %+v during drain", evs[0])
@@ -395,11 +397,7 @@ func TestChunkListenerDrainRefusesNewStreams(t *testing.T) {
 	}
 
 	// A peer connecting mid-drain is told immediately.
-	late, err := Dial(ctx, l.Addr(), Hello{NodeID: 2, Name: "pole-2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer late.Close()
+	late := dialRaw(t, l.Addr(), Hello{NodeID: 2, Name: "pole-2"})
 	if ft, _ := readFrameWithin(t, late.conn, 5*time.Second); ft != FrameDrain {
 		t.Fatalf("late peer got frame %d, want FrameDrain", ft)
 	}
@@ -416,18 +414,10 @@ func TestChunkListenerForceRedirectAndStreamEnd(t *testing.T) {
 	}
 	defer l.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 8, Name: "pole-8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := dialRaw(t, l.Addr(), Hello{NodeID: 8, Name: "pole-8"})
 	samples := make([]float64, 64)
 	for i := 0; i < 3; i++ {
-		if err := node.StreamChunk(1, 1000, samples); err != nil {
-			t.Fatal(err)
-		}
+		node.chunk(t, 1, samples)
 	}
 	collectChunks(t, l, 3)
 

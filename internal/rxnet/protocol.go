@@ -58,10 +58,10 @@ const (
 	FrameDetection
 	// FrameAck acknowledges a detection (aggregator -> node).
 	FrameAck
-	// FrameTrack is reserved. Fused tracks reach subscribers in
-	// process (Aggregator.Subscribe) and never travel on the wire; the
-	// code stays so later frame numbers do not shift.
-	FrameTrack
+	// Code 4 is reserved. Fused tracks reach subscribers in process
+	// (Aggregator.Subscribe) and never travel on the wire; the code
+	// stays so later frame numbers do not shift.
+	_
 	// FrameSampleChunk carries raw RSS samples from a node that
 	// delegates decoding to the engine behind a ChunkListener.
 	// Unacknowledged: chunk streams are high-rate and TCP already
@@ -97,8 +97,8 @@ const (
 	// upstream when their session rings or batch channel run hot
 	// (paused=true) and again when pressure clears (paused=false);
 	// a router relays pause/resume to the receiver-node connections
-	// whose streams feed the hot engine, so flow-controlled nodes
-	// stall at the edge instead of overrunning it.
+	// whose streams feed the hot engine, so those nodes stall at the
+	// edge instead of overrunning it.
 	FrameThrottle
 	// FrameStreamAck confirms consumption on a chunk stream (engine ->
 	// router): every chunk through LastSeq has been decoded, so the
@@ -815,8 +815,8 @@ func UnmarshalRingUpdate(b []byte) (RingUpdate, error) {
 
 // Throttle is a backpressure signal: paused=true asks the receiver to
 // stop sending new sample chunks until a paused=false follows. A
-// flow-controlled node (RedialConfig.FlowControl) stalls its
-// StreamChunk calls meanwhile; nothing is dropped.
+// streaming Node stalls its StreamChunk calls meanwhile; nothing is
+// dropped.
 type Throttle struct {
 	Paused bool
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -73,7 +75,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// RedialConfig tunes a reliable node client (DialReliable).
+// RedialConfig tunes a streaming node (DialReliable).
 type RedialConfig struct {
 	// Backoff paces reconnect attempts after a connection failure.
 	Backoff Backoff
@@ -81,26 +83,11 @@ type RedialConfig struct {
 	// unreachable this long, the pending write fails with the dial
 	// error. Zero selects 30 s; negative retries forever.
 	MaxDowntime time.Duration
-	// FlowControl starts a control reader that honors server-sent
-	// Throttle frames: StreamChunk stalls while paused. A
-	// flow-controlled node must not use Publish — the reader would
-	// consume its acks.
-	FlowControl bool
 	// Addrs lists additional server addresses beyond the one passed to
 	// DialReliable. When a reconnect episode cannot reach the current
 	// address, the node rotates through the list — transparent router
-	// failover. Multi-address nodes keep a bounded per-stream resend
-	// buffer (see ResendBytes) and replay its tail as SampleReplay
-	// frames on every reconnect, so a failover target that never saw
-	// the stream's recent chunks receives them without a continuity
-	// reset; receivers dedup anything the old server already
-	// delivered. A multi-address node must not use Publish (the
-	// control reader would consume its acks).
+	// failover.
 	Addrs []string
-	// ResendBytes bounds each stream's resend buffer. Zero selects
-	// 256 KiB per stream when Addrs is non-empty, otherwise disabled;
-	// negative disables resend buffering entirely.
-	ResendBytes int
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -109,31 +96,79 @@ func (c RedialConfig) withDefaults() RedialConfig {
 	if c.MaxDowntime == 0 {
 		c.MaxDowntime = 30 * time.Second
 	}
-	if c.ResendBytes == 0 && len(c.Addrs) > 0 {
-		c.ResendBytes = 256 << 10
-	}
-	if c.ResendBytes < 0 {
-		c.ResendBytes = 0
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
 
-// ErrNodeClosed reports a write on a closed reliable node.
+// resendBytes bounds each stream's resend tail. A 512-sample chunk of
+// codes stores 1054 bytes and any other chunk 4126, so at 1 kHz it
+// holds 127 s of a code stream and 32 s of a float64 one.
+const resendBytes = 256 << 10
+
+// ErrNodeClosed reports a write on a closed node.
 var ErrNodeClosed = errors.New("rxnet: node closed")
 
-// DialReliable connects a node like Dial but survives server
+// Node is a receiver-side client streaming raw samples to a
+// ChunkListener, or to a cluster router in front of one. It redials
+// with backoff when its connection dies, reads its connection for
+// control frames, stalls while the server holds it paused, and keeps
+// a bounded resend tail of every stream.
+type Node struct {
+	hello     Hello
+	cfg       RedialConfig
+	helloBody []byte
+	rctx      context.Context
+
+	mu      sync.Mutex
+	conn    net.Conn
+	streams map[uint32]*streamState
+	addrs   []string // failover rotation, the dialed address first
+	addrIdx int      // current rotation position
+	gen     int      // connection generation
+	reading bool     // a control reader is running
+	wbuf    []byte   // float64 expansion of a code body
+
+	// codesGen is the connection generation whose server answered the
+	// Hello with FrameCodesOK (set by the control reader); live chunks
+	// go as code frames only while it equals gen.
+	codesGen  atomic.Int64
+	redials   atomic.Int64
+	resent    atomic.Int64
+	readerWG  sync.WaitGroup
+	closedCh  chan struct{}
+	closeOnce sync.Once
+
+	pmu      sync.Mutex
+	paused   bool
+	resumeCh chan struct{}
+}
+
+// streamState tracks per-stream chunk accounting on the node side.
+type streamState struct {
+	seq   uint32
+	start uint64
+	// tail is the stream's resend buffer, bounded by resendBytes: the
+	// bodies of the most recently sent chunks, replayed on reconnect or
+	// on a server StreamNack so a server that never saw the stream's
+	// recent chunks can rebuild it.
+	tail ReplayTail
+}
+
+// DialReliable connects a streaming node and sends its Hello, asking
+// the server whether it takes code frames. The node survives server
 // restarts: writes that hit a dead connection redial with capped
-// exponential backoff and jitter, re-announce the Hello, and resume
-// every stream's chunk numbering — a router bounce costs at most one
-// counted continuity reset, never a silent splice. With
-// cfg.FlowControl it also honors server Throttle frames (cluster
-// backpressure). The initial dial retries under the same policy, so
-// nodes may start before their router.
+// exponential backoff and jitter, re-announce the Hello, resend every
+// stream's buffered tail as SampleReplay frames and resume the
+// stream's chunk numbering. A server bounce or router failover that
+// the tail reaches back over costs no continuity reset, a longer one
+// a counted reset, never a silent splice; receivers dedup anything the
+// old server already delivered. A control reader honors server
+// Throttle frames (cluster backpressure) and answers StreamNacks from
+// the tail. The initial dial retries under the same policy, so nodes
+// may start before their router.
 func DialReliable(ctx context.Context, addr string, hello Hello, cfg RedialConfig) (*Node, error) {
-	cfg = cfg.withDefaults()
 	helloBody, err := MarshalHello(hello)
 	if err != nil {
 		return nil, err
@@ -144,22 +179,12 @@ func DialReliable(ctx context.Context, addr string, hello Hello, cfg RedialConfi
 			addrs = append(addrs, a)
 		}
 	}
-	// The control reader also drives reconnects when the read side sees
-	// the connection die first, which is how a multi-address node
-	// notices a dead router before its next write — so it runs for
-	// failover nodes too, not just flow-controlled ones. A node that
-	// reads asks its servers whether they take code frames.
-	reads := cfg.FlowControl || len(addrs) > 1
-	if reads {
-		helloBody = AskCodes(helloBody)
-	}
 	n := &Node{
 		hello:     hello,
-		addr:      addr,
-		addrs:     addrs,
-		rcfg:      &cfg,
-		helloBody: helloBody,
+		cfg:       cfg.withDefaults(),
+		helloBody: AskCodes(helloBody),
 		rctx:      ctx,
+		addrs:     addrs,
 		closedCh:  make(chan struct{}),
 		resumeCh:  make(chan struct{}),
 	}
@@ -169,28 +194,85 @@ func DialReliable(ctx context.Context, addr string, hello Hello, cfg RedialConfi
 	if err != nil {
 		return nil, err
 	}
-	if reads {
-		n.readerWG.Add(1)
-		go n.controlLoop()
-	}
 	return n, nil
 }
 
-// Resent reports how many buffered chunks a multi-address node has
-// retransmitted as SampleReplay frames (on reconnect, or answering a
-// server StreamNack).
+// StreamChunk ships raw RSS samples for server-side decoding. It does
+// not wait for an acknowledgement: chunk streams are high-rate, TCP
+// orders them, and the decode engine behind the listener absorbs
+// bursts in per-session ring buffers. The node's ID is stamped on the
+// chunk; Seq and Start are maintained per stream automatically.
+func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error {
+	if err := n.pauseGate(); err != nil {
+		return err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.streams == nil {
+		n.streams = make(map[uint32]*streamState)
+	}
+	st := n.streams[streamID]
+	if st == nil {
+		st = &streamState{}
+		n.streams[streamID] = st
+	}
+	// Oversized slices are split transparently into wire-sized chunks.
+	for len(samples) > 0 {
+		part := samples
+		if len(part) > MaxChunkSamples {
+			part = part[:MaxChunkSamples]
+		}
+		c := SampleChunk{
+			NodeID:   n.hello.NodeID,
+			StreamID: streamID,
+			Seq:      st.seq + 1,
+			Fs:       fs,
+			Start:    st.start,
+			Samples:  part,
+		}
+		ft, body, err := encodeSampleChunk(c)
+		if err != nil {
+			return err
+		}
+		e := ReplayEntry{Seq: c.Seq, Body: body, Codes: ft == FrameCodeChunk}
+		if err := n.writeChunkLocked(e); err != nil {
+			return err
+		}
+		st.tail.Append(e, resendBytes)
+		st.seq++
+		st.start += uint64(len(part))
+		samples = samples[len(part):]
+	}
+	return nil
+}
+
+// Close closes the node's connection and stops its redial and control
+// machinery.
+func (n *Node) Close() error {
+	var err error
+	n.closeOnce.Do(func() {
+		close(n.closedCh)
+		n.mu.Lock()
+		if n.conn != nil {
+			err = n.conn.Close()
+		}
+		n.mu.Unlock()
+		n.readerWG.Wait()
+	})
+	return err
+}
+
+// Resent reports how many buffered chunks the node has retransmitted
+// as SampleReplay frames (on reconnect, or answering a server
+// StreamNack).
 func (n *Node) Resent() int64 { return n.resent.Load() }
 
-// Redials reports how many times a reliable node has re-established
-// its connection (the initial dial not counted).
+// Redials reports how many times the node has re-established its
+// connection (the initial dial not counted).
 func (n *Node) Redials() int64 { return n.redials.Load() }
 
-// Paused reports whether the server currently holds this
-// flow-controlled node paused.
+// Paused reports whether the server currently holds the node paused.
 func (n *Node) Paused() bool {
-	if n.rcfg == nil {
-		return false
-	}
 	n.pmu.Lock()
 	defer n.pmu.Unlock()
 	return n.paused
@@ -198,7 +280,8 @@ func (n *Node) Paused() bool {
 
 // reconnectLocked re-establishes the connection if generation gen is
 // still current (a concurrent caller may have beaten us to it),
-// retrying with backoff until MaxDowntime. Callers hold n.mu.
+// retrying with backoff until MaxDowntime, and starts a control reader
+// when none is running. Callers hold n.mu.
 func (n *Node) reconnectLocked(gen int) error {
 	if n.gen != gen {
 		return nil // already reconnected by another path
@@ -208,8 +291,8 @@ func (n *Node) reconnectLocked(gen int) error {
 		n.conn = nil
 	}
 	var deadline time.Time
-	if n.rcfg.MaxDowntime > 0 {
-		deadline = time.Now().Add(n.rcfg.MaxDowntime)
+	if n.cfg.MaxDowntime > 0 {
+		deadline = time.Now().Add(n.cfg.MaxDowntime)
 	}
 	for attempt := 1; ; attempt++ {
 		select {
@@ -236,7 +319,12 @@ func (n *Node) reconnectLocked(gen int) error {
 				n.gen++
 				if n.gen > 1 {
 					n.redials.Add(1)
-					n.rcfg.Logf("rxnet: node %d reconnected to %s (attempt %d)", n.hello.NodeID, n.curAddr(), attempt)
+					n.cfg.Logf("rxnet: node %d reconnected to %s (attempt %d)", n.hello.NodeID, n.curAddr(), attempt)
+				}
+				if !n.reading {
+					n.reading = true
+					n.readerWG.Add(1)
+					go n.controlLoop()
 				}
 				return nil
 			}
@@ -246,7 +334,7 @@ func (n *Node) reconnectLocked(gen int) error {
 		if len(n.addrs) > 1 {
 			n.addrIdx = (n.addrIdx + 1) % len(n.addrs)
 		}
-		delay := n.rcfg.Backoff.Delay(attempt)
+		delay := n.cfg.Backoff.Delay(attempt)
 		if !deadline.IsZero() && time.Now().Add(delay).After(deadline) {
 			return err
 		}
@@ -262,12 +350,7 @@ func (n *Node) reconnectLocked(gen int) error {
 
 // curAddr is the address the rotation currently points at. Callers
 // hold n.mu.
-func (n *Node) curAddr() string {
-	if len(n.addrs) == 0 {
-		return n.addr
-	}
-	return n.addrs[n.addrIdx%len(n.addrs)]
-}
+func (n *Node) curAddr() string { return n.addrs[n.addrIdx] }
 
 // dialOnce makes one connection attempt and sends the Hello.
 func (n *Node) dialOnce() (net.Conn, error) {
@@ -290,23 +373,18 @@ func (n *Node) dialOnce() (net.Conn, error) {
 }
 
 // writeChunkLocked writes one chunk frame, redialing and retrying on
-// failure for reliable nodes. A code body goes as a code frame only
-// while the current connection's server has answered the Hello;
-// otherwise, and on every fresh connection, it is expanded to its
-// float64 frame. Callers hold n.mu.
+// failure. A code body goes as a code frame only while the current
+// connection's server has answered the Hello; otherwise, and on every
+// fresh connection, it is expanded to its float64 frame. Callers hold
+// n.mu.
 func (n *Node) writeChunkLocked(e ReplayEntry) error {
 	for {
 		gen := n.gen
-		// A plain node (gen 0) never asks, so is never answered.
-		t, body := e.Frame(gen > 0 && n.codesGen.Load() == int64(gen), false, &n.wbuf)
-		if err := n.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err == nil {
-			if err := WriteFrame(n.conn, t, body); err == nil {
-				return nil
-			} else if n.rcfg == nil {
-				return err
-			}
-		} else if n.rcfg == nil {
-			return err
+		t, body := e.Frame(n.codesGen.Load() == int64(gen), false, &n.wbuf)
+		// A reconnect episode that gave up leaves no connection.
+		if n.conn != nil && n.conn.SetWriteDeadline(time.Now().Add(10*time.Second)) == nil &&
+			WriteFrame(n.conn, t, body) == nil {
+			return nil
 		}
 		// The connection died under the write: reconnect and resend.
 		// Whether the server consumed the failed chunk is unknowable
@@ -367,13 +445,9 @@ func (n *Node) handleStreamNack(nk StreamNack) {
 	_ = n.resendLocked(n.conn, later)
 }
 
-// pauseGate blocks while a flow-controlled node is paused by the
-// server. Advisory: a pause that lands after the gate delays only
-// until the next chunk.
+// pauseGate blocks while the server holds the node paused. Advisory:
+// a pause that lands after the gate delays only until the next chunk.
 func (n *Node) pauseGate() error {
-	if n.rcfg == nil || !n.rcfg.FlowControl {
-		return nil
-	}
 	for {
 		n.pmu.Lock()
 		if !n.paused {
@@ -395,7 +469,9 @@ func (n *Node) pauseGate() error {
 // controlLoop consumes server-to-node control frames (the Hello's
 // FrameCodesOK answer, Throttle pause/resume, drain notices) and
 // drives reconnects when the read side sees the connection die first.
-// Each connection generation is read through one FrameReader.
+// Each connection generation is read through one FrameReader. A
+// reconnect episode that gives up ends the loop and releases any
+// stalled writer, whose next write redials and restarts it.
 func (n *Node) controlLoop() {
 	defer n.readerWG.Done()
 	var fr *FrameReader
@@ -403,6 +479,7 @@ func (n *Node) controlLoop() {
 	for {
 		n.mu.Lock()
 		conn, gen := n.conn, n.gen
+		n.reading = conn != nil
 		n.mu.Unlock()
 		if conn == nil {
 			return
@@ -421,14 +498,12 @@ func (n *Node) controlLoop() {
 			default:
 			}
 			n.mu.Lock()
-			rerr := n.reconnectLocked(gen)
-			n.mu.Unlock()
-			if rerr != nil {
-				n.rcfg.Logf("rxnet: node %d control reader giving up: %v", n.hello.NodeID, rerr)
-				return
+			if err := n.reconnectLocked(gen); err != nil {
+				n.cfg.Logf("rxnet: node %d control reader giving up: %v", n.hello.NodeID, err)
 			}
+			n.mu.Unlock()
 			// A reconnect lands on a fresh server conn with no pause
-			// state; release any stalled writer.
+			// state, and a failed one on none; release any stalled writer.
 			n.setPaused(false)
 			continue
 		}
@@ -438,14 +513,14 @@ func (n *Node) controlLoop() {
 		case FrameThrottle:
 			th, err := UnmarshalThrottle(body)
 			if err != nil {
-				n.rcfg.Logf("rxnet: node %d bad throttle: %v", n.hello.NodeID, err)
+				n.cfg.Logf("rxnet: node %d bad throttle: %v", n.hello.NodeID, err)
 				continue
 			}
 			n.setPaused(th.Paused)
 		case FrameStreamNack:
 			nk, err := UnmarshalStreamNack(body)
 			if err != nil {
-				n.rcfg.Logf("rxnet: node %d bad stream nack: %v", n.hello.NodeID, err)
+				n.cfg.Logf("rxnet: node %d bad stream nack: %v", n.hello.NodeID, err)
 				continue
 			}
 			n.handleStreamNack(nk)
@@ -456,7 +531,7 @@ func (n *Node) controlLoop() {
 	}
 }
 
-// setPaused flips the flow-control state, waking blocked writers on
+// setPaused flips the pause state, waking blocked writers on
 // resume.
 func (n *Node) setPaused(paused bool) {
 	n.pmu.Lock()

@@ -28,7 +28,7 @@ func synthPacketStream(payload string, fs float64, seed int64) []float64 {
 	quiet(gap)
 	for _, s := range coding.MustPacket(payload).Symbols() {
 		level := low
-		if s == High {
+		if s == coding.High {
 			level = high
 		}
 		for i := 0; i < perSymbol; i++ {
@@ -295,7 +295,7 @@ func TestPipelineNetSource(t *testing.T) {
 	}
 
 	stream := synthPacketStream("1001", 1000, 3)
-	node, err := rxnet.Dial(ctx, src.Addr(), rxnet.Hello{NodeID: 9, PosX: 1, Height: 0.75, Name: "pole-9"})
+	node, err := rxnet.DialReliable(ctx, src.Addr(), rxnet.Hello{NodeID: 9, PosX: 1, Height: 0.75, Name: "pole-9"}, rxnet.RedialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func startNetFusion(ctx context.Context, t *testing.T, symbols int, opts ...Opti
 // the stream at Seq 1, Start 0.
 func streamFromNode(ctx context.Context, t *testing.T, addr string, hello rxnet.Hello, samples []float64) {
 	t.Helper()
-	node, err := rxnet.Dial(ctx, addr, hello)
+	node, err := rxnet.DialReliable(ctx, addr, hello, rxnet.RedialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,17 +18,19 @@ import (
 	"testing"
 )
 
-// reachAllowlist names the module functions that no production path
-// reaches but that stay on purpose. Each reason starts with its kind:
+// reachAllowlist names the module declarations that no production
+// path reaches but that stay on purpose. Each reason starts with its
+// kind:
 //
 //   - chaos harness: fault-injection code the cluster tests drive;
+//   - error contract: a sentinel callers match with errors.Is;
 //   - reference model: a direct implementation tests compare the
 //     optimised production path against;
-//   - test seam: an accessor, option or fixture constructor tests
-//     work through.
+//   - test seam: an accessor, option or fixture tests work through.
 //
-// Functions reached only from an allowlisted function are kept with it
-// and need no entry of their own.
+// Declarations reached only from an allowlisted one (an allowlisted
+// method's receiver type among them) are kept with it and need no
+// entry of their own.
 var reachAllowlist = map[string]string{
 	"internal/cluster/chaos.NewInjector":             "chaos harness: fault injector TestClusterChurnSelfHealing and the chaos tests wrap connections with",
 	"internal/cluster/chaos.NewProxy":                "chaos harness: faulty TCP hop TestClusterChurnSelfHealing severs",
@@ -44,6 +46,16 @@ var reachAllowlist = map[string]string{
 	"(*internal/rxnet.Node).Paused":                  "test seam: TestClusterChurnSelfHealing asserts throttle release through it",
 	"internal/coding.MustPacket":                     "test seam: the fixture constructor of the coding, channel, scene, tag, decoder, stream and root tests",
 	"passivelight.WithMaxSessions":                   "test seam: the load tests shrink the session table through it; every binary runs the default 65536",
+	"passivelight.ErrNoPreamble":                     "error contract: callers match with errors.Is",
+	"passivelight.ErrLowContrast":                    "error contract: callers match with errors.Is",
+	"passivelight.ErrSaturated":                      "error contract: callers match with errors.Is",
+	"passivelight.ErrSessionEvicted":                 "error contract: callers match with errors.Is",
+	"passivelight.ErrSessionTableFull":               "error contract: callers match with errors.Is",
+	"passivelight.ErrEngineClosed":                   "error contract: callers match with errors.Is",
+	"internal/material.WhitePaper":                   "test seam: reference surface the scene and material tests build scenes from",
+	"internal/material.MirrorFilm":                   "test seam: reference surface the tag and material tests build stripes from",
+	"internal/material.DarkCloth":                    "test seam: reference surface the channel, tag and material tests build scenes from",
+	"internal/optics.Composite":                      "test seam: the position- and time-varying source TestRenderPlanRandomScenes checks the generic render path with",
 }
 
 // stdlibInterfaces are the standard-library interfaces through which
@@ -140,15 +152,15 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 
 // TestProductionReachesAllInternalCode walks the call graph from every
 // production entry point — the cmd/ and examples/ binaries and the
-// perfbench module — and fails on any function declared in the root
-// package or under internal/ that the walk does not reach and
-// reachAllowlist does not name. The root package's exported API is no
-// entry point: a public function, method or Option that no binary,
-// example or the benchmark calls is dead code like any other, and so
-// is every branch only it selects. A call through an interface method
-// reaches every method of that name. Package initialisers (init
-// functions and package-level variable values) of every linked package
-// are entry points too.
+// perfbench module — and fails on any function, type, alias, const or
+// var declared at package level in the root package or under internal/
+// that the walk does not reach and reachAllowlist does not name. The
+// root package's exported API is no entry point: a public function,
+// method, Option or alias that no binary, example or the benchmark
+// uses is dead code like any other, and so is every branch only it
+// selects. A call through an interface method reaches every method of
+// that name. Package initialisers (init functions and package-level
+// variable values) of every linked package are entry points too.
 func TestProductionReachesAllInternalCode(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go command not on PATH")
@@ -191,31 +203,65 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 		}
 	}
 
-	// Index every declared function and method of the module.
-	decls := map[*types.Func]*ast.FuncDecl{}
+	// Index every package-level declaration of the module by what a
+	// reached one makes reachable in turn: a function or method its
+	// signature and body (not a method's receiver: a method reached
+	// through an interface keeps a dead type dead), a type, const or var
+	// its spec. A const is reached with its whole group, so one use
+	// keeps an iota block's numbering.
+	decls := map[types.Object][]ast.Node{}
+	group := map[types.Object][]types.Object{}
 	byName := map[string][]*types.Func{}
 	for _, files := range m.files {
 		for _, f := range files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn := m.info.Defs[fd.Name].(*types.Func)
-				decls[fn] = fd
-				if fd.Recv != nil {
-					byName[fn.Name()] = append(byName[fn.Name()], fn)
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := m.info.Defs[d.Name].(*types.Func)
+					decls[fn] = []ast.Node{d.Type}
+					if d.Body != nil {
+						decls[fn] = append(decls[fn], d.Body)
+					}
+					if d.Recv != nil {
+						byName[fn.Name()] = append(byName[fn.Name()], fn)
+					}
+				case *ast.GenDecl:
+					var consts []types.Object
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							decls[m.info.Defs[spec.Name]] = []ast.Node{spec}
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								if id.Name == "_" {
+									continue
+								}
+								decls[m.info.Defs[id]] = []ast.Node{spec}
+								if d.Tok == token.CONST {
+									consts = append(consts, m.info.Defs[id])
+								}
+							}
+						}
+					}
+					for _, c := range consts {
+						group[c] = consts
+					}
 				}
 			}
 		}
 	}
 
-	reached := map[*types.Func]bool{}
-	var queue []*types.Func
-	mark := func(fn *types.Func) {
-		if !reached[fn] {
-			reached[fn] = true
-			queue = append(queue, fn)
+	reached := map[types.Object]bool{}
+	var queue []types.Object
+	var mark func(o types.Object)
+	mark = func(o types.Object) {
+		if _, ok := decls[o]; !ok || reached[o] {
+			return
+		}
+		reached[o] = true
+		queue = append(queue, o)
+		for _, c := range group[o] {
+			mark(c)
 		}
 	}
 	visit := func(n ast.Node) {
@@ -224,27 +270,27 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 			if !ok {
 				return true
 			}
-			fn, ok := m.info.Uses[id].(*types.Func)
-			if !ok {
-				return true
-			}
-			fn = fn.Origin()
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				for _, impl := range byName[fn.Name()] {
-					mark(impl)
+			o := m.info.Uses[id]
+			if fn, ok := o.(*types.Func); ok {
+				fn = fn.Origin()
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					for _, impl := range byName[fn.Name()] {
+						mark(impl)
+					}
+					return true
 				}
-				return true
+				o = fn
 			}
-			mark(fn)
+			mark(o)
 			return true
 		})
 	}
 	walk := func() {
 		for len(queue) > 0 {
-			fn := queue[len(queue)-1]
+			o := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			if fd := decls[fn]; fd != nil && fd.Body != nil {
-				visit(fd.Body)
+			for _, n := range decls[o] {
+				visit(n)
 			}
 		}
 	}
@@ -325,23 +371,35 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 	}
 	walk()
 
-	name := func(fn *types.Func) string {
-		return strings.ReplaceAll(fn.FullName(), module+"/", "")
+	name := func(o types.Object) string {
+		full := o.Pkg().Path() + "." + o.Name()
+		if fn, ok := o.(*types.Func); ok {
+			full = fn.FullName()
+		}
+		return strings.ReplaceAll(full, module+"/", "")
 	}
-	byFull := map[string]*types.Func{}
-	for fn := range decls {
-		byFull[name(fn)] = fn
+	byFull := map[string]types.Object{}
+	for o := range decls {
+		byFull[name(o)] = o
 	}
 	var stale []string
 	for entry := range reachAllowlist {
-		fn, ok := byFull[entry]
+		o, ok := byFull[entry]
 		switch {
 		case !ok:
-			stale = append(stale, entry+" (no such function)")
-		case reached[fn]:
+			stale = append(stale, entry+" (no such declaration)")
+		case reached[o]:
 			stale = append(stale, entry+" (production reaches it)")
 		default:
-			mark(fn)
+			mark(o)
+			// An allowlisted method keeps its receiver's type.
+			if fn, ok := o.(*types.Func); ok && fn.Signature().Recv() != nil {
+				recv := fn.Signature().Recv().Type()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
+				}
+				mark(recv.(*types.Named).Obj())
+			}
 		}
 	}
 	walk()
@@ -351,13 +409,13 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dead []string
-	for fn, fd := range decls {
-		if reached[fn] || (fn.Pkg().Path() != module && !strings.HasPrefix(fn.Pkg().Path(), module+"/internal/")) {
+	for o := range decls {
+		if reached[o] || (o.Pkg().Path() != module && !strings.HasPrefix(o.Pkg().Path(), module+"/internal/")) {
 			continue
 		}
-		pos := fset.Position(fd.Pos())
+		pos := fset.Position(o.Pos())
 		rel, _ := filepath.Rel(wd, pos.Filename)
-		dead = append(dead, name(fn)+"  ("+rel+")")
+		dead = append(dead, name(o)+"  ("+rel+")")
 	}
 	sort.Strings(dead)
 	sort.Strings(stale)
@@ -365,7 +423,7 @@ func TestProductionReachesAllInternalCode(t *testing.T) {
 		t.Errorf("stale reachAllowlist entry: %s", s)
 	}
 	if len(dead) > 0 {
-		t.Errorf("%d module functions are reached by no production path; delete them or add them to reachAllowlist with a reason:\n\t%s",
+		t.Errorf("%d module declarations are reached by no production path; delete them or add them to reachAllowlist with a reason:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
 	}
 }

@@ -657,8 +657,8 @@ func (s *NetSource) AckSession(session uint64) bool { return s.l.AckSession(sess
 
 // Throttle flips the source's backpressure signal: paused sends a
 // Throttle frame to every connected peer (a cluster router relays it
-// to the receiver nodes feeding this engine, and flow-controlled nodes
-// stall at the edge until released), resume releases them.
+// to the receiver nodes feeding this engine, and they stall at the
+// edge until released), resume releases them.
 // Idempotent per state.
 func (s *NetSource) Throttle(paused bool) { s.l.SetThrottled(paused) }
 
