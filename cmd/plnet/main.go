@@ -462,49 +462,12 @@ func runLoad(ctx context.Context, mon *obs, loadName string, sessions, chunkSize
 	start := time.Now()
 	var sent, links int64
 	for k, spec := range specs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		world, err := spec.CompileMulti()
+		n, l, err := replaySession(ctx, []string{src.Addr()}, k, spec, chunkSize, pace, nil)
+		sent += n
+		links += l
 		if err != nil {
 			return fmt.Errorf("session %d: %w", k, err)
 		}
-		node, err := rxnet.DialReliable(ctx, src.Addr(), rxnet.Hello{
-			NodeID: uint32(k + 1),
-			Height: world.Links[0].Receiver.HeightM,
-			Name:   spec.Name,
-		}, rxnet.RedialConfig{Logf: rxnet.StdLogf})
-		if err != nil {
-			return err
-		}
-		for _, l := range world.Links {
-			tr, err := l.Link.Simulate()
-			if err != nil {
-				node.Close()
-				return fmt.Errorf("session %d link %s: %w", k, l.Name, err)
-			}
-			pos, linkStart := 0, time.Now()
-			for chunk := range tr.Chunks(chunkSize) {
-				if err := ctx.Err(); err != nil {
-					node.Close()
-					return err
-				}
-				if pace {
-					if err := paceTo(ctx, linkStart, pos, tr.Fs); err != nil {
-						node.Close()
-						return err
-					}
-				}
-				if err := node.StreamChunk(uint32(l.Index), tr.Fs, chunk); err != nil {
-					node.Close()
-					return err
-				}
-				pos += len(chunk)
-			}
-			sent += int64(tr.Len())
-			links++
-		}
-		node.Close()
 	}
 
 	// Wait for full ingest, then flush the open segments so trailing

@@ -16,25 +16,21 @@ import (
 )
 
 // frameProxy relays one cluster router's engine connection to an
-// engine, counting the frames the router sends by type. With old set
-// it swallows the engine's FrameCodesOK answers, so the router sees an
-// engine that predates code frames.
+// engine, counting the frames the router sends by type.
 type frameProxy struct {
-	ln  net.Listener
-	old bool
+	ln net.Listener
 
-	mu      sync.Mutex
-	types   map[rxnet.FrameType]int
-	answers int // FrameCodesOK frames the engine sent
+	mu    sync.Mutex
+	types map[rxnet.FrameType]int
 }
 
-func startFrameProxy(t *testing.T, engine string, old bool) *frameProxy {
+func startFrameProxy(t *testing.T, engine string) *frameProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &frameProxy{ln: ln, old: old, types: map[rxnet.FrameType]int{}}
+	p := &frameProxy{ln: ln, types: map[rxnet.FrameType]int{}}
 	go func() {
 		for {
 			up, err := ln.Accept()
@@ -64,15 +60,10 @@ func (p *frameProxy) relay(src, dst net.Conn, toEngine bool) {
 		if err != nil {
 			return
 		}
-		p.mu.Lock()
 		if toEngine {
+			p.mu.Lock()
 			p.types[ft]++
-		} else if ft == rxnet.FrameCodesOK {
-			p.answers++
-		}
-		p.mu.Unlock()
-		if !toEngine && p.old && ft == rxnet.FrameCodesOK {
-			continue
+			p.mu.Unlock()
 		}
 		if err := rxnet.WriteFrame(dst, ft, body); err != nil {
 			return
@@ -87,13 +78,6 @@ func (p *frameProxy) count(ft rxnet.FrameType) int {
 	return p.types[ft]
 }
 
-// answered reports the engine's FrameCodesOK answers.
-func (p *frameProxy) answered() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.answers
-}
-
 // routedEvent is the part of a decode event both frame widths must
 // reproduce exactly.
 type routedEvent struct {
@@ -102,12 +86,14 @@ type routedEvent struct {
 	bits, err  string
 }
 
-// decodeRouted streams fleet-load sessions from an old sender — raw
-// float64 frames, never reading its connection, as perfbench's
-// generators do, and closing it as soon as it is done — through a cluster router and a frame proxy into a
-// NetSource pipeline, and returns the decode events once every stream
-// has been released.
-func decodeRouted(t *testing.T, specs []scenario.Spec, old bool) ([]routedEvent, *frameProxy) {
+// decodeSent streams fleet-load sessions from a raw sender — plain
+// Hellos and float64 frames, never reading its connection, as
+// perfbench's generators do, and closing it as soon as it is done —
+// into a NetSource pipeline, and returns the decode events once every
+// stream has been released. With routed set the sender dials a cluster
+// router whose engine connection runs through a frame proxy, which is
+// returned; otherwise it dials the NetSource directly.
+func decodeSent(t *testing.T, specs []scenario.Spec, routed bool) ([]routedEvent, *frameProxy) {
 	t.Helper()
 	src, err := ListenSourceConfig("127.0.0.1:0", NetSourceConfig{})
 	if err != nil {
@@ -144,19 +130,22 @@ func decodeRouted(t *testing.T, specs []scenario.Spec, old bool) ([]routedEvent,
 		}
 	}()
 
-	proxy := startFrameProxy(t, src.Addr(), old)
-	ring, err := cluster.NewRing(0, cluster.Member{ID: "engine", Addr: proxy.ln.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := cluster.NewRouter(cluster.RouterConfig{Ring: ring, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	addr, err := router.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addr := src.Addr()
+	var proxy *frameProxy
+	if routed {
+		proxy = startFrameProxy(t, src.Addr())
+		ring, err := cluster.NewRing(0, cluster.Member{ID: "engine", Addr: proxy.ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		router, err := cluster.NewRouter(cluster.RouterConfig{Ring: ring, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer router.Close()
+		if addr, err = router.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	sender, err := net.Dial("tcp", addr)
@@ -171,16 +160,6 @@ func decodeRouted(t *testing.T, specs []scenario.Spec, old bool) ([]routedEvent,
 		if err := rxnet.WriteFrame(sender, rxnet.FrameHello, hello); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Stream once the engine has answered the hellos the router passed
-	// on, so the router knows which frames it takes before the first
-	// chunk arrives.
-	deadline := time.Now().Add(5 * time.Second)
-	for proxy.answered() < len(specs) {
-		if time.Now().After(deadline) {
-			t.Fatalf("engine answered %d of %d hellos", proxy.answered(), len(specs))
-		}
-		time.Sleep(time.Millisecond)
 	}
 	streams := 0
 	for k, spec := range specs {
@@ -214,7 +193,7 @@ func decodeRouted(t *testing.T, specs []scenario.Spec, old bool) ([]routedEvent,
 	}
 	// The sender hangs up at once, as a sender that never reads may.
 	sender.Close()
-	deadline = time.Now().Add(60 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	for ended.Load() < int64(streams) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d streams released", ended.Load(), streams)
@@ -233,9 +212,9 @@ func decodeRouted(t *testing.T, specs []scenario.Spec, old bool) ([]routedEvent,
 }
 
 // The same fleet-load passes decode to identical events whether the
-// router hands the engine 2-byte code frames (the engine answered the
-// router's Hellos) or float64 frames (an engine that never answers),
-// and a sender that predates code frames decodes unchanged either way.
+// router hands the engine the 2-byte code frames it makes of a raw
+// sender's float64 chunks, from the first chunk and with no answer
+// awaited, or the sender's float64 frames go straight to the NetSource.
 func TestRoutedDecodeIdenticalForCodeAndFloatFrames(t *testing.T) {
 	load, err := scenario.GetLoad("fleet-load")
 	if err != nil {
@@ -246,15 +225,12 @@ func TestRoutedDecodeIdenticalForCodeAndFloatFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes, viaCodes := decodeRouted(t, specs, false)
-	floats, viaFloats := decodeRouted(t, specs, true)
+	codes, viaCodes := decodeSent(t, specs, true)
+	floats, _ := decodeSent(t, specs, false)
 
-	if n := viaCodes.count(rxnet.FrameSampleChunk); n != 0 || viaCodes.count(rxnet.FrameCodeChunk) == 0 {
-		t.Fatalf("answering engine got %d float64 and %d code chunks, want code frames only",
+	if n := viaCodes.count(rxnet.FrameSampleChunk) + viaCodes.count(rxnet.FrameSampleReplay); n != 0 || viaCodes.count(rxnet.FrameCodeChunk) == 0 {
+		t.Fatalf("routed engine got %d float64 and %d code chunks, want code frames only",
 			n, viaCodes.count(rxnet.FrameCodeChunk))
-	}
-	if n := viaFloats.count(rxnet.FrameCodeChunk) + viaFloats.count(rxnet.FrameCodeReplay); n != 0 {
-		t.Fatalf("engine that never answers got %d code frames", n)
 	}
 	decoded := 0
 	for _, ev := range codes {

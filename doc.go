@@ -24,8 +24,8 @@
 //   - ListenSourceConfig — a receiver-network listener: nodes stream raw
 //     SampleChunk frames over TCP and each (node, stream) pair
 //     becomes one decode session. A chunk whose samples are all
-//     integer ADC codes may travel as 2-byte codes, negotiated in the
-//     node's Hello; it decodes to the same float64 samples.
+//     integer ADC codes travels as 2-byte codes, with no handshake;
+//     it decodes to the same float64 samples.
 //
 // A Pipeline binds one source to a decode strategy — Threshold
 // (Sec. 4.1 adaptive tau_r/tau_t), TwoPhase (Sec. 5 car-shape
@@ -191,9 +191,9 @@
 // are byte-bounded (RouterConfig.ReplayBytes), so partitions cost
 // bounded memory and trimmed bytes are counted, never spliced over.
 // The router keeps a chunk of integer ADC codes at 2 bytes a sample
-// (4x more stream time per byte than float64), sends it as a code
-// frame to engines that answered its Hello and expands it back to
-// float64 for any other. Engines ack each
+// (4x more stream time per byte than float64) and sends it to every
+// engine as a code frame: each chunk has one wire form, chosen from
+// its samples alone, and no Hello is answered. Engines ack each
 // decoded session upstream (NetSource.AckSession), which trims the
 // stream's replay buffer, and a Pipeline acks on its own when it
 // releases an idle session, through the last chunk that session
@@ -218,10 +218,10 @@
 // nodes carry a failover rotation (rxnet.RedialConfig.Addrs): when
 // their router dies they redial the next address and proactively
 // resend a byte-bounded tail of each stream (stored as 2-byte codes
-// where it can be) as marked float64 replay frames — the engine's
-// continuity cursor discards what the dead router already delivered
-// and keeps what it took with it, so a router SIGKILL costs neither a
-// lost packet nor a duplicate decode. That resend tail and the
+// where it can be) as marked replay frames of the same width — the
+// engine's continuity cursor discards what the dead router already
+// delivered and keeps what it took with it, so a router SIGKILL costs
+// neither a lost packet nor a duplicate decode. That resend tail and the
 // router's replay buffer are one type, rxnet.ReplayTail, under two
 // budgets (a fixed 256 KiB on the node, RouterConfig.ReplayBytes,
 // default 1 MiB, on the router, per stream): the newest chunk bodies in Seq order, the oldest dropped

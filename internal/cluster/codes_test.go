@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,31 +12,29 @@ import (
 	"passivelight/internal/rxnet"
 )
 
-// oldEngine is a raw-TCP engine that predates code frames: it records
-// every frame it reads, never writes (so it never answers a Hello),
-// and closes the connection on a frame type it does not know.
-type oldEngine struct {
+// silentEngine is a raw-TCP engine that records every frame it reads
+// and never writes.
+type silentEngine struct {
 	id string
 	ln net.Listener
 
-	mu      sync.Mutex
-	frames  []oldFrame
-	unknown int
-	conns   []net.Conn
+	mu     sync.Mutex
+	frames []engineFrame
+	conns  []net.Conn
 }
 
-type oldFrame struct {
+type engineFrame struct {
 	t    rxnet.FrameType
 	body []byte
 }
 
-func startOldEngine(t *testing.T, id string) *oldEngine {
+func startSilentEngine(t *testing.T, id string) *silentEngine {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &oldEngine{id: id, ln: ln}
+	e := &silentEngine{id: id, ln: ln}
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -52,7 +51,7 @@ func startOldEngine(t *testing.T, id string) *oldEngine {
 	return e
 }
 
-func (e *oldEngine) serve(c net.Conn) {
+func (e *silentEngine) serve(c net.Conn) {
 	defer c.Close()
 	for {
 		ft, body, err := rxnet.ReadFrame(c)
@@ -60,18 +59,13 @@ func (e *oldEngine) serve(c net.Conn) {
 			return
 		}
 		e.mu.Lock()
-		if ft > rxnet.FrameSampleReplay {
-			e.unknown++
-			e.mu.Unlock()
-			return
-		}
-		e.frames = append(e.frames, oldFrame{ft, body})
+		e.frames = append(e.frames, engineFrame{ft, body})
 		e.mu.Unlock()
 	}
 }
 
 // crash kills the engine: its listener and every connection.
-func (e *oldEngine) crash() {
+func (e *silentEngine) crash() {
 	e.ln.Close()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -80,13 +74,13 @@ func (e *oldEngine) crash() {
 	}
 }
 
-// chunks returns the sample-chunk frames the engine has read.
-func (e *oldEngine) chunks() []oldFrame {
+// received returns the frames of the given types the engine has read.
+func (e *silentEngine) received(types ...rxnet.FrameType) []engineFrame {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []oldFrame
+	var out []engineFrame
 	for _, f := range e.frames {
-		if f.t == rxnet.FrameSampleChunk || f.t == rxnet.FrameSampleReplay {
+		if slices.Contains(types, f.t) {
 			out = append(out, f)
 		}
 	}
@@ -110,14 +104,15 @@ func codeChunk(t *testing.T, node, stream, seq uint32) []byte {
 	return body
 }
 
-// Behind a new router, an engine that never answers a Hello receives
-// only float64 frames — live chunks and, after its peer crashes, the
-// failover replay — even though the node sent code frames and the
-// router keeps them as codes. Each one is byte for byte the float64
-// frame of the chunk the node sent.
-func TestRouterSendsOldEngineOnlyFloatFrames(t *testing.T) {
-	a := startOldEngine(t, "engine-a")
-	b := startOldEngine(t, "engine-b")
+// The router answers no Hello, passes each one on unchanged (a flags
+// byte earlier senders appended included), and sends a freshly dialed
+// engine that never writes code frames from the first chunk: live
+// chunks as FrameCodeChunk and, after that engine crashes, the
+// failover replay as FrameCodeReplay, each the code body of the float64
+// chunk the node sent.
+func TestRouterSendsCodeFramesWithoutAnswer(t *testing.T) {
+	a := startSilentEngine(t, "engine-a")
+	b := startSilentEngine(t, "engine-b")
 	ring, err := NewRing(0, Member{ID: a.id, Addr: a.ln.Addr().String()}, Member{ID: b.id, Addr: b.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -133,12 +128,11 @@ func TestRouterSendsOldEngineOnlyFloatFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rxnet.WriteFrame(node, rxnet.FrameHello, rxnet.AskCodes(hello)); err != nil {
-		t.Fatal(err)
-	}
-	node.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if ft, _, err := rxnet.ReadFrame(node); err != nil || ft != rxnet.FrameCodesOK {
-		t.Fatalf("router answered the hello with frame type %d (%v), want FrameCodesOK", ft, err)
+	flagged := append(bytes.Clone(hello), 1)
+	for _, body := range [][]byte{hello, flagged} {
+		if err := rxnet.WriteFrame(node, rxnet.FrameHello, body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sid := streamOwnedBy(t, ring, 5, a.id, map[uint32]bool{})
 	key := uint64(5)<<32 | uint64(sid)
@@ -146,15 +140,27 @@ func TestRouterSendsOldEngineOnlyFloatFrames(t *testing.T) {
 	send := func(seq uint32) {
 		t.Helper()
 		body := codeChunk(t, 5, sid, seq)
-		sent = append(sent, body)
-		if err := rxnet.WriteFrame(node, rxnet.FrameCodeChunk, rxnet.CodeBody(body)); err != nil {
+		sent = append(sent, rxnet.CodeBody(body))
+		if err := rxnet.WriteFrame(node, rxnet.FrameSampleChunk, body); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for seq := uint32(1); seq <= 3; seq++ {
 		send(seq)
 	}
-	waitFor(t, "three chunks on engine-a", func() bool { return len(a.chunks()) == 3 })
+	chunkTypes := []rxnet.FrameType{rxnet.FrameSampleChunk, rxnet.FrameSampleReplay, rxnet.FrameCodeChunk, rxnet.FrameCodeReplay}
+	waitFor(t, "three chunks on engine-a", func() bool { return len(a.received(chunkTypes...)) == 3 })
+	// The first dial also replays the stored Hello, so engine-a may read
+	// the first body twice; the last one it reads is the flagged one.
+	hellos := a.received(rxnet.FrameHello)
+	for i, f := range hellos {
+		if !bytes.Equal(f.body, hello) && !(i == len(hellos)-1 && bytes.Equal(f.body, flagged)) {
+			t.Errorf("engine-a hello %d of %d is %x, want the node's bodies unchanged", i+1, len(hellos), f.body)
+		}
+	}
+	if len(hellos) == 0 || !bytes.Equal(hellos[len(hellos)-1].body, flagged) {
+		t.Errorf("engine-a never read the flagged hello unchanged")
+	}
 
 	rt, _ := r.routeFor(key)
 	rt.fmu.Lock()
@@ -171,26 +177,22 @@ func TestRouterSendsOldEngineOnlyFloatFrames(t *testing.T) {
 	a.crash()
 	waitFor(t, "the router to see engine-a down", func() bool { return r.Stats().Down == 1 })
 	send(4)
-	waitFor(t, "the failover replay on engine-b", func() bool { return len(b.chunks()) == 4 })
+	waitFor(t, "the failover replay on engine-b", func() bool { return len(b.received(chunkTypes...)) == 4 })
 
-	wantTypes := []rxnet.FrameType{rxnet.FrameSampleReplay, rxnet.FrameSampleReplay, rxnet.FrameSampleReplay, rxnet.FrameSampleChunk}
-	for i, f := range b.chunks() {
+	wantTypes := []rxnet.FrameType{rxnet.FrameCodeReplay, rxnet.FrameCodeReplay, rxnet.FrameCodeReplay, rxnet.FrameCodeChunk}
+	for i, f := range b.received(chunkTypes...) {
 		if f.t != wantTypes[i] || !bytes.Equal(f.body, sent[i]) {
-			t.Errorf("engine-b frame %d: type %d, %d bytes; want type %d with the %d-byte float64 body", i, f.t, len(f.body), wantTypes[i], len(sent[i]))
+			t.Errorf("engine-b frame %d: type %d, %d bytes; want type %d with the %d-byte code body", i, f.t, len(f.body), wantTypes[i], len(sent[i]))
 		}
 	}
-	for i, f := range a.chunks() {
-		if f.t != rxnet.FrameSampleChunk || !bytes.Equal(f.body, sent[i]) {
-			t.Errorf("engine-a frame %d: type %d, %d bytes; want the float64 chunk", i, f.t, len(f.body))
+	for i, f := range a.received(chunkTypes...) {
+		if f.t != rxnet.FrameCodeChunk || !bytes.Equal(f.body, sent[i]) {
+			t.Errorf("engine-a frame %d: type %d, %d bytes; want the code chunk", i, f.t, len(f.body))
 		}
 	}
-	for _, e := range []*oldEngine{a, b} {
-		e.mu.Lock()
-		unknown := e.unknown
-		e.mu.Unlock()
-		if unknown != 0 {
-			t.Errorf("%s read %d frames of a type it does not know", e.id, unknown)
-		}
+	node.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := node.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Errorf("router wrote to the node (%d bytes, %v)", n, err)
 	}
 }
 
@@ -200,7 +202,7 @@ func TestRouterSendsOldEngineOnlyFloatFrames(t *testing.T) {
 // body. At 1 kHz the default 1 MiB bound therefore holds 509 s of a
 // code stream and 130 s of a float64 one.
 func TestReplayEntriesCountStoredBytes(t *testing.T) {
-	e := startOldEngine(t, "engine")
+	e := startSilentEngine(t, "engine")
 	ring, err := NewRing(0, Member{ID: e.id, Addr: e.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)

@@ -20,9 +20,6 @@ type JoinConfig struct {
 	KeepAlive time.Duration
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// OnRing, if set, receives every RingUpdate the router acks a
-	// hello with. Called from the join goroutine; keep it fast.
-	OnRing func(rxnet.RingUpdate)
 }
 
 // Join announces an engine to a router and keeps the membership
@@ -108,7 +105,8 @@ func dialJoin(ctx context.Context, routerAddr string, helloBody []byte, cfg Join
 	return conn, nil
 }
 
-// sendHello writes one EngineHello and consumes the RingUpdate ack.
+// sendHello writes one EngineHello and consumes the RingUpdate ack,
+// which must parse: it comes from another process.
 func sendHello(conn net.Conn, helloBody []byte, cfg JoinConfig) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		return err
@@ -127,14 +125,8 @@ func sendHello(conn net.Conn, helloBody []byte, cfg JoinConfig) error {
 		cfg.Logf("cluster: unexpected join ack frame type %d", t)
 		return nil
 	}
-	ru, err := rxnet.UnmarshalRingUpdate(body)
-	if err != nil {
-		return err
-	}
-	if cfg.OnRing != nil {
-		cfg.OnRing(ru)
-	}
-	return nil
+	_, err = rxnet.UnmarshalRingUpdate(body)
+	return err
 }
 
 // keepAlive re-hellos on a healthy connection until it fails or the

@@ -154,12 +154,6 @@ type upstream struct {
 
 	wmu  sync.Mutex
 	conn net.Conn
-	// gen numbers conn's dials, under wmu; codesGen is the dial whose
-	// engine answered a Hello with FrameCodesOK (set by its reader), so
-	// code frames go out only while codesGen == gen.
-	gen      int64
-	codesGen atomic.Int64
-	scratch  []byte // float64 expansion of a code chunk, under wmu
 
 	// nextDial (unix nanos) and connected are read lock-free by
 	// resolve and Stats — resolve runs under a route's fmu and must
@@ -535,16 +529,7 @@ func (r *Router) serveConn(conn net.Conn) {
 				r.logf("cluster: bad hello: %v", err)
 				return
 			}
-			// A node that asks may send code frames from here on; the
-			// router keeps chunks as codes either way and expands them
-			// for old engines. A failed answer only keeps the node on
-			// float64 frames.
-			if rxnet.AsksCodes(body) {
-				nc.writeFrame(rxnet.FrameCodesOK, nil)
-			}
-			// The router reads its engine connections, so the Hello it
-			// passes on asks them too.
-			body = rxnet.AskCodes(body)
+			body = bytes.Clone(body) // it aliases the read buffer
 			r.mu.Lock()
 			r.hellos[h.NodeID] = body
 			ups := r.upstreamsLocked()
@@ -782,18 +767,10 @@ func (r *Router) send(up *upstream, t rxnet.FrameType, body []byte) error {
 }
 
 // sendChunk writes one chunk to an upstream, dialing it first if
-// needed: as a code frame when the chunk is stored as codes and the
-// engine behind the current connection has answered a Hello, else as
-// its float64 frame. A freshly dialed engine therefore gets float64
-// frames until its answer arrives.
+// needed, in the one wire form the chunk was kept in.
 func (r *Router) sendChunk(up *upstream, c rxnet.ReplayEntry, replay bool) error {
-	up.wmu.Lock()
-	defer up.wmu.Unlock()
-	if err := r.connectLocked(up); err != nil {
-		return err
-	}
-	t, body := c.Frame(up.codesGen.Load() == up.gen, replay, &up.scratch)
-	return r.writeLocked(up, t, body)
+	t, body := c.Frame(replay)
+	return r.send(up, t, body)
 }
 
 // connectLocked dials the upstream unless it is connected. Callers
@@ -841,13 +818,12 @@ func (r *Router) dialLocked(up *upstream) error {
 		return err
 	}
 	up.conn = conn
-	up.gen++
 	up.connected.Store(true)
 	up.draining.Store(false) // a fresh process announces its own state
 	up.recovered()
 	r.redials.Add(1)
 	r.wg.Add(1)
-	go r.readUpstream(up, conn, up.gen)
+	go r.readUpstream(up, conn)
 	// A (re)connected engine needs the fleet's node metadata before
 	// any of their streams land on it.
 	r.mu.Lock()
@@ -867,10 +843,10 @@ func (r *Router) dialLocked(up *upstream) error {
 	return nil
 }
 
-// readUpstream consumes engine-to-router control frames (Hello
-// answers, drain notices, stream NACKs and acks) from dial gen of the
+// readUpstream consumes engine-to-router control frames (drain
+// notices, stream NACKs and acks, throttles) from one dial of the
 // upstream until the connection dies.
-func (r *Router) readUpstream(up *upstream, conn net.Conn, gen int64) {
+func (r *Router) readUpstream(up *upstream, conn net.Conn) {
 	defer r.wg.Done()
 	fr := rxnet.NewFrameReader(conn)
 	for {
@@ -888,8 +864,6 @@ func (r *Router) readUpstream(up *upstream, conn net.Conn, gen int64) {
 			break
 		}
 		switch t {
-		case rxnet.FrameCodesOK:
-			up.codesGen.Store(gen)
 		case rxnet.FrameDrain:
 			d, err := rxnet.UnmarshalDrain(body)
 			if err != nil {

@@ -12,13 +12,10 @@ import (
 	"passivelight/internal/telemetry"
 )
 
-// frameStub is a raw-TCP receiver that records every frame it reads.
-// With answer set it answers each Hello that asks with FrameCodesOK,
-// as a ChunkListener does; otherwise it never writes, like a receiver
-// that predates code frames.
+// frameStub is a raw-TCP receiver that records every frame it reads
+// and writes nothing unless a test writes on one of its conns.
 type frameStub struct {
-	ln     net.Listener
-	answer bool
+	ln net.Listener
 
 	mu     sync.Mutex
 	frames []stubFrame
@@ -30,13 +27,13 @@ type stubFrame struct {
 	body []byte
 }
 
-func startFrameStub(t *testing.T, answer bool) *frameStub {
+func startFrameStub(t *testing.T) *frameStub {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &frameStub{ln: ln, answer: answer}
+	s := &frameStub{ln: ln}
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -62,11 +59,6 @@ func (s *frameStub) serve(c net.Conn) {
 		s.mu.Lock()
 		s.frames = append(s.frames, stubFrame{ft, body})
 		s.mu.Unlock()
-		if ft == FrameHello && s.answer && AsksCodes(body) {
-			if err := WriteFrame(c, FrameCodesOK, nil); err != nil {
-				return
-			}
-		}
 	}
 }
 
@@ -113,20 +105,25 @@ func codeSamples(n int, frac bool) []float64 {
 	return out
 }
 
-// waitCodesAnswered waits until the node has read its current
-// server's FrameCodesOK.
-func waitCodesAnswered(t *testing.T, n *Node) {
+// waitTailLen waits until the node's resend tail of stream holds n
+// entries and returns their Seqs.
+func waitTailLen(t *testing.T, n *Node, stream uint32, want int) []uint32 {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		var seqs []uint32
 		n.mu.Lock()
-		ok := n.codesGen.Load() == int64(n.gen)
+		if st := n.streams[stream]; st != nil {
+			for _, e := range st.tail.Entries() {
+				seqs = append(seqs, e.Seq)
+			}
+		}
 		n.mu.Unlock()
-		if ok {
-			return
+		if len(seqs) == want {
+			return seqs
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("node never read the server's FrameCodesOK")
+			t.Fatalf("stream %d tail holds Seqs %v, want %d entries", stream, seqs, want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -150,10 +147,11 @@ func dialNode(t *testing.T, addr string, hello Hello, cfg RedialConfig) *Node {
 	return n
 }
 
-// A listener answers only a Hello that asks: a sender that never reads
-// its connection must not be left holding an unread answer when it
-// closes, since that resets the connection and drops its unsent tail.
-func TestListenerAnswersOnlyHellosThatAsk(t *testing.T) {
+// A listener never answers a Hello, with or without the flags byte
+// earlier senders appended to it: a sender that never reads its
+// connection must not be left holding unread bytes when it closes,
+// since that resets the connection and drops its unsent tail.
+func TestListenerSendsNoHelloAnswer(t *testing.T) {
 	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -168,56 +166,60 @@ func TestListenerAnswersOnlyHellosThatAsk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AsksCodes(hello) || !AsksCodes(AskCodes(hello)) {
-		t.Fatal("MarshalHello asks for codes, or AskCodes does not")
-	}
-	for _, body := range [][]byte{hello, AskCodes(hello), hello} {
+	for _, body := range [][]byte{hello, append(bytes.Clone(hello), 1), hello} {
 		if err := WriteFrame(c, FrameHello, body); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		<-l.Hellos()
-	}
-	if ft, _, err := ReadFrame(c); err != nil || ft != FrameCodesOK {
-		t.Fatalf("read frame type %d (%v), want FrameCodesOK", ft, err)
+		if h := <-l.Hellos(); h.NodeID != 9 || h.Name != "pole-9" {
+			t.Fatalf("hello %d registered as %+v", i, h)
+		}
 	}
 	c.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if ft, _, err := ReadFrame(c); err == nil {
-		t.Fatalf("listener sent frame type %d after the one answer", ft)
+	if n, err := c.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("listener answered the hellos (%d bytes, %v)", n, err)
 	}
 }
 
-// A reliable node facing a server that never answers its Hello — an
-// old router or listener — sends every chunk as a float64 frame, byte
-// for byte what MarshalSampleChunk makes, even when its samples are
-// all codes.
-func TestNodeSendsFloatToSilentServer(t *testing.T) {
-	stub := startFrameStub(t, false)
+// A node picks each chunk's frame from its samples alone, from the
+// first chunk on a connection and with no answer awaited: a chunk of
+// codes goes as a code frame and any other as MarshalSampleChunk's
+// float64 frame, byte for byte, to a server that never writes. Its
+// Hello is MarshalHello's body, with nothing appended.
+func TestNodeSendsCodesToSilentServer(t *testing.T) {
+	stub := startFrameStub(t)
 	node := dialNode(t, stub.addr(), pole4, RedialConfig{})
-	samples := codeSamples(512, false)
-	for i := 0; i < 3; i++ {
-		if err := node.StreamChunk(1, 1000, samples); err != nil {
+	var want []stubFrame
+	for i, frac := range []bool{false, false, true, false} {
+		c := SampleChunk{NodeID: 4, StreamID: 1, Seq: uint32(i + 1), Fs: 1000, Start: uint64(i * 512), Samples: codeSamples(512, frac)}
+		ft, body, err := encodeSampleChunk(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frac != (ft == FrameSampleChunk) || (frac && !bytes.Equal(body, MarshalOrDie(t, c))) {
+			t.Fatalf("chunk %d (frac %v) encodes as frame type %d", i+1, frac, ft)
+		}
+		want = append(want, stubFrame{ft, body})
+		if err := node.StreamChunk(1, 1000, c.Samples); err != nil {
 			t.Fatal(err)
 		}
 	}
-	frames := stub.waitFrames(t, 4)
-	if frames[0].t != FrameHello {
-		t.Fatalf("first frame type %d, want FrameHello", frames[0].t)
+	frames := stub.waitFrames(t, 5)
+	if hello, _ := MarshalHello(pole4); frames[0].t != FrameHello || !bytes.Equal(frames[0].body, hello) {
+		t.Fatalf("first frame type %d body %x, want the plain Hello %x", frames[0].t, frames[0].body, hello)
 	}
 	for i, f := range frames[1:] {
-		want := MarshalOrDie(t, SampleChunk{NodeID: 4, StreamID: 1, Seq: uint32(i + 1), Fs: 1000, Start: uint64(i * 512), Samples: samples})
-		if f.t != FrameSampleChunk || !bytes.Equal(f.body, want) {
-			t.Fatalf("chunk %d went as frame type %d (%d bytes), want the %d-byte float64 frame", i+1, f.t, len(f.body), len(want))
+		if f.t != want[i].t || !bytes.Equal(f.body, want[i].body) {
+			t.Fatalf("chunk %d went as frame type %d (%d bytes), want type %d (%d bytes)", i+1, f.t, len(f.body), want[i].t, len(want[i].body))
 		}
 	}
 }
 
-// Once its server has answered the Hello, a node sends chunks of codes
-// as 2-byte code frames and any other chunk as float64; the listener
-// decodes both to the samples sent, and its ingest counter sees the
-// bytes on the wire.
-func TestNodeSendsCodesAfterAnswer(t *testing.T) {
+// A listener decodes a node's code frames and float64 frames to the
+// samples sent, and its ingest counter sees the bytes on the wire:
+// 1054 for a 512-sample chunk of codes, 4126 for any other.
+func TestNodeSendsCodesToListener(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf, Metrics: reg})
 	if err != nil {
@@ -225,7 +227,6 @@ func TestNodeSendsCodesAfterAnswer(t *testing.T) {
 	}
 	defer l.Close()
 	node := dialNode(t, l.Addr(), pole4, RedialConfig{})
-	waitCodesAnswered(t, node)
 
 	ingest := func() int64 { return reg.Snapshot().Counters[`pl_rxnet_ingest_bytes_total{node="4"}`] }
 	for _, frac := range []bool{false, true} {
@@ -254,27 +255,38 @@ func TestNodeSendsCodesAfterAnswer(t *testing.T) {
 	}
 }
 
-// A node that redials with a tail of codes stored resends it as
-// float64 SampleReplay frames: the fresh connection's server has not
-// answered the Hello yet, and may never.
-func TestNodeResendsCodeTailAsFloat(t *testing.T) {
-	primary := startFrameStub(t, true)
-	standby := startFrameStub(t, false)
+// A node resends a tail of codes as code replay frames, the stored
+// bodies byte for byte: past the Seq a server's StreamNack names, and
+// after a redial, ahead of any live chunk on the fresh connection.
+func TestNodeResendsCodeTailAsCodes(t *testing.T) {
+	primary := startFrameStub(t)
+	standby := startFrameStub(t)
 	node := dialNode(t, primary.addr(), pole4, RedialConfig{
 		Addrs:       []string{standby.addr()},
 		Backoff:     Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
 		MaxDowntime: 10 * time.Second,
 	})
-	waitCodesAnswered(t, node)
 	samples := codeSamples(512, false)
 	for i := 0; i < 3; i++ {
 		if err := node.StreamChunk(1, 1000, samples); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, f := range primary.waitFrames(t, 4)[1:] {
+	live := primary.waitFrames(t, 4)[1:]
+	for i, f := range live {
 		if f.t != FrameCodeChunk {
-			t.Fatalf("live chunk %d went as frame type %d after the answer, want FrameCodeChunk", i+1, f.t)
+			t.Fatalf("live chunk %d went as frame type %d, want FrameCodeChunk", i+1, f.t)
+		}
+	}
+	primary.mu.Lock()
+	c := primary.conns[0]
+	primary.mu.Unlock()
+	if err := WriteFrame(c, FrameStreamNack, MarshalStreamNack(StreamNack{Session: uint64(4)<<32 | 1, LastSeq: 1})); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range primary.waitFrames(t, 6)[4:] {
+		if f.t != FrameCodeReplay || !bytes.Equal(f.body, live[i+1].body) {
+			t.Fatalf("NACK resend %d went as frame type %d (%d bytes), want the %d-byte code replay", i+2, f.t, len(f.body), len(live[i+1].body))
 		}
 	}
 
@@ -284,13 +296,67 @@ func TestNodeResendsCodeTailAsFloat(t *testing.T) {
 		t.Fatalf("standby's first frame type %d, want FrameHello", frames[0].t)
 	}
 	for i, f := range frames[1:] {
-		want := MarshalOrDie(t, SampleChunk{NodeID: 4, StreamID: 1, Seq: uint32(i + 1), Fs: 1000, Start: uint64(i * 512), Samples: samples})
-		if f.t != FrameSampleReplay || !bytes.Equal(f.body, want) {
-			t.Fatalf("resent chunk %d went as frame type %d (%d bytes), want the %d-byte float64 replay", i+1, f.t, len(f.body), len(want))
+		if f.t != FrameCodeReplay || !bytes.Equal(f.body, live[i].body) {
+			t.Fatalf("resent chunk %d went as frame type %d (%d bytes), want the %d-byte code replay", i+1, f.t, len(f.body), len(live[i].body))
 		}
 	}
-	if got := node.Resent(); got != 3 {
-		t.Fatalf("node resent %d chunks, want 3", got)
+	if got := node.Resent(); got != 5 {
+		t.Fatalf("node resent %d chunks, want 5", got)
+	}
+}
+
+// A StreamAck trims the node's resend tail through the acked Seq, so a
+// later reconnect resends only what the server has not consumed. The
+// listener's AckSession acks everything it admitted; an ack that names
+// another node's stream trims nothing.
+func TestNodeTrimsTailOnStreamAck(t *testing.T) {
+	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	node := dialNode(t, l.Addr(), pole4, RedialConfig{})
+	// Acks land while the node is still streaming: the control reader
+	// trims the tail the writer appends to.
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		for i := 0; i < 10; i++ {
+			if err := node.StreamChunk(1, 1000, codeSamples(512, false)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	key := uint64(pole4.NodeID)<<32 | 1
+	for _, ev := range collectChunks(t, l, 10) {
+		l.AckSession(key)
+		ev.Buf.Release()
+	}
+	<-streamed
+	if !l.AckSession(key) {
+		t.Fatal("listener did not ack the session")
+	}
+	waitTailLen(t, node, 1, 0)
+
+	stub := startFrameStub(t)
+	other := dialNode(t, stub.addr(), pole4, RedialConfig{})
+	for i := 0; i < 3; i++ {
+		if err := other.StreamChunk(1, 1000, codeSamples(64, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stub.waitFrames(t, 4)
+	stub.mu.Lock()
+	c := stub.conns[0]
+	stub.mu.Unlock()
+	for _, a := range []StreamAck{{Session: uint64(5)<<32 | 1, LastSeq: 3}, {Session: uint64(4)<<32 | 1, LastSeq: 2}} {
+		if err := WriteFrame(c, FrameStreamAck, MarshalStreamAck(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seqs := waitTailLen(t, other, 1, 1); seqs[0] != 3 {
+		t.Fatalf("tail keeps Seq %d after the ack through 2, want 3", seqs[0])
 	}
 }
 
@@ -299,7 +365,7 @@ func TestNodeResendsCodeTailAsFloat(t *testing.T) {
 // 256 KiB therefore hold 127 s of a code stream and 32 s of a float64
 // one. A single-address node keeps the tail too.
 func TestResendTailCountsStoredBytes(t *testing.T) {
-	stub := startFrameStub(t, false)
+	stub := startFrameStub(t)
 	node := dialNode(t, stub.addr(), pole4, RedialConfig{})
 	for stream, tc := range []struct {
 		frac         bool

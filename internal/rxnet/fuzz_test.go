@@ -76,7 +76,7 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(frameBytes(FrameCodeChunk, code[:len(code)-1]))
 	f.Add(frameBytes(FrameCodeChunk, chunk))
 	f.Add(frameBytes(FrameSampleChunk, code))
-	f.Add(frameBytes(FrameHello, AskCodes(hello)))
+	f.Add(frameBytes(FrameHello, append(bytes.Clone(hello), 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -88,16 +88,20 @@ func FuzzParseFrame(f *testing.F) {
 			switch ft {
 			case FrameHello:
 				h, err := UnmarshalHello(body)
-				if AsksCodes(body) && err != nil {
-					t.Fatalf("malformed Hello %x asks for codes", body)
-				}
 				if err != nil {
 					continue
 				}
-				if asked := AskCodes(body); !AsksCodes(asked) || !bytes.Equal(asked[:len(asked)-1], body[:len(asked)-1]) {
-					t.Fatalf("AskCodes(%x) = %x", body, asked)
-				} else if h2, err := UnmarshalHello(asked); err != nil || h2.NodeID != h.NodeID || h2.Name != h.Name {
-					t.Fatalf("asking Hello parses as %+v, %v; want %+v", h2, err, h)
+				// Bytes past the name (such as the flags byte earlier
+				// senders appended) are ignored, and the rest is exactly
+				// what MarshalHello makes of the parsed Hello.
+				if h2, err := UnmarshalHello(append(bytes.Clone(body), 1)); err != nil || h2.NodeID != h.NodeID || h2.Name != h.Name ||
+					math.Float64bits(h2.PosX) != math.Float64bits(h.PosX) || math.Float64bits(h2.Height) != math.Float64bits(h.Height) {
+					t.Fatalf("Hello %x with a byte appended parses as %+v, %v; want %+v", body, h2, err, h)
+				}
+				if len(h.Name) <= 64 {
+					if re, err := MarshalHello(h); err != nil || !bytes.Equal(re, body[:len(re)]) {
+						t.Fatalf("Hello %x re-marshals as %x, %v", body, re, err)
+					}
 				}
 			case FrameDetection:
 				UnmarshalDetection(body) //nolint:errcheck
@@ -168,8 +172,9 @@ func checkSampleChunk(t *testing.T, ft FrameType, body []byte) {
 // rejected exactly as the float64 frame is (NaN, Inf). A code frame is
 // chosen exactly when every sample is a code, so it never carries -0
 // or a fraction; a float64 frame is MarshalSampleChunk's, byte for
-// byte; and the router's CodeBody and AppendSampleBody convert
-// between the two bodies without loss.
+// byte; and the router's CodeBody turns the float64 body into a code
+// body exactly when the sender would, and that body decodes to the
+// same float64 bits as the float64 body.
 func FuzzSampleEncoding(f *testing.F) {
 	sampleBytes := func(vs ...float64) []byte {
 		var b []byte
@@ -213,21 +218,28 @@ func FuzzSampleEncoding(f *testing.F) {
 		if ft == FrameSampleChunk && !bytes.Equal(body, floatBody) {
 			t.Fatal("float64 frame differs from MarshalSampleChunk")
 		}
-		if cb := CodeBody(floatBody); (ft == FrameCodeChunk) != (cb != nil) || (cb != nil && !bytes.Equal(cb, body)) {
+		cb := CodeBody(floatBody)
+		if (ft == FrameCodeChunk) != (cb != nil) || (cb != nil && !bytes.Equal(cb, body)) {
 			t.Fatalf("CodeBody of the float64 body disagrees with the sender's choice %d", ft)
 		}
 		if ft == FrameCodeChunk {
 			if err := CheckCodeBody(body); err != nil {
 				t.Fatalf("code body rejected: %v", err)
 			}
-			if !bytes.Equal(AppendSampleBody(nil, body), floatBody) {
-				t.Fatal("expanded code body differs from the float64 body")
-			}
 		}
 		got, _, err := decodeSampleChunk(ft, body, nil)
-		_, _, ferr = decodeSampleChunk(FrameSampleChunk, floatBody, nil)
+		fromFloat, _, ferr := decodeSampleChunk(FrameSampleChunk, floatBody, nil)
 		if (err == nil) != (ferr == nil) {
 			t.Fatalf("parse error %v, float64 frame's parse error %v", err, ferr)
+		}
+		if cb != nil {
+			fromCodes, _, cerr := decodeSampleChunk(FrameCodeChunk, cb, nil)
+			if (cerr == nil) != (ferr == nil) {
+				t.Fatalf("CodeBody parse error %v, float64 body's parse error %v", cerr, ferr)
+			}
+			if cerr == nil {
+				checkSameChunk(t, "CodeBody", fromCodes, fromFloat)
+			}
 		}
 		if err != nil {
 			if finite && fs > 0 && !math.IsInf(fs, 0) {
@@ -235,16 +247,24 @@ func FuzzSampleEncoding(f *testing.F) {
 			}
 			return
 		}
-		if got.NodeID != c.NodeID || got.StreamID != c.StreamID || got.Seq != c.Seq || got.Start != c.Start ||
-			math.Float64bits(got.Fs) != math.Float64bits(c.Fs) || len(got.Samples) != n {
-			t.Fatalf("header round-trip: got %+v", got)
-		}
-		for i, v := range got.Samples {
-			if math.Float64bits(v) != math.Float64bits(samples[i]) {
-				t.Fatalf("sample %d: sent %v (bits %x), parsed %v (bits %x)", i, samples[i], math.Float64bits(samples[i]), v, math.Float64bits(v))
-			}
-		}
+		checkSameChunk(t, "sent chunk", got, c)
+		checkSameChunk(t, "float64 body", fromFloat, c)
 	})
+}
+
+// checkSameChunk fails unless got carries want's header and the same
+// float64 bits in every sample.
+func checkSameChunk(t *testing.T, what string, got, want SampleChunk) {
+	t.Helper()
+	if got.NodeID != want.NodeID || got.StreamID != want.StreamID || got.Seq != want.Seq || got.Start != want.Start ||
+		math.Float64bits(got.Fs) != math.Float64bits(want.Fs) || len(got.Samples) != len(want.Samples) {
+		t.Fatalf("%s: header %+v, want %+v", what, got, want)
+	}
+	for i, v := range got.Samples {
+		if math.Float64bits(v) != math.Float64bits(want.Samples[i]) {
+			t.Fatalf("%s: sample %d is %v (bits %x), want %v (bits %x)", what, i, v, math.Float64bits(v), want.Samples[i], math.Float64bits(want.Samples[i]))
+		}
+	}
 }
 
 // FuzzChunkCursor drives the stream-continuity rule with arbitrary

@@ -276,7 +276,7 @@ func TestChunkListenerAckThroughEpoch(t *testing.T) {
 // A node whose server stays away past MaxDowntime ends its reconnect
 // episode with no connection. Its next write must redial rather than
 // write on the missing connection, and the fresh connection gets a
-// control reader again: the server's code-frame answer is read.
+// control reader again: the server's StreamAck trims the tail.
 func TestNodeRedialsAfterReaderGivesUp(t *testing.T) {
 	l1, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
@@ -287,7 +287,6 @@ func TestNodeRedialsAfterReaderGivesUp(t *testing.T) {
 		Backoff:     Backoff{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond},
 		MaxDowntime: 100 * time.Millisecond,
 	})
-	waitCodesAnswered(t, node)
 
 	l1.Close()
 	deadline := time.Now().Add(5 * time.Second)
@@ -316,5 +315,9 @@ func TestNodeRedialsAfterReaderGivesUp(t *testing.T) {
 	if ev := collectChunks(t, l2, 1)[0]; len(ev.Samples) != len(samples) {
 		t.Fatalf("delivered %d samples, want %d", len(ev.Samples), len(samples))
 	}
-	waitCodesAnswered(t, node)
+	waitTailLen(t, node, 1, 1)
+	if !l2.AckSession(uint64(pole4.NodeID)<<32 | 1) {
+		t.Fatal("listener did not ack the session")
+	}
+	waitTailLen(t, node, 1, 0)
 }

@@ -70,10 +70,10 @@ func (lc *lconn) writeFrame(t FrameType, body []byte) error {
 // frame protocol and surfaces their raw SampleChunk frames as a
 // channel of ChunkEvents — the one ingest path for raw samples, which
 // a decode pipeline consumes. Sample chunks arrive as float64 or as
-// 2-byte code frames and decode to the same samples. Hello frames are
-// answered with FrameCodesOK when they ask (AskCodes) and surfaced on
-// a side channel for node registration; Detection frames are rejected
-// (nodes that decode locally should talk to an Aggregator instead).
+// 2-byte code frames and decode to the same samples. Hello frames get
+// no answer and surface on a side channel for node registration;
+// Detection frames are rejected (nodes that decode locally should
+// talk to an Aggregator instead).
 type ChunkListener struct {
 	ln         net.Listener
 	out        chan ChunkEvent
@@ -687,11 +687,6 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 				return
 			}
 			nodeID = h.NodeID
-			// Tell a sender that asks that it may use code frames
-			// here. A failed answer only keeps it on float64 frames.
-			if AsksCodes(body) {
-				lc.writeFrame(FrameCodesOK, nil)
-			}
 			select {
 			case l.hellos <- h:
 			default:

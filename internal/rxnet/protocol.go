@@ -10,15 +10,14 @@
 //
 // The wire protocol is a length-prefixed binary framing (big endian)
 // designed for microcontroller-class senders: no allocations beyond
-// the payload, fixed header, bounded frame size. Sample chunks travel
-// in one of two widths. A chunk whose every sample is an integer ADC
-// code in [0, 65535] (the paper's receiver reads a 10-bit ADC) goes
-// as 2-byte codes (FrameCodeChunk) on connections whose receiver
-// answered the sender's Hello with FrameCodesOK (a sender that reads
-// its connection asks for the answer in the Hello); every other chunk,
-// and every chunk to a receiver that never answers, goes as float64
-// samples (FrameSampleChunk). Receivers decode both into the same
-// float64 samples, so decoding does not depend on the width.
+// the payload, fixed header, bounded frame size. Each sample chunk has
+// one wire form, chosen from its samples alone: a chunk whose every
+// sample is an integer ADC code in [0, 65535] (the paper's receiver
+// reads a 10-bit ADC) goes as 2-byte codes (FrameCodeChunk), any other
+// chunk as float64 samples (FrameSampleChunk), and a resend uses the
+// matching replay type. There is no handshake: every receiver parses
+// both widths into the same float64 samples, so decoding does not
+// depend on the width, and no receiver answers a Hello.
 package rxnet
 
 import (
@@ -103,8 +102,8 @@ const (
 	// FrameStreamAck confirms consumption on a chunk stream (engine ->
 	// router): every chunk through LastSeq has been decoded, so the
 	// router can trim the stream's replay buffer — acked chunks never
-	// need replaying to a failover owner. Plain nodes receiving one
-	// (direct engine connections) may ignore it.
+	// need replaying to a failover owner. A streaming node connected
+	// straight to an engine trims its resend tail the same way.
 	FrameStreamAck
 	// FrameSampleReplay carries a resent sample chunk — identical body
 	// to FrameSampleChunk, but explicitly marked as a retransmission
@@ -120,20 +119,12 @@ const (
 	// FrameCodeChunk carries a sample chunk whose every sample is an
 	// integer ADC code in [0, 65535]: the FrameSampleChunk header
 	// (node, stream, seq, fs, start, n) followed by n big-endian uint16
-	// codes instead of n float64s. A sender uses it only on a
-	// connection whose receiver has answered its Hello with
-	// FrameCodesOK; any other chunk, or any other connection, keeps
-	// FrameSampleChunk.
+	// codes instead of n float64s. Senders use it for every such chunk,
+	// from the first on a connection, with no answer awaited; any other
+	// chunk goes as FrameSampleChunk.
 	FrameCodeChunk
 	// FrameCodeReplay is FrameSampleReplay with a FrameCodeChunk body.
 	FrameCodeReplay
-	// FrameCodesOK answers a FrameHello that asks for it (AskCodes;
-	// ChunkListener or cluster router -> sender): the receiver parses
-	// FrameCodeChunk and FrameCodeReplay on this connection. Empty
-	// body. Receivers that predate code frames never send it, so their
-	// senders keep float64 frames; senders that never read their
-	// connection never ask, so no answer sits unread when they close.
-	FrameCodesOK
 )
 
 // Errors.
@@ -272,32 +263,8 @@ func MarshalHello(h Hello) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// helloAsksCodes is the bit of a Hello's optional flags byte, which
-// follows the name, that asks the receiver to answer with
-// FrameCodesOK. Receivers that predate it ignore the byte.
-const helloAsksCodes = 1
-
-// AskCodes returns a copy of the well-formed Hello body b that asks the
-// receiver to answer with FrameCodesOK. Only a sender that reads its
-// connection may send it: closing a TCP connection with unread bytes
-// resets it, and the reset drops what the sender had not yet
-// delivered.
-func AskCodes(b []byte) []byte {
-	n := 21 + int(b[20])
-	return append(append(make([]byte, 0, n+1), b[:n]...), helloAsksCodes)
-}
-
-// AsksCodes reports whether the Hello body b asks for a FrameCodesOK
-// answer.
-func AsksCodes(b []byte) bool {
-	if len(b) < 21 {
-		return false
-	}
-	n := 21 + int(b[20])
-	return len(b) > n && b[n]&helloAsksCodes != 0
-}
-
-// UnmarshalHello decodes a Hello body.
+// UnmarshalHello decodes a Hello body, ignoring any bytes past the
+// name.
 func UnmarshalHello(b []byte) (Hello, error) {
 	if len(b) < 4+8+8+1 {
 		return Hello{}, ErrTruncated
@@ -454,8 +421,7 @@ func encodeSampleChunk(c SampleChunk) (FrameType, []byte, error) {
 
 // CodeBody returns the FrameCodeChunk body carrying the same chunk as
 // the float64 body b, or nil when b is not exactly a well-formed
-// float64 body or any of its samples is not a code. AppendSampleBody
-// turns the result back into b byte for byte.
+// float64 body or any of its samples is not a code.
 func CodeBody(b []byte) []byte {
 	if len(b) < chunkHeader {
 		return nil
@@ -490,18 +456,6 @@ func CheckCodeBody(b []byte) error {
 		return fmt.Errorf("rxnet: code chunk body is %d bytes, want %d", len(b), chunkHeader+2*n)
 	}
 	return nil
-}
-
-// AppendSampleBody appends to dst the float64 body (FrameSampleChunk)
-// of the well-formed FrameCodeChunk body code.
-func AppendSampleBody(dst, code []byte) []byte {
-	n := (len(code) - chunkHeader) / 2
-	dst = append(dst, code[:chunkHeader]...)
-	for i := 0; i < n; i++ {
-		v := float64(binary.BigEndian.Uint16(code[chunkHeader+2*i:]))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
 }
 
 // UnmarshalSampleChunk decodes a SampleChunk body into freshly

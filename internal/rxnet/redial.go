@@ -128,12 +128,7 @@ type Node struct {
 	addrIdx int      // current rotation position
 	gen     int      // connection generation
 	reading bool     // a control reader is running
-	wbuf    []byte   // float64 expansion of a code body
 
-	// codesGen is the connection generation whose server answered the
-	// Hello with FrameCodesOK (set by the control reader); live chunks
-	// go as code frames only while it equals gen.
-	codesGen  atomic.Int64
 	redials   atomic.Int64
 	resent    atomic.Int64
 	readerWG  sync.WaitGroup
@@ -150,24 +145,24 @@ type streamState struct {
 	seq   uint32
 	start uint64
 	// tail is the stream's resend buffer, bounded by resendBytes: the
-	// bodies of the most recently sent chunks, replayed on reconnect or
-	// on a server StreamNack so a server that never saw the stream's
-	// recent chunks can rebuild it.
+	// bodies of the most recently sent chunks the server has not acked,
+	// replayed on reconnect or on a server StreamNack so a server that
+	// never saw the stream's recent chunks can rebuild it.
 	tail ReplayTail
 }
 
-// DialReliable connects a streaming node and sends its Hello, asking
-// the server whether it takes code frames. The node survives server
-// restarts: writes that hit a dead connection redial with capped
-// exponential backoff and jitter, re-announce the Hello, resend every
-// stream's buffered tail as SampleReplay frames and resume the
-// stream's chunk numbering. A server bounce or router failover that
-// the tail reaches back over costs no continuity reset, a longer one
-// a counted reset, never a silent splice; receivers dedup anything the
-// old server already delivered. A control reader honors server
-// Throttle frames (cluster backpressure) and answers StreamNacks from
-// the tail. The initial dial retries under the same policy, so nodes
-// may start before their router.
+// DialReliable connects a streaming node and sends its Hello. The
+// node survives server restarts: writes that hit a dead connection
+// redial with capped exponential backoff and jitter, re-announce the
+// Hello, resend every stream's buffered tail as replay frames and
+// resume the stream's chunk numbering. A server bounce or router
+// failover that the tail reaches back over costs no continuity reset,
+// a longer one a counted reset, never a silent splice; receivers dedup
+// anything the old server already delivered. A control reader honors
+// server Throttle frames (cluster backpressure), answers StreamNacks
+// from the tail and trims the tail through each StreamAck. The initial
+// dial retries under the same policy, so nodes may start before their
+// router.
 func DialReliable(ctx context.Context, addr string, hello Hello, cfg RedialConfig) (*Node, error) {
 	helloBody, err := MarshalHello(hello)
 	if err != nil {
@@ -182,7 +177,7 @@ func DialReliable(ctx context.Context, addr string, hello Hello, cfg RedialConfi
 	n := &Node{
 		hello:     hello,
 		cfg:       cfg.withDefaults(),
-		helloBody: AskCodes(helloBody),
+		helloBody: helloBody,
 		rctx:      ctx,
 		addrs:     addrs,
 		closedCh:  make(chan struct{}),
@@ -263,7 +258,7 @@ func (n *Node) Close() error {
 }
 
 // Resent reports how many buffered chunks the node has retransmitted
-// as SampleReplay frames (on reconnect, or answering a server
+// as replay frames (on reconnect, or answering a server
 // StreamNack).
 func (n *Node) Resent() int64 { return n.resent.Load() }
 
@@ -373,14 +368,11 @@ func (n *Node) dialOnce() (net.Conn, error) {
 }
 
 // writeChunkLocked writes one chunk frame, redialing and retrying on
-// failure. A code body goes as a code frame only while the current
-// connection's server has answered the Hello; otherwise, and on every
-// fresh connection, it is expanded to its float64 frame. Callers hold
-// n.mu.
+// failure. Callers hold n.mu.
 func (n *Node) writeChunkLocked(e ReplayEntry) error {
+	t, body := e.Frame(false)
 	for {
 		gen := n.gen
-		t, body := e.Frame(n.codesGen.Load() == int64(gen), false, &n.wbuf)
 		// A reconnect episode that gave up leaves no connection.
 		if n.conn != nil && n.conn.SetWriteDeadline(time.Now().Add(10*time.Second)) == nil &&
 			WriteFrame(n.conn, t, body) == nil {
@@ -396,15 +388,14 @@ func (n *Node) writeChunkLocked(e ReplayEntry) error {
 	}
 }
 
-// resendLocked retransmits entries on conn as float64 SampleReplay
-// frames, like every resend: the server of a fresh connection has not
-// answered its Hello yet. Callers hold n.mu.
+// resendLocked retransmits entries on conn as replay frames. Callers
+// hold n.mu.
 func (n *Node) resendLocked(conn net.Conn, entries []ReplayEntry) error {
 	for _, e := range entries {
 		if err := conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 			return err
 		}
-		t, body := e.Frame(false, true, &n.wbuf)
+		t, body := e.Frame(true)
 		if err := WriteFrame(conn, t, body); err != nil {
 			return err
 		}
@@ -445,6 +436,19 @@ func (n *Node) handleStreamNack(nk StreamNack) {
 	_ = n.resendLocked(n.conn, later)
 }
 
+// handleStreamAck drops the acked chunks from the stream's resend
+// tail: the server consumed them, so no reconnect needs to resend them.
+func (n *Node) handleStreamAck(a StreamAck) {
+	if SessionNodeID(a.Session) != n.hello.NodeID {
+		return
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if st := n.streams[SessionStreamID(a.Session)]; st != nil {
+		st.tail.TrimThrough(a.LastSeq)
+	}
+}
+
 // pauseGate blocks while the server holds the node paused. Advisory:
 // a pause that lands after the gate delays only until the next chunk.
 func (n *Node) pauseGate() error {
@@ -466,8 +470,8 @@ func (n *Node) pauseGate() error {
 	}
 }
 
-// controlLoop consumes server-to-node control frames (the Hello's
-// FrameCodesOK answer, Throttle pause/resume, drain notices) and
+// controlLoop consumes server-to-node control frames (Throttle
+// pause/resume, stream NACKs and acks, drain notices) and
 // drives reconnects when the read side sees the connection die first.
 // Each connection generation is read through one FrameReader. A
 // reconnect episode that gives up ends the loop and releases any
@@ -508,8 +512,6 @@ func (n *Node) controlLoop() {
 			continue
 		}
 		switch t {
-		case FrameCodesOK:
-			n.codesGen.Store(int64(gen))
 		case FrameThrottle:
 			th, err := UnmarshalThrottle(body)
 			if err != nil {
@@ -524,6 +526,13 @@ func (n *Node) controlLoop() {
 				continue
 			}
 			n.handleStreamNack(nk)
+		case FrameStreamAck:
+			a, err := UnmarshalStreamAck(body)
+			if err != nil {
+				n.cfg.Logf("rxnet: node %d bad stream ack: %v", n.hello.NodeID, err)
+				continue
+			}
+			n.handleStreamAck(a)
 		default:
 			// Drain notices and future control frames are advisory for
 			// a sending node; ignore.

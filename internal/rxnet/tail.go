@@ -10,26 +10,19 @@ type ReplayEntry struct {
 	Codes bool
 }
 
-// Frame returns the entry's wire form with the live or replay marking:
-// a code frame when it is stored as codes and codesOK says the peer
-// answered the Hello, else its float64 frame, a code body expanded
-// into *scratch (valid until the next use of scratch).
-func (e ReplayEntry) Frame(codesOK, replay bool, scratch *[]byte) (FrameType, []byte) {
-	if e.Codes && codesOK {
-		if replay {
-			return FrameCodeReplay, e.Body
-		}
+// Frame returns the entry's wire form, a code frame when it is stored
+// as codes and a float64 frame otherwise, with the live or replay
+// marking.
+func (e ReplayEntry) Frame(replay bool) (FrameType, []byte) {
+	switch {
+	case e.Codes && replay:
+		return FrameCodeReplay, e.Body
+	case e.Codes:
 		return FrameCodeChunk, e.Body
+	case replay:
+		return FrameSampleReplay, e.Body
 	}
-	body := e.Body
-	if e.Codes {
-		*scratch = AppendSampleBody((*scratch)[:0], e.Body)
-		body = *scratch
-	}
-	if replay {
-		return FrameSampleReplay, body
-	}
-	return FrameSampleChunk, body
+	return FrameSampleChunk, e.Body
 }
 
 // ReplayTail is a byte-bounded tail of one stream's chunk bodies, in
