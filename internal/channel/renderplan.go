@@ -1,8 +1,6 @@
 package channel
 
 import (
-	"sort"
-
 	"passivelight/internal/optics"
 	"passivelight/internal/scene"
 )
@@ -28,18 +26,25 @@ import (
 //     every object's lookup (coverage, base or overlay layer,
 //     segment) stays the same. A run ends where one of the per-point
 //     predicates flips; they are all comparisons of the local
-//     coordinate u = lead - xs[k], which only descends as k ascends,
-//     so a binary search finds the exact index the per-point check
-//     would. The scene reflectance is blended once per run, and the
-//     kernel sum over the run is a branch-free multiply-add.
+//     coordinate u = lead - xs[k], which only descends as k ascends.
+//     The footprint points lie on a near-uniform grid, so
+//     footprint.below guesses the index from the coordinate and steps
+//     to the exact one with the per-point comparison: O(1) per run
+//     end. The scene reflectance is blended once per run;
+//   - for a steady source the kernel sums run in lanes: the time
+//     steps advance in order, each active one records its runs, and
+//     sumLanes adds four steps' sums in one walk of the footprint,
+//     each weight loaded once and feeding four independent
+//     accumulators, instead of one dependent add per point per step.
 //
 // Every kernel term is added in kernel order with the generic path's
 // float operations, so the two paths produce identical bits;
-// equivalence is locked down by TestRenderPlanMatchesGeneric and
-// TestRenderPlanRandomScenes.
+// equivalence is locked down by TestRenderPlanMatchesGeneric,
+// TestRenderPlanRandomScenes and FuzzRenderPlan.
 type renderPlan struct {
-	rx      Receiver
-	xs      []float64 // footprint sample positions (r.X + offset)
+	rx Receiver
+	// footprint holds the sample positions xs (r.X + offset).
+	footprint
 	weights []float64
 	ground  float64
 	objs    []planObject
@@ -58,9 +63,9 @@ type renderPlan struct {
 	quietOut float64
 	// groundPrefix[k] is the running sum of wE[j]*ground for j < k,
 	// accumulated in kernel order — exactly the value the reflected
-	// accumulator holds after the ground prefix, so render can start
-	// the active span from a table lookup instead of re-summing the
-	// quiet prefix every time step.
+	// accumulator holds after the ground prefix, so sumLanes can start
+	// its walk from a table lookup instead of re-summing the quiet
+	// prefix every time step.
 	groundPrefix []float64
 }
 
@@ -157,10 +162,11 @@ func newRenderPlan(s *scene.Scene, r Receiver, offsets, weights []float64) (*ren
 		}
 		p.objs = append(p.objs, po)
 	}
-	p.xs = make([]float64, len(offsets))
+	xs := make([]float64, len(offsets))
 	for k, dx := range offsets {
-		p.xs[k] = r.X + dx
+		xs[k] = r.X + dx
 	}
+	p.footprint = newFootprint(xs)
 	if ss, ok := s.Source.(optics.SteadySource); ok && ss.SteadyIlluminance() {
 		p.srcKind = srcSteady
 		p.wE = make([]float64, len(p.xs))
@@ -182,49 +188,44 @@ func newRenderPlan(s *scene.Scene, r Receiver, offsets, weights []float64) (*ren
 	return p, true
 }
 
-// below returns the first k in [lo, hi) whose local coordinate
-// lead - xs[k] - off is below edge, or hi. The coordinate only
-// descends as k ascends, so the predicate is monotone in k and the
-// search agrees bit for bit with the per-point comparison.
-func (o *planObject) below(xs []float64, lo, hi int, off, edge float64) int {
-	return lo + sort.Search(hi-lo, func(d int) bool { return o.lead-xs[lo+d]-off < edge })
+// footprint is the kernel's quadrature grid with what below needs to
+// guess an index arithmetically: xs[k] is close to x0 + k/perX, as
+// the points lie on a near-uniform grid.
+type footprint struct {
+	xs       []float64
+	x0, perX float64
 }
 
-// seek returns below(xs, lo, hi, off, edge), galloping out from hint
-// (clamped into [lo, hi]) to bracket the answer before the binary
-// search. The predicate is monotone in k, so any hint gives the same
-// first-true index. With the last time step's index as the hint it
-// takes a few comparisons: between samples an edge outside the
-// footprint stays put, and one crossing it moves a few indices (3-4
-// on the 18 km/h outdoor pass).
-func (o *planObject) seek(xs []float64, lo, hi, hint int, off, edge float64) int {
-	hint = min(max(hint, lo), hi)
-	if hint > lo && o.lead-xs[hint-1]-off < edge {
-		// The answer lies in [lo, hint-1]: gallop down from there.
-		top, step := hint-1, 1
-		for {
-			k := top - step
-			if k < lo {
-				return o.below(xs, lo, top, off, edge)
-			}
-			if !(o.lead-xs[k]-off < edge) {
-				return o.below(xs, k+1, top, off, edge)
-			}
-			top, step = k, 2*step
-		}
+func newFootprint(xs []float64) footprint {
+	f := footprint{xs: xs, x0: xs[0]}
+	if span := xs[len(xs)-1] - xs[0]; span > 0 {
+		f.perX = float64(len(xs)-1) / span
 	}
-	// The answer lies in [hint, hi]: gallop up.
-	bot, step := hint, 1
-	for {
-		k := bot + step - 1
-		if k >= hi {
-			return o.below(xs, bot, hi, off, edge)
-		}
-		if o.lead-xs[k]-off < edge {
-			return o.below(xs, bot, k, off, edge)
-		}
-		bot, step = k+1, 2*step
+	return f
+}
+
+// below returns the first k in [lo, hi) whose local coordinate
+// lead - xs[k] - off is below edge, or hi. The coordinate only
+// descends as k ascends, so the predicate is monotone in k: below
+// guesses the index from the grid, then steps to the exact answer
+// with the per-point comparison itself, so any guess gives the same
+// index a binary search would. On the kernel's grid the guess is off
+// by at most one or two points.
+func (f *footprint) below(lead float64, lo, hi int, off, edge float64) int {
+	k := lo
+	if g := (lead - off - edge - f.x0) * f.perX; g >= float64(hi) {
+		k = hi
+	} else if g >= float64(lo) {
+		k = int(g) + 1
 	}
+	xs := f.xs
+	for k > lo && lead-xs[k-1]-off < edge {
+		k--
+	}
+	for k < hi && !(lead-xs[k]-off < edge) {
+		k++
+	}
+	return k
 }
 
 // step sets the object's run state at footprint index k < kEnd:
@@ -232,7 +233,7 @@ func (o *planObject) seek(xs []float64, lo, hi, hint int, off, edge float64) int
 // overlay layer if v = u - ovOffset lies in [0, ovLen), else the base
 // layer — the order and comparisons of the reference lookup — and
 // next, the first index past k where any of these outcomes changes.
-func (o *planObject) step(xs []float64, k, kEnd int) {
+func (o *planObject) step(f *footprint, k, kEnd int) {
 	switch {
 	case k < o.kLo:
 		o.covered, o.next = false, o.kLo
@@ -242,7 +243,7 @@ func (o *planObject) step(xs []float64, k, kEnd int) {
 		return
 	}
 	o.covered = true
-	u := o.lead - xs[k]
+	u := o.lead - f.xs[k]
 	hi := o.kHi
 	if o.ovRho != nil {
 		v := u - o.ovOffset
@@ -255,12 +256,12 @@ func (o *planObject) step(xs []float64, k, kEnd int) {
 				o.ovSeg++
 			}
 			o.cur = o.ovRho[o.ovSeg]
-			o.next = o.below(xs, k+1, hi, o.ovOffset, e[o.ovSeg])
+			o.next = f.below(o.lead, k+1, hi, o.ovOffset, e[o.ovSeg])
 			return
 		}
 		if v >= o.ovLen {
 			// The overlay starts further along the footprint.
-			hi = o.below(xs, k+1, hi, o.ovOffset, o.ovLen)
+			hi = f.below(o.lead, k+1, hi, o.ovOffset, o.ovLen)
 		}
 	}
 	e := o.edges
@@ -271,7 +272,7 @@ func (o *planObject) step(xs []float64, k, kEnd int) {
 		o.seg++
 	}
 	o.cur = o.rho[o.seg]
-	o.next = o.below(xs, k+1, hi, 0, e[o.seg])
+	o.next = f.below(o.lead, k+1, hi, 0, e[o.seg])
 }
 
 // advance moves every object to time t and returns the footprint span
@@ -284,8 +285,8 @@ func (p *renderPlan) advance(t float64) (kStart, kEnd int) {
 	for j := range p.objs {
 		o := &p.objs[j]
 		o.lead = o.traj.PositionAt(t)
-		o.kLo = o.seek(p.xs, 0, n, o.kLo, 0, o.length)
-		o.kHi = o.seek(p.xs, o.kLo, n, o.kHi, 0, 0)
+		o.kLo = p.below(o.lead, 0, n, 0, o.length)
+		o.kHi = p.below(o.lead, o.kLo, n, 0, 0)
 		o.next = 0
 		if o.kLo < o.kHi {
 			kStart, kEnd = min(kStart, o.kLo), max(kEnd, o.kHi)
@@ -308,7 +309,7 @@ func (p *renderPlan) run(k, kEnd int) (int, float64) {
 	for j := range p.objs {
 		o := &p.objs[j]
 		if o.next <= k {
-			o.step(p.xs, k, kEnd)
+			o.step(&p.footprint, k, kEnd)
 		}
 		end = min(end, o.next)
 		if !o.covered {
@@ -334,46 +335,34 @@ func (p *renderPlan) run(k, kEnd int) (int, float64) {
 // with blended reflectance c, to reflected in kernel order. e is the
 // time step's illuminance for a uniform source.
 func (p *renderPlan) accumulate(reflected float64, lo, hi int, c, e, t float64) float64 {
-	switch p.srcKind {
-	case srcSteady:
-		for _, w := range p.wE[lo:hi] {
-			reflected += w * c
-		}
-	case srcUniform:
+	if p.srcKind == srcUniform {
 		for _, w := range p.weights[lo:hi] {
 			reflected += w * e * c
 		}
-	default:
-		for k := lo; k < hi; k++ {
-			reflected += p.weights[k] * p.src.IlluminanceAt(p.xs[k], t) * c
-		}
+		return reflected
+	}
+	for k := lo; k < hi; k++ {
+		reflected += p.weights[k] * p.src.IlluminanceAt(p.xs[k], t) * c
 	}
 	return reflected
 }
 
 // render fills out[i] for t = t0 + i/fs.
 func (p *renderPlan) render(t0, fs float64, out []float64) {
+	if p.srcKind == srcSteady {
+		p.renderSteady(t0, fs, out)
+		return
+	}
 	r := p.rx
 	n := len(p.xs)
 	for i := range out {
 		t := t0 + float64(i)/fs
 		kStart, kEnd := p.advance(t)
 		var reflected, e float64
-		k := 0
-		switch p.srcKind {
-		case srcSteady:
-			if kStart == n {
-				out[i] = p.quietOut
-				continue
-			}
-			// The quiet prefix collapses to its precomputed running
-			// sum — the same additions in the same order, done once at
-			// plan build instead of every time step.
-			reflected, k = p.groundPrefix[kStart], kStart
-		case srcUniform:
+		if p.srcKind == srcUniform {
 			e = p.src.IlluminanceAt(r.X, t)
 		}
-		for k < n {
+		for k := 0; k < n; {
 			// Outside the active span the reflectance is the bare
 			// ground's: one run before it and one after.
 			end, c := n, p.ground
@@ -385,13 +374,111 @@ func (p *renderPlan) render(t0, fs float64, out []float64) {
 			reflected = p.accumulate(reflected, k, end, c, e, t)
 			k = end
 		}
-		switch p.srcKind {
-		case srcSteady:
-			out[i] = r.CollectionEfficiency*reflected + p.strayE
-		case srcUniform:
+		if p.srcKind == srcUniform {
 			out[i] = r.CollectionEfficiency*reflected + r.StrayCoupling*e
-		default:
+		} else {
 			out[i] = r.CollectionEfficiency*reflected + r.StrayCoupling*p.src.IlluminanceAt(r.X, t)
 		}
 	}
+}
+
+// lanes is how many time steps one footprint pass of renderSteady
+// sums; sumLanes spells out its four accumulators.
+const lanes = 4
+
+// planRun is one run of a time step: the footprint indices up to end
+// (from the previous run's end) share the blended reflectance c.
+type planRun struct {
+	end int
+	c   float64
+}
+
+// renderSteady is render for a steady source. It advances the time
+// steps in order, as render does, but records each active step's runs
+// instead of summing them at once, and sums lanes active steps in one
+// footprint pass (sumLanes). A step no object touches takes quietOut.
+func (p *renderPlan) renderSteady(t0, fs float64, out []float64) {
+	n := len(p.xs)
+	r := p.rx
+	var at, from [lanes]int
+	var first [lanes]int // lane l's runs start at runs[first[l]]
+	runs := make([]planRun, 0, 64)
+	nl := 0
+	flush := func() {
+		for l := nl; l < lanes; l++ {
+			from[l] = n // an idle lane starts at n and reads no runs
+		}
+		acc := p.sumLanes(runs, from, first)
+		for l := range nl {
+			out[at[l]] = r.CollectionEfficiency*acc[l] + p.strayE
+		}
+		runs, nl = runs[:0], 0
+	}
+	for i := range out {
+		kStart, kEnd := p.advance(t0 + float64(i)/fs)
+		if kStart == n {
+			out[i] = p.quietOut
+			continue
+		}
+		at[nl], from[nl], first[nl] = i, kStart, len(runs)
+		for k := kStart; k < n; {
+			// Past the active span the reflectance is the bare ground's.
+			end, c := n, p.ground
+			if k < kEnd {
+				end, c = p.run(k, kEnd)
+			}
+			runs = append(runs, planRun{end, c})
+			k = end
+		}
+		if nl++; nl == lanes {
+			flush()
+		}
+	}
+	if nl > 0 {
+		flush()
+	}
+}
+
+// sumLanes returns the reflected-path sums of lanes time steps: lane
+// l's step covers footprint indices [from[l], n) with the runs
+// runs[next[l]:], the last of which ends at n. It walks the footprint
+// once from the smallest from, in segments that end wherever any
+// lane's run does, and each wE[k] it loads feeds every lane's
+// accumulator.
+//
+// Each lane adds the terms of the single-step sum in the same order:
+// it starts from groundPrefix at the smallest from and adds
+// wE[k]*ground up to its own from, which is exactly how groundPrefix
+// was built, so it holds groundPrefix[from[l]] there; then it adds
+// wE[k]*c run by run. The four sums are independent chains, so they
+// overlap in the adder instead of waiting on each other.
+func (p *renderPlan) sumLanes(runs []planRun, from, next [lanes]int) [lanes]float64 {
+	n := len(p.xs)
+	kMin := min(from[0], from[1], from[2], from[3])
+	var end [lanes]int
+	var c [lanes]float64
+	for l := range lanes {
+		// Until its own from each lane sees the bare ground.
+		end[l], c[l] = from[l], p.ground
+	}
+	a0 := p.groundPrefix[kMin]
+	a1, a2, a3 := a0, a0, a0
+	for k := kMin; k < n; {
+		e := min(end[0], end[1], end[2], end[3])
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		for _, w := range p.wE[k:e] {
+			a0 += w * c0
+			a1 += w * c1
+			a2 += w * c2
+			a3 += w * c3
+		}
+		k = e
+		for l := range lanes {
+			if end[l] == e && e < n {
+				end[l], c[l] = runs[next[l]].end, runs[next[l]].c
+				next[l]++
+			}
+		}
+	}
+	return [lanes]float64{a0, a1, a2, a3}
 }

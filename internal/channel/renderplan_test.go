@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"passivelight/internal/coding"
@@ -82,8 +84,8 @@ func outdoorScene(tb testing.TB, payload string) (*scene.Scene, float64) {
 
 // assertPlanMatchesGeneric renders n samples of s through the plan
 // and the generic evaluator and fails on the first differing bit. It
-// returns the plan's source kind.
-func assertPlanMatchesGeneric(t *testing.T, name string, s *scene.Scene, r Receiver, t0, fs float64, n int) srcKind {
+// returns the plan.
+func assertPlanMatchesGeneric(t *testing.T, name string, s *scene.Scene, r Receiver, t0, fs float64, n int) *renderPlan {
 	t.Helper()
 	r = r.withDefaults()
 	offsets, weights := r.Kernel()
@@ -100,20 +102,98 @@ func assertPlanMatchesGeneric(t *testing.T, name string, s *scene.Scene, r Recei
 			t.Fatalf("%s: sample %d differs: fast=%v generic=%v", name, i, fast[i], slow[i])
 		}
 	}
-	return plan.srcKind
+	return plan
+}
+
+// laneCover records the shapes of the lane batches a steady-source
+// render formed: the sizes of final batches, whether a quiet step fell
+// between two active steps of one batch, and whether one batch's lanes
+// started at different footprint indices.
+type laneCover struct {
+	final                   [lanes + 1]bool
+	quietInside, mixedStart bool
+}
+
+// add replays the n time steps of a render by p through advance and
+// notes the batches renderSteady formed from them.
+func (c *laneCover) add(p *renderPlan, t0, fs float64, n int) {
+	if p.srcKind != srcSteady {
+		return
+	}
+	var from []int
+	active, last := 0, 0
+	for i := range n {
+		kStart, _ := p.advance(t0 + float64(i)/fs)
+		if kStart == len(p.xs) {
+			continue
+		}
+		if len(from) > 0 {
+			c.quietInside = c.quietInside || i > last+1
+			c.mixedStart = c.mixedStart || kStart != from[0]
+		}
+		from, last, active = append(from, kStart), i, active+1
+		if len(from) == lanes {
+			from = from[:0]
+		}
+	}
+	if active > 0 {
+		c.final[(active-1)%lanes+1] = true
+	}
+}
+
+// check fails unless final batches of 1, 2 and 3 steps, a quiet step
+// inside a batch and a batch of differing starts were all seen.
+func (c *laneCover) check(t *testing.T) {
+	t.Helper()
+	for size := 1; size < lanes; size++ {
+		if !c.final[size] {
+			t.Errorf("no render ended on a batch of %d active steps", size)
+		}
+	}
+	if !c.quietInside {
+		t.Error("no quiet step fell inside a lane batch")
+	}
+	if !c.mixedStart {
+		t.Error("no lane batch had lanes starting at different footprint indices")
+	}
 }
 
 // TestRenderPlanMatchesGeneric locks the fast path to the generic
 // evaluator bit for bit across every specialization, on the paper's
-// outdoor pass, and on a car that backs up halfway through the
-// footprint, so the warm-started footprint search moves both ways.
+// outdoor pass (whole, and cut mid-pass so the last lane batch holds
+// 1 to 4 steps), on two tags with a quiet gap between them, and on a
+// roof-tagged car that backs up halfway through the footprint, so the
+// footprint search and the segment cursors move both ways.
 func TestRenderPlanMatchesGeneric(t *testing.T) {
+	var cover laneCover
 	r := Receiver{Height: 0.2, FoVHalfAngleDeg: 5}
 	for name, s := range planScenes(t) {
-		assertPlanMatchesGeneric(t, name, s, r, 0, 500, 2000)
+		cover.add(assertPlanMatchesGeneric(t, name, s, r, 0, 500, 2000), 0, 500, 2000)
 	}
 	s, dur := outdoorScene(t, "1001")
-	assertPlanMatchesGeneric(t, "outdoor", s, outdoorReceiver, 0, outdoorFs, int(dur*outdoorFs))
+	cover.add(assertPlanMatchesGeneric(t, "outdoor", s, outdoorReceiver, 0, outdoorFs, int(dur*outdoorFs)), 0, outdoorFs, int(dur*outdoorFs))
+	for cut := range lanes {
+		m := int(dur*outdoorFs)/2 + cut
+		cover.add(assertPlanMatchesGeneric(t, fmt.Sprintf("outdoor cut at %d", m), s, outdoorReceiver, 0, outdoorFs, m), 0, outdoorFs, m)
+	}
+
+	// Two tags 5 cm apart under a lamp: the footprint (3.5 cm wide)
+	// sees bare ground between them.
+	pkt, err := coding.NewPacket("10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := mustTagOf(t, pkt, tag.Config{SymbolWidth: 0.01})
+	var gapped []*scene.Object
+	for j, start := range []float64{-0.1, -0.1 - 0.05 - tg.Length()} {
+		obj, err := scene.NewTagObject(fmt.Sprint("tag", j), tg, scene.ConstantSpeed{Start: start, Speed: 0.1}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gapped = append(gapped, obj)
+	}
+	cover.add(assertPlanMatchesGeneric(t, "gapped tags", scene.New(lampForLux(0, 0.2, 900, 30), gapped...), r, 0, 997, 3000), 0, 997, 3000)
+	cover.check(t)
 
 	// Forward 3 m (the hood and windshield cross the footprint), back
 	// 1.6 m, then forward until the tail has cleared.
@@ -124,7 +204,7 @@ func TestRenderPlanMatchesGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := coding.NewPacket("1001")
+	pkt, err = coding.NewPacket("1001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,19 +214,46 @@ func TestRenderPlanMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	dur = 1 + (model.Length()+1.6-3-start+outdoorReceiver.FootprintRadius()+0.5)/5
-	assertPlanMatchesGeneric(t, "outdoor reversing", scene.New(optics.Sun{Lux: 6200}, car), outdoorReceiver, 0, outdoorFs, int(dur*outdoorFs))
+	if p := assertPlanMatchesGeneric(t, "outdoor reversing", scene.New(optics.Sun{Lux: 6200}, car), outdoorReceiver, 0, outdoorFs, int(dur*outdoorFs)); p.srcKind != srcSteady || p.objs[0].ovRho == nil {
+		t.Fatal("the reversing car must take the lanes with its roof-tag overlay")
+	}
 }
 
-// TestSeekMatchesBelow checks the galloping footprint search against
-// the plain binary search for every hint in [0, n] (and past both
-// ends) on random monotone predicates: footprints with tied points,
-// every sub-range [lo, hi), and thresholds below, inside and above
-// the footprint, NaN included.
-func TestSeekMatchesBelow(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(40)
-		xs := make([]float64, n)
+// searchBelow is the reference model of footprint.below: a binary
+// search for the first k in [lo, hi) whose local coordinate
+// lead - xs[k] - off is below edge, or hi.
+func searchBelow(xs []float64, lead float64, lo, hi int, off, edge float64) int {
+	return lo + sort.Search(hi-lo, func(d int) bool { return lead-xs[lo+d]-off < edge })
+}
+
+// TestBelowMatchesSearch checks the grid-guessing footprint search
+// against the binary search on the kernel footprints of 3, 129 and
+// 1001 points at several radii (and on random monotone footprints with
+// tied points, where the guess is poor), for every sub-range
+// lo <= hi, with edges exactly on each point, between points and
+// outside the footprint, and with ±Inf and NaN in lead and edge.
+func TestBelowMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var grids [][]float64
+	for _, ks := range []int{3, 129, 1001} {
+		for _, r := range []Receiver{
+			{Height: 0.75, FoVHalfAngleDeg: 4},
+			{X: 0.37, Height: 0.2, FoVHalfAngleDeg: 5},
+			{X: -12.5, Height: 1.25, FoVHalfAngleDeg: 40},
+			{X: 1e3, Height: 0.05, FoVHalfAngleDeg: 0.5},
+		} {
+			r.KernelSamples = ks
+			r = r.withDefaults()
+			offsets, _ := r.Kernel()
+			xs := make([]float64, len(offsets))
+			for k, dx := range offsets {
+				xs[k] = r.X + dx
+			}
+			grids = append(grids, xs)
+		}
+	}
+	for range 20 {
+		xs := make([]float64, 1+rng.Intn(40))
 		x := rng.Float64()
 		for k := range xs {
 			if rng.Intn(4) != 0 {
@@ -154,24 +261,47 @@ func TestSeekMatchesBelow(t *testing.T) {
 			}
 			xs[k] = x
 		}
-		o := &planObject{lead: xs[0] + rng.Float64()*(xs[n-1]-xs[0]+1)}
-		if trial%50 == 0 {
-			o.lead = math.NaN()
-		}
-		off := []float64{0, 0.25, -0.125}[trial%3]
-		edge := (rng.Float64()*2 - 1) * (xs[n-1] - xs[0] + 1)
-		if rng.Intn(3) == 0 {
-			// An edge the coordinate meets exactly at some point.
-			edge = o.lead - xs[rng.Intn(n)] - off
-		}
-		for lo := 0; lo <= n; lo++ {
-			for hi := lo; hi <= n; hi++ {
-				want := o.below(xs, lo, hi, off, edge)
-				for hint := -2; hint <= n+2; hint++ {
-					if got := o.seek(xs, lo, hi, hint, off, edge); got != want {
-						t.Fatalf("trial %d: seek(lo %d, hi %d, hint %d) = %d, below = %d", trial, lo, hi, hint, got, want)
+		grids = append(grids, xs)
+	}
+	inf := math.Inf(1)
+	for g, xs := range grids {
+		n := len(xs)
+		f := newFootprint(xs)
+		span := xs[n-1] - xs[0]
+		for _, lead := range []float64{xs[0] + rng.Float64()*span, xs[n-1] + 0.3*span, inf, -inf, math.NaN()} {
+			off := []float64{0, 0.25, -0.125}[rng.Intn(3)]
+			edges := []float64{inf, -inf, math.NaN(), 0, lead - xs[0] - off + span, lead - xs[n-1] - off - span}
+			for k := range xs {
+				edges = append(edges, lead-xs[k]-off)
+				if k+1 < n {
+					edges = append(edges, lead-(xs[k]+xs[k+1])/2-off)
+				}
+			}
+			check := func(lo, hi int, edge float64) {
+				if got, want := f.below(lead, lo, hi, off, edge), searchBelow(xs, lead, lo, hi, off, edge); got != want {
+					t.Fatalf("footprint %d (%d points), lead %v, off %v, edge %v: below(%d, %d) = %d, search = %d", g, n, lead, off, edge, lo, hi, got, want)
+				}
+			}
+			for lo := 0; lo <= n; lo++ {
+				if n > 129 && math.IsInf(lead, 0) {
+					// Infinite leads on the largest footprints: the
+					// whole-range checks below only.
+					break
+				}
+				for hi := lo; hi <= n; hi++ {
+					if n > 40 {
+						// Each sub-range with one edge, in turn; every edge
+						// on the whole footprint below.
+						check(lo, hi, edges[(lo*7+hi)%len(edges)])
+						continue
+					}
+					for _, edge := range edges {
+						check(lo, hi, edge)
 					}
 				}
+			}
+			for _, edge := range edges {
+				check(0, n, edge)
 			}
 		}
 	}
@@ -235,10 +365,10 @@ func parkOnBoundary(d planDraws, obj *scene.Object, x float64) {
 // randomPlanScene draws a piecewise-constant scene: 1–4 objects (tags
 // with random payloads, widths and materials, bare and roof-tagged
 // cars), lateral shares drawn independently so their total often
-// exceeds 1 and SampleAt's clamp fires, constant or stop-and-go
-// motion or parked on a boundary tie, and one of the three source
-// kinds. It returns the scene and
-// a time span covering every object's crossing of the footprint.
+// exceeds 1 and SampleAt's clamp fires, constant, stop-and-go or
+// reversing motion or parked on a boundary tie, and one of the three
+// source kinds. It returns the scene and a time span covering every
+// object's crossing of the footprint.
 func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float64) {
 	t.Helper()
 	mats := []material.Material{material.AluminumTape, material.BlackNapkin, material.CarPaintMetal, material.WindshieldGlass, material.Tarmac}
@@ -266,7 +396,8 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 		start := r.X - d.in(rad, rad+0.4, 100)
 		var traj scene.Trajectory = scene.ConstantSpeed{Start: start, Speed: speed}
 		dwell := 0.0
-		if d.Intn(2) == 0 {
+		switch d.Intn(3) {
+		case 0:
 			dwell = d.in(0.01, 0.2, 100)
 			at := max(d.in(0.05/speed, 0.55/speed, 100), 0.01)
 			sg, err := scene.StopAndGo(start, speed, []scene.Stop{{At: at, Dwell: dwell}})
@@ -274,6 +405,20 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 				t.Fatal(err)
 			}
 			traj = sg
+		case 1:
+			// Drives into the footprint, backs out past its start (the
+			// footprint goes quiet if nothing else covers it), then
+			// drives through: the footprint search and the segment
+			// cursors move both ways.
+			at := (r.X - rad - start + d.in(0.01, 0.3, 100)) / speed
+			back := at + d.in(0.01, 0.1, 100)
+			ps, err := scene.NewPiecewiseSpeed(start, []scene.SpeedSegment{
+				{Until: at, Speed: speed}, {Until: at + back, Speed: -speed}, {Until: math.Inf(1), Speed: speed},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			traj, dwell = ps, 2*back
 		}
 		var obj *scene.Object
 		var err error
@@ -323,7 +468,9 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 // TestRenderPlanMatchesGeneric: seeded random piecewise-constant
 // scenes, on and off a decimal grid, kernels of 3 to 257 points (even
 // counts included) and the paper's outdoor geometry, each rendered
-// bit-identically by both paths for every source kind.
+// bit-identically by both paths for every source kind. The steady-
+// source scenes must include a roof-tag overlay and a reversing object
+// and, on the full run, form every lane-batch shape laneCover names.
 func TestRenderPlanRandomScenes(t *testing.T) {
 	cases := 160
 	if testing.Short() {
@@ -331,6 +478,8 @@ func TestRenderPlanRandomScenes(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20160406))
 	kinds := map[srcKind]int{}
+	var cover laneCover
+	var overlay, reversing bool
 	for c := 0; c < cases; c++ {
 		d := planDraws{Rand: rng, grid: c%2 == 0}
 		r := Receiver{
@@ -350,13 +499,157 @@ func TestRenderPlanRandomScenes(t *testing.T) {
 		}
 		n = min(n, 1500)
 		name := fmt.Sprintf("case %d (%d objects, %d-point kernel)", c, len(s.Objects), r.withDefaults().KernelSamples)
-		kinds[assertPlanMatchesGeneric(t, name, s, r, 0, fs, n)]++
+		p := assertPlanMatchesGeneric(t, name, s, r, 0, fs, n)
+		kinds[p.srcKind]++
+		cover.add(p, 0, fs, n)
+		for j, o := range s.Objects {
+			if p.srcKind != srcSteady {
+				break
+			}
+			overlay = overlay || p.objs[j].ovRho != nil
+			if ps, ok := o.Trajectory.(scene.PiecewiseSpeed); ok {
+				reversing = reversing || slices.ContainsFunc(ps.Segments, func(g scene.SpeedSegment) bool { return g.Speed < 0 })
+			}
+		}
+	}
+	if !overlay || !reversing {
+		t.Fatalf("steady-source scenes drew an overlay %v, a reversing object %v; want both", overlay, reversing)
+	}
+	if !testing.Short() {
+		// The short run's dozen steady scenes may miss a batch shape;
+		// TestRenderPlanMatchesGeneric builds each one on purpose.
+		cover.check(t)
 	}
 	for _, k := range []srcKind{srcSteady, srcUniform, srcGeneric} {
 		if kinds[k] == 0 {
 			t.Fatalf("source kind %d never drawn: %v", k, kinds)
 		}
 	}
+}
+
+// flatProfile is a reflectance profile given by its flat form; its
+// lookup is the one FlatReflectance describes: the overlay first, then
+// the base segment holding u.
+type flatProfile struct{ fp scene.FlatProfile }
+
+func (p flatProfile) FlatReflectance() scene.FlatProfile { return p.fp }
+
+func (p flatProfile) Length() float64 { return p.fp.Edges[len(p.fp.Edges)-1] }
+
+func (p flatProfile) ReflectanceAtLocal(u float64) (float64, bool) {
+	if u < 0 || u >= p.Length() {
+		return 0, false
+	}
+	seg := func(edges []float64, u float64) int {
+		i := 0
+		for u >= edges[i+1] {
+			i++
+		}
+		return i
+	}
+	if ov := p.fp.Overlay; ov != nil {
+		if v := u - ov.Offset; v >= 0 && v < ov.Edges[len(ov.Edges)-1] {
+			return ov.Rho[seg(ov.Edges, v)], true
+		}
+	}
+	return p.fp.Rho[seg(p.fp.Edges, u)], true
+}
+
+// fuzzBytes hands out the fuzz input a byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// flat draws 1–8 segments of 0–25 cm (zero widths included, so edges
+// tie) with reflectances in [0, 1].
+func (b *fuzzBytes) flat() (edges, rho []float64) {
+	edges = []float64{0}
+	for range 1 + b.next()%8 {
+		edges = append(edges, edges[len(edges)-1]+float64(b.next())/1024)
+		rho = append(rho, float64(b.next())/255)
+	}
+	return edges, rho
+}
+
+// FuzzRenderPlan builds a piecewise-constant scene from the input —
+// 1–3 objects with their segment edges, reflectances, an optional
+// overlay, lateral shares, speed and direction (forward, backward, or
+// backing up mid-pass), a steady or uniform source, the sample rate
+// and the kernel size — and requires the plan's render to be bit-equal
+// to renderGeneric's.
+func FuzzRenderPlan(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{96, 4, 3, 2, 1, 3, 40, 200, 25, 30, 60, 10, 1, 128, 1, 26, 250, 9, 0, 50, 0})
+	f.Add([]byte{200, 30, 126, 3, 2, 5, 100, 12, 0, 90, 100, 200, 0, 0, 7, 64, 2, 30, 1, 1, 80, 7, 40, 3, 25, 255, 3, 2})
+	f.Add([]byte{20, 12, 0, 1, 2, 7, 60, 60, 60, 60, 0, 255, 60, 0, 128, 9, 2, 5, 1, 3, 120, 44, 44, 0, 3, 9, 2, 100})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		r := Receiver{
+			X:               float64(b.next()-128) / 256,
+			Height:          0.05 + float64(b.next())/200,
+			FoVHalfAngleDeg: 1 + float64(b.next()%40),
+			KernelSamples:   3 + b.next(),
+		}
+		fs := []float64{250, 500, 1000, 2000}[b.next()%4]
+		rad := r.FootprintRadius()
+		var objs []*scene.Object
+		span := 0.0
+		for j := range 1 + b.next()%3 {
+			var fp scene.FlatProfile
+			fp.Edges, fp.Rho = b.flat()
+			length := fp.Edges[len(fp.Edges)-1]
+			if b.next()%2 == 1 {
+				ov := &scene.FlatOverlay{Offset: float64(b.next()) / 256 * length}
+				ov.Edges, ov.Rho = b.flat()
+				fp.Overlay = ov
+			}
+			speed := float64(1+b.next()) / 64
+			lead := r.X - rad - float64(b.next())/512
+			dist := length + 2*rad + (r.X - rad - lead)
+			var traj scene.Trajectory = scene.ConstantSpeed{Start: lead, Speed: speed}
+			switch b.next() % 3 {
+			case 1: // backward, from past the far side
+				traj = scene.ConstantSpeed{Start: lead + dist + length, Speed: -speed}
+			case 2: // in, back out past the start, then through
+				at := (r.X - rad - lead + float64(b.next())/1024) / speed
+				ps, err := scene.NewPiecewiseSpeed(lead, []scene.SpeedSegment{
+					{Until: at, Speed: speed}, {Until: 2*at + 0.01, Speed: -speed}, {Until: math.Inf(1), Speed: speed},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				traj, dist = ps, dist+2*speed*(at+0.01)
+			}
+			objs = append(objs, &scene.Object{
+				Name:         fmt.Sprint("obj", j),
+				Profile:      flatProfile{fp},
+				Trajectory:   traj,
+				LateralShare: float64(1+b.next()%10) / 10,
+			})
+			span = max(span, dist/speed)
+		}
+		var src optics.Source
+		switch b.next() % 3 {
+		case 0:
+			src = optics.Sun{Lux: 6200}
+		case 1:
+			src = lampForLux(r.X+float64(b.next()-128)/512, 0.3+float64(b.next())/128, 900, 1+float64(b.next()%30))
+		default:
+			src = optics.CeilingLight{Lux: 300, RippleDepth: 0.1, MainsHz: 50}
+		}
+		n := int(span*fs) + 1
+		if n > 400 {
+			n, fs = 400, 400/span
+		}
+		assertPlanMatchesGeneric(t, "fuzz scene", scene.New(src, objs...), r, 0, fs, n)
+	})
 }
 
 // TestRenderFallsBackOnDynamicTag checks the generic path still

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -61,6 +62,16 @@ func (e *silentEngine) serve(c net.Conn) {
 		e.mu.Lock()
 		e.frames = append(e.frames, engineFrame{ft, body})
 		e.mu.Unlock()
+	}
+}
+
+// drop closes every connection the engine has accepted but keeps
+// listening, as a restarted engine on the same address would.
+func (e *silentEngine) drop() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, c := range e.conns {
+		c.Close()
 	}
 }
 
@@ -150,16 +161,11 @@ func TestRouterSendsCodeFramesWithoutAnswer(t *testing.T) {
 	}
 	chunkTypes := []rxnet.FrameType{rxnet.FrameSampleChunk, rxnet.FrameSampleReplay, rxnet.FrameCodeChunk, rxnet.FrameCodeReplay}
 	waitFor(t, "three chunks on engine-a", func() bool { return len(a.received(chunkTypes...)) == 3 })
-	// The first dial also replays the stored Hello, so engine-a may read
-	// the first body twice; the last one it reads is the flagged one.
+	// The first Hello dials engine-a, whose dial replays it; the second
+	// goes out on the live connection.
 	hellos := a.received(rxnet.FrameHello)
-	for i, f := range hellos {
-		if !bytes.Equal(f.body, hello) && !(i == len(hellos)-1 && bytes.Equal(f.body, flagged)) {
-			t.Errorf("engine-a hello %d of %d is %x, want the node's bodies unchanged", i+1, len(hellos), f.body)
-		}
-	}
-	if len(hellos) == 0 || !bytes.Equal(hellos[len(hellos)-1].body, flagged) {
-		t.Errorf("engine-a never read the flagged hello unchanged")
+	if len(hellos) != 2 || !bytes.Equal(hellos[0].body, hello) || !bytes.Equal(hellos[1].body, flagged) {
+		t.Errorf("engine-a read %d hellos, want the node's two bodies unchanged, once each", len(hellos))
 	}
 
 	rt, _ := r.routeFor(key)
@@ -193,6 +199,87 @@ func TestRouterSendsCodeFramesWithoutAnswer(t *testing.T) {
 	node.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 	if n, err := node.Read(make([]byte, 1)); n != 0 || err == nil {
 		t.Errorf("router wrote to the node (%d bytes, %v)", n, err)
+	}
+}
+
+// A node's Hello reaches each engine once: the Hello that makes the
+// router dial an engine is not written again after the dial's replay
+// of the stored Hellos, a Hello on a live connection is written once,
+// and a redial replays each stored Hello once.
+func TestRouterSendsEachHelloOnce(t *testing.T) {
+	e := startSilentEngine(t, "engine")
+	ring, err := NewRing(0, Member{ID: e.id, Addr: e.ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, addr := startRouter(t, RouterConfig{Ring: ring, RedialBackoff: time.Millisecond})
+	hellos := map[uint32][]byte{}
+	nodes := map[uint32]net.Conn{}
+	seq := uint32(0)
+	// hello sends node's Hello, then a chunk; frames on one engine
+	// connection arrive in order, so once the chunk is in, every Hello
+	// sent before it is too.
+	hello := func(node uint32) {
+		t.Helper()
+		if nodes[node] == nil {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			nodes[node] = c
+		}
+		body, err := rxnet.MarshalHello(rxnet.Hello{NodeID: node, Name: fmt.Sprint("pole-", node)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hellos[node] = body
+		if err := rxnet.WriteFrame(nodes[node], rxnet.FrameHello, body); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+		if err := rxnet.WriteFrame(nodes[node], rxnet.FrameSampleChunk, codeChunk(t, node, 1, seq)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, fmt.Sprint("chunk ", seq), func() bool { return len(e.received(rxnet.FrameCodeChunk, rxnet.FrameCodeReplay)) >= int(seq) })
+	}
+	nodeOf := func(body []byte) uint32 {
+		h, err := rxnet.UnmarshalHello(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.NodeID
+	}
+	expect := func(what string, from int, want ...uint32) {
+		t.Helper()
+		var got []uint32
+		for _, f := range e.received(rxnet.FrameHello)[from:] {
+			got = append(got, nodeOf(f.body))
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: engine read hellos from nodes %v, want %v", what, got, want)
+		}
+	}
+
+	hello(5) // dials the engine
+	expect("first hello", 0, 5)
+	hello(6) // on the live connection
+	expect("second node's hello", 0, 5, 6)
+
+	e.drop()
+	waitFor(t, "the router to see the engine down, past its redial backoff", func() bool {
+		r.mu.Lock()
+		up := r.upstreamsLocked()[0]
+		r.mu.Unlock()
+		return !up.connected.Load() && time.Now().UnixNano() >= up.nextDial.Load()
+	})
+	hello(5) // redials: the dial replays both stored Hellos
+	expect("after the redial", 2, 5, 6)
+	for _, f := range e.received(rxnet.FrameHello) {
+		if !bytes.Equal(f.body, hellos[nodeOf(f.body)]) {
+			t.Fatalf("engine read hello %x, want the node's body unchanged", f.body)
+		}
 	}
 }
 

@@ -537,7 +537,7 @@ func (r *Router) serveConn(conn net.Conn) {
 			// Node metadata fans out to the whole fleet: any engine may
 			// end up owning one of this node's streams.
 			for _, up := range ups {
-				if err := r.send(up, rxnet.FrameHello, body); err != nil {
+				if err := r.sendHello(up, body); err != nil {
 					r.logf("cluster: hello to %s: %v", up.id, err)
 				}
 			}
@@ -760,10 +760,23 @@ func (r *Router) noteOwner(nc *nodeConn, up *upstream) {
 func (r *Router) send(up *upstream, t rxnet.FrameType, body []byte) error {
 	up.wmu.Lock()
 	defer up.wmu.Unlock()
-	if err := r.connectLocked(up); err != nil {
+	if _, err := r.connectLocked(up); err != nil {
 		return err
 	}
 	return r.writeLocked(up, t, body)
+}
+
+// sendHello writes a node's Hello, already stored in r.hellos, to an
+// upstream. When it has to dial first, the dial replays every stored
+// Hello, this one included, so it writes nothing more.
+func (r *Router) sendHello(up *upstream, body []byte) error {
+	up.wmu.Lock()
+	defer up.wmu.Unlock()
+	dialed, err := r.connectLocked(up)
+	if err != nil || dialed {
+		return err
+	}
+	return r.writeLocked(up, rxnet.FrameHello, body)
 }
 
 // sendChunk writes one chunk to an upstream, dialing it first if
@@ -773,25 +786,25 @@ func (r *Router) sendChunk(up *upstream, c rxnet.ReplayEntry, replay bool) error
 	return r.send(up, t, body)
 }
 
-// connectLocked dials the upstream unless it is connected. Callers
-// hold up.wmu.
-func (r *Router) connectLocked(up *upstream) error {
+// connectLocked dials the upstream unless it is connected, and
+// reports whether it dialed. Callers hold up.wmu.
+func (r *Router) connectLocked(up *upstream) (dialed bool, err error) {
 	select {
 	case <-r.closed:
-		return errors.New("cluster: router closed")
+		return false, errors.New("cluster: router closed")
 	default:
 	}
 	if up.conn != nil {
-		return nil
+		return false, nil
 	}
 	if time.Now().UnixNano() < up.nextDial.Load() {
-		return fmt.Errorf("cluster: engine %s in dial backoff", up.id)
+		return false, fmt.Errorf("cluster: engine %s in dial backoff", up.id)
 	}
 	if err := r.dialLocked(up); err != nil {
 		up.failed(r.backoff())
-		return err
+		return false, err
 	}
-	return nil
+	return true, nil
 }
 
 // writeLocked writes one frame on the upstream's connection, dropping
