@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"math"
+
 	"passivelight/internal/optics"
 	"passivelight/internal/scene"
 )
@@ -35,7 +37,10 @@ import (
 //     steps advance in order, each active one records its runs, and
 //     sumLanes adds four steps' sums in one walk of the footprint,
 //     each weight loaded once and feeding four independent
-//     accumulators, instead of one dependent add per point per step.
+//     accumulators, instead of one dependent add per point per step;
+//   - a step whose start and runs repeat the last lane's (the footprint
+//     inside one body panel) takes no lane but that lane's output, as
+//     a lane's sum is a function of its start and runs alone.
 //
 // Every kernel term is added in kernel order with the generic path's
 // float operations, so the two paths produce identical bits;
@@ -397,22 +402,40 @@ type planRun struct {
 // steps in order, as render does, but records each active step's runs
 // instead of summing them at once, and sums lanes active steps in one
 // footprint pass (sumLanes). A step no object touches takes quietOut.
+//
+// An active step whose start and runs repeat those of the last step
+// that took a lane takes none: a lane's sum depends on nothing else,
+// so the step takes that lane's output, at once if its batch is
+// already summed, else when the batch is.
 func (p *renderPlan) renderSteady(t0, fs float64, out []float64) {
 	n := len(p.xs)
 	r := p.rx
 	var at, from [lanes]int
 	var first [lanes]int // lane l's runs start at runs[first[l]]
+	// pend[l] is the last step waiting on lane l, or -1. Until its lane
+	// is summed a waiting step's out slot holds the index of the step
+	// that waited before it, so the waiting steps need no other buffer.
+	pend := [lanes]int{-1, -1, -1, -1}
 	runs := make([]planRun, 0, 64)
 	nl := 0
+	// The last step that took a lane: its output index, start and runs.
+	last, lastFrom, lastFirst := -1, n, 0
 	flush := func() {
 		for l := nl; l < lanes; l++ {
 			from[l] = n // an idle lane starts at n and reads no runs
 		}
 		acc := p.sumLanes(runs, from, first)
 		for l := range nl {
-			out[at[l]] = r.CollectionEfficiency*acc[l] + p.strayE
+			v := r.CollectionEfficiency*acc[l] + p.strayE
+			out[at[l]] = v
+			for i := pend[l]; i >= 0; {
+				i, out[i] = int(out[i]), v
+			}
+			pend[l] = -1
 		}
-		runs, nl = runs[:0], 0
+		// Keep the last lane's runs: the next active step may repeat them.
+		runs = append(runs[:0], runs[lastFirst:]...)
+		lastFirst, nl = 0, 0
 	}
 	for i := range out {
 		kStart, kEnd := p.advance(t0 + float64(i)/fs)
@@ -420,16 +443,19 @@ func (p *renderPlan) renderSteady(t0, fs float64, out []float64) {
 			out[i] = p.quietOut
 			continue
 		}
-		at[nl], from[nl], first[nl] = i, kStart, len(runs)
-		for k := kStart; k < n; {
-			// Past the active span the reflectance is the bare ground's.
-			end, c := n, p.ground
-			if k < kEnd {
-				end, c = p.run(k, kEnd)
+		cur := len(runs)
+		runs = p.appendRuns(runs, kStart, kEnd)
+		if last >= 0 && kStart == lastFrom && sameRuns(runs[lastFirst:cur], runs[cur:]) {
+			runs = runs[:cur]
+			if nl == 0 {
+				out[i] = out[last]
+			} else {
+				out[i], pend[nl-1] = float64(pend[nl-1]), i
 			}
-			runs = append(runs, planRun{end, c})
-			k = end
+			continue
 		}
+		at[nl], from[nl], first[nl] = i, kStart, cur
+		last, lastFrom, lastFirst = i, kStart, cur
 		if nl++; nl == lanes {
 			flush()
 		}
@@ -437,6 +463,37 @@ func (p *renderPlan) renderSteady(t0, fs float64, out []float64) {
 	if nl > 0 {
 		flush()
 	}
+}
+
+// appendRuns appends to runs the runs of the active step p.advance
+// last moved to, whose active span is [kStart, kEnd), and returns it.
+// The last run ends at n.
+func (p *renderPlan) appendRuns(runs []planRun, kStart, kEnd int) []planRun {
+	n := len(p.xs)
+	for k := kStart; k < n; {
+		// Past the active span the reflectance is the bare ground's.
+		end, c := n, p.ground
+		if k < kEnd {
+			end, c = p.run(k, kEnd)
+		}
+		runs = append(runs, planRun{end, c})
+		k = end
+	}
+	return runs
+}
+
+// sameRuns reports whether a and b hold the same run ends and the same
+// reflectance bits.
+func sameRuns(a, b []planRun) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if a[j].end != b[j].end || math.Float64bits(a[j].c) != math.Float64bits(b[j].c) {
+			return false
+		}
+	}
+	return true
 }
 
 // sumLanes returns the reflected-path sums of lanes time steps: lane

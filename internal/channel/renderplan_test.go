@@ -107,42 +107,70 @@ func assertPlanMatchesGeneric(t *testing.T, name string, s *scene.Scene, r Recei
 
 // laneCover records the shapes of the lane batches a steady-source
 // render formed: the sizes of final batches, whether a quiet step fell
-// between two active steps of one batch, and whether one batch's lanes
-// started at different footprint indices.
+// between two lanes of one batch, and whether one batch's lanes started
+// at different footprint indices. It also records the steps that took
+// no lane because they repeat the last lane's start and runs: whether
+// that lane's batch was still pending or already summed, and whether a
+// quiet step came between the repeat and the active step before it;
+// and whether a render of many active steps took a single lane, as a
+// stationary object's does.
 type laneCover struct {
 	final                   [lanes + 1]bool
 	quietInside, mixedStart bool
+	repeats                 map[repeatKind]bool
+	oneState                bool
 }
 
+// repeatKind is a step that repeats a lane: whether that lane's batch
+// was already summed, and whether a quiet step came before the repeat.
+type repeatKind struct{ summed, afterQuiet bool }
+
 // add replays the n time steps of a render by p through advance and
-// notes the batches renderSteady formed from them.
+// appendRuns and notes the batches renderSteady formed from them.
 func (c *laneCover) add(p *renderPlan, t0, fs float64, n int) {
 	if p.srcKind != srcSteady {
 		return
 	}
-	var from []int
-	active, last := 0, 0
+	var runs, last []planRun
+	var from []int // the starts of the pending batch's lanes
+	lastFrom, prev := -1, -1
+	quiet := false // a quiet step since the last lane
+	taken, active := 0, 0
 	for i := range n {
-		kStart, _ := p.advance(t0 + float64(i)/fs)
+		kStart, kEnd := p.advance(t0 + float64(i)/fs)
 		if kStart == len(p.xs) {
+			quiet = true
+			continue
+		}
+		runs = p.appendRuns(runs[:0], kStart, kEnd)
+		afterQuiet := prev >= 0 && i > prev+1
+		prev, active = i, active+1
+		if kStart == lastFrom && sameRuns(last, runs) {
+			if c.repeats == nil {
+				c.repeats = map[repeatKind]bool{}
+			}
+			c.repeats[repeatKind{summed: len(from) == 0, afterQuiet: afterQuiet}] = true
 			continue
 		}
 		if len(from) > 0 {
-			c.quietInside = c.quietInside || i > last+1
+			c.quietInside = c.quietInside || quiet
 			c.mixedStart = c.mixedStart || kStart != from[0]
 		}
-		from, last, active = append(from, kStart), i, active+1
+		last, lastFrom, quiet = append(last[:0], runs...), kStart, false
+		from, taken = append(from, kStart), taken+1
 		if len(from) == lanes {
 			from = from[:0]
 		}
 	}
-	if active > 0 {
-		c.final[(active-1)%lanes+1] = true
+	if taken > 0 {
+		c.final[(taken-1)%lanes+1] = true
 	}
+	c.oneState = c.oneState || taken == 1 && active > lanes
 }
 
 // check fails unless final batches of 1, 2 and 3 steps, a quiet step
-// inside a batch and a batch of differing starts were all seen.
+// inside a batch, a batch of differing starts, every kind of repeat
+// and a single-lane render were all seen.
 func (c *laneCover) check(t *testing.T) {
 	t.Helper()
 	for size := 1; size < lanes; size++ {
@@ -156,14 +184,27 @@ func (c *laneCover) check(t *testing.T) {
 	if !c.mixedStart {
 		t.Error("no lane batch had lanes starting at different footprint indices")
 	}
+	for _, k := range []repeatKind{{false, false}, {true, false}, {false, true}, {true, true}} {
+		if !c.repeats[k] {
+			t.Errorf("no step repeated a lane with %+v", k)
+		}
+	}
+	if !c.oneState {
+		t.Error("no render of many active steps took a single lane")
+	}
 }
 
 // TestRenderPlanMatchesGeneric locks the fast path to the generic
 // evaluator bit for bit across every specialization, on the paper's
-// outdoor pass (whole, and cut mid-pass so the last lane batch holds
-// 1 to 4 steps), on two tags with a quiet gap between them, and on a
-// roof-tagged car that backs up halfway through the footprint, so the
-// footprint search and the segment cursors move both ways.
+// outdoor pass (whole, cut mid-pass so the last lane batch holds 1 to
+// 4 steps, and through a footprint narrower than one step, so two
+// steps can differ in reflectance alone), on two tags with a quiet gap
+// between them, on a
+// parked tag and one that dips in and out of the footprint's edge (so
+// steps repeat a lane's state, pending or summed, right after it or
+// after a quiet gap), and on a roof-tagged car that backs up halfway
+// through the footprint, so the footprint search and the segment
+// cursors move both ways.
 func TestRenderPlanMatchesGeneric(t *testing.T) {
 	var cover laneCover
 	r := Receiver{Height: 0.2, FoVHalfAngleDeg: 5}
@@ -176,6 +217,11 @@ func TestRenderPlanMatchesGeneric(t *testing.T) {
 		m := int(dur*outdoorFs)/2 + cut
 		cover.add(assertPlanMatchesGeneric(t, fmt.Sprintf("outdoor cut at %d", m), s, outdoorReceiver, 0, outdoorFs, m), 0, outdoorFs, m)
 	}
+	// The same pass seen through a 0.35 mm footprint at 200 S/s: a step
+	// moves the car 2.5 cm, so two steps in a row can each sit inside
+	// one body panel, with the same run ends and different reflectances.
+	narrow := Receiver{Height: 0.2, FoVHalfAngleDeg: 0.05}
+	cover.add(assertPlanMatchesGeneric(t, "outdoor, narrow footprint", s, narrow, 0, 200, int(dur*200)), 0, 200, int(dur*200))
 
 	// Two tags 5 cm apart under a lamp: the footprint (3.5 cm wide)
 	// sees bare ground between them.
@@ -193,6 +239,40 @@ func TestRenderPlanMatchesGeneric(t *testing.T) {
 		gapped = append(gapped, obj)
 	}
 	cover.add(assertPlanMatchesGeneric(t, "gapped tags", scene.New(lampForLux(0, 0.2, 900, 30), gapped...), r, 0, 997, 3000), 0, 997, 3000)
+
+	// A tag parked across half the footprint: every active step has
+	// one state, so the render takes a single lane.
+	parked, err := scene.NewTagObject("parked", tg, scene.ConstantSpeed{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover.add(assertPlanMatchesGeneric(t, "parked tag", scene.New(lampForLux(0, 0.2, 900, 30), parked), r, 0, 500, 600), 0, 500, 600)
+
+	// A tag that dips into the footprint's edge to eight depths, backing
+	// out past it each time: its first step back in repeats its last
+	// step before the quiet gap. It backs out faster than it went in,
+	// so the steps out skip states and the lane that step repeats is
+	// pending after some dips and summed after others.
+	const dipSpeed = 0.02
+	rad := r.FootprintRadius()
+	var dips []scene.SpeedSegment
+	until := 0.0
+	for _, depth := range []float64{0.6e-3, 1.1e-3, 1.9e-3, 2.4e-3, 3.3e-3, 0.9e-3, 1.4e-3, 2.8e-3} {
+		in := (0.5e-3 + depth) / dipSpeed
+		dips = append(dips, scene.SpeedSegment{Until: until + in, Speed: dipSpeed}, scene.SpeedSegment{Until: until + 1.1*in, Speed: -10 * dipSpeed})
+		until += 1.1 * in
+	}
+	dips = append(dips, scene.SpeedSegment{Until: math.Inf(1)})
+	dipTraj, err := scene.NewPiecewiseSpeed(-rad-0.5e-3, dips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dipping, err := scene.NewTagObject("dipping", tg, dipTraj, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := int(until*500) + 10
+	cover.add(assertPlanMatchesGeneric(t, "dipping tag", scene.New(lampForLux(0, 0.2, 900, 30), dipping), r, 0, 500, m), 0, 500, m)
 	cover.check(t)
 
 	// Forward 3 m (the hood and windshield cross the footprint), back
@@ -365,9 +445,9 @@ func parkOnBoundary(d planDraws, obj *scene.Object, x float64) {
 // randomPlanScene draws a piecewise-constant scene: 1–4 objects (tags
 // with random payloads, widths and materials, bare and roof-tagged
 // cars), lateral shares drawn independently so their total often
-// exceeds 1 and SampleAt's clamp fires, constant, stop-and-go or
-// reversing motion or parked on a boundary tie, and one of the three
-// source kinds. It returns the scene and a time span covering every
+// exceeds 1 and SampleAt's clamp fires, constant, stop-and-go,
+// reversing or creeping motion, parked anywhere over the footprint or
+// on a boundary tie, and one of the three source kinds. It returns the scene and a time span covering every
 // object's crossing of the footprint.
 func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float64) {
 	t.Helper()
@@ -396,7 +476,11 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 		start := r.X - d.in(rad, rad+0.4, 100)
 		var traj scene.Trajectory = scene.ConstantSpeed{Start: start, Speed: speed}
 		dwell := 0.0
-		switch d.Intn(3) {
+		// A creeping or parked object's span is a stretch of its stay,
+		// not its crossing.
+		stay := 0.0
+		parked := false
+		switch d.Intn(6) {
 		case 0:
 			dwell = d.in(0.01, 0.2, 100)
 			at := max(d.in(0.05/speed, 0.55/speed, 100), 0.01)
@@ -405,20 +489,33 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 				t.Fatal(err)
 			}
 			traj = sg
-		case 1:
+		case 1, 2:
 			// Drives into the footprint, backs out past its start (the
 			// footprint goes quiet if nothing else covers it), then
 			// drives through: the footprint search and the segment
-			// cursors move both ways.
+			// cursors move both ways, and the first step back in may
+			// repeat the last one before the quiet gap. It backs out at
+			// a drawn multiple of its speed, so the steps out and in
+			// need not mirror each other.
 			at := (r.X - rad - start + d.in(0.01, 0.3, 100)) / speed
-			back := at + d.in(0.01, 0.1, 100)
+			rev := d.in(0.5, 3, 10)
+			back := (at + d.in(0.01, 0.1, 100)) / rev
 			ps, err := scene.NewPiecewiseSpeed(start, []scene.SpeedSegment{
-				{Until: at, Speed: speed}, {Until: at + back, Speed: -speed}, {Until: math.Inf(1), Speed: speed},
+				{Until: at, Speed: speed}, {Until: at + back, Speed: -rev * speed}, {Until: math.Inf(1), Speed: speed},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			traj, dwell = ps, 2*back
+			traj, dwell = ps, (1+rev)*back
+		case 3:
+			// Creeps on from somewhere over the footprint: its edges
+			// stay between two footprint points for many steps.
+			speed = d.in(0.002, 0.05, 1000)
+			traj = scene.ConstantSpeed{Start: r.X + d.in(-rad, rad, 1000), Speed: speed}
+			stay = d.in(0.1, 0.75, 100)
+		case 4:
+			// Parked over the footprint, once its length is known.
+			parked, stay = true, d.in(0.1, 0.75, 100)
 		}
 		var obj *scene.Object
 		var err error
@@ -440,7 +537,14 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 			obj.LateralShare = d.in(0.05, 1, 10)
 		}
 		objs[j] = obj
-		span = max(span, (obj.Profile.Length()+2*rad+(r.X-rad-start))/speed+dwell)
+		if parked {
+			obj.Trajectory = scene.ConstantSpeed{Start: r.X - rad + d.in(0, 1, 100)*(2*rad+obj.Profile.Length())}
+		}
+		if stay > 0 {
+			span = max(span, stay)
+		} else {
+			span = max(span, (obj.Profile.Length()+2*rad+(r.X-rad-start))/speed+dwell)
+		}
 		if d.Intn(4) == 0 {
 			parkOnBoundary(d, obj, r.X+offsets[d.Intn(len(offsets))])
 		}
@@ -470,7 +574,8 @@ func randomPlanScene(t *testing.T, d planDraws, r Receiver) (*scene.Scene, float
 // counts included) and the paper's outdoor geometry, each rendered
 // bit-identically by both paths for every source kind. The steady-
 // source scenes must include a roof-tag overlay and a reversing object
-// and, on the full run, form every lane-batch shape laneCover names.
+// and, on the full run, form every lane-batch shape and repeat
+// laneCover names.
 func TestRenderPlanRandomScenes(t *testing.T) {
 	cases := 160
 	if testing.Short() {
@@ -580,15 +685,18 @@ func (b *fuzzBytes) flat() (edges, rho []float64) {
 
 // FuzzRenderPlan builds a piecewise-constant scene from the input —
 // 1–3 objects with their segment edges, reflectances, an optional
-// overlay, lateral shares, speed and direction (forward, backward, or
-// backing up mid-pass), a steady or uniform source, the sample rate
-// and the kernel size — and requires the plan's render to be bit-equal
-// to renderGeneric's.
+// overlay, lateral shares, speed and direction (forward, backward,
+// backing up mid-pass, or parked), a steady or uniform source, the
+// sample rate and the kernel size — and requires the plan's render to
+// be bit-equal to renderGeneric's. The last two seeds hold a parked
+// and a slow object under a lamp, whose steps repeat lane states.
 func FuzzRenderPlan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{96, 4, 3, 2, 1, 3, 40, 200, 25, 30, 60, 10, 1, 128, 1, 26, 250, 9, 0, 50, 0})
 	f.Add([]byte{200, 30, 126, 3, 2, 5, 100, 12, 0, 90, 100, 200, 0, 0, 7, 64, 2, 30, 1, 1, 80, 7, 40, 3, 25, 255, 3, 2})
 	f.Add([]byte{20, 12, 0, 1, 2, 7, 60, 60, 60, 60, 0, 255, 60, 0, 128, 9, 2, 5, 1, 3, 120, 44, 44, 0, 3, 9, 2, 100})
+	f.Add([]byte{128, 30, 5, 61, 1, 0, 2, 20, 200, 40, 30, 20, 255, 0, 10, 50, 3, 100, 9, 1, 128, 64, 10})
+	f.Add([]byte{128, 30, 5, 13, 1, 0, 2, 20, 200, 40, 30, 20, 255, 0, 0, 0, 0, 9, 1, 128, 64, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
 		r := Receiver{
@@ -614,7 +722,7 @@ func FuzzRenderPlan(f *testing.F) {
 			lead := r.X - rad - float64(b.next())/512
 			dist := length + 2*rad + (r.X - rad - lead)
 			var traj scene.Trajectory = scene.ConstantSpeed{Start: lead, Speed: speed}
-			switch b.next() % 3 {
+			switch b.next() % 4 {
 			case 1: // backward, from past the far side
 				traj = scene.ConstantSpeed{Start: lead + dist + length, Speed: -speed}
 			case 2: // in, back out past the start, then through
@@ -626,6 +734,8 @@ func FuzzRenderPlan(f *testing.F) {
 					t.Fatal(err)
 				}
 				traj, dist = ps, dist+2*speed*(at+0.01)
+			case 3: // parked anywhere over the footprint
+				traj = scene.ConstantSpeed{Start: r.X - rad + float64(b.next())/255*(2*rad+length)}
 			}
 			objs = append(objs, &scene.Object{
 				Name:         fmt.Sprint("obj", j),

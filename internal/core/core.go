@@ -55,7 +55,9 @@ func (l *Link) Validate() error {
 }
 
 // Simulate renders the channel and digitizes it, returning the RSS
-// trace in ADC counts.
+// trace in ADC counts. One sample buffer serves the whole pass: the
+// render's output is fogged, noised and digitized in place, and the
+// returned trace holds it.
 func (l *Link) Simulate() (*trace.Trace, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -73,8 +75,7 @@ func (l *Link) Simulate() (*trace.Trace, error) {
 	}
 	// In place: the clean rendering is owned here and never reused.
 	lux = l.Noise.ApplyInPlace(lux)
-	counts := l.Frontend.Digitize(lux)
-	tr := trace.New(l.Frontend.Fs, l.T0, counts)
+	tr := trace.Wrap(l.Frontend.Fs, l.T0, l.Frontend.Digitize(lux))
 	tr.WithMeta("receiver", l.Frontend.Receiver.Name)
 	tr.WithMeta("source", l.Scene.Source.Name())
 	tr.WithMeta("unit", "adc-counts")

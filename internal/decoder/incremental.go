@@ -296,7 +296,8 @@ func (inc *Incremental) complete(quietTail int) SegmentResult {
 // Sec. 4.1 threshold pass, or the Sec. 5 two-phase car decode.
 func (inc *Incremental) decodeSpan(span []float64) (Result, error) {
 	if inc.cfg.TwoPhase {
-		tp, err := DecodeCarPass(trace.New(inc.fs, 0, span), inc.opt)
+		// DecodeCarPass only reads the trace: borrow the span.
+		tp, err := DecodeCarPass(trace.Wrap(inc.fs, 0, span), inc.opt)
 		return tp.Decode, err
 	}
 	return decodePass(span, inc.fs, inc.opt)

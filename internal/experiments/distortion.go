@@ -101,8 +101,7 @@ func Distortion() (DistortionResult, error) {
 		fog := noise.Fog{Transmission: 1 - density, ScatterLevel: 30}
 		lux := fog.Apply(cleanLux)
 		lux = noise.Indoor(int64(195 + i)).ApplyInPlace(lux)
-		counts := cleanLink.Frontend.Digitize(lux)
-		tr := trace.New(cleanLink.Frontend.Fs, 0, counts)
+		tr := trace.Wrap(cleanLink.Frontend.Fs, 0, cleanLink.Frontend.Digitize(lux))
 		pt := DistortionPoint{Severity: density, ThresholdOK: decode(tr), ClassifiedOK: classify(tr)}
 		res.Fog = append(res.Fog, pt)
 		res.Report.addf("fog %3.0f%%: threshold ok=%v, DTW ok=%v", density*100, pt.ThresholdOK, pt.ClassifiedOK)

@@ -210,10 +210,16 @@ func NewChain(r Receiver, fs float64, seed int64) (*Chain, error) {
 
 // Digitize converts an incident-lux series (already sampled at Fs)
 // into ADC counts: response-time low-pass, sensitivity scaling,
-// electronic noise, saturation clipping, quantization.
+// electronic noise, saturation clipping, quantization. The counts are
+// written over incidentLux, which is returned: callers own the buffer
+// and drop the light series once it is digitized.
 func (c *Chain) Digitize(incidentLux []float64) []float64 {
-	out := make([]float64, len(incidentLux))
-	rng := rand.New(rand.NewSource(c.Seed))
+	// The noise source is seeded only when the loop draws from it.
+	var rng *rand.Rand
+	noisy := !c.DisableNoise && c.Receiver.DarkNoiseCounts > 0
+	if noisy {
+		rng = rand.New(rand.NewSource(c.Seed))
+	}
 	fullScale := c.ADC.FullScale()
 	// Response-time low-pass (first order RC at the receiver's -3dB
 	// point). A 2 kS/s ADC behind a 4-10 kHz receiver barely filters,
@@ -238,7 +244,7 @@ func (c *Chain) Digitize(incidentLux []float64) []float64 {
 			state += alpha * (lux - state)
 		}
 		counts := state * c.Receiver.Sensitivity * CountsPerLux
-		if !c.DisableNoise && c.Receiver.DarkNoiseCounts > 0 {
+		if noisy {
 			counts += rng.NormFloat64() * c.Receiver.DarkNoiseCounts
 		}
 		if counts < 0 {
@@ -247,9 +253,9 @@ func (c *Chain) Digitize(incidentLux []float64) []float64 {
 		if counts > satCounts {
 			counts = satCounts
 		}
-		out[i] = math.Round(counts)
+		incidentLux[i] = math.Round(counts)
 	}
-	return out
+	return incidentLux
 }
 
 // Saturated reports whether an ambient level of lux would rail the

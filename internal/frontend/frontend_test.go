@@ -250,3 +250,34 @@ func TestSelectReceiverEmptyCandidates(t *testing.T) {
 		t.Fatalf("2000 lux -> %s, want pd-G3", dev.Name)
 	}
 }
+
+// TestDigitizeWithoutNoiseAllocatesNothing checks that a chain that
+// draws no noise, because noise is off or the receiver has no dark
+// noise, seeds no PRNG and writes the counts over its input.
+func TestDigitizeWithoutNoiseAllocatesNothing(t *testing.T) {
+	off, err := NewChain(PD(G1), 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.DisableNoise = true
+	dark := PD(G1)
+	dark.DarkNoiseCounts = 0
+	silent, err := NewChain(dark, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fe := range map[string]*Chain{"noise off": off, "no dark noise": silent} {
+		buf := make([]float64, 4)
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := range buf {
+				buf[i] = 100
+			}
+			if out := fe.Digitize(buf); &out[0] != &buf[0] {
+				t.Fatalf("%s: Digitize did not write over its input", name)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Digitize allocated %v times per call, want 0", name, allocs)
+		}
+	}
+}

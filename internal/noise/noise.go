@@ -35,8 +35,12 @@ type Model struct {
 // Negative results are clamped to 0 (illuminance cannot be negative).
 // Callers own the input buffer: the link simulation discards the clean
 // rendering anyway, and capacity sweeps run thousands of simulations.
+// A model that draws nothing (every term zero) seeds no PRNG.
 func (m Model) ApplyInPlace(x []float64) []float64 {
-	rng := rand.New(rand.NewSource(m.Seed))
+	var rng *rand.Rand
+	if m.ShotCoeff > 0 || m.ThermalSigma > 0 || m.DriftSigma > 0 || m.GlintProb > 0 {
+		rng = rand.New(rand.NewSource(m.Seed))
+	}
 	drift := 0.0
 	for i, v := range x {
 		n := v

@@ -155,3 +155,19 @@ func TestPresetModels(t *testing.T) {
 		t.Fatal("outdoor noise should exceed indoor")
 	}
 }
+
+// TestQuietModelAllocatesNothing checks that a model with every term
+// zero (the scenario "quiet" profile) seeds no PRNG and leaves the
+// series as it was.
+func TestQuietModelAllocatesNothing(t *testing.T) {
+	m := Model{Seed: 7}
+	x := []float64{1, 2, 3, 4}
+	if allocs := testing.AllocsPerRun(100, func() { m.ApplyInPlace(x) }); allocs != 0 {
+		t.Fatalf("quiet model allocated %v times per call, want 0", allocs)
+	}
+	for i, v := range x {
+		if v != float64(i+1) {
+			t.Fatalf("quiet model changed sample %d to %v", i, v)
+		}
+	}
+}

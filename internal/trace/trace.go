@@ -34,7 +34,13 @@ type Trace struct {
 func New(fs, t0 float64, samples []float64) *Trace {
 	s := make([]float64, len(samples))
 	copy(s, samples)
-	return &Trace{Fs: fs, T0: t0, Samples: s, Meta: map[string]string{}}
+	return Wrap(fs, t0, s)
+}
+
+// Wrap builds a trace over samples without copying them: the trace
+// owns the slice from then on, or, for a read-only use, borrows it.
+func Wrap(fs, t0 float64, samples []float64) *Trace {
+	return &Trace{Fs: fs, T0: t0, Samples: samples, Meta: map[string]string{}}
 }
 
 // WithMeta sets a metadata key and returns the trace for chaining.
