@@ -126,6 +126,7 @@ func streamZeros(node *rxnet.Node, stream uint32, n int) error {
 // connection faults, and keeps every loss counted and every
 // membership change visible in pl_cluster_* telemetry.
 func TestClusterChurnSelfHealing(t *testing.T) {
+	checkGoroutines(t)
 	load, err := scenario.GetLoad("fleet-load")
 	if err != nil {
 		t.Fatal(err)

@@ -57,6 +57,7 @@ func replayHASession(ctx context.Context, primary, standby string, k int, spec s
 // node fails over to the survivor, replayed duplicates are discarded
 // engine-side, and the fleet still decodes 128/128 exactly once.
 func TestClusterDualRouterFailoverZeroLoss(t *testing.T) {
+	checkGoroutines(t)
 	load, err := scenario.GetLoad("fleet-load")
 	if err != nil {
 		t.Fatal(err)

@@ -62,11 +62,6 @@ func startClusterEngine(t *testing.T, id string) *clusterEngine {
 				continue
 			}
 			e.decoded.Add(1)
-			// Confirm consumption upstream, as plnet's engine mode
-			// does: the router trims the session's replay buffer so an
-			// eviction-time failover never re-decodes what this engine
-			// already delivered.
-			src.AckSession(ev.Session)
 		}
 	}()
 	t.Cleanup(func() { e.stop() })
@@ -166,6 +161,7 @@ func waitDecoded(t *testing.T, what string, want int64, engines ...*clusterEngin
 // fresh address and rejoin under its ID through cluster.Join — with
 // the handoffs visible in the router's pl_cluster_* metrics.
 func TestClusterRollingRestartZeroLoss(t *testing.T) {
+	checkGoroutines(t)
 	load, err := scenario.GetLoad("fleet-load")
 	if err != nil {
 		t.Fatal(err)

@@ -206,10 +206,6 @@ func runEngine(ctx context.Context, mon *obs, listen, engineID, strategyName str
 				return
 			}
 			decoded.Add(1)
-			// Confirm consumption upstream so the router trims the
-			// session's replay buffer: if this engine dies later, only
-			// unacked streams replay to a failover owner.
-			src.AckSession(ev.Session)
 			fmt.Printf("engine %s: session %d decoded %s\n", engineID, ev.Session, ev.BitString())
 		}),
 	)

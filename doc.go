@@ -193,15 +193,16 @@
 // The router keeps a chunk of integer ADC codes at 2 bytes a sample
 // (4x more stream time per byte than float64) and sends it to every
 // engine as a code frame: each chunk has one wire form, chosen from
-// its samples alone, and no Hello is answered. Engines ack each
-// decoded session upstream (NetSource.AckSession), which trims the
-// stream's replay buffer, and a Pipeline acks on its own when it
-// releases an idle session, through the last chunk that session
-// consumed: a finished stream's route holds no replay bytes
+// its samples alone, and no Hello is answered. A Pipeline over a
+// NetSource acks by one rule: an ack names the last chunk a finished
+// decode step consumed (undecodable segments and idle releases too),
+// never a chunk still queued for it. Each ack trims the stream's
+// replay buffer: a finished stream's route holds no replay bytes
 // (pl_cluster_replay_bytes totals what the router still holds).
 // Evicting a dead engine fails all its streams over at once,
 // replaying only the unacked tail — what its nodes had finished
-// sending does not die with the process. The
+// sending, or it had not yet consumed, does not die with the
+// process. The
 // internal/cluster/chaos package injects connection faults (drop,
 // delay, duplicate, mid-frame sever, scripted kill/restart schedules)
 // for the churn tier that locks all of this down: an auto-assembled

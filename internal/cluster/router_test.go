@@ -441,10 +441,16 @@ func TestEvictionFailsOverUnackedStreams(t *testing.T) {
 		return a.samplesFor(stuckKey) == 75 && a.samplesFor(doneKey) == 75
 	})
 
-	// engine-a decodes the done stream and acks it; the router trims
-	// its replay buffer to nothing.
-	if !a.l.AckSession(doneKey) {
-		t.Fatal("AckSession did not know the stream")
+	// engine-a decodes the done stream and acks it through its last
+	// delivered chunk; the router trims its replay buffer to nothing.
+	var last rxnet.ChunkEvent
+	for _, ev := range a.snapshot() {
+		if ev.Session == doneKey {
+			last = ev
+		}
+	}
+	if !a.l.AckThrough(doneKey, last.Epoch, last.Seq) {
+		t.Fatal("AckThrough did not know the stream")
 	}
 	waitFor(t, "ack to trim the replay buffer", func() bool {
 		rt, _ := r.routeFor(doneKey)

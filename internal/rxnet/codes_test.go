@@ -307,8 +307,8 @@ func TestNodeResendsCodeTailAsCodes(t *testing.T) {
 
 // A StreamAck trims the node's resend tail through the acked Seq, so a
 // later reconnect resends only what the server has not consumed. The
-// listener's AckSession acks everything it admitted; an ack that names
-// another node's stream trims nothing.
+// listener acks each delivered chunk through its Epoch and Seq; an ack
+// that names another node's stream trims nothing.
 func TestNodeTrimsTailOnStreamAck(t *testing.T) {
 	l, err := ListenChunksConfig("127.0.0.1:0", ChunkListenerConfig{Logf: t.Logf})
 	if err != nil {
@@ -329,12 +329,14 @@ func TestNodeTrimsTailOnStreamAck(t *testing.T) {
 		}
 	}()
 	key := uint64(pole4.NodeID)<<32 | 1
+	var last ChunkEvent
 	for _, ev := range collectChunks(t, l, 10) {
-		l.AckSession(key)
+		l.AckThrough(key, ev.Epoch, ev.Seq)
 		ev.Buf.Release()
+		last = ev
 	}
 	<-streamed
-	if !l.AckSession(key) {
+	if !l.AckThrough(key, last.Epoch, last.Seq) {
 		t.Fatal("listener did not ack the session")
 	}
 	waitTailLen(t, node, 1, 0)

@@ -312,11 +312,12 @@ func TestNodeRedialsAfterReaderGivesUp(t *testing.T) {
 	if err := node.StreamChunk(1, 1000, samples); err != nil {
 		t.Fatalf("write after the reader gave up: %v", err)
 	}
-	if ev := collectChunks(t, l2, 1)[0]; len(ev.Samples) != len(samples) {
+	ev := collectChunks(t, l2, 1)[0]
+	if len(ev.Samples) != len(samples) {
 		t.Fatalf("delivered %d samples, want %d", len(ev.Samples), len(samples))
 	}
 	waitTailLen(t, node, 1, 1)
-	if !l2.AckSession(uint64(pole4.NodeID)<<32 | 1) {
+	if !l2.AckThrough(ev.Session, ev.Epoch, ev.Seq) {
 		t.Fatal("listener did not ack the session")
 	}
 	waitTailLen(t, node, 1, 0)

@@ -223,7 +223,7 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 			"Streams this engine refused and redirected back to the router.",
 			l.nacksSent.Load)
 		l.reg.CounterFunc("pl_cluster_stream_acks_sent_total",
-			"Consumption acks sent upstream (sessions decoded; replay buffers trimmable).",
+			"Consumption acks sent upstream, each through the last chunk a finished decode step consumed.",
 			l.acksSent.Load)
 		l.reg.CounterFunc("pl_cluster_stream_ends_received_total",
 			"StreamEnd orders received from a cluster router (handoffs applied).",
@@ -426,32 +426,14 @@ func (l *ChunkListener) ForceRedirect(session uint64) bool {
 	return true
 }
 
-// AckSession tells a session's peer that everything received so far
-// has been consumed (decoded) through the stream's continuity cursor:
-// the peer gets a StreamAck carrying the last consumed chunk Seq, so a
-// cluster router can trim the stream's replay buffer — acked chunks
-// never need replaying to a failover owner if this engine dies. It
-// reports whether the stream was still known (a redirected or ended
-// stream has no cursor left to ack). Peers that are not routers
-// tolerate the frame: streaming nodes ignore control frames they do
-// not act on.
-func (l *ChunkListener) AckSession(session uint64) bool {
-	l.mu.Lock()
-	var src *lconn
-	var seq uint32
-	if cur, ok := l.cursors[session]; ok {
-		src, seq = cur.src, cur.seq
-	}
-	l.mu.Unlock()
-	return l.sendAck(src, session, seq)
-}
-
-// AckThrough acks a session through one delivered chunk (its
-// ChunkEvent Seq and Epoch) rather than through everything admitted:
-// chunks still queued behind it stay unacked. The ack is sent only
-// while the stream is still in that epoch — once the stream restarted
-// or skipped, its Seqs name other chunks and the ack is dropped.
-// Reports whether an ack was sent.
+// AckThrough tells a session's peer that the stream has been consumed
+// (decoded) through one delivered chunk, named by its ChunkEvent Epoch
+// and Seq: the peer gets a StreamAck carrying that Seq, so a cluster
+// router can trim the stream's replay buffer and a streaming node its
+// resend tail. Chunks queued behind it stay unacked. The ack is sent
+// only while the stream is still in that epoch — once the stream
+// ended, restarted or skipped, its Seqs name other chunks and the ack
+// is dropped. Reports whether an ack was sent.
 func (l *ChunkListener) AckThrough(session uint64, epoch, seq uint32) bool {
 	l.mu.Lock()
 	var src *lconn
@@ -459,12 +441,6 @@ func (l *ChunkListener) AckThrough(session uint64, epoch, seq uint32) bool {
 		src = cur.src
 	}
 	l.mu.Unlock()
-	return l.sendAck(src, session, seq)
-}
-
-// sendAck writes a StreamAck through seq to the stream's connection
-// (nil: the stream is unknown, nothing to ack).
-func (l *ChunkListener) sendAck(src *lconn, session uint64, seq uint32) bool {
 	if src == nil {
 		return false
 	}

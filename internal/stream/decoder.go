@@ -72,6 +72,10 @@ type Detection struct {
 	// the detection-latency metric (arrival to emit). Set by the
 	// Engine; zero for a standalone Decoder.
 	Arrival time.Time
+	// Tag is the feed tag (Engine.FeedTagged) of the last chunk the
+	// decode step that produced this detection consumed. Set by the
+	// Engine; zero for a standalone Decoder.
+	Tag uint64
 	// SymbolRate is the measured symbols/second (1/tau_t).
 	SymbolRate float64
 	// RSSPeak is the largest window maximum of the decode.

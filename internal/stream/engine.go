@@ -155,7 +155,7 @@ type session struct {
 	evicted  bool
 	lastFeed time.Time
 	// tag is the caller's tag for the last chunk fed (FeedTagged),
-	// reported by the release hook.
+	// stamped on detections and reported by the release hook.
 	tag uint64
 	// created anchors the session's stream time to the wall clock
 	// (first sample arrived then).
@@ -177,14 +177,15 @@ func (s *session) noteDecoder() {
 // returns the ring's array to the pool and publishes the detections.
 // The caller holds a drain claim (scheduled or evicted) and s.mu, which
 // feedPending releases. timed records the decode in the decode-step
-// histogram (worker steps only).
-func (e *Engine) feedPending(s *session, timed bool) {
+// histogram (worker steps only). It returns the arrival and feed tag
+// of the last chunk taken, for a following flush to stamp.
+func (e *Engine) feedPending(s *session, timed bool) (arrival time.Time, tag uint64) {
 	pending, box := s.rng.take()
-	arrival := s.lastFeed
+	arrival, tag = s.lastFeed, s.tag
 	s.mu.Unlock()
 	if len(pending) == 0 {
 		putRingBuf(box)
-		return
+		return arrival, tag
 	}
 	timed = timed && e.tel != nil
 	var t0 time.Time
@@ -197,7 +198,8 @@ func (e *Engine) feedPending(s *session, timed bool) {
 	}
 	putRingBuf(box)
 	s.noteDecoder()
-	e.publish(s, dets, arrival)
+	e.publish(s, dets, arrival, tag)
+	return arrival, tag
 }
 
 // unschedule releases the scheduled claim and wakes every goroutine
@@ -451,10 +453,11 @@ func (e *Engine) shardOf(id uint64) *shard {
 // buffer and wakes a worker on the session's shard. fs selects the
 // session sample rate on first feed; zero uses the engine default.
 // Feeding an existing session with a different non-zero fs is an
-// error. tag is recorded on the session the chunk lands in:
-// OnSessionEnd reports the tag of the session's last chunk, so a
-// caller can tell exactly what a released session consumed even when
-// a later chunk already started a fresh session under the same id.
+// error. tag is recorded on the session the chunk lands in: each
+// Detection carries the tag of the last chunk its decode step
+// consumed, and OnSessionEnd the tag of the session's last chunk, so a
+// caller can tell exactly what was consumed even when a later chunk
+// already started a fresh session under the same id.
 func (e *Engine) FeedTagged(id uint64, fs float64, chunk []float64, tag uint64) error {
 	if len(chunk) == 0 {
 		return nil
@@ -588,8 +591,9 @@ func (e *Engine) worker(sh *shard) {
 // the session decoder, so ownership transfers to the consumer.
 // arrival is the wall-clock time the session was last fed before this
 // decode step — the chunk-arrival anchor of the detection-latency
-// histogram and of Detection.Arrival.
-func (e *Engine) publish(s *session, dets []Detection, arrival time.Time) {
+// histogram and of Detection.Arrival — and tag the feed tag of the
+// last chunk the step consumed (Detection.Tag).
+func (e *Engine) publish(s *session, dets []Detection, arrival time.Time, tag uint64) {
 	if len(dets) == 0 {
 		return
 	}
@@ -608,6 +612,7 @@ func (e *Engine) publish(s *session, dets []Detection, arrival time.Time) {
 		// when the segment got decoded or consumed.
 		det.Wall = s.created.Add(time.Duration(det.TimeSec * float64(time.Second)))
 		det.Arrival = arrival
+		det.Tag = tag
 		if det.Err != nil {
 			st.decodeErrs.Add(1)
 		} else {
@@ -671,8 +676,8 @@ func (e *Engine) janitor() {
 				stale = append(stale, shardStale...)
 			}
 			for _, s := range stale {
-				// Terminal claim held: lastFeed is stable now.
-				e.publish(s, s.dec.Flush(), s.lastFeed)
+				// Terminal claim held: lastFeed and tag are stable now.
+				e.publish(s, s.dec.Flush(), s.lastFeed, s.tag)
 				s.sh.stats.evicts.Add(1)
 				e.sessionEnded(s, "idle")
 			}
@@ -722,11 +727,10 @@ func (e *Engine) drainNow(s *session) {
 			continue
 		}
 		s.scheduled = true
-		arrival := s.lastFeed
-		e.feedPending(s, false)
+		arrival, tag := e.feedPending(s, false)
 		dets := s.dec.Flush()
 		s.noteDecoder()
-		e.publish(s, dets, arrival)
+		e.publish(s, dets, arrival, tag)
 		s.mu.Lock()
 		done := s.rng.len() == 0
 		s.unschedule()
@@ -778,9 +782,8 @@ func (e *Engine) EndSession(id uint64) error {
 		s.waitRelease(e.closed)
 	}
 	s.mu.Lock()
-	arrival := s.lastFeed
-	e.feedPending(s, false)
-	e.publish(s, s.dec.Flush(), arrival)
+	arrival, tag := e.feedPending(s, false)
+	e.publish(s, s.dec.Flush(), arrival, tag)
 	e.sessionEnded(s, "end")
 	return nil
 }
@@ -922,9 +925,8 @@ func (e *Engine) Close() {
 			// error instead of feeding a dead ring), then drain.
 			s.mu.Lock()
 			s.evicted = true
-			arrival := s.lastFeed
-			e.feedPending(s, false)
-			e.publish(s, s.dec.Flush(), arrival)
+			arrival, tag := e.feedPending(s, false)
+			e.publish(s, s.dec.Flush(), arrival, tag)
 			e.sessionEnded(s, "close")
 		}
 		e.pubMu.Lock()

@@ -122,7 +122,7 @@ type Pipeline struct {
 	samplesIn atomic.Int64
 	tel       *pipeTel
 	// acks is the NetSource listener the pulled chunks came from (nil
-	// for other sources): idle session releases ack through it.
+	// for other sources): every ack goes through it (see ack).
 	acks atomic.Pointer[rxnet.ChunkListener]
 }
 
@@ -246,6 +246,11 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 			for _, det := range batch {
 				p.emit(out, p.event(det))
 			}
+			// A batch is one decode step of one session, now delivered:
+			// ack it, undecodable segments too, or a failover engine
+			// would count them again.
+			last := batch[len(batch)-1]
+			p.ack(last.Session, last.Tag)
 			// The events copied everything they need; hand the batch
 			// slice back to the engine's pool.
 			stream.RecycleBatch(batch)
@@ -300,19 +305,25 @@ func (p *Pipeline) startEngine(ctx context.Context, fs float64, out chan Event) 
 	return nil
 }
 
+// ack is the pipeline's one ack rule: an ack names the last chunk a
+// finished decode step consumed (tag), never the listener's cursor,
+// which may cover chunks still queued for the pipeline. The listener
+// drops an ack whose stream has since ended or restarted.
+func (p *Pipeline) ack(session, tag uint64) {
+	if l := p.acks.Load(); l != nil {
+		l.AckThrough(session, uint32(tag>>32), uint32(tag))
+	}
+}
+
 // sessionEnded is the engine's release hook. An idle release means
-// the session decoded and flushed everything it was fed, so the
-// pipeline acks its stream upstream through the last chunk it fed
-// (the engine's feed tag) — not through the listener's cursor, which
-// may already cover chunks still queued for a fresh session. End and
-// close releases are not acked: an end means the stream moved away or
-// restarted (a new epoch the ack must not alias), and close means the
-// engine is going down.
+// the session decoded and flushed everything it was fed, so it acks
+// through the session's last chunk, covering the quiet fed after its
+// last detection. End and close releases are not acked: an end means
+// the stream moved away or restarted, and close means the engine is
+// going down.
 func (p *Pipeline) sessionEnded(id uint64, stats SessionStats, reason string, tag uint64) {
-	if reason == "idle" && tag != 0 {
-		if l := p.acks.Load(); l != nil {
-			l.AckThrough(id, uint32(tag>>32), uint32(tag))
-		}
+	if reason == "idle" {
+		p.ack(id, tag)
 	}
 	if p.cfg.onSessionEnd != nil {
 		p.cfg.onSessionEnd(id, stats, reason)

@@ -48,13 +48,10 @@ type SourceChunk struct {
 func (c SourceChunk) Release() { c.buf.Release() }
 
 // ackTag packs the chunk's listener epoch and Seq into the engine's
-// per-session feed tag (0, never a valid tag, for chunks without one).
-func (c SourceChunk) ackTag() uint64 {
-	if c.acks == nil {
-		return 0
-	}
-	return uint64(c.epoch)<<32 | uint64(c.seq)
-}
+// feed tag, which the engine stamps on each detection (Detection.Tag)
+// and hands to the release hook; the pipeline acks through it. It is
+// 0 for chunks of other sources (listener epochs start at 1).
+func (c SourceChunk) ackTag() uint64 { return uint64(c.epoch)<<32 | uint64(c.seq) }
 
 // SourceInfo describes an opened source.
 type SourceInfo struct {
@@ -645,15 +642,11 @@ func (s *NetSource) Sessions() []uint64 { return s.l.Sessions() }
 // end naturally.
 func (s *NetSource) ForceRedirect(session uint64) bool { return s.l.ForceRedirect(session) }
 
-// AckSession confirms consumption upstream: everything received on the
-// session so far has been decoded, so a cluster router can trim the
-// stream's replay buffer — if this engine later dies, only unacked
-// chunks are replayed to the failover owner. Call it when a session's
-// packet decodes. Reports whether the stream was still known. A
-// Pipeline over this source also acks on its own whenever the engine
-// releases an idle session, through the last chunk that session
-// consumed, so a finished stream's route holds no replay bytes.
-func (s *NetSource) AckSession(session uint64) bool { return s.l.AckSession(session) }
+// AckSession sends nothing and reports false: a Pipeline over this
+// source acks on its own, through the last chunk each decode step
+// consumed. It remains only for perfbench's paced-routed sink, which
+// still calls it.
+func (s *NetSource) AckSession(session uint64) bool { return false }
 
 // Throttle flips the source's backpressure signal: paused sends a
 // Throttle frame to every connected peer (a cluster router relays it
